@@ -24,8 +24,9 @@ race:
 # The pre-merge gate: compile, vet, formatting, quick tests, the pipeline
 # refactor's byte-equality + steady-state alloc guards, the node wiring
 # under the race detector, and the parallel engine's determinism/
-# cancellation tests under the race detector (the parallel tests exercise
-# workers 2, 4 and 7 internally), plus the serve daemon's drain and
+# cancellation tests and the executor seam every figure crosses under the
+# race detector (the parallel tests exercise workers 2, 4 and 7
+# internally), plus the serve daemon's drain and
 # cancellation paths under the race detector (signal-vs-submit,
 # drain-window expiry, and client cancellation all race by design), and
 # the durable store's WAL replay + cache recovery paths under the race
@@ -43,7 +44,7 @@ ci: build vet
 	$(GO) test -short ./...
 	$(GO) test -run 'TestPipelineGolden|TestLinkSendSteadyStateAllocs|TestStandaloneNodesMatchLink' .
 	$(GO) test -race -run 'TestPipelineNodesRace|TestStandaloneNodesMatchLink' .
-	$(GO) test -race -run 'TestParallelMatchesSerial|TestRunnerCancellation' ./internal/experiments/
+	$(GO) test -race -run 'TestParallelMatchesSerial|TestRunnerCancellation|TestExecutorPathMatchesLocal' ./internal/experiments/
 	$(GO) test -race -run 'TestServerDrain|TestServerDrainCancelsSlowJobs|TestJobCancel|TestDeterministicNDJSON' ./internal/serve/
 	$(GO) test -race -run 'TestSIGTERMDrainsGracefully|TestRestartServesDurableResults' ./cmd/cos-serve/
 	$(GO) test -race ./internal/serve/store/ ./internal/serve/cache/

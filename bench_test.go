@@ -431,13 +431,13 @@ func BenchmarkLinkExchangeInstrumented(b *testing.B) {
 // packet); the amortized overhead against BenchmarkLinkExchange is what
 // the BENCH_trace.json budget bounds.
 func BenchmarkLinkExchangeProbed64(b *testing.B) {
-	runLinkExchange(b, cos.WithProbe(64, nil))
+	runLinkExchange(b, cos.WithProbe(64))
 }
 
 // BenchmarkLinkExchangeProbed1 probes every packet — the worst case, for
 // sizing what a probe itself costs (it re-demodulates the whole packet).
 func BenchmarkLinkExchangeProbed1(b *testing.B) {
-	runLinkExchange(b, cos.WithProbe(1, nil))
+	runLinkExchange(b, cos.WithProbe(1))
 }
 
 // TestWriteBenchTraceReport regenerates BENCH_trace.json (via `make
@@ -484,8 +484,8 @@ func TestWriteBenchTraceReport(t *testing.T) {
 		return best
 	}
 	base := timedSession()
-	probed64 := timedSession(cos.WithProbe(64, nil))
-	probed1 := timedSession(cos.WithProbe(1, nil))
+	probed64 := timedSession(cos.WithProbe(64))
+	probed1 := timedSession(cos.WithProbe(1))
 	report := struct {
 		GeneratedBy     string  `json:"generated_by"`
 		Packets         int     `json:"packets"`
@@ -507,7 +507,7 @@ func TestWriteBenchTraceReport(t *testing.T) {
 		Methodology: "Each configuration sends 400 packets (24 control bits, " +
 			"adaptive budget) on a fresh seed-6 link, three repetitions, best-of-3 " +
 			"wall clock — the same exchange loop as BenchmarkLinkExchange. base " +
-			"carries the always-on span layer; probed64 adds cos.WithProbe(64,nil), " +
+			"carries the always-on span layer; probed64 adds cos.WithProbe(64), " +
 			"the documented sampling floor; probed1 probes every packet to size the " +
 			"raw probe cost. The acceptance budget bounds probed64_ratio at 1.02 " +
 			"(sampled probes within 2% of the span-only pipeline); probed1 is " +

@@ -50,10 +50,6 @@ func newChannelNode(cfg config, m *linkMetrics) (*Channel, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.interferer != nil {
-		// WithInterference overrides the scenario's interferer.
-		intf = cfg.interferer
-	}
 	return &Channel{
 		cfg:     cfg,
 		model:   model,

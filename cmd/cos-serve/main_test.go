@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"io"
 	"os"
 	"strings"
@@ -62,8 +63,7 @@ func TestSIGTERMDrainsGracefully(t *testing.T) {
 	sawDraining := false
 	for time.Now().Before(deadline) {
 		_, err := c.Submit(ctx, serve.Spec{Kind: serve.KindLink, Packets: 1, PayloadBytes: 64}, client.SubmitOptions{})
-		var apiErr *client.APIError
-		if ok := errorAs(err, &apiErr); ok && apiErr.Draining() {
+		if errors.Is(err, serve.ErrDraining) {
 			sawDraining = true
 			break
 		}
@@ -225,15 +225,4 @@ func TestBadFlagsExit2(t *testing.T) {
 	if code := run([]string{"-no-such-flag"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("run(-no-such-flag) = %d, want 2", code)
 	}
-}
-
-func errorAs(err error, target **client.APIError) bool {
-	if err == nil {
-		return false
-	}
-	e, ok := err.(*client.APIError)
-	if ok {
-		*target = e
-	}
-	return ok
 }

@@ -81,7 +81,7 @@ func main() {
 		ctrlBits = flag.Int("control", 32, "control bits per packet (0 = data only; capped by budget)")
 		rate     = flag.Int("rate", 0, "fixed data rate in Mb/s (0 = SNR-based adaptation)")
 		mobile   = flag.Bool("mobile", false, "walking-speed mobile channel")
-		intf     = flag.Bool("interference", false, "inject strong pulse interference")
+		intf     = flag.Bool("interference", false, "inject strong pulse interference (shorthand for -scenario pulse:40,160,0.004)")
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		runs     = flag.Int("runs", 1, "independent channel realizations to simulate")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for -runs (results identical for any count)")
@@ -96,6 +96,14 @@ func main() {
 	if *listScen {
 		fmt.Print(scenario.FormatList())
 		return
+	}
+	if *intf {
+		// -interference is shorthand for the Fig. 10(d) pulse scenario.
+		if *scenRef != "" {
+			fmt.Fprintln(os.Stderr, "cos-sim: -interference selects -scenario pulse:40,160,0.004; give one or the other")
+			os.Exit(2)
+		}
+		*scenRef = "pulse:40,160,0.004"
 	}
 	scen, err := cli.ParseScenario(*scenRef)
 	if err != nil {
@@ -191,13 +199,10 @@ func main() {
 		if *mobile {
 			opts = append(opts, cos.WithMobile())
 		}
-		if *intf {
-			opts = append(opts, cos.WithInterference(40, 160, 0.004))
-		}
 		if tw != nil && run == 0 {
 			opts = append(opts, cos.WithObserver(tw.Observer()))
 			if *probeN > 0 {
-				opts = append(opts, cos.WithProbe(*probeN, nil))
+				opts = append(opts, cos.WithProbe(*probeN))
 			}
 		}
 		link, err := cos.NewLink(opts...)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sync"
 
 	"cos/internal/channel"
 	icos "cos/internal/cos"
@@ -36,16 +37,37 @@ func (c *Fig10aConfig) setDefaults() {
 	}
 }
 
-// Fig10aMagnitudes reproduces Fig. 10(a): the relative FFT magnitudes of
-// the 52 occupied subcarriers of one received OFDM symbol in which control
-// subcarriers 10, 11 and 17 (1-based; 9, 10 and 16 here) carry silence
-// symbols. The silent bins are clearly discernible. A single packet, so no
-// task decomposition — the context is only checked on entry.
-func Fig10aMagnitudes(ctx context.Context, cfg Fig10aConfig) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// fig10aTasks is Fig. 10(a): a single packet, so a one-task set whose
+// record is the normalized magnitude curve.
+func fig10aTasks(cfg Fig10aConfig) TaskSet {
 	cfg.setDefaults()
+	return tasks[[]float64]{
+		n: 1,
+		run: func(context.Context, int, *rand.Rand) ([]float64, error) {
+			return fig10aMagnitudes(cfg)
+		},
+		assemble: func(recs [][]float64) (*Result, error) {
+			res := &Result{
+				ID:     "fig10a",
+				Title:  "Relative FFT magnitudes of 52 subcarriers with silences on control subcarriers",
+				XLabel: "subcarrier index (1-52)",
+				YLabel: "relative FFT magnitude",
+			}
+			s := Series{Name: "RelativeMagnitude"}
+			for i, m := range recs[0] {
+				s.X = append(s.X, float64(i+1))
+				s.Y = append(s.Y, m)
+			}
+			res.Add(s)
+			res.Note("silences inserted on data subcarriers 10, 11, 17 (1-based) of the plotted symbol")
+			return res, nil
+		},
+	}
+}
+
+// fig10aMagnitudes measures the 52 occupied subcarriers' FFT magnitudes,
+// normalized to the maximum, drawing from its own rand.NewSource(Seed).
+func fig10aMagnitudes(cfg Fig10aConfig) ([]float64, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	mode, err := phy.ModeByRate(24)
 	if err != nil {
@@ -99,20 +121,18 @@ func Fig10aMagnitudes(ctx context.Context, cfg Fig10aConfig) (*Result, error) {
 			max = m
 		}
 	}
-	res := &Result{
-		ID:     "fig10a",
-		Title:  "Relative FFT magnitudes of 52 subcarriers with silences on control subcarriers",
-		XLabel: "subcarrier index (1-52)",
-		YLabel: "relative FFT magnitude",
+	for i := range mags {
+		mags[i] /= max
 	}
-	s := Series{Name: "RelativeMagnitude"}
-	for i, m := range mags {
-		s.X = append(s.X, float64(i+1))
-		s.Y = append(s.Y, m/max)
-	}
-	res.Add(s)
-	res.Note("silences inserted on data subcarriers 10, 11, 17 (1-based) of the plotted symbol")
-	return res, nil
+	return mags, nil
+}
+
+// Fig10aMagnitudes reproduces Fig. 10(a): the relative FFT magnitudes of
+// the 52 occupied subcarriers of one received OFDM symbol in which control
+// subcarriers 10, 11 and 17 (1-based; 9, 10 and 16 here) carry silence
+// symbols. The silent bins are clearly discernible.
+func Fig10aMagnitudes(ctx context.Context, cfg Fig10aConfig) (*Result, error) {
+	return runTasks(ctx, "fig10a", RunOptions{Seed: cfg.Seed}, fig10aTasks(cfg))
 }
 
 // Fig10bConfig parameterizes the threshold sweep.
@@ -152,6 +172,97 @@ func (c *Fig10bConfig) setDefaults() {
 	}
 }
 
+// fig10bPrelude is the operating point every threshold point shares.
+type fig10bPrelude struct {
+	actual     float64 // calibrated true SNR
+	noiseFloor float64 // reference noise floor for the x axis
+}
+
+// fig10bTasks is Fig. 10(b): task 0 is reserved for the shared
+// calibration prelude's RNG (pool.TaskRNG(seed, 0)), tasks 1..Points are
+// the threshold points, each recording its (FP, FN) probabilities.
+func fig10bTasks(cfg Fig10bConfig) TaskSet {
+	cfg.setDefaults()
+	packets := scaled(cfg.Packets, cfg.Scale)
+	relDB := make([]float64, cfg.Points) // threshold, dB above the noise floor
+	for pi := range relDB {
+		relDB[pi] = -15 + 40*float64(pi)/float64(cfg.Points-1)
+	}
+	prelude := sync.OnceValues(func() (fig10bPrelude, error) {
+		mode, err := phy.ModeByRate(12)
+		if err != nil {
+			return fig10bPrelude{}, err
+		}
+		ch, err := trialChannel(cfg.Scenario, channel.PositionB, false, 4)
+		if err != nil {
+			return fig10bPrelude{}, err
+		}
+		rng := pool.TaskRNG(cfg.Seed, 0)
+		scr := &trialScratch{}
+		actual, err := calibrateActualSNR(scr, ch, 0, mode, cfg.MeasuredSNR, rng)
+		if err != nil {
+			return fig10bPrelude{}, err
+		}
+		pr, err := probe(scr, ch, 0, mode, 256, actual, rng)
+		if err != nil {
+			return fig10bPrelude{}, err
+		}
+		return fig10bPrelude{actual: actual, noiseFloor: pr.fe.NoiseVar}, nil
+	})
+	return tasks[[2]float64]{
+		n: cfg.Points + 1,
+		run: func(ctx context.Context, i int, rng *rand.Rand) ([2]float64, error) {
+			if i == 0 {
+				return [2]float64{}, nil // reserved: the prelude's RNG
+			}
+			op, err := prelude()
+			if err != nil {
+				return [2]float64{}, err
+			}
+			mode, err := phy.ModeByRate(12)
+			if err != nil {
+				return [2]float64{}, err
+			}
+			ch, err := trialChannel(cfg.Scenario, channel.PositionB, false, 4)
+			if err != nil {
+				return [2]float64{}, err
+			}
+			scr := &trialScratch{}
+			th := op.noiseFloor * dsp.Linear(relDB[i-1])
+			var stats icos.DetectionStats
+			for p := 0; p < packets; p++ {
+				if err := ctx.Err(); err != nil {
+					return [2]float64{}, err
+				}
+				r, err := runCoSTrial(scr, ch, 0, op.actual, cosTrialConfig{
+					mode:     mode,
+					psduLen:  1024,
+					silences: 12,
+					k:        icos.DefaultBitsPerInterval,
+					ctrlSCs:  fig10CtrlSCs,
+					detector: icos.Detector{FixedThreshold: th},
+				}, rng)
+				if err != nil {
+					return [2]float64{}, err
+				}
+				stats.Add(r.detection)
+			}
+			return [2]float64{stats.FalsePositiveRate(), stats.FalseNegativeRate()}, nil
+		},
+		assemble: func(pts [][2]float64) (*Result, error) {
+			res := &Result{
+				ID:     "fig10b",
+				Title:  "Detection accuracy vs energy-detection threshold (measured SNR 9.2 dB)",
+				XLabel: "threshold (dB above noise floor)",
+				YLabel: "probability",
+			}
+			res.Add(pairSeries("FalsePositive", relDB, pts[1:], 0))
+			res.Add(pairSeries("FalseNegative", relDB, pts[1:], 1))
+			return res, nil
+		},
+	}
+}
+
 // Fig10bThreshold reproduces Fig. 10(b): false positive and false negative
 // probabilities of silence detection as the (fixed) energy-detection
 // threshold sweeps from far below the noise floor to far above the signal
@@ -159,97 +270,8 @@ func (c *Fig10bConfig) setDefaults() {
 // threshold reads faded data symbols as silences (false positives).
 // The x axis is the threshold in dB relative to the estimated noise floor
 // (the paper's absolute dBm axis shifted by its noise floor).
-//
-// The shared calibration and noise-floor probe run serially as task 0 of
-// the seed schedule; the threshold points are pool tasks 1..Points.
 func Fig10bThreshold(ctx context.Context, cfg Fig10bConfig) (*Result, error) {
-	cfg.setDefaults()
-	mode, err := phy.ModeByRate(12)
-	if err != nil {
-		return nil, err
-	}
-	// Serial prelude channel; pool tasks build their own (a channel model
-	// owns tap scratch, and the same variant is the same deterministic draw).
-	ch, err := trialChannel(cfg.Scenario, channel.PositionB, false, 4)
-	if err != nil {
-		return nil, err
-	}
-	// Serial prelude on the index-0 task RNG: every threshold point shares
-	// this operating point, so it cannot be a pool task.
-	preludeRNG := pool.TaskRNG(cfg.Seed, 0)
-	scr := &trialScratch{} // serial prelude scratch; pool tasks build their own
-	actual, err := calibrateActualSNR(scr, ch, 0, mode, cfg.MeasuredSNR, preludeRNG)
-	if err != nil {
-		return nil, err
-	}
-	packets := scaled(cfg.Packets, cfg.Scale)
-
-	// Reference noise floor for the x axis.
-	pr, err := probe(scr, ch, 0, mode, 256, actual, preludeRNG)
-	if err != nil {
-		return nil, err
-	}
-	noiseFloor := pr.fe.NoiseVar
-
-	type point struct {
-		relDB  float64
-		fp, fn float64
-	}
-	pts := make([]point, cfg.Points)
-	err = pool.ForEach(ctx, cfg.Workers, cfg.Points+1, cfg.Seed, func(i int, rng *rand.Rand) error {
-		if i == 0 {
-			return nil // index 0 is the serial prelude above
-		}
-		pi := i - 1
-		ch, err := trialChannel(cfg.Scenario, channel.PositionB, false, 4)
-		if err != nil {
-			return err
-		}
-		scr := &trialScratch{}
-		relDB := -15 + 40*float64(pi)/float64(cfg.Points-1)
-		th := noiseFloor * dsp.Linear(relDB)
-		var stats icos.DetectionStats
-		for p := 0; p < packets; p++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			r, err := runCoSTrial(scr, ch, 0, actual, cosTrialConfig{
-				mode:     mode,
-				psduLen:  1024,
-				silences: 12,
-				k:        icos.DefaultBitsPerInterval,
-				ctrlSCs:  fig10CtrlSCs,
-				detector: icos.Detector{FixedThreshold: th},
-			}, rng)
-			if err != nil {
-				return err
-			}
-			stats.Add(r.detection)
-		}
-		pts[pi] = point{relDB: relDB, fp: stats.FalsePositiveRate(), fn: stats.FalseNegativeRate()}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{
-		ID:     "fig10b",
-		Title:  "Detection accuracy vs energy-detection threshold (measured SNR 9.2 dB)",
-		XLabel: "threshold (dB above noise floor)",
-		YLabel: "probability",
-	}
-	fp := Series{Name: "FalsePositive"}
-	fn := Series{Name: "FalseNegative"}
-	for _, pt := range pts {
-		fp.X = append(fp.X, pt.relDB)
-		fp.Y = append(fp.Y, pt.fp)
-		fn.X = append(fn.X, pt.relDB)
-		fn.Y = append(fn.Y, pt.fn)
-	}
-	res.Add(fp)
-	res.Add(fn)
-	return res, nil
+	return runTasks(ctx, "fig10b", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, fig10bTasks(cfg))
 }
 
 // Fig10cConfig parameterizes the accuracy-vs-SNR sweep.
@@ -262,8 +284,6 @@ type Fig10cConfig struct {
 	Scale float64
 	// Seed drives all randomness.
 	Seed int64
-	// Interference enables the pulse interferer (Fig. 10(d)).
-	Interference bool
 	// Workers bounds the point-task pool (0 = GOMAXPROCS).
 	Workers int
 	// Scenario is an optional scenario reference ("" = default world).
@@ -285,68 +305,82 @@ func (c *Fig10cConfig) setDefaults() {
 	}
 }
 
-// accuracySweep runs the detection-accuracy measurement behind Figs. 10(c)
-// and 10(d): false positive and negative probabilities of the adaptive
-// detector across channel SNRs, optionally under pulse interference. Each
-// SNR operating point is one pool task (it calibrates, then accumulates its
-// own detection statistics on a private RNG).
-func accuracySweep(ctx context.Context, cfg Fig10cConfig, interfere bool) (fp, fn Series, err error) {
+// accuracyPoint is one operating point of the detection-accuracy
+// measurement behind Figs. 10(c) and 10(d): it calibrates to the measured
+// SNR, then accumulates the adaptive detector's statistics on rng,
+// optionally under pulse interference, and returns the (FP, FN)
+// probabilities.
+func accuracyPoint(ctx context.Context, cfg Fig10cConfig, snr float64, interfere bool, rng *rand.Rand) ([2]float64, error) {
 	mode, err := phy.ModeByRate(12)
 	if err != nil {
-		return fp, fn, err
+		return [2]float64{}, err
 	}
-	packets := scaled(cfg.Packets, cfg.Scale)
-	intf := channel.PulseInterferer{Power: 40, BurstLen: 160, StartProb: 0.004}
-
-	type point struct{ fp, fn float64 }
-	pts := make([]point, len(cfg.SNRs))
-	err = pool.ForEach(ctx, cfg.Workers, len(cfg.SNRs), cfg.Seed, func(i int, rng *rand.Rand) error {
-		// Per task: a channel model owns tap scratch, so point-tasks must
-		// not share one (the same variant is the same deterministic draw).
-		ch, err := trialChannel(cfg.Scenario, channel.PositionB, false, 4)
-		if err != nil {
-			return err
-		}
-		scr := &trialScratch{}
-		actual, err := calibrateActualSNR(scr, ch, 0, mode, cfg.SNRs[i], rng)
-		if err != nil {
-			return err
-		}
-		trial := cosTrialConfig{
-			mode:     mode,
-			psduLen:  1024,
-			silences: 12,
-			k:        icos.DefaultBitsPerInterval,
-			ctrlSCs:  fig10CtrlSCs,
-			detector: icos.Detector{Scheme: mode.Modulation},
-		}
-		if interfere {
-			trial.interferer = &intf
-		}
-		var stats icos.DetectionStats
-		for p := 0; p < packets; p++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			r, err := runCoSTrial(scr, ch, 0, actual, trial, rng)
-			if err != nil {
-				return err
-			}
-			stats.Add(r.detection)
-		}
-		pts[i] = point{fp: stats.FalsePositiveRate(), fn: stats.FalseNegativeRate()}
-		return nil
-	})
+	// Per task: a channel model owns tap scratch, so point-tasks must not
+	// share one (the same variant is the same deterministic draw).
+	ch, err := trialChannel(cfg.Scenario, channel.PositionB, false, 4)
 	if err != nil {
-		return fp, fn, err
+		return [2]float64{}, err
 	}
-	for i, snr := range cfg.SNRs {
-		fp.X = append(fp.X, snr)
-		fp.Y = append(fp.Y, pts[i].fp)
-		fn.X = append(fn.X, snr)
-		fn.Y = append(fn.Y, pts[i].fn)
+	scr := &trialScratch{}
+	actual, err := calibrateActualSNR(scr, ch, 0, mode, snr, rng)
+	if err != nil {
+		return [2]float64{}, err
 	}
-	return fp, fn, nil
+	trial := cosTrialConfig{
+		mode:     mode,
+		psduLen:  1024,
+		silences: 12,
+		k:        icos.DefaultBitsPerInterval,
+		ctrlSCs:  fig10CtrlSCs,
+		detector: icos.Detector{Scheme: mode.Modulation},
+	}
+	if interfere {
+		trial.interferer = channel.PulseInterferer{Power: 40, BurstLen: 160, StartProb: 0.004}
+	}
+	var stats icos.DetectionStats
+	for p := 0; p < scaled(cfg.Packets, cfg.Scale); p++ {
+		if err := ctx.Err(); err != nil {
+			return [2]float64{}, err
+		}
+		r, err := runCoSTrial(scr, ch, 0, actual, trial, rng)
+		if err != nil {
+			return [2]float64{}, err
+		}
+		stats.Add(r.detection)
+	}
+	return [2]float64{stats.FalsePositiveRate(), stats.FalseNegativeRate()}, nil
+}
+
+// pairSeries plots column col of two-metric point records against xs.
+func pairSeries(name string, xs []float64, pts [][2]float64, col int) Series {
+	s := Series{Name: name}
+	for i, x := range xs {
+		s.X = append(s.X, x)
+		s.Y = append(s.Y, pts[i][col])
+	}
+	return s
+}
+
+// fig10cTasks is Fig. 10(c) with one point-task per SNR operating point.
+func fig10cTasks(cfg Fig10cConfig) TaskSet {
+	cfg.setDefaults()
+	return tasks[[2]float64]{
+		n: len(cfg.SNRs),
+		run: func(ctx context.Context, i int, rng *rand.Rand) ([2]float64, error) {
+			return accuracyPoint(ctx, cfg, cfg.SNRs[i], false, rng)
+		},
+		assemble: func(pts [][2]float64) (*Result, error) {
+			res := &Result{
+				ID:     "fig10c",
+				Title:  "Detection accuracy vs measured SNR (adaptive threshold)",
+				XLabel: "measured SNR (dB)",
+				YLabel: "probability",
+			}
+			res.Add(pairSeries("FalsePositive", cfg.SNRs, pts, 0))
+			res.Add(pairSeries("FalseNegative", cfg.SNRs, pts, 1))
+			return res, nil
+		},
+	}
 }
 
 // Fig10cAccuracy reproduces Fig. 10(c): detection accuracy of the adaptive
@@ -354,46 +388,41 @@ func accuracySweep(ctx context.Context, cfg Fig10cConfig, interfere bool) (fp, f
 // ~1% everywhere, while false positives rise only at very low SNR where
 // deep fades approach the noise floor.
 func Fig10cAccuracy(ctx context.Context, cfg Fig10cConfig) (*Result, error) {
+	return runTasks(ctx, "fig10c", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, fig10cTasks(cfg))
+}
+
+// fig10dTasks is Fig. 10(d): tasks 0..n-1 are the clean sweep's SNR
+// points on their own task RNGs; tasks n..2n-1 are the interference arm,
+// which draws independent noise from the seed schedule of Seed+1
+// (pool.TaskRNG(Seed+1, i-n)) instead of the RNG it is handed.
+func fig10dTasks(cfg Fig10cConfig) TaskSet {
 	cfg.setDefaults()
-	fp, fn, err := accuracySweep(ctx, cfg, false)
-	if err != nil {
-		return nil, err
+	n := len(cfg.SNRs)
+	return tasks[[2]float64]{
+		n: 2 * n,
+		run: func(ctx context.Context, i int, rng *rand.Rand) ([2]float64, error) {
+			if i < n {
+				return accuracyPoint(ctx, cfg, cfg.SNRs[i], false, rng)
+			}
+			return accuracyPoint(ctx, cfg, cfg.SNRs[i-n], true, pool.TaskRNG(cfg.Seed+1, i-n))
+		},
+		assemble: func(pts [][2]float64) (*Result, error) {
+			res := &Result{
+				ID:     "fig10d",
+				Title:  "Impact of strong interference on false negative probability",
+				XLabel: "measured SNR (dB)",
+				YLabel: "false negative probability",
+			}
+			res.Add(pairSeries("CoS with strong interference", cfg.SNRs, pts[n:], 1))
+			res.Add(pairSeries("CoS", cfg.SNRs, pts[:n], 1))
+			return res, nil
+		},
 	}
-	fp.Name, fn.Name = "FalsePositive", "FalseNegative"
-	res := &Result{
-		ID:     "fig10c",
-		Title:  "Detection accuracy vs measured SNR (adaptive threshold)",
-		XLabel: "measured SNR (dB)",
-		YLabel: "probability",
-	}
-	res.Add(fp)
-	res.Add(fn)
-	return res, nil
 }
 
 // Fig10dInterference reproduces Fig. 10(d): the false-negative probability
 // with and without strong pulse interference. Interference landing on a
 // silent bin lifts it above threshold and the silence is missed.
 func Fig10dInterference(ctx context.Context, cfg Fig10cConfig) (*Result, error) {
-	cfg.setDefaults()
-	_, fnClean, err := accuracySweep(ctx, cfg, false)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Seed++ // independent noise for the interference arm
-	_, fnDirty, err := accuracySweep(ctx, cfg, true)
-	if err != nil {
-		return nil, err
-	}
-	fnClean.Name = "CoS"
-	fnDirty.Name = "CoS with strong interference"
-	res := &Result{
-		ID:     "fig10d",
-		Title:  "Impact of strong interference on false negative probability",
-		XLabel: "measured SNR (dB)",
-		YLabel: "false negative probability",
-	}
-	res.Add(fnDirty)
-	res.Add(fnClean)
-	return res, nil
+	return runTasks(ctx, "fig10d", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, fig10dTasks(cfg))
 }

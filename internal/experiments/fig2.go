@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"math/rand"
 	"sort"
 
@@ -52,19 +51,6 @@ func (c *Fig2Config) steps() int {
 	return n
 }
 
-// fig2ConfigFrom maps registry RunOptions onto a Fig2Config exactly as the
-// registry entry always has; serve's figure_task executor calls this too,
-// so a task decomposed locally and one decomposed on a backend agree.
-func fig2ConfigFrom(o RunOptions) Fig2Config {
-	cfg := Fig2Config{Seed: o.Seed, Workers: o.Workers, Scenario: o.Scenario}
-	if o.Scale < 1 {
-		cfg.Variants = 2
-		cfg.Step = 2
-	}
-	cfg.setDefaults()
-	return cfg
-}
-
 // fig2Record is one (variant, SNR) probe's serialized outcome. ok=false
 // marks an out-of-range SNR estimate whose slot stays empty.
 type fig2Record struct {
@@ -75,73 +61,66 @@ type fig2Record struct {
 }
 
 // fig2Tasks is Fig. 2 decomposed into one point-task per (variant, SNR)
-// grid cell. cfg must have defaults applied.
-type fig2Tasks struct {
-	cfg Fig2Config
-}
+// grid cell.
+func fig2Tasks(cfg Fig2Config) TaskSet {
+	cfg.setDefaults()
+	steps := cfg.steps()
+	return tasks[fig2Record]{
+		n: cfg.Variants * steps,
+		run: func(ctx context.Context, i int, rng *rand.Rand) (fig2Record, error) {
+			probeMode, err := phy.ModeByRate(6)
+			if err != nil {
+				return fig2Record{}, err
+			}
+			v := i / steps
+			snr := cfg.MinSNR + float64(i%steps)*cfg.Step
+			ch, err := trialChannel(cfg.Scenario, channel.PositionA, false, int64(v+1))
+			if err != nil {
+				return fig2Record{}, err
+			}
+			pr, err := probe(&trialScratch{}, ch, 0, probeMode, 256, snr, rng)
+			if err != nil {
+				return fig2Record{}, err
+			}
+			measured, err := pr.fe.MeasuredSNRdB()
+			if err != nil {
+				return fig2Record{}, err
+			}
+			if measured < cfg.MinSNR || measured > cfg.MaxSNR {
+				return fig2Record{}, nil
+			}
+			mode := phy.SelectMode(measured)
+			return fig2Record{OK: true, Measured: measured, MinReq: mode.MinSNRdB, Actual: pr.actualSNR}, nil
+		},
+		assemble: func(recs []fig2Record) (*Result, error) {
+			kept := make([]fig2Record, 0, len(recs))
+			for _, rec := range recs {
+				if rec.OK {
+					kept = append(kept, rec)
+				}
+			}
+			sort.SliceStable(kept, func(a, b int) bool { return kept[a].Measured < kept[b].Measured })
 
-func (f fig2Tasks) NumTasks() int { return f.cfg.Variants * f.cfg.steps() }
-
-func (f fig2Tasks) RunTask(ctx context.Context, i int, rng *rand.Rand) (json.RawMessage, error) {
-	probeMode, err := phy.ModeByRate(6)
-	if err != nil {
-		return nil, err
+			res := &Result{
+				ID:     "fig2",
+				Title:  "SNR gap between minimum required SNR and actual channel SNR",
+				XLabel: "measured SNR (dB)",
+				YLabel: "SNR (dB)",
+			}
+			minReq := Series{Name: "MinRequiredSNR"}
+			actual := Series{Name: "ActualSNR"}
+			for _, p := range kept {
+				minReq.X = append(minReq.X, p.Measured)
+				minReq.Y = append(minReq.Y, p.MinReq)
+				actual.X = append(actual.X, p.Measured)
+				actual.Y = append(actual.Y, p.Actual)
+			}
+			res.Add(minReq)
+			res.Add(actual)
+			res.Note("actual SNR always sits above the stair-case minimum: the gap CoS harvests")
+			return res, nil
+		},
 	}
-	scr := &trialScratch{}
-	steps := f.cfg.steps()
-	v := i / steps
-	snr := f.cfg.MinSNR + float64(i%steps)*f.cfg.Step
-	ch, err := trialChannel(f.cfg.Scenario, channel.PositionA, false, int64(v+1))
-	if err != nil {
-		return nil, err
-	}
-	pr, err := probe(scr, ch, 0, probeMode, 256, snr, rng)
-	if err != nil {
-		return nil, err
-	}
-	measured, err := pr.fe.MeasuredSNRdB()
-	if err != nil {
-		return nil, err
-	}
-	rec := fig2Record{}
-	if measured >= f.cfg.MinSNR && measured <= f.cfg.MaxSNR {
-		mode := phy.SelectMode(measured)
-		rec = fig2Record{OK: true, Measured: measured, MinReq: mode.MinSNRdB, Actual: pr.actualSNR}
-	}
-	return json.Marshal(rec)
-}
-
-func (f fig2Tasks) Assemble(recs []json.RawMessage) (*Result, error) {
-	kept := make([]fig2Record, 0, len(recs))
-	for _, raw := range recs {
-		var rec fig2Record
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, err
-		}
-		if rec.OK {
-			kept = append(kept, rec)
-		}
-	}
-	sort.SliceStable(kept, func(a, b int) bool { return kept[a].Measured < kept[b].Measured })
-
-	res := &Result{
-		ID:     "fig2",
-		Title:  "SNR gap between minimum required SNR and actual channel SNR",
-		XLabel: "measured SNR (dB)",
-		YLabel: "SNR (dB)",
-	}
-	minReq := Series{Name: "MinRequiredSNR"}
-	actual := Series{Name: "ActualSNR"}
-	for _, p := range kept {
-		minReq.X = append(minReq.X, p.Measured)
-		minReq.Y = append(minReq.Y, p.MinReq)
-		actual.X = append(actual.X, p.Measured)
-		actual.Y = append(actual.Y, p.Actual)
-	}
-	res.Add(minReq)
-	res.Add(actual)
-	res.Note("actual SNR always sits above the stair-case minimum: the gap CoS harvests")
-	return res, nil
 }
 
 // Fig2SNRGap reproduces Fig. 2: the gap between the minimum SNR required by
@@ -154,6 +133,5 @@ func (f fig2Tasks) Assemble(recs []json.RawMessage) (*Result, error) {
 // Every (variant, SNR) probe is an independent point-task; the sweep grid
 // runs on the worker pool and reassembles in deterministic order.
 func Fig2SNRGap(ctx context.Context, cfg Fig2Config) (*Result, error) {
-	cfg.setDefaults()
-	return runTasks(ctx, "fig2", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, fig2Tasks{cfg: cfg})
+	return runTasks(ctx, "fig2", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, fig2Tasks(cfg))
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"math/rand"
 
 	"cos/internal/channel"
@@ -81,15 +80,6 @@ func fig3BERAt(ctx context.Context, ch scenario.ChannelModel, mode phy.Mode, tar
 	return float64(errsTotal) / float64(bitsTotal), nil
 }
 
-// fig3ConfigFrom maps registry RunOptions onto a Fig3Config exactly as the
-// registry entry always has; serve's figure_task executor shares it so
-// local and remote decompositions agree.
-func fig3ConfigFrom(o RunOptions) Fig3Config {
-	cfg := Fig3Config{Scale: o.Scale, Seed: o.Seed, Workers: o.Workers, Scenario: o.Scenario}
-	cfg.setDefaults()
-	return cfg
-}
-
 // snrPoints is the sweep grid: task 0 is the decoder tolerance anchor at
 // MinSNR, tasks 1..n the swept points.
 func (c *Fig3Config) snrPoints() []float64 {
@@ -107,67 +97,54 @@ type fig3Record struct {
 }
 
 // fig3Tasks is Fig. 3 decomposed into one point-task per SNR point plus
-// the 12 dB tolerance anchor (task 0). cfg must have defaults applied.
-type fig3Tasks struct {
-	cfg Fig3Config
-}
-
-func (f fig3Tasks) NumTasks() int { return len(f.cfg.snrPoints()) }
-
-func (f fig3Tasks) RunTask(ctx context.Context, i int, rng *rand.Rand) (json.RawMessage, error) {
-	mode, err := phy.ModeByRate(24)
-	if err != nil {
-		return nil, err
+// the 12 dB tolerance anchor (task 0).
+func fig3Tasks(cfg Fig3Config) TaskSet {
+	cfg.setDefaults()
+	snrs := cfg.snrPoints()
+	return tasks[fig3Record]{
+		n: len(snrs),
+		run: func(ctx context.Context, i int, rng *rand.Rand) (fig3Record, error) {
+			mode, err := phy.ModeByRate(24)
+			if err != nil {
+				return fig3Record{}, err
+			}
+			// Per task: a channel model owns tap scratch, so point-tasks must
+			// not share one (the realization itself is deterministic per
+			// variant, so every task sees the same channel).
+			ch, err := trialChannel(cfg.Scenario, channel.PositionA, false, 7)
+			if err != nil {
+				return fig3Record{}, err
+			}
+			ber, err := fig3BERAt(ctx, ch, mode, snrs[i], scaled(cfg.Packets, cfg.Scale), rng)
+			return fig3Record{BER: ber}, err
+		},
+		assemble: func(recs []fig3Record) (*Result, error) {
+			tolerable := recs[0].BER
+			res := &Result{
+				ID:     "fig3",
+				Title:  "Decoder-input BER vs measured SNR at 24 Mb/s",
+				XLabel: "measured SNR (dB)",
+				YLabel: "decoder-input BER",
+			}
+			actualSer := Series{Name: "ActualBER"}
+			redundSer := Series{Name: "RedundantBER"}
+			for i, snr := range snrs[1:] {
+				ber := recs[i+1].BER
+				red := tolerable - ber
+				if red < 0 {
+					red = 0
+				}
+				actualSer.X = append(actualSer.X, snr)
+				actualSer.Y = append(actualSer.Y, ber)
+				redundSer.X = append(redundSer.X, snr)
+				redundSer.Y = append(redundSer.Y, red)
+			}
+			res.Add(actualSer)
+			res.Add(redundSer)
+			res.Note("tolerable decoder-input BER anchored at the 12 dB minimum required SNR: %.5f", tolerable)
+			return res, nil
+		},
 	}
-	// Per task: a channel model owns tap scratch, so point-tasks must not
-	// share one (the realization itself is deterministic per variant, so
-	// every task sees the same channel).
-	ch, err := trialChannel(f.cfg.Scenario, channel.PositionA, false, 7)
-	if err != nil {
-		return nil, err
-	}
-	ber, err := fig3BERAt(ctx, ch, mode, f.cfg.snrPoints()[i], scaled(f.cfg.Packets, f.cfg.Scale), rng)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(fig3Record{BER: ber})
-}
-
-func (f fig3Tasks) Assemble(recs []json.RawMessage) (*Result, error) {
-	snrs := f.cfg.snrPoints()
-	bers := make([]float64, len(recs))
-	for i, raw := range recs {
-		var rec fig3Record
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, err
-		}
-		bers[i] = rec.BER
-	}
-	tolerable := bers[0]
-
-	res := &Result{
-		ID:     "fig3",
-		Title:  "Decoder-input BER vs measured SNR at 24 Mb/s",
-		XLabel: "measured SNR (dB)",
-		YLabel: "decoder-input BER",
-	}
-	actualSer := Series{Name: "ActualBER"}
-	redundSer := Series{Name: "RedundantBER"}
-	for i, snr := range snrs[1:] {
-		ber := bers[i+1]
-		red := tolerable - ber
-		if red < 0 {
-			red = 0
-		}
-		actualSer.X = append(actualSer.X, snr)
-		actualSer.Y = append(actualSer.Y, ber)
-		redundSer.X = append(redundSer.X, snr)
-		redundSer.Y = append(redundSer.Y, red)
-	}
-	res.Add(actualSer)
-	res.Add(redundSer)
-	res.Note("tolerable decoder-input BER anchored at the 12 dB minimum required SNR: %.5f", tolerable)
-	return res, nil
 }
 
 // Fig3DecoderBER reproduces Fig. 3: decoder-input BER versus measured SNR
@@ -180,6 +157,5 @@ func (f fig3Tasks) Assemble(recs []json.RawMessage) (*Result, error) {
 // 12 dB tolerance anchor; tasks run on the worker pool with private RNGs,
 // so parallel output is bit-identical to serial.
 func Fig3DecoderBER(ctx context.Context, cfg Fig3Config) (*Result, error) {
-	cfg.setDefaults()
-	return runTasks(ctx, "fig3", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, fig3Tasks{cfg: cfg})
+	return runTasks(ctx, "fig3", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, fig3Tasks(cfg))
 }

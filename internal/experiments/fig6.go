@@ -7,7 +7,6 @@ import (
 	"cos/internal/channel"
 	"cos/internal/ofdm"
 	"cos/internal/phy"
-	"cos/internal/pool"
 )
 
 // Fig6Config parameterizes the symbol-error pattern measurement.
@@ -49,96 +48,98 @@ func (c *Fig6Config) setDefaults() {
 	}
 }
 
-// fig6Packet is one packet's error pattern, kept per task so the parallel
-// merge is an order-independent integer accumulation done serially after
-// the pool drains.
+// fig6Packet is one packet's error pattern, the record of one point-task;
+// assembly merges them serially as an order-independent integer
+// accumulation.
 type fig6Packet struct {
-	errorPositions []int
-	scErrors       [ofdm.NumData]int
-	scCounts       [ofdm.NumData]int
+	ErrorPositions []int             `json:"error_positions"`
+	SCErrors       [ofdm.NumData]int `json:"sc_errors"`
+	SCCounts       [ofdm.NumData]int `json:"sc_counts"`
+}
+
+// fig6Tasks is Fig. 6 with one point-task per packet: the mobile channel
+// is a pure function of the transmit time t = p * 2 ms, so packet p needs
+// no state from packet p-1.
+func fig6Tasks(cfg Fig6Config) TaskSet {
+	cfg.setDefaults()
+	packets := scaled(cfg.Packets, cfg.Scale)
+	return tasks[fig6Packet]{
+		n: packets,
+		run: func(ctx context.Context, p int, rng *rand.Rand) (fig6Packet, error) {
+			mode, err := phy.ModeByRate(24)
+			if err != nil {
+				return fig6Packet{}, err
+			}
+			// Per task: a channel model owns tap scratch, so point-tasks
+			// must not share one (variant 0 of the same geometry is the
+			// same draw).
+			ch, err := trialChannel(cfg.Scenario, channel.PositionA, true, 0)
+			if err != nil {
+				return fig6Packet{}, err
+			}
+			t := float64(p) * 2e-3 // back-to-back traffic at 2 ms spacing
+			pr, err := probe(&trialScratch{}, ch, t, mode, 1024, cfg.SNR, rng)
+			if err != nil {
+				return fig6Packet{}, err
+			}
+			diag, err := phy.Diagnose(pr.tx, pr.fe, nil, nil)
+			if err != nil {
+				return fig6Packet{}, err
+			}
+			return fig6Packet{
+				ErrorPositions: diag.ErrorPositions(),
+				SCErrors:       diag.SubcarrierErrorCounts,
+				SCCounts:       diag.SymbolsPerSubcarrier,
+			}, nil
+		},
+		assemble: func(perPacket []fig6Packet) (*Result, error) {
+			posErrors := make([]int, cfg.Positions)
+			var scErrors, scCounts [ofdm.NumData]int
+			for _, pkt := range perPacket {
+				for _, pos := range pkt.ErrorPositions {
+					if pos < cfg.Positions {
+						posErrors[pos]++
+					}
+				}
+				for d := 0; d < ofdm.NumData; d++ {
+					scErrors[d] += pkt.SCErrors[d]
+					scCounts[d] += pkt.SCCounts[d]
+				}
+			}
+
+			res := &Result{
+				ID:     "fig6",
+				Title:  "Symbol error pattern within a packet (Position A, mobile)",
+				XLabel: "symbol position / subcarrier index",
+				YLabel: "error frequency / SER",
+			}
+			a := Series{Name: "ErrorFreqByPosition"}
+			for i := 0; i < cfg.Positions; i++ {
+				a.X = append(a.X, float64(i+1))
+				a.Y = append(a.Y, float64(posErrors[i])/float64(packets))
+			}
+			res.Add(a)
+			b := Series{Name: "SERBySubcarrier"}
+			for d := 0; d < ofdm.NumData; d++ {
+				ser := 0.0
+				if scCounts[d] > 0 {
+					ser = float64(scErrors[d]) / float64(scCounts[d])
+				}
+				b.X = append(b.X, float64(d+1))
+				b.Y = append(b.Y, ser)
+			}
+			res.Add(b)
+			res.Note("position = ofdmSymbol*48 + subcarrier; the periodicity of part (a) equals the 48 data subcarriers")
+			return res, nil
+		},
+	}
 }
 
 // Fig6ErrorPattern reproduces Fig. 6 at Position A (mobile): (a) the
 // frequency of symbol errors at each in-packet symbol position — revealing
 // the ~48-position periodicity induced by weak subcarriers — and (b) the
-// symbol error rate of each data subcarrier.
-//
-// Each packet is an independent point-task: the mobile channel is a pure
-// function of the transmit time t = p * 2 ms, so packet p needs no state
-// from packet p-1.
+// symbol error rate of each data subcarrier. Each packet is an independent
+// point-task.
 func Fig6ErrorPattern(ctx context.Context, cfg Fig6Config) (*Result, error) {
-	cfg.setDefaults()
-	mode, err := phy.ModeByRate(24)
-	if err != nil {
-		return nil, err
-	}
-	packets := scaled(cfg.Packets, cfg.Scale)
-
-	perPacket := make([]fig6Packet, packets)
-	err = pool.ForEach(ctx, cfg.Workers, packets, cfg.Seed, func(p int, rng *rand.Rand) error {
-		// Per task: a channel model owns tap scratch, so point-tasks must
-		// not share one (variant 0 of the same geometry is the same draw).
-		ch, err := trialChannel(cfg.Scenario, channel.PositionA, true, 0)
-		if err != nil {
-			return err
-		}
-		t := float64(p) * 2e-3 // back-to-back traffic at 2 ms spacing
-		scr := &trialScratch{}
-		pr, err := probe(scr, ch, t, mode, 1024, cfg.SNR, rng)
-		if err != nil {
-			return err
-		}
-		diag, err := phy.Diagnose(pr.tx, pr.fe, nil, nil)
-		if err != nil {
-			return err
-		}
-		perPacket[p].errorPositions = diag.ErrorPositions()
-		for d := 0; d < ofdm.NumData; d++ {
-			perPacket[p].scErrors[d] = diag.SubcarrierErrorCounts[d]
-			perPacket[p].scCounts[d] = diag.SymbolsPerSubcarrier[d]
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	posErrors := make([]int, cfg.Positions)
-	var scErrors, scCounts [ofdm.NumData]int
-	for _, pkt := range perPacket {
-		for _, pos := range pkt.errorPositions {
-			if pos < cfg.Positions {
-				posErrors[pos]++
-			}
-		}
-		for d := 0; d < ofdm.NumData; d++ {
-			scErrors[d] += pkt.scErrors[d]
-			scCounts[d] += pkt.scCounts[d]
-		}
-	}
-
-	res := &Result{
-		ID:     "fig6",
-		Title:  "Symbol error pattern within a packet (Position A, mobile)",
-		XLabel: "symbol position / subcarrier index",
-		YLabel: "error frequency / SER",
-	}
-	a := Series{Name: "ErrorFreqByPosition"}
-	for i := 0; i < cfg.Positions; i++ {
-		a.X = append(a.X, float64(i+1))
-		a.Y = append(a.Y, float64(posErrors[i])/float64(packets))
-	}
-	res.Add(a)
-	b := Series{Name: "SERBySubcarrier"}
-	for d := 0; d < ofdm.NumData; d++ {
-		ser := 0.0
-		if scCounts[d] > 0 {
-			ser = float64(scErrors[d]) / float64(scCounts[d])
-		}
-		b.X = append(b.X, float64(d+1))
-		b.Y = append(b.Y, ser)
-	}
-	res.Add(b)
-	res.Note("position = ofdmSymbol*48 + subcarrier; the periodicity of part (a) equals the 48 data subcarriers")
-	return res, nil
+	return runTasks(ctx, "fig6", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, fig6Tasks(cfg))
 }

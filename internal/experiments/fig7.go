@@ -10,7 +10,6 @@ import (
 	"cos/internal/modulation"
 	"cos/internal/ofdm"
 	"cos/internal/phy"
-	"cos/internal/pool"
 	"cos/internal/scenario"
 )
 
@@ -93,101 +92,101 @@ func errorVectorSnapshot(ctx context.Context, ch scenario.ChannelModel, t float6
 	return dAcc, evmAcc, nil
 }
 
+// fig7Record is one Fig. 7 point-task's outcome: a snapshot task's
+// per-subcarrier EVM vector, or a draw task's nabla-EVM sample.
+type fig7Record struct {
+	EVM   []float64 `json:"evm,omitempty"`
+	Nabla float64   `json:"nabla,omitempty"`
+}
+
+// fig7Tasks is Fig. 7 with two kinds of point-tasks: snapshot tasks
+// 0..len(taus) for part (a) — task 0 is the tau=0 baseline — and one task
+// per (tau, draw) pair for part (b), each measuring an independent D(t),
+// D(t+tau) pair.
+func fig7Tasks(cfg Fig7Config) TaskSet {
+	cfg.setDefaults()
+	draws := scaled(cfg.Draws, cfg.Scale)
+	taus := cfg.TausMs
+	const t0 = 0.050
+	return tasks[fig7Record]{
+		n: 1 + len(taus) + len(taus)*draws,
+		run: func(ctx context.Context, i int, rng *rand.Rand) (fig7Record, error) {
+			mode, err := phy.ModeByRate(24)
+			if err != nil {
+				return fig7Record{}, err
+			}
+			// Per task: a channel model owns tap scratch, so point-tasks
+			// must not share one (variant 0 of the same geometry is the
+			// same draw).
+			ch, err := trialChannel(cfg.Scenario, channel.PositionC, true, 0)
+			if err != nil {
+				return fig7Record{}, err
+			}
+			if i <= len(taus) { // snapshot task for part (a)
+				t := t0
+				if i > 0 {
+					t += taus[i-1] / 1000
+				}
+				_, evm, err := errorVectorSnapshot(ctx, ch, t, mode, cfg.SNR, cfg.Avg, rng)
+				return fig7Record{EVM: evm}, err
+			}
+			j := i - 1 - len(taus)
+			tau := taus[j/draws]
+			t := 0.010 + float64(j%draws)*0.0075
+			dT, _, err := errorVectorSnapshot(ctx, ch, t, mode, cfg.SNR, cfg.Avg, rng)
+			if err != nil {
+				return fig7Record{}, err
+			}
+			dTau, _, err := errorVectorSnapshot(ctx, ch, t+tau/1000, mode, cfg.SNR, cfg.Avg, rng)
+			if err != nil {
+				return fig7Record{}, err
+			}
+			nabla, err := modulation.NablaEVM(dT, dTau)
+			return fig7Record{Nabla: nabla}, err
+		},
+		assemble: func(recs []fig7Record) (*Result, error) {
+			res := &Result{
+				ID:     "fig7",
+				Title:  "Temporal selectivity of subcarriers (mobile, walking speed)",
+				XLabel: "subcarrier (a) / nabla-EVM (b)",
+				YLabel: "EVM % (a) / CDF (b)",
+			}
+			names := []string{"EVM tau=0ms"}
+			for _, tau := range taus {
+				names = append(names, "EVM tau="+fmtMs(tau))
+			}
+			for i, name := range names {
+				s := Series{Name: name}
+				for d := 0; d < ofdm.NumData; d++ {
+					s.X = append(s.X, float64(d+1))
+					s.Y = append(s.Y, 100*recs[i].EVM[d])
+				}
+				res.Add(s)
+			}
+			for ti, tau := range taus {
+				nablas := make([]float64, draws)
+				for di := range nablas {
+					nablas[di] = recs[1+len(taus)+ti*draws+di].Nabla
+				}
+				s := Series{Name: "CDF tau=" + fmtMs(tau)}
+				for _, p := range dsp.EmpiricalCDF(nablas) {
+					s.X = append(s.X, p.Value)
+					s.Y = append(s.Y, p.Prob)
+				}
+				res.Add(s)
+			}
+			res.Note("nabla-EVM per Eq. (2) over the 48-entry error-vector magnitude vectors")
+			return res, nil
+		},
+	}
+}
+
 // Fig7Temporal reproduces Fig. 7 in the indoor mobile scenario:
 // (a) per-subcarrier EVM snapshots separated by time gap tau, showing the
 // channel's frequency signature persists across tens of milliseconds, and
 // (b) the CDF of the normalized EVM change (Eq. (2)) for each tau.
-//
-// The task list has two kinds of points: snapshot tasks 0..len(taus) for
-// part (a) — task 0 is the tau=0 baseline — and one task per (tau, draw)
-// pair for part (b), each measuring an independent D(t), D(t+tau) pair.
 func Fig7Temporal(ctx context.Context, cfg Fig7Config) (*Result, error) {
-	cfg.setDefaults()
-	mode, err := phy.ModeByRate(24)
-	if err != nil {
-		return nil, err
-	}
-	draws := scaled(cfg.Draws, cfg.Scale)
-	taus := cfg.TausMs
-
-	const t0 = 0.050
-	snapshots := make([][]float64, 1+len(taus)) // part (a) EVM vectors
-	nablas := make([][]float64, len(taus))      // part (b) samples per tau
-	for ti := range nablas {
-		nablas[ti] = make([]float64, draws)
-	}
-	n := 1 + len(taus) + len(taus)*draws
-	err = pool.ForEach(ctx, cfg.Workers, n, cfg.Seed, func(i int, rng *rand.Rand) error {
-		// Per task: a channel model owns tap scratch, so point-tasks must
-		// not share one (variant 0 of the same geometry is the same draw).
-		ch, err := trialChannel(cfg.Scenario, channel.PositionC, true, 0)
-		if err != nil {
-			return err
-		}
-		if i <= len(taus) { // snapshot task for part (a)
-			t := t0
-			if i > 0 {
-				t += taus[i-1] / 1000
-			}
-			_, evm, err := errorVectorSnapshot(ctx, ch, t, mode, cfg.SNR, cfg.Avg, rng)
-			if err != nil {
-				return err
-			}
-			snapshots[i] = evm
-			return nil
-		}
-		j := i - 1 - len(taus)
-		ti, di := j/draws, j%draws
-		tau := taus[ti]
-		t := 0.010 + float64(di)*0.0075
-		dT, _, err := errorVectorSnapshot(ctx, ch, t, mode, cfg.SNR, cfg.Avg, rng)
-		if err != nil {
-			return err
-		}
-		dTau, _, err := errorVectorSnapshot(ctx, ch, t+tau/1000, mode, cfg.SNR, cfg.Avg, rng)
-		if err != nil {
-			return err
-		}
-		nabla, err := modulation.NablaEVM(dT, dTau)
-		if err != nil {
-			return err
-		}
-		nablas[ti][di] = nabla
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{
-		ID:     "fig7",
-		Title:  "Temporal selectivity of subcarriers (mobile, walking speed)",
-		XLabel: "subcarrier (a) / nabla-EVM (b)",
-		YLabel: "EVM % (a) / CDF (b)",
-	}
-	names := []string{"EVM tau=0ms"}
-	for _, tau := range taus {
-		names = append(names, "EVM tau="+fmtMs(tau))
-	}
-	for i, evm := range snapshots {
-		s := Series{Name: names[i]}
-		for d := 0; d < ofdm.NumData; d++ {
-			s.X = append(s.X, float64(d+1))
-			s.Y = append(s.Y, 100*evm[d])
-		}
-		res.Add(s)
-	}
-	for ti, tau := range taus {
-		cdf := dsp.EmpiricalCDF(nablas[ti])
-		s := Series{Name: "CDF tau=" + fmtMs(tau)}
-		for _, p := range cdf {
-			s.X = append(s.X, p.Value)
-			s.Y = append(s.Y, p.Prob)
-		}
-		res.Add(s)
-	}
-	res.Note("nabla-EVM per Eq. (2) over the 48-entry error-vector magnitude vectors")
-	return res, nil
+	return runTasks(ctx, "fig7", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, fig7Tasks(cfg))
 }
 
 func fmtMs(ms float64) string {

@@ -7,7 +7,6 @@ import (
 	"cos/internal/channel"
 	icos "cos/internal/cos"
 	"cos/internal/phy"
-	"cos/internal/pool"
 	"cos/internal/scenario"
 )
 
@@ -58,79 +57,83 @@ func (c *Fig9Config) setDefaults() {
 // far past any code's correction capability for 1 KB packets.
 const maxSilenceBudget = 160
 
+// fig9Point is one (mode, SNR point) task's outcome: the measured-SNR
+// target and the sustainable silence rate Rm there.
+type fig9Point struct {
+	Target float64 `json:"target"`
+	Rm     float64 `json:"rm"`
+}
+
+// fig9Tasks is Fig. 9 with one point-task per (mode, SNR point) pair —
+// each runs its own calibration and PRR binary search on a private RNG —
+// so the sweep parallelizes across the full mode grid.
+func fig9Tasks(cfg Fig9Config) TaskSet {
+	cfg.setDefaults()
+	packets := scaled(cfg.PacketsPerTrial, cfg.Scale)
+	modes := phy.EvaluatedModes()
+	return tasks[fig9Point]{
+		n: len(modes) * cfg.PointsPerMode,
+		run: func(ctx context.Context, i int, rng *rand.Rand) (fig9Point, error) {
+			// Per task: a channel model owns tap scratch, so point-tasks
+			// must not share one (the same variant is the same
+			// deterministic draw).
+			ch, err := trialChannel(cfg.Scenario, channel.PositionB, false, 3)
+			if err != nil {
+				return fig9Point{}, err
+			}
+			mi, p := i/cfg.PointsPerMode, i%cfg.PointsPerMode
+			scr := &trialScratch{}
+			mode := modes[mi]
+			// The mode's measured-SNR band: its threshold up to the next
+			// mode's (or +3 dB for the fastest).
+			lo := mode.MinSNRdB + 0.3
+			hi := mode.MinSNRdB + 3
+			if mi+1 < len(modes) {
+				hi = modes[mi+1].MinSNRdB - 0.3
+			}
+			target := lo
+			if cfg.PointsPerMode > 1 {
+				target = lo + (hi-lo)*float64(p)/float64(cfg.PointsPerMode-1)
+			}
+			actual, err := calibrateActualSNR(scr, ch, 0, mode, target, rng)
+			if err != nil {
+				return fig9Point{}, err
+			}
+			budget, err := maxBudgetAtPRR(ctx, scr, ch, actual, mode, cfg, packets, rng)
+			if err != nil {
+				return fig9Point{}, err
+			}
+			return fig9Point{Target: target, Rm: icos.SilencesPerSecond(budget, mode, cfg.PSDULen)}, nil
+		},
+		assemble: func(pts []fig9Point) (*Result, error) {
+			res := &Result{
+				ID:     "fig9",
+				Title:  "Maximum silence symbols per second (Rm) vs measured SNR",
+				XLabel: "measured SNR (dB)",
+				YLabel: "Rm (silence symbols/s)",
+			}
+			for mi, mode := range modes {
+				s := Series{Name: modeLabel(mode)}
+				for _, pt := range pts[mi*cfg.PointsPerMode : (mi+1)*cfg.PointsPerMode] {
+					s.X = append(s.X, pt.Target)
+					s.Y = append(s.Y, pt.Rm)
+				}
+				res.Add(s)
+			}
+			res.Note("PRR target %.3f over %d packets per trial; silence placement on weak detectable subcarriers; detected-mask erasure decoding", cfg.TargetPRR, packets)
+			return res, nil
+		},
+	}
+}
+
 // Fig9Capacity reproduces Fig. 9: Rm, the maximum number of silence symbols
 // per second sustainable at packet reception rate >= TargetPRR, as a
 // function of measured SNR, for the six modes the paper evaluates. Within a
 // mode's band Rm rises with SNR (more spare code redundancy); at each rate
 // switch the budget resets; lower code rates and lower-order modulations
 // support higher Rm.
-//
-// Every (mode, SNR point) pair is an independent point-task — each runs its
-// own calibration and PRR binary search on a private RNG — so the sweep
-// parallelizes across the full mode grid.
 func Fig9Capacity(ctx context.Context, cfg Fig9Config) (*Result, error) {
-	cfg.setDefaults()
-	packets := scaled(cfg.PacketsPerTrial, cfg.Scale)
-	modes := phy.EvaluatedModes()
-
-	type point struct {
-		target float64
-		rm     float64
-	}
-	pts := make([]point, len(modes)*cfg.PointsPerMode)
-	err := pool.ForEach(ctx, cfg.Workers, len(pts), cfg.Seed, func(i int, rng *rand.Rand) error {
-		// Per task: a channel model owns tap scratch, so point-tasks must
-		// not share one (the same variant is the same deterministic draw).
-		ch, err := trialChannel(cfg.Scenario, channel.PositionB, false, 3)
-		if err != nil {
-			return err
-		}
-		mi, p := i/cfg.PointsPerMode, i%cfg.PointsPerMode
-		scr := &trialScratch{}
-		mode := modes[mi]
-		// The mode's measured-SNR band: its threshold up to the next
-		// mode's (or +3 dB for the fastest).
-		lo := mode.MinSNRdB + 0.3
-		hi := mode.MinSNRdB + 3
-		if mi+1 < len(modes) {
-			hi = modes[mi+1].MinSNRdB - 0.3
-		}
-		target := lo
-		if cfg.PointsPerMode > 1 {
-			target = lo + (hi-lo)*float64(p)/float64(cfg.PointsPerMode-1)
-		}
-		actual, err := calibrateActualSNR(scr, ch, 0, mode, target, rng)
-		if err != nil {
-			return err
-		}
-		budget, err := maxBudgetAtPRR(ctx, scr, ch, actual, mode, cfg, packets, rng)
-		if err != nil {
-			return err
-		}
-		pts[i] = point{target: target, rm: icos.SilencesPerSecond(budget, mode, cfg.PSDULen)}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{
-		ID:     "fig9",
-		Title:  "Maximum silence symbols per second (Rm) vs measured SNR",
-		XLabel: "measured SNR (dB)",
-		YLabel: "Rm (silence symbols/s)",
-	}
-	for mi, mode := range modes {
-		s := Series{Name: modeLabel(mode)}
-		for p := 0; p < cfg.PointsPerMode; p++ {
-			pt := pts[mi*cfg.PointsPerMode+p]
-			s.X = append(s.X, pt.target)
-			s.Y = append(s.Y, pt.rm)
-		}
-		res.Add(s)
-	}
-	res.Note("PRR target %.3f over %d packets per trial; silence placement on weak detectable subcarriers; detected-mask erasure decoding", cfg.TargetPRR, packets)
-	return res, nil
+	return runTasks(ctx, "fig9", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, fig9Tasks(cfg))
 }
 
 // maxBudgetAtPRR binary-searches the largest silence budget whose PRR meets

@@ -44,6 +44,16 @@ func TestParallelMatchesSerialFig2(t *testing.T) {
 	assertIdenticalAcrossWorkers(t, "fig2", RunOptions{Scale: 0.5})
 }
 
+// The prelude figures share one sync.OnceValues calibration across their
+// point-tasks, which concurrent workers reach at once.
+func TestParallelMatchesSerialPrelude(t *testing.T) {
+	for _, id := range []string{"fig10b", "ablation-threshold", "ablation-placement"} {
+		t.Run(id, func(t *testing.T) {
+			assertIdenticalAcrossWorkers(t, id, RunOptions{Scale: 0.01})
+		})
+	}
+}
+
 // Cancelling mid-sweep must surface ctx.Err() promptly from every runner,
 // serial or parallel.
 func TestRunnerCancellation(t *testing.T) {

@@ -23,102 +23,78 @@ type RunOptions struct {
 	// Scenario is an optional scenario reference ("" = the default world).
 	// It is threaded into every figure configuration verbatim.
 	Scenario string
-	// Exec, when non-nil, runs the point-tasks of task-decomposable
-	// figures (see Tasks) instead of the in-process pool — the fleet
-	// coordinator plugs in here to fan tasks out across cos-serve
-	// backends. Results are byte-identical either way; figures that do not
-	// decompose ignore it. Not comparable/serializable: excluded from any
-	// notion of run identity.
+	// Exec, when non-nil, runs the figure's point-tasks (see Tasks)
+	// instead of the in-process pool — the fleet coordinator plugs in here
+	// to fan tasks out across cos-serve backends. Results are
+	// byte-identical either way. Not comparable/serializable: excluded
+	// from any notion of run identity.
 	Exec Executor
 }
 
-func (o RunOptions) withDefaults() RunOptions {
-	if o.Scale <= 0 {
-		o.Scale = 1
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
-// Runner produces one figure. Implementations must honor ctx (returning
-// ctx.Err() promptly mid-sweep) and must make their output depend only on
-// opts, never on opts.Workers or goroutine scheduling.
-type Runner interface {
-	Run(ctx context.Context, opts RunOptions) (*Result, error)
-}
-
-// RunnerFunc adapts a function to the Runner interface.
-type RunnerFunc func(ctx context.Context, opts RunOptions) (*Result, error)
-
-// Run implements Runner.
-func (f RunnerFunc) Run(ctx context.Context, opts RunOptions) (*Result, error) {
-	return f(ctx, opts)
-}
-
-// registry maps experiment IDs to their runners.
-var registry = map[string]Runner{
-	// fig2 and fig3 decompose into serializable point-tasks (task.go), so
-	// their entries run through runTasks: the same path executes locally on
-	// the pool or remotely through opts.Exec, byte-identically.
-	"fig2": RunnerFunc(func(ctx context.Context, o RunOptions) (*Result, error) {
-		return runTasks(ctx, "fig2", o, fig2Tasks{cfg: fig2ConfigFrom(o)})
-	}),
-	"fig3": RunnerFunc(func(ctx context.Context, o RunOptions) (*Result, error) {
-		return runTasks(ctx, "fig3", o, fig3Tasks{cfg: fig3ConfigFrom(o)})
-	}),
-	"fig5": RunnerFunc(func(ctx context.Context, o RunOptions) (*Result, error) {
-		return Fig5EVM(ctx, Fig5Config{Scale: o.Scale, Seed: o.Seed, Workers: o.Workers, Scenario: o.Scenario})
-	}),
-	"fig6": RunnerFunc(func(ctx context.Context, o RunOptions) (*Result, error) {
-		return Fig6ErrorPattern(ctx, Fig6Config{Scale: o.Scale, Seed: o.Seed, Workers: o.Workers, Scenario: o.Scenario})
-	}),
-	"fig7": RunnerFunc(func(ctx context.Context, o RunOptions) (*Result, error) {
-		return Fig7Temporal(ctx, Fig7Config{Scale: o.Scale, Seed: o.Seed, Workers: o.Workers, Scenario: o.Scenario})
-	}),
-	"fig9": RunnerFunc(func(ctx context.Context, o RunOptions) (*Result, error) {
-		cfg := Fig9Config{Scale: o.Scale, Seed: o.Seed, Workers: o.Workers, Scenario: o.Scenario}
+// registry maps every experiment ID to its TaskSet constructor. The same
+// opts always yield the same decomposition (task count and per-task
+// behavior), on every host, so a backend that rebuilds a figure's TaskSet
+// from a spec runs exactly the tasks the local pool would.
+var registry = map[string]func(RunOptions) TaskSet{
+	"fig2": func(o RunOptions) TaskSet {
+		cfg := Fig2Config{Seed: o.Seed, Scenario: o.Scenario}
+		if o.Scale < 1 {
+			cfg.Variants = 2
+			cfg.Step = 2
+		}
+		return fig2Tasks(cfg)
+	},
+	"fig3": func(o RunOptions) TaskSet {
+		return fig3Tasks(Fig3Config{Scale: o.Scale, Seed: o.Seed, Scenario: o.Scenario})
+	},
+	"fig5": func(o RunOptions) TaskSet {
+		return fig5Tasks(Fig5Config{Scale: o.Scale, Seed: o.Seed, Scenario: o.Scenario})
+	},
+	"fig6": func(o RunOptions) TaskSet {
+		return fig6Tasks(Fig6Config{Scale: o.Scale, Seed: o.Seed, Scenario: o.Scenario})
+	},
+	"fig7": func(o RunOptions) TaskSet {
+		return fig7Tasks(Fig7Config{Scale: o.Scale, Seed: o.Seed, Scenario: o.Scenario})
+	},
+	"fig9": func(o RunOptions) TaskSet {
+		cfg := Fig9Config{Scale: o.Scale, Seed: o.Seed, Scenario: o.Scenario}
 		if o.Scale < 1 {
 			cfg.PointsPerMode = 2
 		}
-		return Fig9Capacity(ctx, cfg)
-	}),
-	"fig10a": RunnerFunc(func(ctx context.Context, o RunOptions) (*Result, error) {
-		return Fig10aMagnitudes(ctx, Fig10aConfig{Seed: o.Seed, Scenario: o.Scenario})
-	}),
-	"fig10b": RunnerFunc(func(ctx context.Context, o RunOptions) (*Result, error) {
-		cfg := Fig10bConfig{Scale: o.Scale, Seed: o.Seed, Workers: o.Workers, Scenario: o.Scenario}
+		return fig9Tasks(cfg)
+	},
+	"fig10a": func(o RunOptions) TaskSet {
+		return fig10aTasks(Fig10aConfig{Seed: o.Seed, Scenario: o.Scenario})
+	},
+	"fig10b": func(o RunOptions) TaskSet {
+		cfg := Fig10bConfig{Scale: o.Scale, Seed: o.Seed, Scenario: o.Scenario}
 		if o.Scale < 1 {
 			cfg.Points = 13
 		}
-		return Fig10bThreshold(ctx, cfg)
-	}),
-	"fig10c": RunnerFunc(func(ctx context.Context, o RunOptions) (*Result, error) {
-		return Fig10cAccuracy(ctx, Fig10cConfig{Scale: o.Scale, Seed: o.Seed, Workers: o.Workers, Scenario: o.Scenario})
-	}),
-	"fig10d": RunnerFunc(func(ctx context.Context, o RunOptions) (*Result, error) {
-		cfg := Fig10cConfig{Scale: o.Scale, Seed: o.Seed, Workers: o.Workers, Scenario: o.Scenario}
+		return fig10bTasks(cfg)
+	},
+	"fig10c": func(o RunOptions) TaskSet {
+		return fig10cTasks(Fig10cConfig{Scale: o.Scale, Seed: o.Seed, Scenario: o.Scenario})
+	},
+	"fig10d": func(o RunOptions) TaskSet {
+		cfg := Fig10cConfig{Scale: o.Scale, Seed: o.Seed, Scenario: o.Scenario}
 		if o.Scale < 1 {
 			cfg.SNRs = []float64{4, 8, 12, 16, 20}
 		}
-		return Fig10dInterference(ctx, cfg)
-	}),
-	"ablation-evd": RunnerFunc(func(ctx context.Context, o RunOptions) (*Result, error) {
-		return AblationEVD(ctx, AblationConfig{Scale: o.Scale, Seed: o.Seed, Workers: o.Workers, Scenario: o.Scenario})
-	}),
-	"ablation-placement": RunnerFunc(func(ctx context.Context, o RunOptions) (*Result, error) {
-		return AblationPlacement(ctx, AblationConfig{Scale: o.Scale, Seed: o.Seed, Workers: o.Workers, Scenario: o.Scenario})
-	}),
-	"ablation-threshold": RunnerFunc(func(ctx context.Context, o RunOptions) (*Result, error) {
-		return AblationThreshold(ctx, AblationConfig{Scale: o.Scale, Seed: o.Seed, Workers: o.Workers, Scenario: o.Scenario})
-	}),
-	"ablation-quantization": RunnerFunc(func(ctx context.Context, o RunOptions) (*Result, error) {
-		return AblationQuantization(ctx, AblationConfig{Scale: o.Scale, Seed: o.Seed, Workers: o.Workers, Scenario: o.Scenario})
-	}),
-	"accuracy": RunnerFunc(func(ctx context.Context, o RunOptions) (*Result, error) {
-		return ControlAccuracy(ctx, AblationConfig{Scale: o.Scale, Seed: o.Seed, Workers: o.Workers, Scenario: o.Scenario})
-	}),
+		return fig10dTasks(cfg)
+	},
+	"ablation-evd":          ablationTasks(ablationEVDTasks),
+	"ablation-placement":    ablationTasks(ablationPlacementTasks),
+	"ablation-threshold":    ablationTasks(ablationThresholdTasks),
+	"ablation-quantization": ablationTasks(ablationQuantizationTasks),
+	"accuracy":              ablationTasks(controlAccuracyTasks),
+}
+
+// ablationTasks adapts an AblationConfig-driven constructor to the registry.
+func ablationTasks(mk func(AblationConfig) TaskSet) func(RunOptions) TaskSet {
+	return func(o RunOptions) TaskSet {
+		return mk(AblationConfig{Scale: o.Scale, Seed: o.Seed, Scenario: o.Scenario})
+	}
 }
 
 // IDs lists all experiment identifiers in sorted order.
@@ -131,18 +107,24 @@ func IDs() []string {
 	return out
 }
 
-// Get returns the Runner registered under id.
-func Get(id string) (Runner, bool) {
-	r, ok := registry[id]
-	return r, ok
+// Tasks returns figure id's point-task decomposition under opts, or false
+// when no figure is registered under id.
+func Tasks(id string, opts RunOptions) (TaskSet, bool) {
+	mk, ok := registry[id]
+	if !ok {
+		return nil, false
+	}
+	return mk(opts), true
 }
 
-// Run executes the experiment with the given ID under opts. It is the
+// Run executes the experiment with the given ID under opts: its TaskSet
+// runs on the in-process pool, or through opts.Exec when set. It is the
 // context-aware entry point cmd/cos-figures and the benchmarks share.
+// Output depends only on opts, never on opts.Workers or scheduling.
 func Run(ctx context.Context, id string, opts RunOptions) (*Result, error) {
-	r, ok := registry[id]
+	ts, ok := Tasks(id, opts)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, IDs())
 	}
-	return r.Run(ctx, opts)
+	return runTasks(ctx, id, opts, ts)
 }

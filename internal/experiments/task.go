@@ -5,23 +5,22 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"cos/internal/pool"
 )
 
 // A TaskSet is a figure decomposed into independent, serializable
-// point-tasks. It is the network-portable form of the closure slice the
-// worker pool already runs: every task is addressed by its index, draws
-// only from the private RNG handed to it (pool.TaskRNG(seed, i)), and
-// returns a JSON record instead of writing into shared state. Assemble
-// folds the records — in index order — back into the figure's Result.
+// point-tasks. It is the one form every figure executes in: every task is
+// addressed by its index, draws only from the private RNG handed to it
+// (pool.TaskRNG(seed, i)), and returns a JSON record instead of writing
+// into shared state. Assemble folds the records — in index order — back
+// into the figure's Result.
 //
 // The contract that makes remote execution byte-identical to local:
 // RunTask(i) is a pure function of (TaskSet construction inputs, i, the
 // task seed), and Go's float64 JSON round-trip is exact, so a record
 // computed on another host and shipped back through NDJSON unmarshals to
-// the same values the in-process closure would have produced.
+// the same values the in-process task would have produced.
 type TaskSet interface {
 	// NumTasks returns the task count; valid indices are [0, NumTasks).
 	NumTasks() int
@@ -42,42 +41,44 @@ type Executor interface {
 	ExecTasks(ctx context.Context, id string, opts RunOptions, n int) ([]json.RawMessage, error)
 }
 
-// taskRegistry maps the experiment IDs that decompose into serializable
-// point-tasks to their TaskSet constructors. Figures whose tasks carry
-// non-trivial shared state stay registry-only and run whole (the fleet
-// ships those as single figure jobs instead).
-var taskRegistry = map[string]func(RunOptions) TaskSet{
-	"fig2": func(o RunOptions) TaskSet { return fig2Tasks{cfg: fig2ConfigFrom(o)} },
-	"fig3": func(o RunOptions) TaskSet { return fig3Tasks{cfg: fig3ConfigFrom(o)} },
+// tasks is the TaskSet every figure is built from: n point-tasks whose
+// typed records R are JSON-encoded at the seam. Records must hold finite
+// floats only (JSON has no NaN or ±Inf; encoding one fails the task).
+//
+// Work shared by every point of a figure (a calibration prelude) belongs
+// behind a sync.OnceValues captured by run: it is then computed once per
+// TaskSet, and because it is a pure function of the construction inputs,
+// a backend that builds its own TaskSet derives the same values.
+type tasks[R any] struct {
+	n        int
+	run      func(ctx context.Context, i int, rng *rand.Rand) (R, error)
+	assemble func(recs []R) (*Result, error)
 }
 
-// TaskIDs lists the experiment IDs that decompose into point-tasks, in
-// sorted order (a subset of IDs()).
-func TaskIDs() []string {
-	out := make([]string, 0, len(taskRegistry))
-	for id := range taskRegistry {
-		out = append(out, id)
+func (t tasks[R]) NumTasks() int { return t.n }
+
+func (t tasks[R]) RunTask(ctx context.Context, i int, rng *rand.Rand) (json.RawMessage, error) {
+	rec, err := t.run(ctx, i, rng)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(out)
-	return out
+	return json.Marshal(rec)
 }
 
-// Tasks returns figure id's point-task decomposition under opts, or false
-// when the figure does not decompose. The same opts always yield the same
-// decomposition (task count and per-task behavior), on every host.
-func Tasks(id string, opts RunOptions) (TaskSet, bool) {
-	mk, ok := taskRegistry[id]
-	if !ok {
-		return nil, false
+func (t tasks[R]) Assemble(raw []json.RawMessage) (*Result, error) {
+	recs := make([]R, len(raw))
+	for i, r := range raw {
+		if err := json.Unmarshal(r, &recs[i]); err != nil {
+			return nil, fmt.Errorf("experiments: decoding task %d record: %w", i, err)
+		}
 	}
-	return mk(opts), true
+	return t.assemble(recs)
 }
 
 // runTasks executes a TaskSet and assembles its Result. With opts.Exec
 // set, the executor owns task execution (the records come back over the
-// wire); otherwise the tasks run on the in-process pool exactly as the
-// pre-TaskSet closures did — same worker semantics, same per-task seeds,
-// same lowest-index-error rule.
+// wire); otherwise the tasks run on the in-process pool — same per-task
+// seeds, same lowest-index-error rule.
 func runTasks(ctx context.Context, id string, opts RunOptions, ts TaskSet) (*Result, error) {
 	n := ts.NumTasks()
 	var recs []json.RawMessage

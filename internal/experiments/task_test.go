@@ -40,17 +40,13 @@ func (e *replayExecutor) ExecTasks(ctx context.Context, id string, opts RunOptio
 }
 
 // TestExecutorPathMatchesLocal pins the seam the fleet plugs into: every
-// task-decomposable figure renders byte-identical CSV whether its records
-// come from the in-process pool or from an Executor.
+// figure renders byte-identical CSV whether its records come from the
+// in-process pool or from an Executor.
 func TestExecutorPathMatchesLocal(t *testing.T) {
-	ids := TaskIDs()
-	if len(ids) == 0 {
-		t.Fatal("no task-decomposable figures registered")
-	}
-	for _, id := range ids {
+	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			opts := RunOptions{Scale: 0.3, Workers: 1, Seed: 1}
+			opts := RunOptions{Scale: 0.01, Workers: 1, Seed: 1}
 			local, err := Run(context.Background(), id, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -72,31 +68,6 @@ func TestExecutorPathMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestTaskIDsAreRegisteredFigures: every decomposable figure is also a
-// registered experiment, and Tasks agrees with TaskIDs about membership.
-func TestTaskIDsAreRegisteredFigures(t *testing.T) {
-	known := map[string]bool{}
-	for _, id := range IDs() {
-		known[id] = true
-	}
-	for _, id := range TaskIDs() {
-		if !known[id] {
-			t.Errorf("TaskIDs lists %q, which is not a registered figure", id)
-		}
-		ts, ok := Tasks(id, RunOptions{Scale: 0.3, Seed: 1})
-		if !ok {
-			t.Errorf("Tasks(%q) = !ok despite TaskIDs listing it", id)
-			continue
-		}
-		if n := ts.NumTasks(); n < 2 {
-			t.Errorf("figure %q decomposes into %d tasks; want at least 2 for a fleet to matter", id, n)
-		}
-	}
-	if _, ok := Tasks("fig10a", RunOptions{}); ok {
-		t.Error("Tasks accepted a figure with no decomposition")
-	}
-}
-
 // TestExecutorShortCount: an executor returning the wrong record count is
 // an error, not a silent truncation.
 func TestExecutorShortCount(t *testing.T) {
@@ -104,7 +75,7 @@ func TestExecutorShortCount(t *testing.T) {
 		Exec: executorFunc(func(ctx context.Context, id string, o RunOptions, n int) ([]json.RawMessage, error) {
 			return make([]json.RawMessage, n-1), nil
 		})}
-	if _, err := Run(context.Background(), TaskIDs()[0], opts); err == nil {
+	if _, err := Run(context.Background(), "fig2", opts); err == nil {
 		t.Fatal("a short record set assembled without error")
 	}
 }

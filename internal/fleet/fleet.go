@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -411,10 +410,9 @@ func (e *fleetExecutor) ExecTasks(ctx context.Context, id string, opts experimen
 }
 
 // RunFigure computes figure id across the fleet and returns a Result
-// byte-identical (CSV, plot, notes) to a local experiments.Run. Figures
-// with a task decomposition fan out point-by-point through the executor
-// seam; the rest run as one whole-figure job on a single backend and are
-// decoded back from the NDJSON stream.
+// byte-identical (CSV, plot, notes) to a local experiments.Run: every
+// figure fans out point-by-point, one figure_task job per task, through
+// the executor seam.
 func (c *Coordinator) RunFigure(ctx context.Context, id string, opts experiments.RunOptions) (*experiments.Result, error) {
 	// Pin the wire defaults locally before decomposing: the spec cannot
 	// carry "unset", and both sides must agree on scale and seed for the
@@ -425,96 +423,6 @@ func (c *Coordinator) RunFigure(ctx context.Context, id string, opts experiments
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	if _, ok := experiments.Tasks(id, opts); ok {
-		opts.Exec = &fleetExecutor{c: c}
-		return experiments.Run(ctx, id, opts)
-	}
-	spec := serve.Spec{
-		Kind:     serve.KindFigure,
-		Figure:   id,
-		Scale:    opts.Scale,
-		Seed:     opts.Seed,
-		Scenario: opts.Scenario,
-	}
-	if opts.Workers > 0 {
-		spec.Workers = opts.Workers
-	}
-	t, err := c.Submit(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	body, err := t.Wait(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return decodeFigureResult(body)
-}
-
-// decodeFigureResult rebuilds an experiments.Result from a figure job's
-// NDJSON stream. Go prints float64s exactly through JSON, so the rebuilt
-// result renders the same CSV bytes as the local computation.
-func decodeFigureResult(body []byte) (*experiments.Result, error) {
-	res := &experiments.Result{}
-	series := map[string]int{}
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var head struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(line, &head); err != nil {
-			return nil, fmt.Errorf("fleet: decoding figure stream: %w", err)
-		}
-		switch head.Type {
-		case "figure_meta":
-			var m struct {
-				ID     string `json:"id"`
-				Title  string `json:"title"`
-				XLabel string `json:"x_label"`
-				YLabel string `json:"y_label"`
-			}
-			if err := json.Unmarshal(line, &m); err != nil {
-				return nil, fmt.Errorf("fleet: decoding figure_meta: %w", err)
-			}
-			res.ID, res.Title, res.XLabel, res.YLabel = m.ID, m.Title, m.XLabel, m.YLabel
-		case "point":
-			var p struct {
-				Series string  `json:"series"`
-				X      float64 `json:"x"`
-				Y      float64 `json:"y"`
-			}
-			if err := json.Unmarshal(line, &p); err != nil {
-				return nil, fmt.Errorf("fleet: decoding point: %w", err)
-			}
-			idx, ok := series[p.Series]
-			if !ok {
-				idx = len(res.Series)
-				series[p.Series] = idx
-				res.Series = append(res.Series, experiments.Series{Name: p.Series})
-			}
-			res.Series[idx].X = append(res.Series[idx].X, p.X)
-			res.Series[idx].Y = append(res.Series[idx].Y, p.Y)
-		case "note":
-			var n struct {
-				Note string `json:"note"`
-			}
-			if err := json.Unmarshal(line, &n); err != nil {
-				return nil, fmt.Errorf("fleet: decoding note: %w", err)
-			}
-			res.Notes = append(res.Notes, n.Note)
-		default:
-			return nil, fmt.Errorf("fleet: unexpected record type %q in figure stream", head.Type)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fleet: scanning figure stream: %w", err)
-	}
-	if res.ID == "" {
-		return nil, fmt.Errorf("fleet: figure stream carried no figure_meta record")
-	}
-	return res, nil
+	opts.Exec = &fleetExecutor{c: c}
+	return experiments.Run(ctx, id, opts)
 }

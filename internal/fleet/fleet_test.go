@@ -299,23 +299,27 @@ func TestPermanentFailureFailsFast(t *testing.T) {
 	}
 }
 
-// TestWholeFigureFallback: a figure with no point-task decomposition runs
-// as one job on one backend and decodes back byte-identical.
-func TestWholeFigureFallback(t *testing.T) {
-	opts := experiments.RunOptions{Scale: 0.05, Workers: 1, Seed: 1}
-	local, err := experiments.Run(context.Background(), "fig10a", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	c := New(Config{Backends: []Backend{newLoopback(t, "lo")}, Backoff: fastBackoff()})
+// TestRunFigureMatchesLocal: every registered figure fans out as
+// point-tasks over two backends and assembles byte-identical to a local
+// run.
+func TestRunFigureMatchesLocal(t *testing.T) {
+	c := New(Config{Backends: []Backend{newLoopback(t, "lo0"), newLoopback(t, "lo1")}, Backoff: fastBackoff()})
 	defer c.Close()
-	res, err := c.RunFigure(context.Background(), "fig10a", experiments.RunOptions{Scale: 0.05, Workers: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := res.String(), local.String(); got != want {
-		t.Errorf("fallback CSV differs from local run:\n--- local ---\n%s--- fleet ---\n%s", want, got)
+	for _, id := range experiments.IDs() {
+		t.Run(id, func(t *testing.T) {
+			opts := experiments.RunOptions{Scale: 0.01, Workers: 1, Seed: 1}
+			local, err := experiments.Run(context.Background(), id, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.RunFigure(context.Background(), id, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := res.String(), local.String(); got != want {
+				t.Errorf("fleet CSV differs from local run:\n--- local ---\n%s--- fleet ---\n%s", want, got)
+			}
+		})
 	}
 }
 

@@ -95,16 +95,6 @@ func (e *APIError) Unwrap() error {
 	return nil
 }
 
-// Overloaded reports a 429 admission rejection.
-//
-// Deprecated: use errors.Is(err, serve.ErrOverloaded).
-func (e *APIError) Overloaded() bool { return errors.Is(e, serve.ErrOverloaded) }
-
-// Draining reports a 503 drain rejection.
-//
-// Deprecated: use errors.Is(err, serve.ErrDraining).
-func (e *APIError) Draining() bool { return errors.Is(e, serve.ErrDraining) }
-
 // SubmitOptions refines one Submit call. The zero value submits plainly.
 type SubmitOptions struct {
 	// IdempotencyKey makes retries safe: the server returns the job the
@@ -346,20 +336,10 @@ func (c *Client) Trace(ctx context.Context, id string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// Wait polls until the job reaches a terminal state and returns its final
-// status.
+// Wait polls the job's status every 50ms until it reaches a terminal state
+// and returns its final status.
 func (c *Client) Wait(ctx context.Context, id string) (serve.Status, error) {
-	return c.WaitPoll(ctx, id, 0)
-}
-
-// WaitPoll is Wait with an explicit poll interval (<= 0 selects 50ms).
-//
-// Deprecated: use Wait unless the poll cadence matters.
-func (c *Client) WaitPoll(ctx context.Context, id string, poll time.Duration) (serve.Status, error) {
-	if poll <= 0 {
-		poll = 50 * time.Millisecond
-	}
-	ticker := time.NewTicker(poll)
+	ticker := time.NewTicker(50 * time.Millisecond)
 	defer ticker.Stop()
 	for {
 		st, err := c.Status(ctx, id)

@@ -59,16 +59,3 @@ func TestDecodeEnvelopeLegacy(t *testing.T) {
 		t.Fatalf("garbage decode = %+v", apiErr)
 	}
 }
-
-// TestDeprecatedPredicates: Overloaded/Draining stay truthful for callers
-// not yet migrated to errors.Is.
-func TestDeprecatedPredicates(t *testing.T) {
-	over := &APIError{StatusCode: 429, Code: CodeOverloaded}
-	drain := &APIError{StatusCode: 503, Code: CodeDraining}
-	if !over.Overloaded() || over.Draining() {
-		t.Fatalf("overloaded predicates wrong: %+v", over)
-	}
-	if !drain.Draining() || drain.Overloaded() {
-		t.Fatalf("draining predicates wrong: %+v", drain)
-	}
-}

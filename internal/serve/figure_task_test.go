@@ -58,9 +58,8 @@ func TestFigureTaskMatchesLocalRunTask(t *testing.T) {
 	}
 }
 
-// TestFigureTaskValidation: bad indices, unknown figures, figures without
-// a decomposition, and a task index on any other kind are all rejected at
-// admission.
+// TestFigureTaskValidation: bad indices, unknown figures, and a task index
+// on any other kind are all rejected at admission.
 func TestFigureTaskValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -70,7 +69,6 @@ func TestFigureTaskValidation(t *testing.T) {
 		{"negative index", func() Spec { s := taskSpec(-1); return s }(), "task"},
 		{"index past the set", func() Spec { s := taskSpec(1 << 20); return s }(), "task"},
 		{"unknown figure", Spec{Kind: KindFigureTask, Figure: "fig999", Task: 0}, "fig999"},
-		{"undecomposable figure", Spec{Kind: KindFigureTask, Figure: "fig10a", Task: 0}, "does not decompose"},
 		{"task on a link spec", func() Spec {
 			s := Spec{Kind: KindLink, Seed: 1, PayloadBytes: 256, Packets: 10, ControlBits: 32}
 			s.Task = 3

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -85,7 +86,7 @@ func TestSubmitValidationError(t *testing.T) {
 	_, c := startAPI(t, serve.Config{Shards: 1})
 	_, err := c.Submit(context.Background(), serve.Spec{Kind: "bogus"}, client.SubmitOptions{})
 	var apiErr *client.APIError
-	if !asAPIError(err, &apiErr) || apiErr.StatusCode != 400 {
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != 400 {
 		t.Fatalf("err = %v, want 400 APIError", err)
 	}
 	if apiErr.Message == "" {
@@ -123,7 +124,7 @@ func TestOverloadReturns429WithRetryAfter(t *testing.T) {
 
 	_, err = c.Submit(ctx, slow, client.SubmitOptions{})
 	var apiErr *client.APIError
-	if !asAPIError(err, &apiErr) || !apiErr.Overloaded() {
+	if !errors.As(err, &apiErr) || !errors.Is(err, serve.ErrOverloaded) {
 		t.Fatalf("err = %v, want 429 APIError", err)
 	}
 	if apiErr.RetryAfter <= 0 {
@@ -141,7 +142,7 @@ func TestOverloadReturns429WithRetryAfter(t *testing.T) {
 		}
 	}
 	for _, j := range jobs {
-		final, err := c.WaitPoll(ctx, j.ID, 5*time.Millisecond)
+		final, err := c.Wait(ctx, j.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,8 +158,7 @@ func TestDrainingReturns503(t *testing.T) {
 	srv.Drain(time.Second)
 
 	_, err := c.Submit(ctx, serve.Spec{Kind: serve.KindLink, Packets: 1, PayloadBytes: 64}, client.SubmitOptions{})
-	var apiErr *client.APIError
-	if !asAPIError(err, &apiErr) || !apiErr.Draining() {
+	if !errors.Is(err, serve.ErrDraining) {
 		t.Fatalf("submit on draining server: err = %v, want 503 APIError", err)
 	}
 	if healthy, err := c.Healthy(ctx); err != nil || healthy {
@@ -170,7 +170,7 @@ func TestUnknownJob404(t *testing.T) {
 	_, c := startAPI(t, serve.Config{Shards: 1})
 	_, err := c.Status(context.Background(), "job-424242")
 	var apiErr *client.APIError
-	if !asAPIError(err, &apiErr) || apiErr.StatusCode != 404 {
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != 404 {
 		t.Fatalf("err = %v, want 404 APIError", err)
 	}
 }
@@ -215,7 +215,7 @@ func TestResultStreamsWhileRunning(t *testing.T) {
 	if err := c.Cancel(ctx, st.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.WaitPoll(ctx, st.ID, 5*time.Millisecond); err != nil {
+	if _, err := c.Wait(ctx, st.ID); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -234,15 +234,4 @@ func waitRunning(t *testing.T, c *client.Client, id string) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("job %s never started running", id)
-}
-
-func asAPIError(err error, target **client.APIError) bool {
-	if err == nil {
-		return false
-	}
-	e, ok := err.(*client.APIError)
-	if ok {
-		*target = e
-	}
-	return ok
 }

@@ -87,7 +87,7 @@ func linkOptions(spec Spec, agg *stageAgg, tc *traceCapture) ([]cos.Option, erro
 	if tc != nil {
 		opts = append(opts, cos.WithObserver(tc.observe))
 		if tc.probeEvery >= 1 {
-			opts = append(opts, cos.WithProbe(tc.probeEvery, nil))
+			opts = append(opts, cos.WithProbe(tc.probeEvery))
 		}
 	}
 	return opts, nil
@@ -428,8 +428,8 @@ type TaskRecord struct {
 func runFigureTask(ctx context.Context, spec Spec, enc *json.Encoder) error {
 	ts, ok := experiments.Tasks(spec.Figure, spec.taskRunOptions())
 	if !ok {
-		// Validate rejected non-decomposable figures at admission.
-		return &ConfigError{Field: "figure", Reason: "figure " + spec.Figure + " does not decompose into point-tasks"}
+		// Validate rejected unknown figures at admission.
+		return &ConfigError{Field: "figure", Reason: "unknown figure " + spec.Figure}
 	}
 	if spec.Task < 0 || spec.Task >= ts.NumTasks() {
 		return &ConfigError{Field: "task", Reason: fmt.Sprintf("task %d outside [0,%d)", spec.Task, ts.NumTasks())}

@@ -34,7 +34,7 @@ const (
 	// KindFigure regenerates one named experiment figure via
 	// experiments.Run and streams its data points.
 	KindFigure Kind = "figure"
-	// KindFigureTask runs a single point-task of a decomposable figure
+	// KindFigureTask runs a single point-task of a figure
 	// (experiments.Tasks) and streams its one record. It is the unit the
 	// fleet coordinator fans out: every task has its own spec digest, so
 	// the content-addressed cache deduplicates across backends.
@@ -381,7 +381,7 @@ func (s Spec) Validate() error {
 		if s.Figure == "" {
 			return fmt.Errorf("serve: figure job missing figure ID (known: %v)", experiments.IDs())
 		}
-		if _, ok := experiments.Get(s.Figure); !ok {
+		if _, ok := experiments.Tasks(s.Figure, experiments.RunOptions{}); !ok {
 			return fmt.Errorf("serve: unknown figure %q (known: %v)", s.Figure, experiments.IDs())
 		}
 		if s.Scale < 0 || s.Scale > 1 {
@@ -392,14 +392,14 @@ func (s Spec) Validate() error {
 		}
 	case KindFigureTask:
 		if s.Figure == "" {
-			return fmt.Errorf("serve: figure_task job missing figure ID (task-decomposable: %v)", experiments.TaskIDs())
+			return fmt.Errorf("serve: figure_task job missing figure ID (known: %v)", experiments.IDs())
 		}
 		if s.Scale < 0 || s.Scale > 1 {
 			return fmt.Errorf("serve: scale %v outside (0,1]", s.Scale)
 		}
 		ts, ok := experiments.Tasks(s.Figure, s.taskRunOptions())
 		if !ok {
-			return fmt.Errorf("serve: figure %q does not decompose into point-tasks (task-decomposable: %v)", s.Figure, experiments.TaskIDs())
+			return fmt.Errorf("serve: unknown figure %q (known: %v)", s.Figure, experiments.IDs())
 		}
 		if n := ts.NumTasks(); s.Task < 0 || s.Task >= n {
 			return fmt.Errorf("serve: task %d outside [0,%d) for figure %q at scale %v", s.Task, n, s.Figure, s.Scale)

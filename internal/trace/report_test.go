@@ -13,7 +13,7 @@ import (
 // link, so the report sees genuine EVM/erasure/stage data.
 func reportEvents(t *testing.T) []Event {
 	t.Helper()
-	link, err := cos.NewLink(cos.WithSNR(14), cos.WithSeed(101), cos.WithProbe(2, nil))
+	link, err := cos.NewLink(cos.WithSNR(14), cos.WithSeed(101), cos.WithProbe(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -322,7 +322,7 @@ func TestFromExchangeEndToEnd(t *testing.T) {
 func TestFromExchangeCarriesStagesAndProbes(t *testing.T) {
 	// A probed link produces v2 events end to end: stage latencies on every
 	// exchange, a probe on every sampled one.
-	link, err := cos.NewLink(cos.WithSNR(18), cos.WithSeed(91), cos.WithProbe(2, nil))
+	link, err := cos.NewLink(cos.WithSNR(18), cos.WithSeed(91), cos.WithProbe(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -342,9 +342,6 @@ func (l *Link) Send(data, control []byte) (*Exchange, error) {
 		}
 		ex.Probe = probe
 		l.metrics.probes.Inc()
-		if l.cfg.probeFn != nil {
-			l.cfg.probeFn(probe)
-		}
 	}
 	l.metrics.spans.Drain(ex.StageNS[:])
 

@@ -328,7 +328,7 @@ func TestOptionValidation(t *testing.T) {
 		{WithControlSubcarrierRange(6, 2)},
 		{WithDetectorFactor(0)},
 		{WithSilenceBudget(-1)},
-		{WithInterference(-1, 10, 0.1)},
+		{WithScenario("pulse", -1, 10, 0.1)},
 		{WithPacketInterval(0)},
 		{WithPosition(Position(99))},
 	}

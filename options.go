@@ -37,7 +37,6 @@ type config struct {
 	thresholdFactor  float64
 	silenceBudget    int
 	adaptiveBudget   bool
-	interferer       *channel.PulseInterferer
 	packetInterval   float64
 	disableCoS       bool
 	explicitFeedback bool
@@ -45,7 +44,6 @@ type config struct {
 	observers        []Observer
 	metrics          *obs.Registry
 	probeEvery       int
-	probeFn          func(*Probe)
 }
 
 func defaultConfig() config {
@@ -190,23 +188,6 @@ func WithScenario(name string, params ...float64) Option {
 	}
 }
 
-// WithInterference adds a pulse interferer to the link (Fig. 10(d)). It
-// overrides the scenario's interferer when both are configured.
-//
-// Deprecated: WithInterference predates the scenario registry; use
-// WithScenario("pulse", power, burstLen, startProb), which configures an
-// identical link. It is kept as a thin wrapper for compatibility.
-func WithInterference(power float64, burstLen int, startProb float64) Option {
-	return func(c *config) error {
-		p := &channel.PulseInterferer{Power: power, BurstLen: burstLen, StartProb: startProb}
-		if err := p.Validate(); err != nil {
-			return &ConfigError{Option: "WithInterference", Reason: err.Error(), Err: err}
-		}
-		c.interferer = p
-		return nil
-	}
-}
-
 // WithPacketInterval sets the simulated time between packet transmissions
 // in seconds (default 2 ms); it drives channel evolution in mobile links.
 func WithPacketInterval(seconds float64) Option {
@@ -268,17 +249,15 @@ func WithObserver(o Observer) Option {
 // they are far more expensive than the exchange itself; sampling keeps
 // them off the hot path (the BENCH_trace.json overhead budget assumes
 // every >= 64 for long sessions). Without this option no probe work runs
-// at all. fn may be nil: the probe is still attached to Exchange.Probe,
-// where observers (e.g. trace capture into schema v2) pick it up; when
-// non-nil, fn is called synchronously with each probe before observers
-// run and must not retain it without Clone.
-func WithProbe(every int, fn func(*Probe)) Option {
+// at all. The probe is attached to Exchange.Probe, where observers (e.g.
+// trace capture into schema v2) pick it up; an observer must not retain
+// it without Clone.
+func WithProbe(every int) Option {
 	return func(c *config) error {
 		if every < 1 {
 			return &ConfigError{Option: "WithProbe", Reason: fmt.Sprintf("sampling interval %d must be >= 1", every)}
 		}
 		c.probeEvery = every
-		c.probeFn = fn
 		return nil
 	}
 }

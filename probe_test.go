@@ -56,7 +56,12 @@ func TestProbeSamplesEveryNth(t *testing.T) {
 	var fired []int
 	link, err := cos.NewLink(cos.WithSNR(18), cos.WithSeed(32), cos.WithSilenceBudget(16),
 		cos.WithMetricsRegistry(reg),
-		cos.WithProbe(3, func(p *cos.Probe) { fired = append(fired, p.Seq) }))
+		cos.WithProbe(3),
+		cos.WithObserver(func(ex *cos.Exchange) {
+			if ex.Probe != nil {
+				fired = append(fired, ex.Probe.Seq)
+			}
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +76,7 @@ func TestProbeSamplesEveryNth(t *testing.T) {
 		}
 	}
 	if len(fired) != 3 || fired[0] != 0 || fired[1] != 3 || fired[2] != 6 {
-		t.Errorf("callback fired on %v, want [0 3 6]", fired)
+		t.Errorf("observer saw probes on %v, want [0 3 6]", fired)
 	}
 	if n := reg.Snapshot()["cos_link_probes_total"]; n != 3 {
 		t.Errorf("cos_link_probes_total = %v, want 3", n)
@@ -79,7 +84,7 @@ func TestProbeSamplesEveryNth(t *testing.T) {
 }
 
 func TestProbeContents(t *testing.T) {
-	link, err := cos.NewLink(cos.WithSNR(14), cos.WithSeed(33), cos.WithProbe(1, nil))
+	link, err := cos.NewLink(cos.WithSNR(14), cos.WithSeed(33), cos.WithProbe(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +128,7 @@ func TestProbeContents(t *testing.T) {
 }
 
 func TestProbeCloneIsDeep(t *testing.T) {
-	link, err := cos.NewLink(cos.WithSNR(18), cos.WithSeed(34), cos.WithProbe(1, nil))
+	link, err := cos.NewLink(cos.WithSNR(18), cos.WithSeed(34), cos.WithProbe(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +149,7 @@ func TestProbeCloneIsDeep(t *testing.T) {
 }
 
 func TestProbeRejectsBadInterval(t *testing.T) {
-	_, err := cos.NewLink(cos.WithProbe(0, nil))
+	_, err := cos.NewLink(cos.WithProbe(0))
 	var ce *cos.ConfigError
 	if !errors.As(err, &ce) {
 		t.Fatalf("WithProbe(0) error = %v, want ConfigError", err)
@@ -160,7 +165,7 @@ func TestProbedLinksConcurrent(t *testing.T) {
 		go func(l int) {
 			defer wg.Done()
 			link, err := cos.NewLink(cos.WithSNR(18), cos.WithSeed(int64(40+l)), cos.WithSilenceBudget(16),
-				cos.WithProbe(2, nil))
+				cos.WithProbe(2))
 			if err != nil {
 				t.Error(err)
 				return

@@ -1,13 +1,11 @@
 package cos_test
 
-// Scenario-layer equivalence and goldens at the public Link API.
+// Scenario-layer goldens at the public Link API.
 //
-// TestInterferenceScenarioEquivalence is the deprecation contract for
-// WithInterference: the thin wrapper and WithScenario("pulse", ...) must
-// configure byte-identical links. TestScenarioLinkGoldens pins fixed-seed
-// transcript hashes for the two non-default worlds this repo ships (the
-// hybrid BSC/PEC outdoor channel and the OFDM-padding embedding) the same
-// way TestPipelineGolden pins the default world.
+// TestScenarioLinkGoldens pins fixed-seed transcript hashes for the two
+// non-default worlds this repo ships (the hybrid BSC/PEC outdoor channel
+// and the OFDM-padding embedding) the same way TestPipelineGolden pins the
+// default world.
 
 import (
 	"crypto/sha256"
@@ -30,29 +28,6 @@ func transcript(t *testing.T, packets, ctrlBits, k int, sendSeed int64, opts ...
 	var b strings.Builder
 	driveSends(t, &b, link, packets, ctrlBits, k, rand.New(rand.NewSource(sendSeed)))
 	return b.String()
-}
-
-// TestInterferenceScenarioEquivalence proves the deprecated
-// WithInterference(power, burstLen, startProb) and
-// WithScenario("pulse", power, burstLen, startProb) configure identical
-// links: same channel draws, same interference bursts, same decoding —
-// byte-identical transcripts on the TestPipelineGolden mobile-interference
-// configuration.
-func TestInterferenceScenarioEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full PHY simulation; skipped in -short mode")
-	}
-	common := func(extra cos.Option) []cos.Option {
-		return []cos.Option{
-			cos.WithMobile(), extra,
-			cos.WithSeed(13), cos.WithSNR(25), cos.WithPacketInterval(2e-3),
-		}
-	}
-	old := transcript(t, 40, 8, 4, 105, common(cos.WithInterference(2.0, 40, 0.1))...)
-	new_ := transcript(t, 40, 8, 4, 105, common(cos.WithScenario("pulse", 2.0, 40, 0.1))...)
-	if old != new_ {
-		t.Fatal("WithInterference and WithScenario(\"pulse\", ...) transcripts differ")
-	}
 }
 
 // TestScenarioLinkGoldens pins fixed-seed transcript hashes for the two
