@@ -42,7 +42,7 @@ ci: build vet
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) test -short ./...
-	$(GO) test -run 'TestPipelineGolden|TestLinkSendSteadyStateAllocs|TestStandaloneNodesMatchLink' .
+	$(GO) test -run 'TestPipelineGolden|TestScenarioLinkGoldens|TestLinkSendSteadyStateAllocs|TestStandaloneNodesMatchLink' .
 	$(GO) test -race -run 'TestPipelineNodesRace|TestStandaloneNodesMatchLink' .
 	$(GO) test -race -run 'TestParallelMatchesSerial|TestRunnerCancellation|TestExecutorPathMatchesLocal' ./internal/experiments/
 	$(GO) test -race -run 'TestServerDrain|TestServerDrainCancelsSlowJobs|TestJobCancel|TestDeterministicNDJSON' ./internal/serve/
@@ -135,6 +135,7 @@ fuzz:
 	$(GO) test ./internal/cos/ -run xxx -fuzz FuzzParseControl -fuzztime 30s
 	$(GO) test ./internal/cos/ -run xxx -fuzz FuzzIntervalRoundTrip -fuzztime 30s
 	$(GO) test ./internal/scenario/ -run xxx -fuzz FuzzParseRef -fuzztime 30s
+	$(GO) test ./internal/serve/ -run xxx -fuzz FuzzDecodeSpec -fuzztime 30s
 
 cover:
 	$(GO) test -cover ./...

@@ -9,35 +9,6 @@ package bits
 
 import "fmt"
 
-// FromBytes expands data into one bit per element, LSB first within each
-// byte, matching the 802.11 convention that the least-significant bit of
-// each octet is transmitted first.
-func FromBytes(data []byte) []byte {
-	out := make([]byte, 0, len(data)*8)
-	for _, b := range data {
-		for i := 0; i < 8; i++ {
-			out = append(out, (b>>i)&1)
-		}
-	}
-	return out
-}
-
-// ToBytes packs a bit slice (LSB first per octet) back into bytes.
-// len(bits) must be a multiple of 8.
-func ToBytes(bits []byte) ([]byte, error) {
-	if len(bits)%8 != 0 {
-		return nil, fmt.Errorf("bits: length %d is not a multiple of 8", len(bits))
-	}
-	out := make([]byte, len(bits)/8)
-	for i, b := range bits {
-		if b > 1 {
-			return nil, fmt.Errorf("bits: element %d = %d is not a bit", i, b)
-		}
-		out[i/8] |= b << (i % 8)
-	}
-	return out, nil
-}
-
 // Equal reports whether two bit slices have identical length and contents.
 func Equal(a, b []byte) bool {
 	if len(a) != len(b) {

@@ -9,8 +9,8 @@ import (
 
 func TestFromBytesToBytesRoundTrip(t *testing.T) {
 	f := func(data []byte) bool {
-		b := FromBytes(data)
-		back, err := ToBytes(b)
+		b := FromBytesInto(nil, data)
+		back, err := ToBytesInto(nil, b)
 		if err != nil {
 			return false
 		}
@@ -22,19 +22,19 @@ func TestFromBytesToBytesRoundTrip(t *testing.T) {
 }
 
 func TestFromBytesLSBFirst(t *testing.T) {
-	got := FromBytes([]byte{0x01, 0x80})
+	got := FromBytesInto(nil, []byte{0x01, 0x80})
 	want := []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1}
 	if !Equal(got, want) {
-		t.Errorf("FromBytes = %v, want %v", got, want)
+		t.Errorf("FromBytesInto = %v, want %v", got, want)
 	}
 }
 
 func TestToBytesErrors(t *testing.T) {
-	if _, err := ToBytes(make([]byte, 7)); err == nil {
-		t.Error("ToBytes of non-multiple-of-8 should error")
+	if _, err := ToBytesInto(nil, make([]byte, 7)); err == nil {
+		t.Error("ToBytesInto of non-multiple-of-8 should error")
 	}
-	if _, err := ToBytes([]byte{0, 1, 2, 0, 0, 0, 0, 0}); err == nil {
-		t.Error("ToBytes of non-bit element should error")
+	if _, err := ToBytesInto(nil, []byte{0, 1, 2, 0, 0, 0, 0, 0}); err == nil {
+		t.Error("ToBytesInto of non-bit element should error")
 	}
 }
 
@@ -89,10 +89,10 @@ func TestPackUnpackUint(t *testing.T) {
 
 func TestScramblerSelfInverse(t *testing.T) {
 	f := func(data []byte, seed byte) bool {
-		in := FromBytes(data)
+		in := FromBytesInto(nil, data)
 		s1 := NewScrambler(seed)
 		s2 := NewScrambler(seed)
-		return Equal(s2.Scramble(s1.Scramble(in)), in)
+		return Equal(s2.ScrambleInto(nil, s1.ScrambleInto(nil, in)), in)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -149,7 +149,7 @@ func TestScramblerZeroSeedReplaced(t *testing.T) {
 
 func TestFCSRoundTrip(t *testing.T) {
 	f := func(data []byte) bool {
-		framed := AppendFCS(data)
+		framed := AppendFCSInto(nil, data)
 		payload, ok := CheckFCS(framed)
 		return ok && bytes.Equal(payload, data)
 	}
@@ -162,7 +162,7 @@ func TestFCSDetectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	data := make([]byte, 64)
 	rng.Read(data)
-	framed := AppendFCS(data)
+	framed := AppendFCSInto(nil, data)
 	for trial := 0; trial < 100; trial++ {
 		corrupted := make([]byte, len(framed))
 		copy(corrupted, framed)
@@ -181,7 +181,7 @@ func TestFCSTooShort(t *testing.T) {
 	}
 	// A 4-byte frame is an empty payload plus FCS; valid only if it is the
 	// CRC of the empty string.
-	if _, ok := CheckFCS(AppendFCS(nil)); !ok {
+	if _, ok := CheckFCS(AppendFCSInto(nil, nil)); !ok {
 		t.Error("CheckFCS of FCS-only frame with valid CRC should pass")
 	}
 }

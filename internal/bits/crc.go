@@ -8,15 +8,6 @@ import (
 // FCSLen is the length in bytes of the 802.11 frame check sequence.
 const FCSLen = 4
 
-// AppendFCS returns data with the IEEE CRC-32 frame check sequence appended
-// (little-endian, per 802.11 octet ordering).
-func AppendFCS(data []byte) []byte {
-	out := make([]byte, len(data)+FCSLen)
-	copy(out, data)
-	binary.LittleEndian.PutUint32(out[len(data):], crc32.ChecksumIEEE(data))
-	return out
-}
-
 // CheckFCS verifies the trailing frame check sequence of frame and returns
 // the payload with the FCS stripped. ok is false when the frame is shorter
 // than an FCS or the checksum does not match.

@@ -28,16 +28,6 @@ func (s *Scrambler) Next() byte {
 	return fb
 }
 
-// Scramble XORs the scrambling sequence over in and returns the result as a
-// new slice. in must be a bit slice (elements 0 or 1).
-func (s *Scrambler) Scramble(in []byte) []byte {
-	out := make([]byte, len(in))
-	for i, b := range in {
-		out[i] = (b ^ s.Next()) & 1
-	}
-	return out
-}
-
 // Sequence returns the next n scrambling bits as a bit slice. It is used to
 // generate the 127-bit pilot polarity sequence.
 func (s *Scrambler) Sequence(n int) []byte {

@@ -6,9 +6,10 @@ import (
 	"hash/crc32"
 )
 
-// Scratch-reuse variants: each writes into a caller-owned destination slice,
-// growing it only when its capacity is insufficient, and returns the
-// (possibly re-sliced) destination. Destinations must not alias inputs.
+// Each kernel below writes into a caller-owned destination slice, growing
+// it only when its capacity is insufficient, and returns the (possibly
+// re-sliced) destination; a nil destination allocates. Destinations must
+// not alias inputs.
 
 func grow(s []byte, n int) []byte {
 	if cap(s) < n {
@@ -17,7 +18,8 @@ func grow(s []byte, n int) []byte {
 	return s[:n]
 }
 
-// ScrambleInto is Scrambler.Scramble writing into dst.
+// ScrambleInto XORs the scrambling sequence over in and writes the result
+// into dst. in must be a bit slice (elements 0 or 1).
 func (s *Scrambler) ScrambleInto(dst, in []byte) []byte {
 	dst = grow(dst, len(in))
 	for i, b := range in {
@@ -26,7 +28,9 @@ func (s *Scrambler) ScrambleInto(dst, in []byte) []byte {
 	return dst
 }
 
-// FromBytesInto is FromBytes writing into dst.
+// FromBytesInto expands data into one bit per element of dst, LSB first
+// within each byte, matching the 802.11 convention that the
+// least-significant bit of each octet is transmitted first.
 func FromBytesInto(dst, data []byte) []byte {
 	dst = grow(dst, len(data)*8)
 	for j, b := range data {
@@ -37,7 +41,8 @@ func FromBytesInto(dst, data []byte) []byte {
 	return dst
 }
 
-// ToBytesInto is ToBytes writing into dst.
+// ToBytesInto packs a bit slice (LSB first per octet) back into bytes in
+// dst. len(bits) must be a multiple of 8.
 func ToBytesInto(dst, bits []byte) ([]byte, error) {
 	if len(bits)%8 != 0 {
 		return nil, fmt.Errorf("bits: length %d is not a multiple of 8", len(bits))
@@ -55,7 +60,8 @@ func ToBytesInto(dst, bits []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// AppendFCSInto is AppendFCS writing into dst.
+// AppendFCSInto writes data followed by its IEEE CRC-32 frame check
+// sequence (little-endian, per 802.11 octet ordering) into dst.
 func AppendFCSInto(dst, data []byte) []byte {
 	dst = grow(dst, len(data)+FCSLen)
 	copy(dst, data)

@@ -40,8 +40,8 @@ func TestJakesAutocorrelationMatchesBessel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g0 := ch.Taps(0)[0]
-			g1 := ch.Taps(tau)[0]
+			g0 := ch.TapsInto(nil, 0)[0]
+			g1 := ch.TapsInto(nil, tau)[0]
 			prod := g0 * complex(real(g1), -imag(g1))
 			accRe += real(prod)
 			accIm += imag(prod)
@@ -70,7 +70,7 @@ func TestTapsRayleighDistributed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := ch.Taps(0)[0]
+		g := ch.TapsInto(nil, 0)[0]
 		p := real(g)*real(g) + imag(g)*imag(g)
 		if p > 1 {
 			exceed1++

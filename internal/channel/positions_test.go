@@ -55,7 +55,7 @@ func TestPositionReproducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, t2 := a1.Taps(0), a2.Taps(0)
+	t1, t2 := a1.TapsInto(nil, 0), a2.TapsInto(nil, 0)
 	for i := range t1 {
 		if t1[i] != t2[i] {
 			t.Fatal("PositionA.New is not deterministic")
@@ -66,7 +66,7 @@ func TestPositionReproducible(t *testing.T) {
 func TestPositionsDistinct(t *testing.T) {
 	a, _ := PositionA.New(false)
 	b, _ := PositionB.New(false)
-	ta, tb := a.Taps(0), b.Taps(0)
+	ta, tb := a.TapsInto(nil, 0), b.TapsInto(nil, 0)
 	same := true
 	for i := 0; i < len(tb) && i < len(ta); i++ {
 		if cmplx.Abs(ta[i]-tb[i]) > 1e-12 {
@@ -87,7 +87,7 @@ func TestPositionVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, t2 := v1.Taps(0), v2.Taps(0)
+	t1, t2 := v1.TapsInto(nil, 0), v2.TapsInto(nil, 0)
 	same := true
 	for i := range t1 {
 		if cmplx.Abs(t1[i]-t2[i]) > 1e-12 {

@@ -7,15 +7,16 @@ import (
 	"cos/internal/ofdm"
 )
 
-// Scratch-reuse variants of the channel operators. TapsInto / ConvolveInto /
-// ApplyTo write into caller-owned buffers, growing them only when capacity is
-// insufficient; FrequencyResponseFrom turns an already-computed tap vector
-// into H[k] without re-evaluating the Doppler processes. Tap evaluation draws
-// no randomness — only AddAWGN consumes the rng — so computing taps once and
-// reusing them for both the frequency response and the convolution is
-// bit-identical to calling FrequencyResponse and Apply separately.
+// The channel operators. TapsInto / ConvolveInto / ApplyTo write into
+// caller-owned buffers, growing them only when capacity is insufficient (a
+// nil buffer allocates); FrequencyResponseFrom turns an already-computed tap
+// vector into H[k] without re-evaluating the Doppler processes. Tap
+// evaluation draws no randomness — only AddAWGN consumes the rng — so
+// computing taps once and reusing them for both the frequency response and
+// the convolution is bit-identical to calling FrequencyResponse and Apply
+// separately.
 
-// TapsInto is Taps writing into dst.
+// TapsInto writes the complex tap gains at time t (seconds) into dst.
 func (c *TDL) TapsInto(dst []complex128, t float64) []complex128 {
 	if cap(dst) < len(c.procs) {
 		dst = make([]complex128, len(c.procs))
@@ -28,7 +29,7 @@ func (c *TDL) TapsInto(dst []complex128, t float64) []complex128 {
 }
 
 // FrequencyResponseFrom computes H[k] for every subcarrier bin from an
-// already-evaluated tap vector (as returned by Taps or TapsInto).
+// already-evaluated tap vector (as returned by TapsInto).
 func FrequencyResponseFrom(taps []complex128) [ofdm.NumSubcarriers]complex128 {
 	var h [ofdm.NumSubcarriers]complex128
 	for k := 0; k < ofdm.NumSubcarriers; k++ {
@@ -42,7 +43,10 @@ func FrequencyResponseFrom(taps []complex128) [ofdm.NumSubcarriers]complex128 {
 	return h
 }
 
-// ConvolveInto is Convolve writing into dst, which must not alias samples.
+// ConvolveInto applies tap gains to samples by linear convolution into dst,
+// which must not alias samples. The output is truncated to len(samples)
+// (the preamble leads every packet, so edge transients never touch payload
+// symbols).
 func ConvolveInto(dst, samples, taps []complex128) []complex128 {
 	if cap(dst) < len(samples) {
 		dst = make([]complex128, len(samples))
@@ -61,8 +65,8 @@ func ConvolveInto(dst, samples, taps []complex128) []complex128 {
 	return dst
 }
 
-// ApplyTo is Apply writing into dst using precomputed taps: convolution
-// followed by AWGN, consuming the rng exactly as Apply does.
+// ApplyTo runs samples through precomputed taps into dst and adds noise of
+// the given variance: convolution followed by AWGN.
 func ApplyTo(dst, samples, taps []complex128, noiseVar float64, rng *rand.Rand) []complex128 {
 	dst = ConvolveInto(dst, samples, taps)
 	AddAWGN(dst, noiseVar, rng)

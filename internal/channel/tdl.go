@@ -137,47 +137,10 @@ func NewTDL(cfg TDLConfig, rng *rand.Rand) (*TDL, error) {
 // Config returns the configuration the channel was built from.
 func (c *TDL) Config() TDLConfig { return c.cfg }
 
-// Taps returns the complex tap gains at time t (seconds).
-func (c *TDL) Taps(t float64) []complex128 {
-	out := make([]complex128, len(c.procs))
-	for i := range c.procs {
-		out[i] = c.procs[i].at(t)
-	}
-	return out
-}
-
 // FrequencyResponse returns H[k] for every logical subcarrier bin (FFT
 // ordering, 64 entries) at time t.
 func (c *TDL) FrequencyResponse(t float64) [ofdm.NumSubcarriers]complex128 {
-	taps := c.Taps(t)
-	var h [ofdm.NumSubcarriers]complex128
-	for k := 0; k < ofdm.NumSubcarriers; k++ {
-		var sum complex128
-		for m, g := range taps {
-			angle := -2 * math.Pi * float64(k) * float64(m) / ofdm.NumSubcarriers
-			sum += g * complex(math.Cos(angle), math.Sin(angle))
-		}
-		h[k] = sum
-	}
-	return h
-}
-
-// Convolve applies tap gains to samples by linear convolution, truncated to
-// len(samples) (the preamble leads every packet, so edge transients never
-// touch payload symbols).
-func Convolve(samples, taps []complex128) []complex128 {
-	out := make([]complex128, len(samples))
-	for n := range samples {
-		var sum complex128
-		for m, g := range taps {
-			if n-m < 0 {
-				break
-			}
-			sum += g * samples[n-m]
-		}
-		out[n] = sum
-	}
-	return out
+	return FrequencyResponseFrom(c.TapsInto(nil, t))
 }
 
 // AddAWGN adds circular complex Gaussian noise of total variance noiseVar
@@ -195,7 +158,5 @@ func AddAWGN(samples []complex128, noiseVar float64, rng *rand.Rand) {
 // Apply runs samples through the channel at time t and adds noise of the
 // given variance: the one-call path used by the PHY simulator.
 func (c *TDL) Apply(samples []complex128, t, noiseVar float64, rng *rand.Rand) []complex128 {
-	out := Convolve(samples, c.Taps(t))
-	AddAWGN(out, noiseVar, rng)
-	return out
+	return ApplyTo(nil, samples, c.TapsInto(nil, t), noiseVar, rng)
 }

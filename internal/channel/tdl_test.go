@@ -47,7 +47,7 @@ func TestTDLUnitAveragePower(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, g := range c.Taps(0) {
+		for _, g := range c.TapsInto(nil, 0) {
 			total += dsp.MagSq(g)
 		}
 	}
@@ -65,7 +65,7 @@ func TestTDLExponentialProfile(t *testing.T) {
 	const n = 1500
 	for i := 0; i < n; i++ {
 		c, _ := NewTDL(cfg, rng)
-		taps := c.Taps(0)
+		taps := c.TapsInto(nil, 0)
 		first += dsp.MagSq(taps[0])
 		last += dsp.MagSq(taps[7])
 	}
@@ -79,8 +79,8 @@ func TestStaticChannelConstantOverTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := c.Taps(0)
-	b := c.Taps(10.0)
+	a := c.TapsInto(nil, 0)
+	b := c.TapsInto(nil, 10.0)
 	for i := range a {
 		if cmplx.Abs(a[i]-b[i]) > 1e-12 {
 			t.Fatalf("static channel tap %d moved", i)
@@ -94,8 +94,8 @@ func TestDopplerChannelEvolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := c.Taps(0)
-	b := c.Taps(0.5) // far beyond coherence time at 26.6 Hz
+	a := c.TapsInto(nil, 0)
+	b := c.TapsInto(nil, 0.5) // far beyond coherence time at 26.6 Hz
 	moved := 0.0
 	for i := range a {
 		moved += cmplx.Abs(a[i] - b[i])
@@ -104,7 +104,7 @@ func TestDopplerChannelEvolves(t *testing.T) {
 		t.Error("Doppler channel did not evolve over 500 ms")
 	}
 	// But barely moves within one packet duration (~500 us).
-	cSlow := c.Taps(500e-6)
+	cSlow := c.TapsInto(nil, 500e-6)
 	drift := 0.0
 	for i := range a {
 		drift += cmplx.Abs(a[i] - cSlow[i])
@@ -120,7 +120,7 @@ func TestFrequencyResponseMatchesDFTOfTaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := c.FrequencyResponse(0)
-	taps := c.Taps(0)
+	taps := c.TapsInto(nil, 0)
 	padded := make([]complex128, ofdm.NumSubcarriers)
 	copy(padded, taps)
 	ref, err := dsp.FFT(padded)
@@ -170,14 +170,14 @@ func TestConvolveIdentity(t *testing.T) {
 	for i := range x {
 		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	y := Convolve(x, []complex128{1})
+	y := ConvolveInto(nil, x, []complex128{1})
 	for i := range x {
 		if x[i] != y[i] {
 			t.Fatal("identity convolution changed signal")
 		}
 	}
 	// One-sample delay.
-	y = Convolve(x, []complex128{0, 1})
+	y = ConvolveInto(nil, x, []complex128{0, 1})
 	if y[0] != 0 {
 		t.Error("delayed convolution should zero the first sample")
 	}

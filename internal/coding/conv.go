@@ -9,10 +9,7 @@
 // traceback are the standard Viterbi algorithm, unchanged.
 package coding
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // Convolutional code parameters fixed by IEEE 802.11a (17.3.5.5).
 const (
@@ -33,23 +30,9 @@ func parity(x uint) byte {
 	return byte(bits.OnesCount(x) & 1)
 }
 
-// ConvEncode encodes a bit slice with the 802.11a rate-1/2 convolutional
-// code. The output interleaves the two generator streams as A0 B0 A1 B1 ...
-// and has exactly 2*len(in) bits. The encoder starts in the all-zero state;
-// callers wanting a terminated trellis must append TailBits zero bits to in
-// (the PHY layer does this as part of padding).
+// ConvEncode is ConvEncodeInto with a fresh destination.
 func ConvEncode(in []byte) ([]byte, error) {
-	out := make([]byte, 0, 2*len(in))
-	state := uint(0) // 6 most recent input bits; bit 5 is the newest.
-	for i, b := range in {
-		if b > 1 {
-			return nil, fmt.Errorf("coding: input element %d = %d is not a bit", i, b)
-		}
-		window := uint(b)<<6 | state
-		out = append(out, parity(window&GeneratorA), parity(window&GeneratorB))
-		state = window >> 1
-	}
-	return out, nil
+	return ConvEncodeInto(nil, in)
 }
 
 // branch describes one trellis transition used by the Viterbi decoder.

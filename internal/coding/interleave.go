@@ -41,30 +41,3 @@ func NewInterleaver(ncbps, nbpsc int) (*Interleaver, error) {
 	}
 	return &Interleaver{ncbps: ncbps, perm: perm, inv: inv}, nil
 }
-
-// BlockSize returns NCBPS, the interleaving block length in bits.
-func (il *Interleaver) BlockSize() int { return il.ncbps }
-
-// Interleave permutes in (whose length must be a multiple of NCBPS) block by
-// block and returns a new slice.
-func Interleave[T any](il *Interleaver, in []T) ([]T, error) {
-	return applyBlocks(in, il.ncbps, il.perm)
-}
-
-// Deinterleave applies the inverse permutation block by block.
-func Deinterleave[T any](il *Interleaver, in []T) ([]T, error) {
-	return applyBlocks(in, il.ncbps, il.inv)
-}
-
-func applyBlocks[T any](in []T, block int, perm []int) ([]T, error) {
-	if len(in)%block != 0 {
-		return nil, fmt.Errorf("coding: length %d is not a multiple of block size %d", len(in), block)
-	}
-	out := make([]T, len(in))
-	for base := 0; base < len(in); base += block {
-		for k, j := range perm {
-			out[base+j] = in[base+k]
-		}
-	}
-	return out, nil
-}

@@ -43,11 +43,11 @@ func TestDeinterleaveInvertsInterleave(t *testing.T) {
 		}
 		// Multiple blocks at once.
 		in := randBits(rng, 3*m.ncbps)
-		mid, err := Interleave(il, in)
+		mid, err := InterleaveInto(il, nil, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Deinterleave(il, mid)
+		out, err := DeinterleaveInto(il, nil, mid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,11 +102,11 @@ func TestInterleaveGenericOverFloats(t *testing.T) {
 	for i := range in {
 		in[i] = float64(i)
 	}
-	mid, err := Interleave(il, in)
+	mid, err := InterleaveInto(il, nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Deinterleave(il, mid)
+	out, err := DeinterleaveInto(il, nil, mid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +130,10 @@ func TestInterleaverRejectsBadParameters(t *testing.T) {
 
 func TestInterleaveRejectsBadLength(t *testing.T) {
 	il, _ := NewInterleaver(48, 1)
-	if _, err := Interleave(il, make([]byte, 47)); err == nil {
+	if _, err := InterleaveInto(il, nil, make([]byte, 47)); err == nil {
 		t.Error("want error for non-multiple length")
 	}
-	if _, err := Deinterleave(il, make([]byte, 49)); err == nil {
+	if _, err := DeinterleaveInto(il, nil, make([]byte, 49)); err == nil {
 		t.Error("want error for non-multiple length")
 	}
 }
@@ -147,11 +147,11 @@ func TestInterleaverPropertyRandomModes(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		in := randBits(rng, m.ncbps)
-		mid, err := Interleave(il, in)
+		mid, err := InterleaveInto(il, nil, in)
 		if err != nil {
 			return false
 		}
-		out, err := Deinterleave(il, mid)
+		out, err := DeinterleaveInto(il, nil, mid)
 		if err != nil {
 			return false
 		}

@@ -78,60 +78,3 @@ func (r CodeRate) PuncturedLen(motherLen int) (int, error) {
 	}
 	return motherLen / len(pat) * kept, nil
 }
-
-// Puncture drops coded bits from the rate-1/2 stream according to the rate's
-// pattern. len(in) must be a multiple of the pattern period (the PHY pads
-// data so this always holds).
-func Puncture(in []byte, r CodeRate) ([]byte, error) {
-	if !r.Valid() {
-		return nil, fmt.Errorf("coding: invalid code rate %d", int(r))
-	}
-	pat := r.puncturePattern()
-	if len(in)%len(pat) != 0 {
-		return nil, fmt.Errorf("coding: input length %d is not a multiple of puncture period %d", len(in), len(pat))
-	}
-	if r == Rate1_2 {
-		out := make([]byte, len(in))
-		copy(out, in)
-		return out, nil
-	}
-	out := make([]byte, 0, len(in)*2/3)
-	for i, b := range in {
-		if pat[i%len(pat)] {
-			out = append(out, b)
-		}
-	}
-	return out, nil
-}
-
-// DepunctureMetrics reinserts zero (erasure) metrics at punctured positions,
-// restoring the mother-code length. A zero metric carries no information, so
-// the Viterbi decoder treats punctured bits exactly like erased bits.
-func DepunctureMetrics(in []float64, r CodeRate) ([]float64, error) {
-	if !r.Valid() {
-		return nil, fmt.Errorf("coding: invalid code rate %d", int(r))
-	}
-	pat := r.puncturePattern()
-	kept := 0
-	for _, k := range pat {
-		if k {
-			kept++
-		}
-	}
-	if len(in)%kept != 0 {
-		return nil, fmt.Errorf("coding: punctured length %d is not a multiple of %d", len(in), kept)
-	}
-	out := make([]float64, 0, len(in)*len(pat)/kept)
-	src := 0
-	for len(out) < len(in)*len(pat)/kept {
-		for _, k := range pat {
-			if k {
-				out = append(out, in[src])
-				src++
-			} else {
-				out = append(out, 0)
-			}
-		}
-	}
-	return out, nil
-}

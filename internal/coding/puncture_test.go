@@ -40,12 +40,12 @@ func TestPunctureLengths(t *testing.T) {
 		r    CodeRate
 		want int
 	}{{Rate1_2, 24}, {Rate2_3, 18}, {Rate3_4, 16}} {
-		out, err := Puncture(in, c.r)
+		out, err := PunctureInto(nil, in, c.r)
 		if err != nil {
-			t.Fatalf("Puncture(%v): %v", c.r, err)
+			t.Fatalf("PunctureInto(%v): %v", c.r, err)
 		}
 		if len(out) != c.want {
-			t.Errorf("Puncture(%v) length %d, want %d", c.r, len(out), c.want)
+			t.Errorf("PunctureInto(%v) length %d, want %d", c.r, len(out), c.want)
 		}
 		n, err := c.r.PuncturedLen(24)
 		if err != nil || n != c.want {
@@ -57,7 +57,7 @@ func TestPunctureLengths(t *testing.T) {
 func TestPunctureKnownPattern(t *testing.T) {
 	// Mother stream A1 B1 A2 B2 A3 B3 = 1 2 3 4 5 6 (using distinct values).
 	in := []byte{1, 2, 3, 4, 5, 6}
-	got, err := Puncture(in, Rate3_4)
+	got, err := PunctureInto(nil, in, Rate3_4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestPunctureKnownPattern(t *testing.T) {
 	if !bits.Equal(got, want) {
 		t.Errorf("3/4 puncture = %v, want %v", got, want)
 	}
-	got, err = Puncture(in[:4], Rate2_3)
+	got, err = PunctureInto(nil, in[:4], Rate2_3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +76,10 @@ func TestPunctureKnownPattern(t *testing.T) {
 }
 
 func TestPunctureErrors(t *testing.T) {
-	if _, err := Puncture(make([]byte, 5), Rate3_4); err == nil {
+	if _, err := PunctureInto(nil, make([]byte, 5), Rate3_4); err == nil {
 		t.Error("want error for non-multiple length")
 	}
-	if _, err := Puncture(make([]byte, 6), CodeRate(0)); err == nil {
+	if _, err := PunctureInto(nil, make([]byte, 6), CodeRate(0)); err == nil {
 		t.Error("want error for invalid rate")
 	}
 	if _, err := (CodeRate(0)).PuncturedLen(6); !CodeRate(0).Valid() && err == nil {
@@ -90,17 +90,17 @@ func TestPunctureErrors(t *testing.T) {
 func TestDepunctureRestoresLength(t *testing.T) {
 	for _, r := range []CodeRate{Rate1_2, Rate2_3, Rate3_4} {
 		mother := make([]byte, 48)
-		p, err := Puncture(mother, r)
+		p, err := PunctureInto(nil, mother, r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m := make([]float64, len(p))
-		out, err := DepunctureMetrics(m, r)
+		out, err := DepunctureMetricsInto(nil, m, r)
 		if err != nil {
-			t.Fatalf("DepunctureMetrics(%v): %v", r, err)
+			t.Fatalf("DepunctureMetricsInto(%v): %v", r, err)
 		}
 		if len(out) != 48 {
-			t.Errorf("DepunctureMetrics(%v) length %d, want 48", r, len(out))
+			t.Errorf("DepunctureMetricsInto(%v) length %d, want 48", r, len(out))
 		}
 	}
 }
@@ -108,7 +108,7 @@ func TestDepunctureRestoresLength(t *testing.T) {
 func TestDepunctureInsertsZerosAtPuncturedPositions(t *testing.T) {
 	// Metrics 1..4 for kept positions of one 3/4 period.
 	in := []float64{10, 20, 30, 40}
-	out, err := DepunctureMetrics(in, Rate3_4)
+	out, err := DepunctureMetricsInto(nil, in, Rate3_4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +132,12 @@ func TestPuncturedRoundTripThroughViterbi(t *testing.T) {
 			// of the puncture period (period 6 needs multiples of 3 input).
 			data := randBits(rng, 300)
 			coded := encodeWithTail(t, data)
-			punct, err := Puncture(coded, r)
+			punct, err := PunctureInto(nil, coded, r)
 			if err != nil {
 				t.Fatal(err)
 			}
 			m, _ := HardMetrics(punct, 1)
-			full, err := DepunctureMetrics(m, r)
+			full, err := DepunctureMetricsInto(nil, m, r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,12 +159,12 @@ func TestPuncturedCodeCorrectsErrors(t *testing.T) {
 	dec := &Viterbi{Terminated: true}
 	data := randBits(rng, 300)
 	coded := encodeWithTail(t, data)
-	punct, _ := Puncture(coded, Rate3_4)
+	punct, _ := PunctureInto(nil, coded, Rate3_4)
 	m, _ := HardMetrics(punct, 1)
 	for pos := 11; pos < len(m); pos += 80 {
 		m[pos] = -m[pos]
 	}
-	full, _ := DepunctureMetrics(m, Rate3_4)
+	full, _ := DepunctureMetricsInto(nil, m, Rate3_4)
 	got, err := dec.Decode(full)
 	if err != nil {
 		t.Fatal(err)

@@ -5,11 +5,10 @@ import (
 	"sync"
 )
 
-// Scratch-reuse variants of the coding chain. Each XxxInto function writes
-// into a caller-owned destination slice, growing it only when its capacity is
-// insufficient, and returns the (possibly re-sliced) destination. The
-// destination must not alias the input. All functions compute exactly what
-// their allocating counterparts do.
+// The coding-chain kernels. Each XxxInto function writes into a caller-owned
+// destination slice, growing it only when its capacity is insufficient, and
+// returns the (possibly re-sliced) destination; a nil destination
+// allocates. The destination must not alias the input.
 
 func growBytes(s []byte, n int) []byte {
 	if cap(s) < n {
@@ -61,12 +60,13 @@ func CachedInterleaver(ncbps, nbpsc int) (*Interleaver, error) {
 	return il, nil
 }
 
-// InterleaveInto is Interleave writing into dst.
+// InterleaveInto permutes in (whose length must be a multiple of NCBPS)
+// block by block into dst.
 func InterleaveInto[T any](il *Interleaver, dst, in []T) ([]T, error) {
 	return applyBlocksInto(dst, in, il.ncbps, il.perm)
 }
 
-// DeinterleaveInto is Deinterleave writing into dst.
+// DeinterleaveInto applies the inverse permutation block by block into dst.
 func DeinterleaveInto[T any](il *Interleaver, dst, in []T) ([]T, error) {
 	return applyBlocksInto(dst, in, il.ncbps, il.inv)
 }
@@ -87,10 +87,15 @@ func applyBlocksInto[T any](dst, in []T, block int, perm []int) ([]T, error) {
 	return dst, nil
 }
 
-// ConvEncodeInto is ConvEncode writing into dst.
+// ConvEncodeInto encodes a bit slice with the 802.11a rate-1/2
+// convolutional code into dst. The output interleaves the two generator
+// streams as A0 B0 A1 B1 ... and has exactly 2*len(in) bits. The encoder
+// starts in the all-zero state; callers wanting a terminated trellis must
+// append TailBits zero bits to in (the PHY layer does this as part of
+// padding).
 func ConvEncodeInto(dst, in []byte) ([]byte, error) {
 	dst = growBytes(dst, 2*len(in))
-	state := uint(0)
+	state := uint(0) // 6 most recent input bits; bit 5 is the newest.
 	for i, b := range in {
 		if b > 1 {
 			return nil, fmt.Errorf("coding: input element %d = %d is not a bit", i, b)
@@ -103,7 +108,9 @@ func ConvEncodeInto(dst, in []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// PunctureInto is Puncture writing into dst.
+// PunctureInto drops coded bits from the rate-1/2 stream according to the
+// rate's pattern, writing the survivors into dst. len(in) must be a
+// multiple of the pattern period (the PHY pads data so this always holds).
 func PunctureInto(dst, in []byte, r CodeRate) ([]byte, error) {
 	if !r.Valid() {
 		return nil, fmt.Errorf("coding: invalid code rate %d", int(r))
@@ -135,7 +142,10 @@ func PunctureInto(dst, in []byte, r CodeRate) ([]byte, error) {
 	return dst, nil
 }
 
-// DepunctureMetricsInto is DepunctureMetrics writing into dst.
+// DepunctureMetricsInto reinserts zero (erasure) metrics at punctured
+// positions, restoring the mother-code length in dst. A zero metric carries
+// no information, so the Viterbi decoder treats punctured bits exactly like
+// erased bits.
 func DepunctureMetricsInto(dst, in []float64, r CodeRate) ([]float64, error) {
 	if !r.Valid() {
 		return nil, fmt.Errorf("coding: invalid code rate %d", int(r))

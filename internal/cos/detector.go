@@ -11,7 +11,7 @@ import (
 	"cos/internal/phy"
 )
 
-// Detector metrics. Decision counts come from DetectMask (every scanned
+// Detector metrics. Decision counts come from DetectMaskInto (every scanned
 // position and every silence verdict); accuracy counts come from
 // CompareMasks, which sees the transmitter's ground truth.
 var (
@@ -94,40 +94,6 @@ func (d Detector) Threshold(fe *phy.FrontEnd, sc int) (float64, error) {
 	return th, nil
 }
 
-// DetectMask scans the control subcarriers of every payload symbol and
-// returns the detected silence mask ([symbol][48]; non-control subcarriers
-// are always false).
-func (d Detector) DetectMask(fe *phy.FrontEnd, ctrlSCs []int) ([][]bool, error) {
-	if err := validateCtrlSCs(ctrlSCs); err != nil {
-		return nil, err
-	}
-	ths := make([]float64, len(ctrlSCs))
-	for i, sc := range ctrlSCs {
-		th, err := d.Threshold(fe, sc)
-		if err != nil {
-			return nil, err
-		}
-		ths[i] = th
-	}
-	mask := NewMask(fe.NumSymbols())
-	silent := 0
-	for s := 0; s < fe.NumSymbols(); s++ {
-		for i, sc := range ctrlSCs {
-			y, err := fe.Bins[s].DataValue(sc)
-			if err != nil {
-				return nil, err
-			}
-			if dsp.MagSq(y) < ths[i] {
-				mask[s][sc] = true
-				silent++
-			}
-		}
-	}
-	mDetectorScans.Add(uint64(fe.NumSymbols() * len(ctrlSCs)))
-	mDetectorSilences.Add(uint64(silent))
-	return mask, nil
-}
-
 // DetectSymbol scans all 48 data subcarriers of one payload symbol and
 // returns which are silent; used to decode the subcarrier-selection
 // feedback symbol.
@@ -148,36 +114,6 @@ func (d Detector) DetectSymbol(fe *phy.FrontEnd, sym int) ([]bool, error) {
 		out[sc] = dsp.MagSq(y) < th
 	}
 	return out, nil
-}
-
-// DecodeMask interprets an already-detected silence mask: start marker and
-// interval extraction, then control-bit decoding. Splitting this from
-// DetectMask lets callers time (and instrument) energy detection and
-// interval decoding as separate pipeline stages, and keep the mask for the
-// erasure decoder even when interval decoding fails.
-func DecodeMask(mask [][]bool, ctrlSCs []int, k int) ([]byte, error) {
-	intervals, err := ExtractIntervals(mask, ctrlSCs)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeIntervals(intervals, k)
-}
-
-// ExtractControl runs the receive side of CoS in one call: detect silences
-// on the control subcarriers (DetectMask), then interpret the start marker
-// and intervals and decode the control bits (DecodeMask). It returns the
-// bits and the detected mask (to feed the erasure Viterbi decoder); on an
-// interval-decoding error the mask is still returned.
-func ExtractControl(fe *phy.FrontEnd, ctrlSCs []int, det Detector, k int) (controlBits []byte, mask [][]bool, err error) {
-	mask, err = det.DetectMask(fe, ctrlSCs)
-	if err != nil {
-		return nil, nil, err
-	}
-	controlBits, err = DecodeMask(mask, ctrlSCs, k)
-	if err != nil {
-		return nil, mask, err
-	}
-	return controlBits, mask, nil
 }
 
 // DetectionStats quantifies detector accuracy against ground truth using

@@ -38,10 +38,7 @@ func runCoS(t *testing.T, rateMbps int, snrDB float64, ctrlSCs []int, nCtrlBits 
 	if err != nil {
 		t.Fatal(err)
 	}
-	mask, err := Embed(pkt, ctrlSCs, ctrl, DefaultBitsPerInterval)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mask := embed(t, pkt, ctrlSCs, ctrl, DefaultBitsPerInterval)
 	samples, err := pkt.Samples()
 	if err != nil {
 		t.Fatal(err)
@@ -63,10 +60,30 @@ func runCoS(t *testing.T, rateMbps int, snrDB float64, ctrlSCs []int, nCtrlBits 
 	return &cosRun{tx: pkt, truthMask: mask, fe: fe, psdu: psdu, ctrl: ctrl, ctrlSCs: ctrlSCs}
 }
 
+// embed silences controlBits on the packet's control subcarriers (interval
+// encoding, layout, and grid erasure) and returns the ground-truth erasure
+// mask.
+func embed(t *testing.T, pkt *phy.TxPacket, ctrlSCs []int, controlBits []byte, k int) [][]bool {
+	t.Helper()
+	intervals, err := EncodeIntervalsInto(nil, controlBits, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	positions, err := LayoutInto(nil, intervals, pkt.NumSymbols(), ctrlSCs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mask, err := InsertSilencesInto(nil, pkt.Grid, positions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mask
+}
+
 func TestDetectorFindsAllSilencesAtGoodSNR(t *testing.T) {
 	r := runCoS(t, 24, 22, []int{9, 10, 11, 12, 13, 14, 15, 16}, 40, 201, channel.PositionB)
 	det := Detector{Scheme: r.tx.Config.Mode.Modulation}
-	mask, err := det.DetectMask(r.fe, r.ctrlSCs)
+	mask, err := det.DetectMaskInto(nil, r.fe, r.ctrlSCs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +104,15 @@ func TestDetectorFindsAllSilencesAtGoodSNR(t *testing.T) {
 
 func TestExtractControlRoundTrip(t *testing.T) {
 	r := runCoS(t, 12, 18, []int{4, 12, 20, 28, 40, 44}, 48, 202, channel.PositionC)
-	got, mask, err := ExtractControl(r.fe, r.ctrlSCs, Detector{Scheme: r.tx.Config.Mode.Modulation}, DefaultBitsPerInterval)
+	mask, err := (Detector{Scheme: r.tx.Config.Mode.Modulation}).DetectMaskInto(nil, r.fe, r.ctrlSCs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intervals, err := ExtractIntervalsInto(nil, mask, r.ctrlSCs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeIntervalsInto(nil, intervals, DefaultBitsPerInterval)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +136,11 @@ func TestThresholdTradeoff(t *testing.T) {
 	lowDet := Detector{FixedThreshold: r.fe.NoiseVar * 0.005}
 	highDet := Detector{FixedThreshold: r.fe.NoiseVar * 4000}
 
-	lowMask, err := lowDet.DetectMask(r.fe, r.ctrlSCs)
+	lowMask, err := lowDet.DetectMaskInto(nil, r.fe, r.ctrlSCs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	highMask, err := highDet.DetectMask(r.fe, r.ctrlSCs)
+	highMask, err := highDet.DetectMaskInto(nil, r.fe, r.ctrlSCs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +206,7 @@ func TestDetectorThresholdSelection(t *testing.T) {
 
 func TestDetectMaskValidation(t *testing.T) {
 	r := runCoS(t, 12, 15, []int{5}, 4, 205, channel.PositionB)
-	if _, err := (Detector{}).DetectMask(r.fe, nil); err == nil {
+	if _, err := (Detector{}).DetectMaskInto(nil, r.fe, nil); err == nil {
 		t.Error("empty ctrl set should error")
 	}
 	if _, err := (Detector{}).DetectSymbol(r.fe, -1); err == nil {
@@ -193,10 +218,10 @@ func TestDetectMaskValidation(t *testing.T) {
 }
 
 func TestCompareMasksValidation(t *testing.T) {
-	if _, err := CompareMasks(NewMask(2), NewMask(3), []int{1}); err == nil {
+	if _, err := CompareMasks(GrowMask(nil, 2), GrowMask(nil, 3), []int{1}); err == nil {
 		t.Error("size mismatch should error")
 	}
-	if _, err := CompareMasks(NewMask(2), NewMask(2), []int{99}); err == nil {
+	if _, err := CompareMasks(GrowMask(nil, 2), GrowMask(nil, 2), []int{99}); err == nil {
 		t.Error("bad ctrl set should error")
 	}
 }
@@ -241,10 +266,7 @@ func TestInterferenceCausesFalseNegatives(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		truth, err := Embed(pkt, ctrlSCs, ctrl, DefaultBitsPerInterval)
-		if err != nil {
-			t.Fatal(err)
-		}
+		truth := embed(t, pkt, ctrlSCs, ctrl, DefaultBitsPerInterval)
 		samples, _ := pkt.Samples()
 		rx := ch.Apply(samples, 0, nv, rng)
 		if interfere {
@@ -257,7 +279,7 @@ func TestInterferenceCausesFalseNegatives(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mask, err := (Detector{Scheme: mode.Modulation}).DetectMask(fe, ctrlSCs)
+		mask, err := (Detector{Scheme: mode.Modulation}).DetectMaskInto(nil, fe, ctrlSCs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,7 +44,7 @@ func (f Feedback) encodePSDU() ([]byte, error) {
 		return nil, fmt.Errorf("cos: measured SNR %.2f dB outside the feedback range", f.MeasuredSNRdB)
 	}
 	body := []byte{feedbackMagic, byte(q), byte(len(f.Selected))}
-	return bits.AppendFCS(body), nil
+	return bits.AppendFCSInto(nil, body), nil
 }
 
 // decodePSDU inverts encodePSDU; ok is false on FCS or format mismatch.

@@ -1,7 +1,5 @@
 package cos
 
-import "fmt"
-
 // The paper's control messages are raw bit strings: the receiver has no way
 // to tell a corrupted message from a good one (a single detection error
 // shifts every subsequent interval). This file adds the minimal framing a
@@ -32,33 +30,6 @@ func crc8Bits(bits []byte) byte {
 	return crc
 }
 
-// FrameControl wraps a control payload with its length and CRC:
-//
-//	[8-bit length][payload bits][8-bit CRC over length+payload]
-//
-// The result's length is a multiple of nothing in particular; callers pad
-// to the interval codec's k with PadToInterval.
-func FrameControl(payload []byte) ([]byte, error) {
-	if len(payload) > MaxFramedPayloadBits {
-		return nil, fmt.Errorf("cos: control payload %d bits exceeds the %d-bit framing limit", len(payload), MaxFramedPayloadBits)
-	}
-	for i, b := range payload {
-		if b > 1 {
-			return nil, fmt.Errorf("cos: payload element %d = %d is not a bit", i, b)
-		}
-	}
-	out := make([]byte, 0, 8+len(payload)+8)
-	for i := 7; i >= 0; i-- {
-		out = append(out, byte((len(payload)>>i)&1))
-	}
-	out = append(out, payload...)
-	crc := crc8Bits(out)
-	for i := 7; i >= 0; i-- {
-		out = append(out, (crc>>i)&1)
-	}
-	return out, nil
-}
-
 // ParseControl validates and unwraps a framed control message from the
 // (possibly longer) extracted bit stream. ok is false when the stream is
 // too short, the length is inconsistent, or the CRC fails.
@@ -84,21 +55,6 @@ func ParseControl(bits []byte) (payload []byte, ok bool) {
 	out := make([]byte, n)
 	copy(out, bits[8:8+n])
 	return out, true
-}
-
-// PadToInterval pads a framed bit string with zero bits to a multiple of k
-// so it fits the interval codec. The length header makes the padding
-// self-delimiting.
-func PadToInterval(bits []byte, k int) ([]byte, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("cos: k = %d", k)
-	}
-	out := make([]byte, len(bits), len(bits)+k)
-	copy(out, bits)
-	for len(out)%k != 0 {
-		out = append(out, 0)
-	}
-	return out, nil
 }
 
 // FramedBits returns the on-air bit cost of a payload of n bits with

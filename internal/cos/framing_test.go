@@ -16,7 +16,7 @@ func TestFrameControlRoundTrip(t *testing.T) {
 		for i := range payload {
 			payload[i] = byte(rng.Intn(2))
 		}
-		framed, err := FrameControl(payload)
+		framed, err := FrameControlInto(nil, payload)
 		if err != nil {
 			return false
 		}
@@ -32,7 +32,7 @@ func TestParseControlTrailingGarbage(t *testing.T) {
 	// Extraction often returns extra trailing intervals; framing must
 	// ignore them.
 	payload := []byte{1, 0, 1, 1, 0, 0, 1, 0}
-	framed, err := FrameControl(payload)
+	framed, err := FrameControlInto(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestParseControlDetectsCorruption(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(rng.Intn(2))
 	}
-	framed, err := FrameControl(payload)
+	framed, err := FrameControlInto(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,21 +77,21 @@ func TestParseControlShortInput(t *testing.T) {
 		t.Error("short stream should fail")
 	}
 	// Header says 100 bits but stream carries fewer.
-	framed, _ := FrameControl(make([]byte, 100))
+	framed, _ := FrameControlInto(nil, make([]byte, 100))
 	if _, ok := ParseControl(framed[:50]); ok {
 		t.Error("truncated stream should fail")
 	}
 }
 
 func TestFrameControlValidation(t *testing.T) {
-	if _, err := FrameControl(make([]byte, 256)); err == nil {
+	if _, err := FrameControlInto(nil, make([]byte, 256)); err == nil {
 		t.Error("oversized payload should error")
 	}
-	if _, err := FrameControl([]byte{2}); err == nil {
+	if _, err := FrameControlInto(nil, []byte{2}); err == nil {
 		t.Error("non-bit payload should error")
 	}
 	// Empty payload is legal (a bare heartbeat).
-	framed, err := FrameControl(nil)
+	framed, err := FrameControlInto(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,18 +103,18 @@ func TestFrameControlValidation(t *testing.T) {
 
 func TestPadToInterval(t *testing.T) {
 	in := make([]byte, 18)
-	out, err := PadToInterval(in, 4)
+	out, err := PadToIntervalInto(nil, in, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 20 {
 		t.Errorf("padded length %d, want 20", len(out))
 	}
-	if _, err := PadToInterval(in, 0); err == nil {
+	if _, err := PadToIntervalInto(nil, in, 0); err == nil {
 		t.Error("k=0 should error")
 	}
 	// Already aligned stays put.
-	out, err = PadToInterval(make([]byte, 16), 4)
+	out, err = PadToIntervalInto(nil, make([]byte, 16), 4)
 	if err != nil || len(out) != 16 {
 		t.Errorf("aligned input changed: %d, %v", len(out), err)
 	}

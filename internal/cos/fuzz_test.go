@@ -9,7 +9,7 @@ import (
 // FuzzParseControl: arbitrary bit streams must never panic and any frame
 // that parses must re-frame to a prefix of itself.
 func FuzzParseControl(f *testing.F) {
-	seed, _ := FrameControl([]byte{1, 0, 1, 1})
+	seed, _ := FrameControlInto(nil, []byte{1, 0, 1, 1})
 	f.Add(toByteString(seed))
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0, 1, 0, 1})
@@ -22,7 +22,7 @@ func FuzzParseControl(f *testing.F) {
 		if !ok {
 			return
 		}
-		framed, err := FrameControl(payload)
+		framed, err := FrameControlInto(nil, payload)
 		if err != nil {
 			t.Fatalf("parsed payload failed to re-frame: %v", err)
 		}
@@ -52,27 +52,27 @@ func FuzzIntervalRoundTrip(f *testing.F) {
 		if len(msg) > 64 {
 			msg = msg[:64/k*k]
 		}
-		iv, err := EncodeIntervals(msg, k)
+		iv, err := EncodeIntervalsInto(nil, msg, k)
 		if err != nil {
-			t.Fatalf("EncodeIntervals: %v", err)
+			t.Fatalf("EncodeIntervalsInto: %v", err)
 		}
 		ctrl := []int{3, 17, 31, 45}
 		numSym := 1 + (1+len(iv)*(1<<k))/len(ctrl) + 1
-		pos, err := Layout(iv, numSym, ctrl)
+		pos, err := LayoutInto(nil, iv, numSym, ctrl)
 		if err != nil {
-			t.Fatalf("Layout with ample capacity: %v", err)
+			t.Fatalf("LayoutInto with ample capacity: %v", err)
 		}
-		mask := NewMask(numSym)
+		mask := GrowMask(nil, numSym)
 		for _, p := range pos {
 			mask[p.Sym][p.SC] = true
 		}
-		gotIv, err := ExtractIntervals(mask, ctrl)
+		gotIv, err := ExtractIntervalsInto(nil, mask, ctrl)
 		if err != nil {
-			t.Fatalf("ExtractIntervals: %v", err)
+			t.Fatalf("ExtractIntervalsInto: %v", err)
 		}
-		got, err := DecodeIntervals(gotIv, k)
+		got, err := DecodeIntervalsInto(nil, gotIv, k)
 		if err != nil {
-			t.Fatalf("DecodeIntervals: %v", err)
+			t.Fatalf("DecodeIntervalsInto: %v", err)
 		}
 		if !bits.Equal(got, msg) {
 			t.Fatalf("roundtrip mismatch: %v -> %v", msg, got)

@@ -30,126 +30,6 @@ type Pos struct {
 	SC int
 }
 
-// EncodeIntervals chunks control bits into k-bit groups, MSB first (the
-// paper's example maps "0010" to interval 2). len(controlBits) must be a
-// multiple of k.
-func EncodeIntervals(controlBits []byte, k int) ([]int, error) {
-	if k < 1 || k > 16 {
-		return nil, fmt.Errorf("cos: bits per interval %d out of range [1,16]", k)
-	}
-	if len(controlBits)%k != 0 {
-		return nil, fmt.Errorf("cos: control length %d is not a multiple of k=%d", len(controlBits), k)
-	}
-	out := make([]int, 0, len(controlBits)/k)
-	for i := 0; i < len(controlBits); i += k {
-		v := 0
-		for j := 0; j < k; j++ {
-			b := controlBits[i+j]
-			if b > 1 {
-				return nil, fmt.Errorf("cos: element %d = %d is not a bit", i+j, b)
-			}
-			v = v<<1 | int(b)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// DecodeIntervals converts intervals back into control bits (k bits each,
-// MSB first).
-func DecodeIntervals(intervals []int, k int) ([]byte, error) {
-	if k < 1 || k > 16 {
-		return nil, fmt.Errorf("cos: bits per interval %d out of range [1,16]", k)
-	}
-	out := make([]byte, 0, len(intervals)*k)
-	for _, v := range intervals {
-		if v < 0 || v >= 1<<k {
-			return nil, fmt.Errorf("cos: interval %d out of range [0,%d]", v, 1<<k-1)
-		}
-		for j := k - 1; j >= 0; j-- {
-			out = append(out, byte((v>>j)&1))
-		}
-	}
-	return out, nil
-}
-
-// Layout places silence symbols for the given intervals onto the control
-// subcarriers of a packet. The traversal is slot-major (all control
-// subcarriers of symbol 0 in ascending order, then symbol 1, ...), matching
-// Fig. 1(a). The first traversal position is always a silence marking the
-// start of the control message; each interval v then skips v normal symbols
-// before the next silence.
-//
-// numSymbols is the packet's payload symbol count and ctrlSCs the selected
-// control subcarriers (data subcarrier indices 0..47, ascending). Layout
-// fails if the message does not fit.
-func Layout(intervals []int, numSymbols int, ctrlSCs []int) ([]Pos, error) {
-	if err := validateCtrlSCs(ctrlSCs); err != nil {
-		return nil, err
-	}
-	if numSymbols < 1 {
-		return nil, fmt.Errorf("cos: packet has %d symbols", numSymbols)
-	}
-	capacity := numSymbols * len(ctrlSCs)
-	need := 1
-	for _, v := range intervals {
-		if v < 0 {
-			return nil, fmt.Errorf("cos: negative interval %d", v)
-		}
-		need += v + 1
-	}
-	if need > capacity {
-		return nil, fmt.Errorf("cos: message needs %d control positions, packet offers %d (%d symbols x %d subcarriers)",
-			need, capacity, numSymbols, len(ctrlSCs))
-	}
-	out := make([]Pos, 0, len(intervals)+1)
-	idx := 0
-	emit := func() {
-		out = append(out, Pos{Sym: idx / len(ctrlSCs), SC: ctrlSCs[idx%len(ctrlSCs)]})
-	}
-	emit() // start marker
-	for _, v := range intervals {
-		idx += v + 1
-		emit()
-	}
-	return out, nil
-}
-
-// ExtractIntervals inverts Layout: given the detected silence mask over the
-// control subcarriers (mask[s][d] true means subcarrier d of symbol s was
-// detected silent), it walks the traversal, treats the first silence as the
-// start marker, and returns the gaps between consecutive silences.
-func ExtractIntervals(mask [][]bool, ctrlSCs []int) ([]int, error) {
-	if err := validateCtrlSCs(ctrlSCs); err != nil {
-		return nil, err
-	}
-	var intervals []int
-	started := false
-	gap := 0
-	for s := range mask {
-		if len(mask[s]) != ofdm.NumData {
-			return nil, fmt.Errorf("cos: mask row %d has %d entries, want %d", s, len(mask[s]), ofdm.NumData)
-		}
-		for _, sc := range ctrlSCs {
-			silent := mask[s][sc]
-			if !started {
-				if silent {
-					started = true
-					gap = 0
-				}
-				continue
-			}
-			if silent {
-				intervals = append(intervals, gap)
-				gap = 0
-			} else {
-				gap++
-			}
-		}
-	}
-	return intervals, nil
-}
-
 // MaxMessageBits returns the number of control bits guaranteed to fit in a
 // packet of numSymbols symbols over nCtrl control subcarriers with k bits
 // per interval, assuming worst-case (maximum) intervals.

@@ -13,7 +13,7 @@ func TestEncodeIntervalsPaperExample(t *testing.T) {
 	// Sec. II-A: "001001101000001110100111" -> 2, 6, 8, 1, 14(?), ...
 	// The paper spells out {"0010" -> 2, "0110" -> 6, ..., "0111" -> 7}.
 	msg := []byte{0, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1, 1, 1}
-	got, err := EncodeIntervals(msg, 4)
+	got, err := EncodeIntervalsInto(nil, msg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +36,11 @@ func TestIntervalRoundTrip(t *testing.T) {
 		for i := range msg {
 			msg[i] = byte(rng.Intn(2))
 		}
-		iv, err := EncodeIntervals(msg, k)
+		iv, err := EncodeIntervalsInto(nil, msg, k)
 		if err != nil {
 			return false
 		}
-		back, err := DecodeIntervals(iv, k)
+		back, err := DecodeIntervalsInto(nil, iv, k)
 		if err != nil {
 			return false
 		}
@@ -52,28 +52,28 @@ func TestIntervalRoundTrip(t *testing.T) {
 }
 
 func TestEncodeIntervalsErrors(t *testing.T) {
-	if _, err := EncodeIntervals(make([]byte, 5), 4); err == nil {
+	if _, err := EncodeIntervalsInto(nil, make([]byte, 5), 4); err == nil {
 		t.Error("non-multiple length should error")
 	}
-	if _, err := EncodeIntervals([]byte{0, 1, 2, 0}, 4); err == nil {
+	if _, err := EncodeIntervalsInto(nil, []byte{0, 1, 2, 0}, 4); err == nil {
 		t.Error("non-bit should error")
 	}
-	if _, err := EncodeIntervals(nil, 0); err == nil {
+	if _, err := EncodeIntervalsInto(nil, nil, 0); err == nil {
 		t.Error("k=0 should error")
 	}
-	if _, err := EncodeIntervals(nil, 17); err == nil {
+	if _, err := EncodeIntervalsInto(nil, nil, 17); err == nil {
 		t.Error("k=17 should error")
 	}
 }
 
 func TestDecodeIntervalsErrors(t *testing.T) {
-	if _, err := DecodeIntervals([]int{16}, 4); err == nil {
+	if _, err := DecodeIntervalsInto(nil, []int{16}, 4); err == nil {
 		t.Error("interval out of range should error")
 	}
-	if _, err := DecodeIntervals([]int{-1}, 4); err == nil {
+	if _, err := DecodeIntervalsInto(nil, []int{-1}, 4); err == nil {
 		t.Error("negative interval should error")
 	}
-	if _, err := DecodeIntervals([]int{1}, 0); err == nil {
+	if _, err := DecodeIntervalsInto(nil, []int{1}, 0); err == nil {
 		t.Error("k=0 should error")
 	}
 }
@@ -83,7 +83,7 @@ func TestLayoutPaperFigure(t *testing.T) {
 	// puts the next silence at S(1,4); "0110"=6 puts the following one at
 	// S(2,5). With our zero-based traversal (sym, ctrl slot):
 	ctrl := []int{0, 1, 2, 3, 4, 5}
-	pos, err := Layout([]int{2, 6}, 4, ctrl)
+	pos, err := LayoutInto(nil, []int{2, 6}, 4, ctrl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,23 +114,23 @@ func TestLayoutExtractRoundTrip(t *testing.T) {
 		for i := range msg {
 			msg[i] = byte(rng.Intn(2))
 		}
-		iv, err := EncodeIntervals(msg, k)
+		iv, err := EncodeIntervalsInto(nil, msg, k)
 		if err != nil {
 			return false
 		}
-		pos, err := Layout(iv, numSym, ctrl)
+		pos, err := LayoutInto(nil, iv, numSym, ctrl)
 		if err != nil {
 			return false
 		}
-		mask := NewMask(numSym)
+		mask := GrowMask(nil, numSym)
 		for _, p := range pos {
 			mask[p.Sym][p.SC] = true
 		}
-		gotIv, err := ExtractIntervals(mask, ctrl)
+		gotIv, err := ExtractIntervalsInto(nil, mask, ctrl)
 		if err != nil {
 			return false
 		}
-		back, err := DecodeIntervals(gotIv, k)
+		back, err := DecodeIntervalsInto(nil, gotIv, k)
 		if err != nil {
 			return false
 		}
@@ -157,13 +157,13 @@ func randomCtrlSet(rng *rand.Rand, n int) []int {
 func TestLayoutCapacityError(t *testing.T) {
 	ctrl := []int{10, 11}
 	// 3 symbols x 2 subcarriers = 6 positions; interval 15 needs 17.
-	if _, err := Layout([]int{15}, 3, ctrl); err == nil {
+	if _, err := LayoutInto(nil, []int{15}, 3, ctrl); err == nil {
 		t.Error("oversized message should error")
 	}
-	if _, err := Layout([]int{-1}, 3, ctrl); err == nil {
+	if _, err := LayoutInto(nil, []int{-1}, 3, ctrl); err == nil {
 		t.Error("negative interval should error")
 	}
-	if _, err := Layout(nil, 0, ctrl); err == nil {
+	if _, err := LayoutInto(nil, nil, 0, ctrl); err == nil {
 		t.Error("zero symbols should error")
 	}
 }
@@ -171,7 +171,7 @@ func TestLayoutCapacityError(t *testing.T) {
 func TestLayoutCtrlValidation(t *testing.T) {
 	bad := [][]int{nil, {}, {-1}, {48}, {5, 5}, {7, 3}}
 	for _, ctrl := range bad {
-		if _, err := Layout([]int{1}, 10, ctrl); err == nil {
+		if _, err := LayoutInto(nil, []int{1}, 10, ctrl); err == nil {
 			t.Errorf("ctrl set %v should error", ctrl)
 		}
 	}
@@ -180,10 +180,10 @@ func TestLayoutCtrlValidation(t *testing.T) {
 func TestExtractIntervalsIgnoresLeadingNormals(t *testing.T) {
 	// Silences at traversal positions 3 and 5 with ctrl = {20}: the first
 	// silence is the start marker; one interval of gap 1.
-	mask := NewMask(8)
+	mask := GrowMask(nil, 8)
 	mask[3][20] = true
 	mask[5][20] = true
-	iv, err := ExtractIntervals(mask, []int{20})
+	iv, err := ExtractIntervalsInto(nil, mask, []int{20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestExtractIntervalsIgnoresLeadingNormals(t *testing.T) {
 }
 
 func TestExtractIntervalsEmptyMask(t *testing.T) {
-	iv, err := ExtractIntervals(NewMask(5), []int{3, 9})
+	iv, err := ExtractIntervalsInto(nil, GrowMask(nil, 5), []int{3, 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,13 +8,14 @@ import (
 	"cos/internal/phy"
 )
 
-// Scratch-reuse variants of the CoS embed/extract chain. Each XxxInto
-// function writes into a caller-owned destination, growing it only when its
-// capacity is insufficient, and computes exactly what its allocating
-// counterpart does. Destinations must not alias inputs.
+// The CoS embed/extract chain. Each XxxInto function writes into a
+// caller-owned destination, growing it only when its capacity is
+// insufficient; a nil destination allocates. Destinations must not alias
+// inputs.
 
 // GrowMask reshapes mask to numSymbols all-false rows of ofdm.NumData
-// entries, reusing row storage where possible.
+// entries ([symbol][48]), reusing row storage where possible; a nil mask
+// allocates a fresh one.
 func GrowMask(mask [][]bool, numSymbols int) [][]bool {
 	if cap(mask) < numSymbols {
 		grown := make([][]bool, numSymbols)
@@ -49,7 +50,9 @@ func MaskCount(mask [][]bool, ctrlSCs []int) int {
 	return n
 }
 
-// EncodeIntervalsInto is EncodeIntervals writing into dst.
+// EncodeIntervalsInto chunks control bits into k-bit groups, MSB first (the
+// paper's example maps "0010" to interval 2), writing the intervals into
+// dst. len(controlBits) must be a multiple of k.
 func EncodeIntervalsInto(dst []int, controlBits []byte, k int) ([]int, error) {
 	if k < 1 || k > 16 {
 		return nil, fmt.Errorf("cos: bits per interval %d out of range [1,16]", k)
@@ -76,8 +79,8 @@ func EncodeIntervalsInto(dst []int, controlBits []byte, k int) ([]int, error) {
 	return dst, nil
 }
 
-// DecodeIntervalsInto is DecodeIntervals writing into dst. Like
-// DecodeIntervals, the result is non-nil even when intervals is empty.
+// DecodeIntervalsInto converts intervals back into control bits (k bits
+// each, MSB first) in dst.
 func DecodeIntervalsInto(dst []byte, intervals []int, k int) ([]byte, error) {
 	if k < 1 || k > 16 {
 		return nil, fmt.Errorf("cos: bits per interval %d out of range [1,16]", k)
@@ -98,7 +101,16 @@ func DecodeIntervalsInto(dst []byte, intervals []int, k int) ([]byte, error) {
 	return dst, nil
 }
 
-// LayoutInto is Layout writing into dst.
+// LayoutInto places silence symbols for the given intervals onto the
+// control subcarriers of a packet, writing the positions into dst. The
+// traversal is slot-major (all control subcarriers of symbol 0 in ascending
+// order, then symbol 1, ...), matching Fig. 1(a). The first traversal
+// position is always a silence marking the start of the control message;
+// each interval v then skips v normal symbols before the next silence.
+//
+// numSymbols is the packet's payload symbol count and ctrlSCs the selected
+// control subcarriers (data subcarrier indices 0..47, ascending). LayoutInto
+// fails if the message does not fit.
 func LayoutInto(dst []Pos, intervals []int, numSymbols int, ctrlSCs []int) ([]Pos, error) {
 	if err := validateCtrlSCs(ctrlSCs); err != nil {
 		return nil, err
@@ -132,8 +144,12 @@ func LayoutInto(dst []Pos, intervals []int, numSymbols int, ctrlSCs []int) ([]Po
 	return dst, nil
 }
 
-// InsertSilencesInto is InsertSilences reusing mask as the returned erasure
-// mask (reshaped to the grid's symbol count).
+// InsertSilencesInto is the power controller of Fig. 8: it zeroes the grid
+// entries at the given positions (a silence symbol is a data symbol
+// transmitted with zero power, implemented by feeding 0 into the IFFT) and
+// returns the erasure mask in the [symbol][subcarrier] layout the decoder
+// and diagnostics consume, reusing mask (reshaped to the grid's symbol
+// count) as its storage.
 func InsertSilencesInto(mask [][]bool, grid *ofdm.Grid, positions []Pos) ([][]bool, error) {
 	mask = GrowMask(mask, grid.NumSymbols())
 	for _, p := range positions {
@@ -145,10 +161,13 @@ func InsertSilencesInto(mask [][]bool, grid *ofdm.Grid, positions []Pos) ([][]bo
 	return mask, nil
 }
 
-// ExtractIntervalsInto is ExtractIntervals writing into dst. Unlike
-// ExtractIntervals (which returns nil for a silence-free mask), the result
-// is dst resliced to the interval count, so it may be empty and non-nil;
-// callers that only inspect length and contents see identical behaviour.
+// ExtractIntervalsInto inverts LayoutInto: given the detected silence mask
+// over the control subcarriers (mask[s][d] true means subcarrier d of
+// symbol s was detected silent), it walks the traversal, treats the first
+// silence as the start marker, and writes the gaps between consecutive
+// silences into dst. The result is dst resliced to the interval count, so
+// a silence-free mask yields nil when dst is nil and an empty slice
+// otherwise.
 func ExtractIntervalsInto(dst []int, mask [][]bool, ctrlSCs []int) ([]int, error) {
 	if err := validateCtrlSCs(ctrlSCs); err != nil {
 		return nil, err
@@ -180,9 +199,10 @@ func ExtractIntervalsInto(dst []int, mask [][]bool, ctrlSCs []int) ([]int, error
 	return intervals, nil
 }
 
-// DetectMaskInto is Detector.DetectMask reusing mask as the returned
-// detected-silence mask. Thresholds live on the stack, so a warm mask makes
-// detection allocation-free.
+// DetectMaskInto scans the control subcarriers of every payload symbol and
+// returns the detected silence mask ([symbol][48]; non-control subcarriers
+// are always false), reusing mask as its storage. Thresholds live on the
+// stack, so a warm mask makes detection allocation-free.
 func (d Detector) DetectMaskInto(mask [][]bool, fe *phy.FrontEnd, ctrlSCs []int) ([][]bool, error) {
 	if err := validateCtrlSCs(ctrlSCs); err != nil {
 		return nil, err
@@ -214,7 +234,13 @@ func (d Detector) DetectMaskInto(mask [][]bool, fe *phy.FrontEnd, ctrlSCs []int)
 	return mask, nil
 }
 
-// FrameControlInto is FrameControl writing into dst.
+// FrameControlInto wraps a control payload with its length and CRC,
+// writing the frame into dst:
+//
+//	[8-bit length][payload bits][8-bit CRC over length+payload]
+//
+// The result's length is a multiple of nothing in particular; callers pad
+// to the interval codec's k with PadToIntervalInto.
 func FrameControlInto(dst, payload []byte) ([]byte, error) {
 	if len(payload) > MaxFramedPayloadBits {
 		return nil, fmt.Errorf("cos: control payload %d bits exceeds the %d-bit framing limit", len(payload), MaxFramedPayloadBits)
@@ -240,7 +266,9 @@ func FrameControlInto(dst, payload []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// PadToIntervalInto is PadToInterval writing into dst.
+// PadToIntervalInto pads a framed bit string with zero bits to a multiple
+// of k in dst so it fits the interval codec. The length header makes the
+// padding self-delimiting.
 func PadToIntervalInto(dst, bits []byte, k int) ([]byte, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("cos: k = %d", k)

@@ -18,7 +18,7 @@ func TestInsertSilencesAndMaskPositions(t *testing.T) {
 		}
 	}
 	positions := []Pos{{Sym: 0, SC: 5}, {Sym: 2, SC: 5}, {Sym: 3, SC: 9}}
-	mask, err := InsertSilences(g, positions)
+	mask, err := InsertSilencesInto(nil, g, positions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +54,10 @@ func TestInsertSilencesAndMaskPositions(t *testing.T) {
 
 func TestInsertSilencesOutOfRange(t *testing.T) {
 	g := ofdm.NewGrid(2)
-	if _, err := InsertSilences(g, []Pos{{Sym: 5, SC: 0}}); err == nil {
+	if _, err := InsertSilencesInto(nil, g, []Pos{{Sym: 5, SC: 0}}); err == nil {
 		t.Error("out-of-range symbol should error")
 	}
-	if _, err := InsertSilences(g, []Pos{{Sym: 0, SC: 99}}); err == nil {
+	if _, err := InsertSilencesInto(nil, g, []Pos{{Sym: 0, SC: 99}}); err == nil {
 		t.Error("out-of-range subcarrier should error")
 	}
 }

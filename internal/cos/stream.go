@@ -7,8 +7,8 @@ import "fmt"
 //
 //	[4-bit message ID][6-bit fragment index][1-bit last flag][chunk bits]
 //
-// Fragments ride inside the CRC framing of FrameControl, so corruption is
-// detected per fragment; a missing or corrupted fragment aborts the whole
+// Fragments ride inside the CRC framing of FrameControlInto, so corruption
+// is detected per fragment; a missing or corrupted fragment aborts the whole
 // message (the paper's control messages are small state updates — retrying
 // the message beats partial delivery).
 
@@ -30,7 +30,7 @@ type Fragmenter struct {
 
 // Split chunks payload into fragments whose total size (header + chunk)
 // stays within maxFragmentBits each. The fragments are bare bit slices:
-// wrap each with FrameControl (or send through a Link built with
+// wrap each with FrameControlInto (or send through a Link built with
 // WithControlFraming) for integrity.
 func (f *Fragmenter) Split(payload []byte, maxFragmentBits int) ([][]byte, error) {
 	for i, b := range payload {

@@ -161,7 +161,7 @@ func TestStreamOverLink(t *testing.T) {
 	for _, frag := range frags {
 		// Frame and immediately parse (the Link does this over the air;
 		// here we exercise the composition).
-		framed, err := FrameControl(frag)
+		framed, err := FrameControlInto(nil, frag)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,18 +61,6 @@ func FFTInto(dst, x []complex128) error {
 	return FFTInPlace(dst)
 }
 
-// IFFTInto computes the inverse DFT of x into dst, leaving x unchanged.
-// Same constraints as FFTInto.
-func IFFTInto(dst, x []complex128) error {
-	if len(dst) != len(x) {
-		return fmt.Errorf("dsp: IFFT destination length %d != input length %d", len(dst), len(x))
-	}
-	if len(x) > 0 && &dst[0] != &x[0] {
-		copy(dst, x)
-	}
-	return IFFTInPlace(dst)
-}
-
 // FFTInPlace computes the forward DFT of x in place.
 // len(x) must be a positive power of two.
 func FFTInPlace(x []complex128) error {

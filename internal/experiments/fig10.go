@@ -86,7 +86,7 @@ func fig10aMagnitudes(cfg Fig10aConfig) ([]float64, error) {
 	// Silence subcarriers 9, 10 and 16 of symbol 0 (the paper's 10/11/17):
 	// interval 5 between the 10 and the 16 encodes "0101".
 	const sym = 0
-	if _, err := icos.InsertSilences(tx.Grid, []icos.Pos{{Sym: sym, SC: 9}, {Sym: sym, SC: 10}, {Sym: sym, SC: 16}}); err != nil {
+	if _, err := icos.InsertSilencesInto(nil, tx.Grid, []icos.Pos{{Sym: sym, SC: 9}, {Sym: sym, SC: 10}, {Sym: sym, SC: 16}}); err != nil {
 		return nil, err
 	}
 	samples, err := tx.Samples()

@@ -100,12 +100,6 @@ func Host(baseURL string) Backend {
 	return &httpBackend{name: baseURL, c: client.New(baseURL)}
 }
 
-// FromClient wraps an existing typed client as a Backend (tests inject
-// httptest servers this way).
-func FromClient(name string, c *client.Client) Backend {
-	return &httpBackend{name: name, c: c}
-}
-
 type httpBackend struct {
 	name string
 	c    *client.Client
@@ -165,7 +159,7 @@ func settle(ctx context.Context, backend, jobID, state, errMsg string, read func
 // admission, queueing, caching, and result machinery as a remote daemon,
 // minus the socket. Tests and benches build multi-backend fleets from
 // these; Kill simulates a host dying mid-run (subsequent — and in-flight —
-// Runs report ErrBackendDown until Revive).
+// Runs report ErrBackendDown).
 type Loopback struct {
 	name string
 	srv  *serve.Server
@@ -190,13 +184,6 @@ func (l *Loopback) Name() string { return l.name }
 func (l *Loopback) Kill() {
 	l.mu.Lock()
 	l.down = true
-	l.mu.Unlock()
-}
-
-// Revive brings a killed backend back.
-func (l *Loopback) Revive() {
-	l.mu.Lock()
-	l.down = false
 	l.mu.Unlock()
 }
 

@@ -10,7 +10,7 @@ func TestEVMZeroForPerfectReception(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for _, s := range allSchemes {
 		in := randomBits(rng, s.BitsPerSymbol()*40)
-		pts, err := s.MapBits(in)
+		pts, err := s.MapBitsInto(nil, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func TestEVMMatchesNoiseLevel(t *testing.T) {
 	const n0 = 0.04
 	sigma := math.Sqrt(n0 / 2)
 	in := randomBits(rng, QAM16.BitsPerSymbol()*20000)
-	pts, _ := QAM16.MapBits(in)
+	pts, _ := QAM16.MapBitsInto(nil, in)
 	rx := make([]complex128, len(pts))
 	for i, p := range pts {
 		rx[i] = p + complex(sigma*rng.NormFloat64(), sigma*rng.NormFloat64())

@@ -35,29 +35,9 @@ func (s Scheme) Map(symbolBits []byte) (complex128, error) {
 	return complex(levels[iIdx]*norm, levels[qIdx]*norm), nil
 }
 
-// MapBits modulates a bit stream (length a multiple of BitsPerSymbol) into
-// constellation points.
-func (s Scheme) MapBits(in []byte) ([]complex128, error) {
-	m := s.BitsPerSymbol()
-	if m == 0 {
-		return nil, fmt.Errorf("modulation: invalid scheme %d", int(s))
-	}
-	if len(in)%m != 0 {
-		return nil, fmt.Errorf("modulation: bit count %d is not a multiple of %d", len(in), m)
-	}
-	out := make([]complex128, 0, len(in)/m)
-	for i := 0; i < len(in); i += m {
-		pt, err := s.Map(in[i : i+m])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pt)
-	}
-	return out, nil
-}
-
-// MapBitsInto is MapBits writing into dst, which is grown (reusing its
-// capacity) to len(in)/BitsPerSymbol points.
+// MapBitsInto modulates a bit stream (length a multiple of BitsPerSymbol)
+// into constellation points in dst, which is grown (reusing its capacity)
+// to len(in)/BitsPerSymbol points; a nil dst allocates.
 func (s Scheme) MapBitsInto(dst []complex128, in []byte) ([]complex128, error) {
 	m := s.BitsPerSymbol()
 	if m == 0 {

@@ -143,7 +143,7 @@ func TestMapErrors(t *testing.T) {
 	if _, err := Scheme(0).Map([]byte{}); err == nil {
 		t.Error("invalid scheme should error")
 	}
-	if _, err := QPSK.MapBits([]byte{0, 1, 1}); err == nil {
+	if _, err := QPSK.MapBitsInto(nil, []byte{0, 1, 1}); err == nil {
 		t.Error("non-multiple bit count should error")
 	}
 }
@@ -205,7 +205,7 @@ func TestMapBitsDemapBitsRoundTrip(t *testing.T) {
 		s := allSchemes[int(schemeIdx)%len(allSchemes)]
 		rng := rand.New(rand.NewSource(seed))
 		in := randomBits(rng, s.BitsPerSymbol()*32)
-		pts, err := s.MapBits(in)
+		pts, err := s.MapBitsInto(nil, in)
 		if err != nil {
 			return false
 		}

@@ -29,7 +29,7 @@ func TestReconstructGridMatchesOriginal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := ReconstructGrid(cfg, psdu)
+	grid, err := ReconstructGridInto(nil, cfg, psdu)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestReconstructGridMatchesOriginal(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ReconstructGrid(TxConfig{}, psdu); err == nil {
+	if _, err := ReconstructGridInto(nil, TxConfig{}, psdu); err == nil {
 		t.Error("invalid config should error")
 	}
 }

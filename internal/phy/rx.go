@@ -59,6 +59,11 @@ func RunFrontEnd(samples []complex128) (*FrontEnd, error) {
 // the first post-preamble OFDM symbol: 0 when that symbol is the SIGNAL
 // field, 1 when the payload follows the preamble directly.
 func RunFrontEndAt(samples []complex128, firstPilotIndex int) (*FrontEnd, error) {
+	return runFrontEnd(&FrontEnd{}, samples, firstPilotIndex)
+}
+
+// runFrontEnd fills fe from samples and records the front-end metrics.
+func runFrontEnd(fe *FrontEnd, samples []complex128, firstPilotIndex int) (*FrontEnd, error) {
 	if len(samples) < ofdm.PreambleLen+ofdm.SymbolLen {
 		return nil, fmt.Errorf("phy: packet too short: %d samples", len(samples))
 	}
@@ -66,20 +71,11 @@ func RunFrontEndAt(samples []complex128, firstPilotIndex int) (*FrontEnd, error)
 	// estimation loops costs the inner function registers (see
 	// coding.Viterbi.Decode for the measurement).
 	start := time.Now()
-	fe, err := runFrontEndAt(samples, firstPilotIndex)
-	if err != nil {
+	if err := frontEndInto(fe, samples, firstPilotIndex); err != nil {
 		return nil, err
 	}
 	mRxFrontEnds.Inc()
 	mRxFrontEndSeconds.ObserveSince(start)
-	return fe, nil
-}
-
-func runFrontEndAt(samples []complex128, firstPilotIndex int) (*FrontEnd, error) {
-	fe := &FrontEnd{}
-	if err := frontEndInto(fe, samples, firstPilotIndex); err != nil {
-		return nil, err
-	}
 	return fe, nil
 }
 

@@ -30,10 +30,12 @@ type TxScratch struct {
 	pkt         TxPacket
 }
 
-// BuildPacketInto is BuildPacket using s as working storage; the returned
-// packet aliases s and is valid until the next build with the same scratch.
-// A nil s builds into fresh storage, making BuildPacketInto(nil, cfg, psdu)
-// equivalent to BuildPacket(cfg, psdu).
+// BuildPacketInto runs the 802.11a transmit chain up to the
+// frequency-domain grid: SERVICE + PSDU + tail + pad, scramble,
+// convolutionally encode, puncture, interleave, and map onto constellation
+// points. s is the working storage; the returned packet aliases s and is
+// valid until the next build with the same scratch. A nil s builds into
+// fresh storage.
 func BuildPacketInto(s *TxScratch, cfg TxConfig, psdu []byte) (*TxPacket, error) {
 	if s == nil {
 		s = &TxScratch{}
@@ -41,8 +43,8 @@ func BuildPacketInto(s *TxScratch, cfg TxConfig, psdu []byte) (*TxPacket, error)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Instrumentation mirrors BuildPacket so metric counts do not depend on
-	// which entry point built the packet.
+	// Instrumentation stays in this wrapper (register pressure, see
+	// coding.Viterbi.Decode).
 	start := time.Now()
 	pkt, err := buildPacketInto(s, cfg, psdu)
 	if err != nil {
@@ -69,8 +71,11 @@ func buildPacketInto(s *TxScratch, cfg TxConfig, psdu []byte) (*TxPacket, error)
 	}
 	bits.FromBytesInto(s.dataBits[serviceBits:serviceBits+8*len(psdu)], psdu)
 
-	// Scramble, then zero the tail and pad bits (see buildPacket for why the
-	// pad is zeroed too).
+	// Scramble everything, then zero the tail bits so the encoder is
+	// flushed to the zero state (17.3.5.3). The pad bits after the tail are
+	// zeroed as well — unlike the standard, which transmits them scrambled —
+	// so the trellis stays terminated through the end of the block; pad bits
+	// carry no information either way.
 	scr := bits.NewScrambler(cfg.seed())
 	s.scrambled = scr.ScrambleInto(s.scrambled, s.dataBits)
 	tailStart := serviceBits + 8*len(psdu)
@@ -125,9 +130,11 @@ func buildPacketInto(s *TxScratch, cfg TxConfig, psdu []byte) (*TxPacket, error)
 	return &s.pkt, nil
 }
 
-// SamplesInto is Samples writing into dst, which is grown (reusing its
-// capacity) to preamble + payload length. The cached preamble is copied and
-// the grid is modulated directly into the destination.
+// SamplesInto renders the packet to baseband time-domain samples: the
+// 320-sample PLCP preamble followed by the cyclic-prefixed OFDM payload
+// symbols. Call after any grid mutation (silence insertion). dst is grown
+// (reusing its capacity) to preamble + payload length; the cached preamble
+// is copied and the grid is modulated directly into the destination.
 func (p *TxPacket) SamplesInto(dst []complex128) ([]complex128, error) {
 	start := time.Now()
 	n := ofdm.PreambleLen + p.Grid.NumSymbols()*ofdm.SymbolLen
@@ -143,9 +150,11 @@ func (p *TxPacket) SamplesInto(dst []complex128) ([]complex128, error) {
 	return dst, nil
 }
 
-// ReconstructGridInto is ReconstructGrid using s as working storage; the
-// returned grid aliases s. It counts as a packet build, exactly like
-// ReconstructGrid.
+// ReconstructGridInto rebuilds the transmitted frequency-domain grid from a
+// correctly decoded PSDU. This is how the paper's receiver obtains ideal
+// constellation points for EVM after a CRC pass (Sec. III-D): re-map the
+// decoded bits rather than assume genie knowledge. s is the working
+// storage; the returned grid aliases s. It counts as a packet build.
 func ReconstructGridInto(s *TxScratch, cfg TxConfig, psdu []byte) (*ofdm.Grid, error) {
 	pkt, err := BuildPacketInto(s, cfg, psdu)
 	if err != nil {
@@ -179,16 +188,5 @@ func RunFrontEndInto(s *RxScratch, samples []complex128) (*FrontEnd, error) {
 	if s == nil {
 		s = &RxScratch{}
 	}
-	if len(samples) < ofdm.PreambleLen+ofdm.SymbolLen {
-		return nil, fmt.Errorf("phy: packet too short: %d samples", len(samples))
-	}
-	// Instrumentation mirrors RunFrontEnd (see the register-pressure note
-	// there).
-	start := time.Now()
-	if err := frontEndInto(&s.fe, samples, 1); err != nil {
-		return nil, err
-	}
-	mRxFrontEnds.Inc()
-	mRxFrontEndSeconds.ObserveSince(start)
-	return &s.fe, nil
+	return runFrontEnd(&s.fe, samples, 1)
 }

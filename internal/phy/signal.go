@@ -75,11 +75,11 @@ func EncodeSignal(m Mode, psduLen int) ([]complex128, error) {
 	if err != nil {
 		return nil, err
 	}
-	interleaved, err := coding.Interleave(il, coded)
+	interleaved, err := coding.InterleaveInto(il, nil, coded)
 	if err != nil {
 		return nil, err
 	}
-	return modulation.BPSK.MapBits(interleaved)
+	return modulation.BPSK.MapBitsInto(nil, interleaved)
 }
 
 // DecodeSignal recovers the mode and PSDU length from the raw FFT bins of
@@ -111,7 +111,7 @@ func DecodeSignal(fe *FrontEnd, bins *ofdm.Bins) (Mode, int, error) {
 	if err != nil {
 		return Mode{}, 0, err
 	}
-	deint, err := coding.Deinterleave(il, metrics)
+	deint, err := coding.DeinterleaveInto(il, nil, metrics)
 	if err != nil {
 		return Mode{}, 0, err
 	}

@@ -2,9 +2,7 @@ package phy
 
 import (
 	"fmt"
-	"time"
 
-	"cos/internal/bits"
 	"cos/internal/coding"
 	"cos/internal/modulation"
 	"cos/internal/obs"
@@ -76,115 +74,14 @@ type TxPacket struct {
 // NumSymbols returns the number of payload OFDM symbols.
 func (p *TxPacket) NumSymbols() int { return p.Grid.NumSymbols() }
 
-// BuildPacket runs the 802.11a transmit chain up to the frequency-domain
-// grid: SERVICE + PSDU + tail + pad, scramble, convolutionally encode,
-// puncture, interleave, and map onto constellation points.
+// BuildPacket is BuildPacketInto with fresh storage.
 func BuildPacket(cfg TxConfig, psdu []byte) (*TxPacket, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	// Instrumentation stays in this wrapper (register pressure, see
-	// coding.Viterbi.Decode).
-	start := time.Now()
-	pkt, err := buildPacket(cfg, psdu)
-	if err != nil {
-		return nil, err
-	}
-	mTxPackets.Inc()
-	mTxBuildSeconds.ObserveSince(start)
-	return pkt, nil
+	return BuildPacketInto(nil, cfg, psdu)
 }
 
-func buildPacket(cfg TxConfig, psdu []byte) (*TxPacket, error) {
-	m := cfg.Mode
-
-	// Assemble data bits: SERVICE (16 zeros) + PSDU + 6 tail zeros, padded
-	// to a whole number of OFDM symbols.
-	nSym := m.SymbolsForPSDU(len(psdu))
-	total := nSym * m.NDBPS()
-	data := make([]byte, 0, total)
-	data = append(data, make([]byte, serviceBits)...)
-	data = append(data, bits.FromBytes(psdu)...)
-	data = append(data, make([]byte, total-len(data))...)
-
-	// Scramble everything, then zero the tail bits so the encoder is
-	// flushed to the zero state (17.3.5.3). The pad bits after the tail are
-	// zeroed as well — unlike the standard, which transmits them scrambled —
-	// so the trellis stays terminated through the end of the block; pad bits
-	// carry no information either way.
-	scr := bits.NewScrambler(cfg.seed())
-	scrambled := scr.Scramble(data)
-	tailStart := serviceBits + 8*len(psdu)
-	for i := tailStart; i < len(scrambled); i++ {
-		scrambled[i] = 0
-	}
-
-	coded, err := coding.ConvEncode(scrambled)
-	if err != nil {
-		return nil, err
-	}
-	punctured, err := coding.Puncture(coded, m.CodeRate)
-	if err != nil {
-		return nil, err
-	}
-	il, err := coding.CachedInterleaver(m.NCBPS(), m.NBPSC())
-	if err != nil {
-		return nil, err
-	}
-	interleaved, err := coding.Interleave(il, punctured)
-	if err != nil {
-		return nil, err
-	}
-	points, err := m.Modulation.MapBits(interleaved)
-	if err != nil {
-		return nil, err
-	}
-	if len(points) != nSym*ofdm.NumData {
-		return nil, fmt.Errorf("phy: internal error: %d points for %d symbols", len(points), nSym)
-	}
-	grid := ofdm.NewGrid(nSym)
-	for s := 0; s < nSym; s++ {
-		row, err := grid.Symbol(s)
-		if err != nil {
-			return nil, err
-		}
-		copy(row, points[s*ofdm.NumData:(s+1)*ofdm.NumData])
-	}
-	return &TxPacket{
-		Config:        cfg,
-		PSDU:          append([]byte(nil), psdu...),
-		Grid:          grid,
-		CodedBits:     interleaved,
-		ScrambledBits: scrambled,
-	}, nil
-}
-
-// Samples renders the packet to baseband time-domain samples: the 320-sample
-// PLCP preamble followed by the cyclic-prefixed OFDM payload symbols. Call
-// after any grid mutation (silence insertion).
+// Samples is SamplesInto with a fresh destination.
 func (p *TxPacket) Samples() ([]complex128, error) {
-	start := time.Now()
-	payload, err := p.Grid.Modulate(1) // data symbols start at pilot index 1
-	if err != nil {
-		return nil, err
-	}
-	out := make([]complex128, 0, ofdm.PreambleLen+len(payload))
-	out = append(out, ofdm.Preamble()...)
-	out = append(out, payload...)
-	mTxModulateSeconds.ObserveSince(start)
-	return out, nil
-}
-
-// ReconstructGrid rebuilds the transmitted frequency-domain grid from a
-// correctly decoded PSDU. This is how the paper's receiver obtains ideal
-// constellation points for EVM after a CRC pass (Sec. III-D): re-map the
-// decoded bits rather than assume genie knowledge.
-func ReconstructGrid(cfg TxConfig, psdu []byte) (*ofdm.Grid, error) {
-	pkt, err := BuildPacket(cfg, psdu)
-	if err != nil {
-		return nil, err
-	}
-	return pkt.Grid, nil
+	return p.SamplesInto(nil)
 }
 
 // mapperFor returns the interleaver for a mode (shared by RX). Interleavers

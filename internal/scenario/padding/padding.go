@@ -8,7 +8,7 @@
 // decodes (they share the data packet's fate).
 //
 // Mechanically: the transmit chain zeroes the scrambled-domain tail and
-// pad (see phy.buildPacket), so the pad region of the receiver's
+// pad (see phy.BuildPacketInto), so the pad region of the receiver's
 // descrambled DataBits is pure keystream. Embed writes ctrl XOR keystream
 // into the scrambled pad — leaving the final 6 scrambled bits zero so the
 // trellis stays terminated — and rebuilds the coded chain and grid;

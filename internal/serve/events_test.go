@@ -8,6 +8,7 @@ import (
 	"cos"
 	"cos/internal/obs"
 	"cos/internal/obs/event"
+	"cos/internal/serve/store"
 )
 
 // eventsOfType filters a journal snapshot.
@@ -188,6 +189,47 @@ func TestRejectEventsCarryQueueContext(t *testing.T) {
 	}
 	if !sawInvalid || !sawOverload {
 		t.Fatalf("missing reject reasons: invalid=%v overload=%v", sawInvalid, sawOverload)
+	}
+}
+
+// TestAdmittedPrecedesStarted: a job's admitted event is journaled before
+// a worker can dequeue it. The store's admission fsync runs off the server
+// lock after the job is queued, so an admitted event emitted after that
+// point would let an idle worker journal job_started first.
+func TestAdmittedPrecedesStarted(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const n = 40
+	s := New(Config{Shards: 1, QueueDepth: n, Metrics: obs.NewRegistry(), Store: st})
+	jobs := make([]*Job, 0, n)
+	for i := 0; i < n; i++ {
+		j, err := s.Submit(fastLinkSpec(int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	for _, j := range jobs {
+		<-j.Done()
+	}
+	s.Drain(5 * time.Second)
+
+	evs := s.Journal().Snapshot(0)
+	admitted := make(map[string]uint64, n)
+	for _, ev := range eventsOfType(evs, EventJobAdmitted) {
+		admitted[ev.Job] = ev.Seq
+	}
+	started := eventsOfType(evs, EventJobStarted)
+	if len(admitted) != n || len(started) != n {
+		t.Fatalf("admitted %d, started %d events; want %d each", len(admitted), len(started), n)
+	}
+	for _, ev := range started {
+		if seq, ok := admitted[ev.Job]; !ok || seq >= ev.Seq {
+			t.Errorf("%s: job_started seq %d, job_admitted seq %d (present %v)", ev.Job, ev.Seq, seq, ok)
+		}
 	}
 }
 

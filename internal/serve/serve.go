@@ -31,7 +31,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -415,41 +414,40 @@ func (s *Server) SubmitWith(spec Spec, opts SubmitOptions) (*Job, error) {
 	}
 	shardIdx := int(s.nextSh % uint64(len(s.shards)))
 	shard := s.shards[shardIdx]
-	// Depth is measured before the send so the admitted event can report
-	// "queue depth including this job" without racing the worker's dequeue.
 	depthBefore := len(shard)
-	select {
-	case shard <- job:
-		s.nextSh++
-		s.jobs[job.id] = job
-		s.order = append(s.order, job.id)
-		s.byDigest[digest] = job
-		if opts.IdempotencyKey != "" {
-			s.byKey[opts.IdempotencyKey] = job
-		}
-		s.mu.Unlock()
-		s.logSubmit(job)
-		s.submitted.Inc()
-		if s.cfg.Cache != nil {
-			s.cacheMisses.Inc()
-		}
-		s.queueDepth.Add(1)
-		s.noteSubmit(false)
-		s.emit(EventJobAdmitted, job.id, AdmittedEvent{
-			Kind: norm.Kind, Seed: norm.Seed, Shard: shardIdx, QueueDepth: depthBefore + 1,
-		})
-		return job, nil
-	default:
-		s.nextID--          // job was never admitted; reuse the ID
-		depth := cap(shard) // rejected because the queue was at capacity
+	if depthBefore == cap(shard) {
+		s.nextID-- // job was never admitted; reuse the ID
 		s.mu.Unlock()
 		s.rejected.With("overload").Inc()
 		s.noteSubmit(true)
 		s.emit(EventJobRejected, "", RejectedEvent{
-			Reason: "overload", Kind: norm.Kind, Shard: shardIdx, QueueDepth: depth,
+			Reason: "overload", Kind: norm.Kind, Shard: shardIdx, QueueDepth: depthBefore,
 		})
 		return nil, ErrOverloaded
 	}
+	s.nextSh++
+	s.jobs[job.id] = job
+	s.order = append(s.order, job.id)
+	s.byDigest[digest] = job
+	if opts.IdempotencyKey != "" {
+		s.byKey[opts.IdempotencyKey] = job
+	}
+	// The admitted event and the depth gauge precede the send: once the job
+	// is in the queue a worker may journal job_started and decrement the
+	// gauge at any moment.
+	s.queueDepth.Add(1)
+	s.emit(EventJobAdmitted, job.id, AdmittedEvent{
+		Kind: norm.Kind, Seed: norm.Seed, Shard: shardIdx, QueueDepth: depthBefore + 1,
+	})
+	shard <- job // never blocks: every send happens under s.mu and the queue has room
+	s.mu.Unlock()
+	s.logSubmit(job)
+	s.submitted.Inc()
+	if s.cfg.Cache != nil {
+		s.cacheMisses.Inc()
+	}
+	s.noteSubmit(false)
+	return job, nil
 }
 
 // lookupResultLocked resolves digest to a finished result body: the cache
@@ -807,12 +805,6 @@ func (s *Server) runJob(j *Job) {
 		s.finished.With("failed").Inc()
 		j.finish(StateFailed, err.Error(), hooks(StateFailed)...)
 	}
-}
-
-// SortStatuses orders statuses by ID (submission order, since IDs are
-// zero-padded sequence numbers).
-func SortStatuses(sts []Status) {
-	sort.Slice(sts, func(i, k int) bool { return sts[i].ID < sts[k].ID })
 }
 
 // queueLen is a test hook: total queued jobs across shards.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -134,6 +135,53 @@ func TestDecodeCanonicalRoundTrip(t *testing.T) {
 	if _, err := DecodeCanonical([]byte(`{"spec_schema":99,"spec":{"kind":"link"}}`)); err == nil {
 		t.Error("DecodeCanonical accepted an unknown schema version")
 	}
+}
+
+// FuzzDecodeSpec: DecodeSpec reads untrusted request bodies, so no input
+// may panic it, and any spec it accepts must have a stable content
+// address: Canonical -> DecodeCanonical -> Canonical reproduces the same
+// bytes and the same digest.
+func FuzzDecodeSpec(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "spec_canonical_v1.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	golden = bytes.TrimRight(golden, "\n")
+	var wrap struct {
+		Spec json.RawMessage `json:"spec"`
+	}
+	if err := json.Unmarshal(golden, &wrap); err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(wrap.Spec))
+	f.Add(golden)
+	f.Add([]byte(`{"kind":"figure_task","figure":"fig3","task":2,"scale":0.05}`))
+	f.Add([]byte(`{"kind":"link","position":"c","scenario":"pulse:40,160,0.004"}`))
+	f.Add([]byte(`{}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSpec(data)
+		if err != nil {
+			return
+		}
+		first, err := s.Canonical()
+		if err != nil {
+			t.Fatalf("Canonical of accepted spec %+v: %v", s, err)
+		}
+		back, err := DecodeCanonical(first)
+		if err != nil {
+			t.Fatalf("DecodeCanonical(%s): %v", first, err)
+		}
+		second, err := back.Canonical()
+		if err != nil {
+			t.Fatalf("Canonical of round-tripped spec %+v: %v", back, err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("canonical bytes drifted:\n first: %s\nsecond: %s", first, second)
+		}
+		if back.Digest() != s.Digest() {
+			t.Fatalf("digest drifted across the canonical round trip: %s", first)
+		}
+	})
 }
 
 func TestIsDigest(t *testing.T) {
