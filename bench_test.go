@@ -27,17 +27,9 @@ import (
 	"cos/internal/phy"
 )
 
-// benchParallelOut enables TestWriteBenchParallelReport; `make
-// bench-parallel` points it at BENCH_parallel.json.
-var benchParallelOut = flag.String("bench-parallel-out", "", "write the parallel-engine speedup report to this JSON file")
-
 // benchTraceOut enables TestWriteBenchTraceReport; `make bench-trace`
 // points it at BENCH_trace.json.
 var benchTraceOut = flag.String("bench-trace-out", "", "write the span/probe overhead report to this JSON file")
-
-// benchPipelineOut enables TestWriteBenchPipelineReport; `make
-// bench-pipeline` points it at BENCH_pipeline.json.
-var benchPipelineOut = flag.String("bench-pipeline-out", "", "write the pipeline scratch-reuse report to this JSON file")
 
 // benchScale shrinks experiment sample sizes so the full benchmark suite
 // completes in minutes; shapes (who wins, where crossovers fall) persist.
@@ -67,7 +59,8 @@ func runFigure(b *testing.B, id string) {
 // worker pool at 2, 4 and GOMAXPROCS workers on the same figure; the output
 // is bit-identical across all of them (TestParallelMatchesSerial* assert
 // this), so the benchmark isolates pure scheduling overhead/speedup.
-// BENCH_parallel.json records the measured ratios.
+// cos-bench's figures workload times a whole figure locally
+// (experiments.figure_local_s) and over a fleet.
 func benchmarkParallel(b *testing.B, id string) {
 	counts := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
 	for _, w := range counts {
@@ -88,158 +81,6 @@ func fmtWorkers(w int) string {
 func BenchmarkParallelFig3(b *testing.B)   { benchmarkParallel(b, "fig3") }
 func BenchmarkParallelFig10c(b *testing.B) { benchmarkParallel(b, "fig10c") }
 func BenchmarkParallelFig2(b *testing.B)   { benchmarkParallel(b, "fig2") }
-
-// TestWriteBenchParallelReport regenerates BENCH_parallel.json (via
-// `make bench-parallel`): for each measured figure it times one serial
-// run and one run at GOMAXPROCS workers, asserts the two outputs are
-// byte-identical, and records the speedup. It skips itself unless
-// -bench-parallel-out is set so `go test ./...` stays fast.
-func TestWriteBenchParallelReport(t *testing.T) {
-	if *benchParallelOut == "" {
-		t.Skip("set -bench-parallel-out to write the report")
-	}
-	type figureReport struct {
-		ID              string  `json:"id"`
-		Scale           float64 `json:"scale"`
-		Tasks           int     `json:"tasks"`
-		SerialSeconds   float64 `json:"serial_seconds"`
-		ParallelSeconds float64 `json:"parallel_seconds"`
-		Workers         int     `json:"workers"`
-		Speedup         float64 `json:"speedup"`
-		OutputIdentical bool    `json:"output_identical"`
-	}
-	workers := runtime.GOMAXPROCS(0)
-	timedRun := func(id string, scale float64, w int) (string, float64) {
-		start := time.Now()
-		res, err := experiments.Run(context.Background(), id,
-			experiments.RunOptions{Scale: scale, Workers: w})
-		if err != nil {
-			t.Fatalf("%s workers=%d: %v", id, w, err)
-		}
-		return res.String(), time.Since(start).Seconds()
-	}
-	var figures []figureReport
-	for _, m := range []struct {
-		id    string
-		scale float64
-	}{
-		{"fig3", 0.25},
-		{"fig10c", 0.1},
-		{"fig2", 0.5},
-	} {
-		serialOut, serialSec := timedRun(m.id, m.scale, 1)
-		parOut, parSec := timedRun(m.id, m.scale, workers)
-		identical := serialOut == parOut
-		if !identical {
-			t.Errorf("%s: parallel output differs from serial", m.id)
-		}
-		rows := 0
-		for _, c := range serialOut {
-			if c == '\n' {
-				rows++
-			}
-		}
-		figures = append(figures, figureReport{
-			ID: m.id, Scale: m.scale, Tasks: rows,
-			SerialSeconds: serialSec, ParallelSeconds: parSec,
-			Workers: workers, Speedup: serialSec / parSec,
-			OutputIdentical: identical,
-		})
-	}
-	report := struct {
-		GeneratedBy string         `json:"generated_by"`
-		GoMaxProcs  int            `json:"gomaxprocs"`
-		NumCPU      int            `json:"num_cpu"`
-		Methodology string         `json:"methodology"`
-		Figures     []figureReport `json:"figures"`
-	}{
-		GeneratedBy: "make bench-parallel",
-		GoMaxProcs:  workers,
-		NumCPU:      runtime.NumCPU(),
-		Methodology: "Each figure is run once at workers=1 (the pool's serial fast " +
-			"path) and once at workers=GOMAXPROCS, timing Run() end to end. " +
-			"Per-task RNGs are derived as seed^taskIndex and results are " +
-			"reassembled in task-index order, so the two outputs are required " +
-			"to be byte-identical (output_identical); the speedup therefore " +
-			"measures pure scheduling gain on bit-equivalent work. Speedup " +
-			"scales with available cores: on a single-CPU host (gomaxprocs=1) " +
-			"it is ~1.0 by construction, and the >=3x acceptance figure applies " +
-			"to an 8-core runner.",
-		Figures: figures,
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(*benchParallelOut, append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (gomaxprocs=%d)", *benchParallelOut, workers)
-}
-
-// TestWriteBenchPipelineReport records the cost of one steady-state
-// Link.Send before and after the TX/Channel/RX node split with per-node
-// scratch arenas. The "after" numbers are measured live; the "before"
-// numbers are frozen from the last pre-split commit, re-measured on this
-// container so both sides saw the same hardware.
-func TestWriteBenchPipelineReport(t *testing.T) {
-	if *benchPipelineOut == "" {
-		t.Skip("set -bench-pipeline-out to write the report")
-	}
-	type metrics struct {
-		NsPerOp     int64 `json:"ns_per_op"`
-		BytesPerOp  int64 `json:"bytes_per_op"`
-		AllocsPerOp int64 `json:"allocs_per_op"`
-	}
-	// BenchmarkLinkExchange at commit 3831f84 (monolithic Link.Send,
-	// allocating PHY helpers), `go test -bench BenchmarkLinkExchange$
-	// -benchtime 30x` on this container.
-	before := metrics{NsPerOp: 6966938, BytesPerOp: 2067999, AllocsPerOp: 9168}
-	res := testing.Benchmark(func(b *testing.B) { runLinkExchange(b) })
-	after := metrics{
-		NsPerOp:     res.NsPerOp(),
-		BytesPerOp:  res.AllocedBytesPerOp(),
-		AllocsPerOp: res.AllocsPerOp(),
-	}
-	report := struct {
-		GeneratedBy    string  `json:"generated_by"`
-		GoMaxProcs     int     `json:"gomaxprocs"`
-		NumCPU         int     `json:"num_cpu"`
-		Methodology    string  `json:"methodology"`
-		Benchmark      string  `json:"benchmark"`
-		Before         metrics `json:"before"`
-		After          metrics `json:"after"`
-		Speedup        float64 `json:"speedup"`
-		AllocReduction float64 `json:"alloc_reduction"`
-	}{
-		GeneratedBy: "make bench-pipeline",
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		Methodology: "Both sides run BenchmarkLinkExchange: a warmed Link at 20 dB " +
-			"(seed 6) sending 1024-byte data packets with adaptive-budget control " +
-			"bits, i.e. the full TX -> channel -> RX -> feedback loop per op. " +
-			"'before' is frozen from the last commit before the node split, " +
-			"re-measured on this same container rather than copied from older " +
-			"hardware; 'after' is measured live by this test, so it drifts with " +
-			"machine load while allocs_per_op is exact and machine-independent. " +
-			"The remaining after-allocations are the returned Exchange and its " +
-			"copied-out result slices, which Send must not alias to scratch.",
-		Benchmark:      "LinkExchange (1024-byte data, adaptive control bits, SNR 20 dB, seed 6)",
-		Before:         before,
-		After:          after,
-		Speedup:        float64(before.NsPerOp) / float64(after.NsPerOp),
-		AllocReduction: 1 - float64(after.AllocsPerOp)/float64(before.AllocsPerOp),
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(*benchPipelineOut, append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (%.2fx faster, %.1f%% fewer allocs)", *benchPipelineOut,
-		report.Speedup, 100*report.AllocReduction)
-}
 
 // --- Paper figures -------------------------------------------------------
 
@@ -413,8 +254,9 @@ func BenchmarkLinkExchange(b *testing.B) { runLinkExchange(b) }
 // BenchmarkLinkExchangeInstrumented adds the heaviest observability setup a
 // session can have — an isolated registry plus an attached observer — on
 // top of the always-on pipeline metrics. Comparing against
-// BenchmarkLinkExchange bounds the marginal cost of the hook itself;
-// BENCH_obs.json records both against the pre-instrumentation baseline.
+// BenchmarkLinkExchange bounds the marginal cost of the hook itself.
+// The <2% observer budget is enforced by `make bench-events`, which times
+// the same loop with and without an observer.
 func BenchmarkLinkExchangeInstrumented(b *testing.B) {
 	var observed int
 	runLinkExchange(b,

@@ -22,8 +22,9 @@
 // atomic words, histograms are fixed bucket arrays with atomic adds, and
 // instrumented packages resolve their metric handles once at init (or
 // link construction) rather than per observation. The overhead budget on
-// Link.Send is <2%, enforced by BENCH_obs.json and
-// BenchmarkLinkExchangeInstrumented at the repository root.
+// Link.Send is <2%: `make bench-events` times a link with and without an
+// attached observer and fails above 2%; BenchmarkLinkExchangeInstrumented
+// at the repository root measures the same cost by hand.
 //
 // SpanSet/Span time multi-stage pipelines: a SpanSet registers one
 // latency histogram per named stage and keeps an atomic per-owner

@@ -17,8 +17,8 @@ import (
 // points it at BENCH_events.json.
 var benchEventsOut = flag.String("bench-events-out", "", "write the event-journal overhead report to this JSON file")
 
-// benchSaturate runs the same saturation loop as the serve throughput
-// bench and returns sustained jobs/sec.
+// benchSaturate submits small link jobs until the window closes,
+// resubmitting on backpressure, and returns sustained jobs/sec.
 func benchSaturate(t *testing.T, cfg Config, window time.Duration) float64 {
 	t.Helper()
 	s := New(cfg)

@@ -102,6 +102,50 @@ func TestNoCacheMeansEverySubmissionRuns(t *testing.T) {
 	}
 }
 
+// TestCacheWarmTenfoldOverCold is the cache's acceptance bar: n distinct
+// link specs run cold on the shard pool, then are resubmitted warm and
+// served from the cache. Every warm stream must be byte-identical to its
+// cold run, and the warm pass must finish at least 10x faster — a hit is
+// a map lookup plus a buffer copy, against an FFT/Viterbi simulation.
+func TestCacheWarmTenfoldOverCold(t *testing.T) {
+	const n = 8
+	s := newTestServer(t, Config{Shards: 2, QueueDepth: n, Cache: cache.New(0)})
+	runAll := func(wantCached bool) (time.Duration, [][]byte) {
+		start := time.Now()
+		jobs := make([]*Job, 0, n)
+		for i := 0; i < n; i++ {
+			j, err := s.Submit(Spec{Kind: KindLink, Seed: int64(i + 1), PayloadBytes: 256, Packets: 10, ControlBits: 32})
+			if err != nil {
+				t.Fatalf("submit %d: %v", i, err)
+			}
+			if j.Cached() != wantCached {
+				t.Fatalf("job %d cached=%v, want %v", i, j.Cached(), wantCached)
+			}
+			jobs = append(jobs, j)
+		}
+		bodies := make([][]byte, 0, n)
+		for i, j := range jobs {
+			if st := waitTerminal(t, j, 60*time.Second); st.State != "done" {
+				t.Fatalf("job %d finished %q (err %q)", i, st.State, st.Error)
+			}
+			bodies = append(bodies, readAll(t, j))
+		}
+		return time.Since(start), bodies
+	}
+
+	cold, coldBodies := runAll(false)
+	warm, warmBodies := runAll(true)
+	for i := range coldBodies {
+		if !bytes.Equal(coldBodies[i], warmBodies[i]) {
+			t.Fatalf("spec %d: warm stream differs from cold (%d vs %d bytes)",
+				i, len(warmBodies[i]), len(coldBodies[i]))
+		}
+	}
+	if speedup := cold.Seconds() / warm.Seconds(); speedup < 10 {
+		t.Fatalf("warm/cold speedup = %.1fx, want >= 10x (cold %v, warm %v for %d jobs)", speedup, cold, warm, n)
+	}
+}
+
 func TestIdempotencyKeyReturnsSameJob(t *testing.T) {
 	s := newTestServer(t, Config{Shards: 1})
 	j1, err := s.SubmitWith(fastLinkSpec(9), SubmitOptions{IdempotencyKey: "retry-1"})

@@ -121,6 +121,9 @@ func TestTracedJobsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if digest == "" || len(body) == 0 {
+			t.Fatalf("server %d: empty trace (digest %q, %d bytes)", i, digest, len(body))
+		}
 		bodies = append(bodies, body)
 		digests = append(digests, digest)
 	}
