@@ -23,13 +23,16 @@ race:
 
 # The pre-merge gate. Every short test runs under the race detector, so a
 # new test is raced without a new line here; the tests that skip under
-# -short (goldens, cos-serve subprocesses) and cmd/cos-bench, a module of
-# its own that ./... does not enter, get lines of their own.
+# -short (goldens, the tiny whole-registry figure sweeps, cos-serve
+# subprocesses) and cmd/cos-bench, a module of its own that ./... does not
+# enter, get lines of their own.
 ci: build vet
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) test -race -short ./...
 	$(GO) test -run 'TestPipelineGolden|TestScenarioLinkGoldens|TestLinkSendSteadyStateAllocs|TestStandaloneNodesMatchLink' .
+	$(GO) test -run 'TestRegistryRunsEverythingTiny|TestFig9TinyShape' ./internal/experiments/
+	$(GO) test -run 'TestStreamWLANAndFigureJobs' ./internal/serve/
 	$(GO) test -race -run 'TestSIGTERMDrainsGracefully|TestRestartServesDurableResults' ./cmd/cos-serve/
 	$(GO) -C cmd/cos-bench vet ./...
 	$(GO) -C cmd/cos-bench test -short ./...

@@ -1,8 +1,9 @@
 // Command cos-serve is the long-lived CoS simulation service: an HTTP/JSON
 // API that accepts simulation jobs — link exchanges, control streams, WLAN
-// coordination rounds, and named experiment figures — runs them on a
-// sharded worker pool with deterministic per-job seeds, and streams each
-// job's results back as NDJSON.
+// coordination rounds, and experiment figure point-tasks (figure_task; a
+// whole figure is assembled client-side by cos-figures -fleet) — runs them
+// on a sharded worker pool with deterministic per-job seeds, and streams
+// each job's results back as NDJSON.
 //
 //	cos-serve -addr :8866 -shards 4 -queue-depth 32
 //	cos-serve -addr :8866 -metrics-addr :8080 -stats 10s

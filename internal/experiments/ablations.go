@@ -16,38 +16,35 @@ import (
 	"cos/internal/scenario"
 )
 
+// ablationPackets is the packets per measured point of every ablation
+// before scaling.
+const ablationPackets = 120
+
 // AblationConfig parameterizes the design-choice ablations.
 type AblationConfig struct {
-	// Packets per measured point (default 120).
-	Packets int
-	// Scale shrinks Packets.
+	// Scale shrinks the packets per measured point.
 	Scale float64
 	// Seed drives all randomness.
 	Seed int64
-	// Workers bounds the point-task pool (0 = GOMAXPROCS).
-	Workers int
 	// Scenario is an optional scenario reference ("" = default world).
 	Scenario string
 }
 
 func (c *AblationConfig) setDefaults() {
-	if c.Packets == 0 {
-		c.Packets = 120
-	}
-	if c.Scale == 0 {
-		c.Scale = 1
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 }
 
-// ablationEVDTasks is the EVD ablation with one point-task per silence
-// budget; each records the (EVD, erasure-ignorant) PRR pair.
+// ablationEVDTasks compares erasure Viterbi decoding (silences marked via
+// the detected mask) against erasure-ignorant decoding (silences demapped
+// as if they were data) as the silence load grows: PRR vs silences per
+// packet. This isolates the value of Sec. III-E. It has one point-task per
+// silence budget; each records the (EVD, erasure-ignorant) PRR pair.
 func ablationEVDTasks(cfg AblationConfig) TaskSet {
 	cfg.setDefaults()
 	const snr = 15.0
-	packets := scaled(cfg.Packets, cfg.Scale)
+	packets := scaled(ablationPackets, cfg.Scale)
 	budgets := []int{0, 4, 8, 16, 24, 32, 48, 64}
 	return tasks[[2]float64]{
 		n: len(budgets),
@@ -122,25 +119,21 @@ func ablationEVDTasks(cfg AblationConfig) TaskSet {
 	}
 }
 
-// AblationEVD compares erasure Viterbi decoding (silences marked via the
-// detected mask) against erasure-ignorant decoding (silences demapped as if
-// they were data) as the silence load grows: PRR vs silences per packet.
-// This isolates the value of Sec. III-E. Each budget is one point-task.
-func AblationEVD(ctx context.Context, cfg AblationConfig) (*Result, error) {
-	return runTasks(ctx, "ablation-evd", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, ablationEVDTasks(cfg))
-}
-
 // placementNames labels the placement strategies in task order.
 var placementNames = []string{"WeakSubcarriers", "RandomSubcarriers", "StrongSubcarriers"}
 
-// ablationPlacementTasks is the placement ablation with one point-task per
-// (placement, budget) cell; each records its PRR. The weak and strong
-// subcarrier sets are ranked once per TaskSet from the channel's response
-// (genie knowledge, no randomness).
+// ablationPlacementTasks compares silence placement strategies at a fixed
+// silence load: on the weakest subcarriers (CoS), on random subcarriers,
+// and on the strongest subcarriers. Decoding uses the genie mask so the
+// measurement isolates how many *new* symbol errors each placement adds,
+// independent of detection quality — the claim of Sec. II-D. It has one
+// point-task per (placement, budget) cell; each records its PRR. The weak
+// and strong subcarrier sets are ranked once per TaskSet from the
+// channel's response (genie knowledge, no randomness).
 func ablationPlacementTasks(cfg AblationConfig) TaskSet {
 	cfg.setDefaults()
 	const snr = 17.2 // just above the 16 dB threshold: the budget binds
-	packets := scaled(cfg.Packets, cfg.Scale)
+	packets := scaled(ablationPackets, cfg.Scale)
 	budgets := []int{16, 48, 96, 144}
 	ranking := sync.OnceValues(func() ([2][]int, error) {
 		ch, err := trialChannel(cfg.Scenario, channel.PositionA, false, 13)
@@ -257,16 +250,6 @@ func weakStrongSubcarriers(ch scenario.ChannelModel) ([2][]int, error) {
 	return [2][]int{pick(ranked[:8]), pick(ranked[len(ranked)-8:])}, nil
 }
 
-// AblationPlacement compares silence placement strategies at a fixed
-// silence load: on the weakest subcarriers (CoS), on random subcarriers,
-// and on the strongest subcarriers. Decoding uses the genie mask so the
-// measurement isolates how many *new* symbol errors each placement adds,
-// independent of detection quality — the claim of Sec. II-D.
-// Each (placement, budget) cell is one point-task.
-func AblationPlacement(ctx context.Context, cfg AblationConfig) (*Result, error) {
-	return runTasks(ctx, "ablation-placement", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, ablationPlacementTasks(cfg))
-}
-
 // randomPlacement scatters n silences uniformly over the (symbol, ctrlSC)
 // traversal of a packet.
 func randomPlacement(rng *rand.Rand, n, nSym int, ctrlSCs []int) ([]icos.Pos, error) {
@@ -283,13 +266,15 @@ func randomPlacement(rng *rand.Rand, n, nSym int, ctrlSCs []int) ([]icos.Pos, er
 	return out, nil
 }
 
-// ablationThresholdTasks is the threshold ablation: task 0 is reserved for
-// the fixed-threshold calibration prelude's RNG (pool.TaskRNG(seed, 0)),
-// tasks 1..len(snrs) the SNR points, each recording its (adaptive, fixed)
-// control delivery rates.
+// ablationThresholdTasks compares the adaptive per-subcarrier detector
+// against a fixed global threshold on control-message delivery across SNRs
+// — the value of the pilot-aided noise tracking of Sec. III-C. Task 0 is
+// reserved for the fixed-threshold calibration prelude's RNG
+// (pool.TaskRNG(seed, 0)); tasks 1..len(snrs) are the SNR points, each
+// recording its (adaptive, fixed) control delivery rates.
 func ablationThresholdTasks(cfg AblationConfig) TaskSet {
 	cfg.setDefaults()
-	packets := scaled(cfg.Packets, cfg.Scale)
+	packets := scaled(ablationPackets, cfg.Scale)
 	snrs := []float64{6, 9, 12, 15, 18, 21}
 	// The fixed threshold is calibrated once at the middle SNR, then used
 	// everywhere — what a non-adaptive implementation would do.
@@ -377,19 +362,13 @@ func ablationThresholdTasks(cfg AblationConfig) TaskSet {
 	}
 }
 
-// AblationThreshold compares the adaptive per-subcarrier detector against a
-// fixed global threshold on control-message delivery across SNRs — the
-// value of the pilot-aided noise tracking of Sec. III-C.
-func AblationThreshold(ctx context.Context, cfg AblationConfig) (*Result, error) {
-	return runTasks(ctx, "ablation-threshold", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, ablationThresholdTasks(cfg))
-}
-
-// controlAccuracyTasks is the headline accuracy measurement with one
-// point-task per SNR point; each records its (control delivery, data PRR)
-// pair.
+// controlAccuracyTasks measures the paper's headline claim — control
+// messages delivered with close to 100% accuracy across the practical SNR
+// region — using the full closed-loop pipeline. It has one point-task per
+// SNR point; each records its (control delivery, data PRR) pair.
 func controlAccuracyTasks(cfg AblationConfig) TaskSet {
 	cfg.setDefaults()
-	packets := scaled(cfg.Packets, cfg.Scale)
+	packets := scaled(ablationPackets, cfg.Scale)
 	snrs := []float64{8, 10, 12, 14, 16, 18, 20, 22}
 	return tasks[[2]float64]{
 		n: len(snrs),
@@ -450,19 +429,14 @@ func controlAccuracyTasks(cfg AblationConfig) TaskSet {
 	}
 }
 
-// ControlAccuracy measures the paper's headline claim — control messages
-// delivered with close to 100% accuracy across the practical SNR region —
-// using the full closed-loop pipeline. One point-task per SNR point.
-func ControlAccuracy(ctx context.Context, cfg AblationConfig) (*Result, error) {
-	return runTasks(ctx, "accuracy", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, controlAccuracyTasks(cfg))
-}
-
-// ablationQuantizationTasks is the LLR-width ablation with one point-task
-// per SNR point, the widths swept inside the task (they share the point's
+// ablationQuantizationTasks measures the PRR cost of fixed-point LLRs in
+// the CoS pipeline: packets with a realistic silence load decoded with
+// float, 5-bit, 4-bit and 3-bit decoder inputs. It has one point-task per
+// SNR point, the widths swept inside the task (they share the point's
 // calibration); each records its PRR per width.
 func ablationQuantizationTasks(cfg AblationConfig) TaskSet {
 	cfg.setDefaults()
-	packets := scaled(cfg.Packets, cfg.Scale)
+	packets := scaled(ablationPackets, cfg.Scale)
 	snrs := []float64{13, 14, 15, 16}
 	widths := []int{0, 5, 4, 3} // 0 = float
 	return tasks[[]float64]{
@@ -535,11 +509,4 @@ func ablationQuantizationTasks(cfg AblationConfig) TaskSet {
 			return res, nil
 		},
 	}
-}
-
-// AblationQuantization measures the PRR cost of fixed-point LLRs in the
-// CoS pipeline: packets with a realistic silence load decoded with float,
-// 5-bit, 4-bit and 3-bit decoder inputs. One point-task per SNR point.
-func AblationQuantization(ctx context.Context, cfg AblationConfig) (*Result, error) {
-	return runTasks(ctx, "ablation-quantization", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, ablationQuantizationTasks(cfg))
 }

@@ -29,7 +29,7 @@ func seriesNames(r *Result) []string {
 }
 
 func TestFig2ShapeActualAboveMinRequired(t *testing.T) {
-	res, err := Fig2SNRGap(context.Background(), Fig2Config{Variants: 2, Step: 2})
+	res, err := runTasks(context.Background(), "fig2", RunOptions{}, fig2Tasks(Fig2Config{Variants: 2, Step: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFig2ShapeActualAboveMinRequired(t *testing.T) {
 }
 
 func TestFig3ShapeBERDecreasesWithSNR(t *testing.T) {
-	res, err := Fig3DecoderBER(context.Background(), Fig3Config{Scale: 0.25, Step: 1.3})
+	res, err := runTasks(context.Background(), "fig3", RunOptions{}, fig3Tasks(Fig3Config{Scale: 0.25, Step: 1.3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestFig3ShapeBERDecreasesWithSNR(t *testing.T) {
 }
 
 func TestFig5ShapeFrequencyDiversity(t *testing.T) {
-	res, err := Fig5EVM(context.Background(), Fig5Config{Scale: 0.3})
+	res, err := runTasks(context.Background(), "fig5", RunOptions{}, fig5Tasks(Fig5Config{Scale: 0.3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestFig5ShapeFrequencyDiversity(t *testing.T) {
 }
 
 func TestFig6ShapePeriodicErrors(t *testing.T) {
-	res, err := Fig6ErrorPattern(context.Background(), Fig6Config{Scale: 0.15})
+	res, err := runTasks(context.Background(), "fig6", RunOptions{}, fig6Tasks(Fig6Config{Scale: 0.15}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestFig6ShapePeriodicErrors(t *testing.T) {
 }
 
 func TestFig7ShapeTemporalStability(t *testing.T) {
-	res, err := Fig7Temporal(context.Background(), Fig7Config{Scale: 0.15, Draws: 20})
+	res, err := runTasks(context.Background(), "fig7", RunOptions{}, fig7Tasks(Fig7Config{Scale: 0.15, Draws: 20}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestFig7ShapeTemporalStability(t *testing.T) {
 }
 
 func TestFig10aShapeSilencesDiscernible(t *testing.T) {
-	res, err := Fig10aMagnitudes(context.Background(), Fig10aConfig{})
+	res, err := runTasks(context.Background(), "fig10a", RunOptions{}, fig10aTasks(Fig10aConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestFig10aShapeSilencesDiscernible(t *testing.T) {
 }
 
 func TestFig10bShapeThresholdTradeoff(t *testing.T) {
-	res, err := Fig10bThreshold(context.Background(), Fig10bConfig{Scale: tinyScale, Points: 9})
+	res, err := runTasks(context.Background(), "fig10b", RunOptions{}, fig10bTasks(Fig10bConfig{Scale: tinyScale, Points: 9}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestFig10bShapeThresholdTradeoff(t *testing.T) {
 }
 
 func TestFig10cShapeAccuracy(t *testing.T) {
-	res, err := Fig10cAccuracy(context.Background(), Fig10cConfig{Scale: tinyScale, SNRs: []float64{4, 10, 16}})
+	res, err := runTasks(context.Background(), "fig10c", RunOptions{}, fig10cTasks(Fig10cConfig{Scale: tinyScale, SNRs: []float64{4, 10, 16}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestFig10cShapeAccuracy(t *testing.T) {
 }
 
 func TestFig10dShapeInterference(t *testing.T) {
-	res, err := Fig10dInterference(context.Background(), Fig10cConfig{Scale: tinyScale, SNRs: []float64{8, 14, 20}})
+	res, err := runTasks(context.Background(), "fig10d", RunOptions{}, fig10dTasks(Fig10cConfig{Scale: tinyScale, SNRs: []float64{8, 14, 20}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestFig10dShapeInterference(t *testing.T) {
 }
 
 func TestAblationEVDShape(t *testing.T) {
-	res, err := AblationEVD(context.Background(), AblationConfig{Scale: 0.2})
+	res, err := runTasks(context.Background(), "ablation-evd", RunOptions{}, ablationEVDTasks(AblationConfig{Scale: 0.2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestAblationEVDShape(t *testing.T) {
 }
 
 func TestAblationPlacementShape(t *testing.T) {
-	res, err := AblationPlacement(context.Background(), AblationConfig{Scale: 0.2})
+	res, err := runTasks(context.Background(), "ablation-placement", RunOptions{}, ablationPlacementTasks(AblationConfig{Scale: 0.2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestAblationPlacementShape(t *testing.T) {
 }
 
 func TestControlAccuracyShape(t *testing.T) {
-	res, err := ControlAccuracy(context.Background(), AblationConfig{Scale: 0.15})
+	res, err := runTasks(context.Background(), "accuracy", RunOptions{}, controlAccuracyTasks(AblationConfig{Scale: 0.15}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestFig9TinyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig9 is slow")
 	}
-	res, err := Fig9Capacity(context.Background(), Fig9Config{PacketsPerTrial: 30, PointsPerMode: 2, TargetPRR: 0.96})
+	res, err := runTasks(context.Background(), "fig9", RunOptions{}, fig9Tasks(Fig9Config{PacketsPerTrial: 30, PointsPerMode: 2, TargetPRR: 0.96}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestFig9TinyShape(t *testing.T) {
 }
 
 func TestAblationQuantizationShape(t *testing.T) {
-	res, err := AblationQuantization(context.Background(), AblationConfig{Scale: 0.15})
+	res, err := runTasks(context.Background(), "ablation-quantization", RunOptions{}, ablationQuantizationTasks(AblationConfig{Scale: 0.15}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestAblationQuantizationShape(t *testing.T) {
 }
 
 func TestAblationThresholdShape(t *testing.T) {
-	res, err := AblationThreshold(context.Background(), AblationConfig{Scale: 0.15})
+	res, err := runTasks(context.Background(), "ablation-threshold", RunOptions{}, ablationThresholdTasks(AblationConfig{Scale: 0.15}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,10 +18,11 @@ import (
 // (data subcarriers 10..17 in its 1-based numbering).
 var fig10CtrlSCs = []int{9, 10, 11, 12, 13, 14, 15, 16}
 
+// fig10aSNR is the true channel SNR in dB of the Fig. 10(a) snapshot.
+const fig10aSNR = 15
+
 // Fig10aConfig parameterizes the FFT-magnitude snapshot.
 type Fig10aConfig struct {
-	// SNR is the true channel SNR in dB (default 15).
-	SNR float64
 	// Seed drives all randomness.
 	Seed int64
 	// Scenario is an optional scenario reference ("" = default world).
@@ -29,16 +30,16 @@ type Fig10aConfig struct {
 }
 
 func (c *Fig10aConfig) setDefaults() {
-	if c.SNR == 0 {
-		c.SNR = 15
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 }
 
-// fig10aTasks is Fig. 10(a): a single packet, so a one-task set whose
-// record is the normalized magnitude curve.
+// fig10aTasks reproduces Fig. 10(a): the relative FFT magnitudes of the
+// 52 occupied subcarriers of one received OFDM symbol in which control
+// subcarriers 10, 11 and 17 (1-based; 9, 10 and 16 here) carry silence
+// symbols. The silent bins are clearly discernible. It is a single packet,
+// so a one-task set whose record is the normalized magnitude curve.
 func fig10aTasks(cfg Fig10aConfig) TaskSet {
 	cfg.setDefaults()
 	return tasks[[]float64]{
@@ -93,7 +94,7 @@ func fig10aMagnitudes(cfg Fig10aConfig) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	rx, _, err := ch.Propagate(nil, samples, 0, cfg.SNR, rng)
+	rx, _, err := ch.Propagate(nil, samples, 0, fig10aSNR, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -127,45 +128,29 @@ func fig10aMagnitudes(cfg Fig10aConfig) ([]float64, error) {
 	return mags, nil
 }
 
-// Fig10aMagnitudes reproduces Fig. 10(a): the relative FFT magnitudes of
-// the 52 occupied subcarriers of one received OFDM symbol in which control
-// subcarriers 10, 11 and 17 (1-based; 9, 10 and 16 here) carry silence
-// symbols. The silent bins are clearly discernible.
-func Fig10aMagnitudes(ctx context.Context, cfg Fig10aConfig) (*Result, error) {
-	return runTasks(ctx, "fig10a", RunOptions{Seed: cfg.Seed}, fig10aTasks(cfg))
-}
+// fig10bMeasuredSNR is the calibrated NIC SNR of the Fig. 10(b)
+// operating point (9.2 dB, as in the paper), and fig10bPackets the packets
+// per threshold point before scaling.
+const (
+	fig10bMeasuredSNR = 9.2
+	fig10bPackets     = 120
+)
 
 // Fig10bConfig parameterizes the threshold sweep.
 type Fig10bConfig struct {
-	// MeasuredSNR is the calibrated NIC SNR of the operating point
-	// (default 9.2 dB as in the paper).
-	MeasuredSNR float64
-	// Packets per threshold point (default 120).
-	Packets int
 	// Points is the number of threshold points (default 25).
 	Points int
-	// Scale shrinks Packets.
+	// Scale shrinks the packets per threshold point.
 	Scale float64
 	// Seed drives all randomness.
 	Seed int64
-	// Workers bounds the point-task pool (0 = GOMAXPROCS).
-	Workers int
 	// Scenario is an optional scenario reference ("" = default world).
 	Scenario string
 }
 
 func (c *Fig10bConfig) setDefaults() {
-	if c.MeasuredSNR == 0 {
-		c.MeasuredSNR = 9.2
-	}
-	if c.Packets == 0 {
-		c.Packets = 120
-	}
 	if c.Points == 0 {
 		c.Points = 25
-	}
-	if c.Scale == 0 {
-		c.Scale = 1
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -178,12 +163,19 @@ type fig10bPrelude struct {
 	noiseFloor float64 // reference noise floor for the x axis
 }
 
-// fig10bTasks is Fig. 10(b): task 0 is reserved for the shared
-// calibration prelude's RNG (pool.TaskRNG(seed, 0)), tasks 1..Points are
-// the threshold points, each recording its (FP, FN) probabilities.
+// fig10bTasks reproduces Fig. 10(b): false positive and false negative
+// probabilities of silence detection as the (fixed) energy-detection
+// threshold sweeps from far below the noise floor to far above the signal
+// level. Too low a threshold misses silences (false negatives); too high a
+// threshold reads faded data symbols as silences (false positives). The x
+// axis is the threshold in dB relative to the estimated noise floor (the
+// paper's absolute dBm axis shifted by its noise floor). Task 0 is
+// reserved for the shared calibration prelude's RNG (pool.TaskRNG(seed,
+// 0)); tasks 1..Points are the threshold points, each recording its
+// (FP, FN) probabilities.
 func fig10bTasks(cfg Fig10bConfig) TaskSet {
 	cfg.setDefaults()
-	packets := scaled(cfg.Packets, cfg.Scale)
+	packets := scaled(fig10bPackets, cfg.Scale)
 	relDB := make([]float64, cfg.Points) // threshold, dB above the noise floor
 	for pi := range relDB {
 		relDB[pi] = -15 + 40*float64(pi)/float64(cfg.Points-1)
@@ -199,7 +191,7 @@ func fig10bTasks(cfg Fig10bConfig) TaskSet {
 		}
 		rng := pool.TaskRNG(cfg.Seed, 0)
 		scr := &trialScratch{}
-		actual, err := calibrateActualSNR(scr, ch, 0, mode, cfg.MeasuredSNR, rng)
+		actual, err := calibrateActualSNR(scr, ch, 0, mode, fig10bMeasuredSNR, rng)
 		if err != nil {
 			return fig10bPrelude{}, err
 		}
@@ -263,29 +255,18 @@ func fig10bTasks(cfg Fig10bConfig) TaskSet {
 	}
 }
 
-// Fig10bThreshold reproduces Fig. 10(b): false positive and false negative
-// probabilities of silence detection as the (fixed) energy-detection
-// threshold sweeps from far below the noise floor to far above the signal
-// level. Too low a threshold misses silences (false negatives); too high a
-// threshold reads faded data symbols as silences (false positives).
-// The x axis is the threshold in dB relative to the estimated noise floor
-// (the paper's absolute dBm axis shifted by its noise floor).
-func Fig10bThreshold(ctx context.Context, cfg Fig10bConfig) (*Result, error) {
-	return runTasks(ctx, "fig10b", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, fig10bTasks(cfg))
-}
+// fig10cPackets is the packets per operating point of Figs. 10(c) and
+// 10(d) before scaling (1000, as in the paper).
+const fig10cPackets = 1000
 
 // Fig10cConfig parameterizes the accuracy-vs-SNR sweep.
 type Fig10cConfig struct {
 	// SNRs are the measured-SNR operating points (default 3..20 dB).
 	SNRs []float64
-	// Packets per point (default 1000, as in the paper).
-	Packets int
-	// Scale shrinks Packets.
+	// Scale shrinks the packets per point.
 	Scale float64
 	// Seed drives all randomness.
 	Seed int64
-	// Workers bounds the point-task pool (0 = GOMAXPROCS).
-	Workers int
 	// Scenario is an optional scenario reference ("" = default world).
 	Scenario string
 }
@@ -293,12 +274,6 @@ type Fig10cConfig struct {
 func (c *Fig10cConfig) setDefaults() {
 	if len(c.SNRs) == 0 {
 		c.SNRs = []float64{3, 4, 6, 8, 10, 12, 14, 16, 18, 20}
-	}
-	if c.Packets == 0 {
-		c.Packets = 1000
-	}
-	if c.Scale == 0 {
-		c.Scale = 1
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -338,7 +313,7 @@ func accuracyPoint(ctx context.Context, cfg Fig10cConfig, snr float64, interfere
 		trial.interferer = channel.PulseInterferer{Power: 40, BurstLen: 160, StartProb: 0.004}
 	}
 	var stats icos.DetectionStats
-	for p := 0; p < scaled(cfg.Packets, cfg.Scale); p++ {
+	for p := 0; p < scaled(fig10cPackets, cfg.Scale); p++ {
 		if err := ctx.Err(); err != nil {
 			return [2]float64{}, err
 		}
@@ -361,7 +336,11 @@ func pairSeries(name string, xs []float64, pts [][2]float64, col int) Series {
 	return s
 }
 
-// fig10cTasks is Fig. 10(c) with one point-task per SNR operating point.
+// fig10cTasks reproduces Fig. 10(c): detection accuracy of the adaptive
+// detector across channel SNRs; the false-negative probability stays below
+// ~1% everywhere, while false positives rise only at very low SNR where
+// deep fades approach the noise floor. One point-task per SNR operating
+// point.
 func fig10cTasks(cfg Fig10cConfig) TaskSet {
 	cfg.setDefaults()
 	return tasks[[2]float64]{
@@ -383,18 +362,13 @@ func fig10cTasks(cfg Fig10cConfig) TaskSet {
 	}
 }
 
-// Fig10cAccuracy reproduces Fig. 10(c): detection accuracy of the adaptive
-// detector across channel SNRs; the false-negative probability stays below
-// ~1% everywhere, while false positives rise only at very low SNR where
-// deep fades approach the noise floor.
-func Fig10cAccuracy(ctx context.Context, cfg Fig10cConfig) (*Result, error) {
-	return runTasks(ctx, "fig10c", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, fig10cTasks(cfg))
-}
-
-// fig10dTasks is Fig. 10(d): tasks 0..n-1 are the clean sweep's SNR
-// points on their own task RNGs; tasks n..2n-1 are the interference arm,
-// which draws independent noise from the seed schedule of Seed+1
-// (pool.TaskRNG(Seed+1, i-n)) instead of the RNG it is handed.
+// fig10dTasks reproduces Fig. 10(d): the false-negative probability with
+// and without strong pulse interference. Interference landing on a silent
+// bin lifts it above threshold and the silence is missed. Tasks 0..n-1
+// are the clean sweep's SNR points on their own task RNGs; tasks n..2n-1
+// are the interference arm, which draws independent noise from the seed
+// schedule of Seed+1 (pool.TaskRNG(Seed+1, i-n)) instead of the RNG it is
+// handed.
 func fig10dTasks(cfg Fig10cConfig) TaskSet {
 	cfg.setDefaults()
 	n := len(cfg.SNRs)
@@ -418,11 +392,4 @@ func fig10dTasks(cfg Fig10cConfig) TaskSet {
 			return res, nil
 		},
 	}
-}
-
-// Fig10dInterference reproduces Fig. 10(d): the false-negative probability
-// with and without strong pulse interference. Interference landing on a
-// silent bin lifts it above threshold and the silence is missed.
-func Fig10dInterference(ctx context.Context, cfg Fig10cConfig) (*Result, error) {
-	return runTasks(ctx, "fig10d", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, fig10dTasks(cfg))
 }

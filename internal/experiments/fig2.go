@@ -9,43 +9,34 @@ import (
 	"cos/internal/phy"
 )
 
+// fig2MinSNR and fig2MaxSNR bound the swept measured-SNR range in dB, as
+// in the paper's Fig. 2.
+const fig2MinSNR, fig2MaxSNR float64 = 5, 25
+
 // Fig2Config parameterizes the SNR-gap measurement.
 type Fig2Config struct {
-	// MinSNR and MaxSNR bound the swept measured-SNR range in dB
-	// (defaults 5 and 25, as in the paper's Fig. 2).
-	MinSNR, MaxSNR float64
 	// Step is the sweep step in dB (default 1).
 	Step float64
 	// Variants is the number of independent channel realizations averaged
 	// per point (default 3).
 	Variants int
-	// Seed drives all randomness (default 1).
-	Seed int64
-	// Workers bounds the point-task pool (0 = GOMAXPROCS).
-	Workers int
 	// Scenario is an optional scenario reference ("" = default world).
 	Scenario string
 }
 
 func (c *Fig2Config) setDefaults() {
-	if c.MaxSNR == 0 {
-		c.MinSNR, c.MaxSNR = 5, 25
-	}
 	if c.Step == 0 {
 		c.Step = 1
 	}
 	if c.Variants == 0 {
 		c.Variants = 3
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 }
 
 // steps is the number of SNR points in the sweep grid.
 func (c *Fig2Config) steps() int {
 	n := 0
-	for snr := c.MinSNR; snr <= c.MaxSNR+1e-9; snr += c.Step {
+	for snr := fig2MinSNR; snr <= fig2MaxSNR+1e-9; snr += c.Step {
 		n++
 	}
 	return n
@@ -60,8 +51,13 @@ type fig2Record struct {
 	Actual   float64 `json:"actual"`
 }
 
-// fig2Tasks is Fig. 2 decomposed into one point-task per (variant, SNR)
-// grid cell.
+// fig2Tasks reproduces Fig. 2: the gap between the minimum SNR required by
+// the adaptively selected data rate and the actual channel SNR, as a
+// function of the receiver's measured SNR. Two mechanisms open the gap:
+// the stair-case rate table (discrete rates under a continuous SNR) and the
+// NIC's frequency-selectivity-blind SNR estimate sitting below the true
+// mean SNR. It decomposes into one point-task per (variant, SNR) grid
+// cell.
 func fig2Tasks(cfg Fig2Config) TaskSet {
 	cfg.setDefaults()
 	steps := cfg.steps()
@@ -73,7 +69,7 @@ func fig2Tasks(cfg Fig2Config) TaskSet {
 				return fig2Record{}, err
 			}
 			v := i / steps
-			snr := cfg.MinSNR + float64(i%steps)*cfg.Step
+			snr := fig2MinSNR + float64(i%steps)*cfg.Step
 			ch, err := trialChannel(cfg.Scenario, channel.PositionA, false, int64(v+1))
 			if err != nil {
 				return fig2Record{}, err
@@ -86,7 +82,7 @@ func fig2Tasks(cfg Fig2Config) TaskSet {
 			if err != nil {
 				return fig2Record{}, err
 			}
-			if measured < cfg.MinSNR || measured > cfg.MaxSNR {
+			if measured < fig2MinSNR || measured > fig2MaxSNR {
 				return fig2Record{}, nil
 			}
 			mode := phy.SelectMode(measured)
@@ -121,17 +117,4 @@ func fig2Tasks(cfg Fig2Config) TaskSet {
 			return res, nil
 		},
 	}
-}
-
-// Fig2SNRGap reproduces Fig. 2: the gap between the minimum SNR required by
-// the adaptively selected data rate and the actual channel SNR, as a
-// function of the receiver's measured SNR. Two mechanisms open the gap:
-// the stair-case rate table (discrete rates under a continuous SNR) and the
-// NIC's frequency-selectivity-blind SNR estimate sitting below the true
-// mean SNR.
-//
-// Every (variant, SNR) probe is an independent point-task; the sweep grid
-// runs on the worker pool and reassembles in deterministic order.
-func Fig2SNRGap(ctx context.Context, cfg Fig2Config) (*Result, error) {
-	return runTasks(ctx, "fig2", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, fig2Tasks(cfg))
 }

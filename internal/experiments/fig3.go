@@ -9,40 +9,27 @@ import (
 	"cos/internal/scenario"
 )
 
+// The Fig. 3 sweep spans the 24 Mb/s operating band of the paper's
+// Fig. 3 (measured SNR 12 to 17.3 dB) and averages fig3Packets packets per
+// point before scaling.
+const (
+	fig3MinSNR, fig3MaxSNR float64 = 12, 17.3
+	fig3Packets                    = 80
+)
+
 // Fig3Config parameterizes the decoder-input BER measurement.
 type Fig3Config struct {
-	// MinSNR and MaxSNR bound the measured-SNR sweep (defaults 12, 17.3 —
-	// the 24 Mb/s operating band of the paper's Fig. 3).
-	MinSNR, MaxSNR float64
 	// Step is the sweep step in dB (default 0.5).
 	Step float64
-	// Packets is the number of packets averaged per point (default 80).
-	Packets int
-	// Scale shrinks Packets for quick runs.
+	// Scale shrinks the packets per point for quick runs.
 	Scale float64
-	// Seed drives all randomness.
-	Seed int64
-	// Workers bounds the point-task pool (0 = GOMAXPROCS).
-	Workers int
 	// Scenario is an optional scenario reference ("" = default world).
 	Scenario string
 }
 
 func (c *Fig3Config) setDefaults() {
-	if c.MaxSNR == 0 {
-		c.MinSNR, c.MaxSNR = 12, 17.3
-	}
 	if c.Step == 0 {
 		c.Step = 0.5
-	}
-	if c.Packets == 0 {
-		c.Packets = 80
-	}
-	if c.Scale == 0 {
-		c.Scale = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 }
 
@@ -81,10 +68,10 @@ func fig3BERAt(ctx context.Context, ch scenario.ChannelModel, mode phy.Mode, tar
 }
 
 // snrPoints is the sweep grid: task 0 is the decoder tolerance anchor at
-// MinSNR, tasks 1..n the swept points.
+// fig3MinSNR, tasks 1..n the swept points.
 func (c *Fig3Config) snrPoints() []float64 {
-	snrs := []float64{c.MinSNR}
-	for snr := c.MinSNR; snr <= c.MaxSNR+1e-9; snr += c.Step {
+	snrs := []float64{fig3MinSNR}
+	for snr := fig3MinSNR; snr <= fig3MaxSNR+1e-9; snr += c.Step {
 		snrs = append(snrs, snr)
 	}
 	return snrs
@@ -96,8 +83,13 @@ type fig3Record struct {
 	BER float64 `json:"ber"`
 }
 
-// fig3Tasks is Fig. 3 decomposed into one point-task per SNR point plus
-// the 12 dB tolerance anchor (task 0).
+// fig3Tasks reproduces Fig. 3: decoder-input BER versus measured SNR at
+// 24 Mb/s. "Actual BER" is the hard-decision error rate on the coded bits
+// entering the Viterbi decoder; "Redundant BER" is the headroom — the BER
+// the decoder could still tolerate, estimated as the decoder-input BER at
+// the mode's minimum required SNR (12 dB) minus the actual BER. It
+// decomposes into one point-task per SNR point plus the 12 dB tolerance
+// anchor (task 0).
 func fig3Tasks(cfg Fig3Config) TaskSet {
 	cfg.setDefaults()
 	snrs := cfg.snrPoints()
@@ -115,7 +107,7 @@ func fig3Tasks(cfg Fig3Config) TaskSet {
 			if err != nil {
 				return fig3Record{}, err
 			}
-			ber, err := fig3BERAt(ctx, ch, mode, snrs[i], scaled(cfg.Packets, cfg.Scale), rng)
+			ber, err := fig3BERAt(ctx, ch, mode, snrs[i], scaled(fig3Packets, cfg.Scale), rng)
 			return fig3Record{BER: ber}, err
 		},
 		assemble: func(recs []fig3Record) (*Result, error) {
@@ -145,17 +137,4 @@ func fig3Tasks(cfg Fig3Config) TaskSet {
 			return res, nil
 		},
 	}
-}
-
-// Fig3DecoderBER reproduces Fig. 3: decoder-input BER versus measured SNR
-// at 24 Mb/s. "Actual BER" is the hard-decision error rate on the coded
-// bits entering the Viterbi decoder; "Redundant BER" is the headroom —
-// the BER the decoder could still tolerate, estimated as the decoder-input
-// BER at the mode's minimum required SNR (12 dB) minus the actual BER.
-//
-// The sweep decomposes into one point-task per SNR point plus one for the
-// 12 dB tolerance anchor; tasks run on the worker pool with private RNGs,
-// so parallel output is bit-identical to serial.
-func Fig3DecoderBER(ctx context.Context, cfg Fig3Config) (*Result, error) {
-	return runTasks(ctx, "fig3", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, fig3Tasks(cfg))
 }

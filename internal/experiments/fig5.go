@@ -9,42 +9,28 @@ import (
 	"cos/internal/phy"
 )
 
+// fig5SNR is the true channel SNR in dB, and fig5Packets the packets
+// averaged per position before scaling.
+const (
+	fig5SNR     = 18
+	fig5Packets = 10
+)
+
 // Fig5Config parameterizes the per-subcarrier EVM measurement.
 type Fig5Config struct {
-	// SNR is the true channel SNR in dB (default 18).
-	SNR float64
-	// Packets averaged per position (default 10).
-	Packets int
-	// Scale shrinks Packets.
+	// Scale shrinks the packets per position.
 	Scale float64
-	// Seed drives all randomness.
-	Seed int64
-	// Workers bounds the point-task pool (0 = GOMAXPROCS).
-	Workers int
 	// Scenario is an optional scenario reference ("" = default world).
 	Scenario string
 }
 
-func (c *Fig5Config) setDefaults() {
-	if c.SNR == 0 {
-		c.SNR = 18
-	}
-	if c.Packets == 0 {
-		c.Packets = 10
-	}
-	if c.Scale == 0 {
-		c.Scale = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
-
-// fig5Tasks is Fig. 5 with one point-task per receiver position; each
-// task's record is its per-subcarrier EVM sum over the packets.
+// fig5Tasks reproduces Fig. 5: measured per-subcarrier EVM (percent) of
+// the 48 data subcarriers at the three receiver positions. Frequency-
+// selective fading makes different subcarriers — and different positions —
+// exhibit very different EVM. Each position is one point-task, whose
+// record is its per-subcarrier EVM sum over the packets.
 func fig5Tasks(cfg Fig5Config) TaskSet {
-	cfg.setDefaults()
-	packets := scaled(cfg.Packets, cfg.Scale)
+	packets := scaled(fig5Packets, cfg.Scale)
 	positions := channel.Positions()
 	return tasks[[ofdm.NumData]float64]{
 		n: len(positions),
@@ -62,7 +48,7 @@ func fig5Tasks(cfg Fig5Config) TaskSet {
 				if err := ctx.Err(); err != nil {
 					return acc, err
 				}
-				pr, err := probe(scr, ch, 0, mode, 1024, cfg.SNR, rng)
+				pr, err := probe(scr, ch, 0, mode, 1024, fig5SNR, rng)
 				if err != nil {
 					return acc, err
 				}
@@ -95,12 +81,4 @@ func fig5Tasks(cfg Fig5Config) TaskSet {
 			return res, nil
 		},
 	}
-}
-
-// Fig5EVM reproduces Fig. 5: measured per-subcarrier EVM (percent) of the
-// 48 data subcarriers at the three receiver positions. Frequency-selective
-// fading makes different subcarriers — and different positions — exhibit
-// very different EVM. Each position is one point-task.
-func Fig5EVM(ctx context.Context, cfg Fig5Config) (*Result, error) {
-	return runTasks(ctx, "fig5", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, fig5Tasks(cfg))
 }

@@ -9,43 +9,24 @@ import (
 	"cos/internal/phy"
 )
 
+// The Fig. 6 operating point: fig6SNR is the true channel SNR in dB — low
+// enough for the 16QAM mode to produce a visible error pattern on weak
+// subcarriers while strong subcarriers stay nearly error-free;
+// fig6Packets is the packet count before scaling; fig6Positions is the
+// number of in-packet symbol positions reported in part (a), as in the
+// paper.
+const (
+	fig6SNR       = 19
+	fig6Packets   = 300
+	fig6Positions = 1000
+)
+
 // Fig6Config parameterizes the symbol-error pattern measurement.
 type Fig6Config struct {
-	// SNR is the true channel SNR in dB (default 19 — low enough for the
-	// 16QAM mode to produce a visible error pattern on weak subcarriers
-	// while strong subcarriers stay nearly error-free).
-	SNR float64
-	// Packets accumulated (default 300).
-	Packets int
-	// Positions is the number of in-packet symbol positions reported in
-	// part (a) (default 1000, as in the paper).
-	Positions int
-	// Scale shrinks Packets.
+	// Scale shrinks the packet count.
 	Scale float64
-	// Seed drives all randomness.
-	Seed int64
-	// Workers bounds the point-task pool (0 = GOMAXPROCS).
-	Workers int
 	// Scenario is an optional scenario reference ("" = default world).
 	Scenario string
-}
-
-func (c *Fig6Config) setDefaults() {
-	if c.SNR == 0 {
-		c.SNR = 19
-	}
-	if c.Packets == 0 {
-		c.Packets = 300
-	}
-	if c.Positions == 0 {
-		c.Positions = 1000
-	}
-	if c.Scale == 0 {
-		c.Scale = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 }
 
 // fig6Packet is one packet's error pattern, the record of one point-task;
@@ -57,12 +38,14 @@ type fig6Packet struct {
 	SCCounts       [ofdm.NumData]int `json:"sc_counts"`
 }
 
-// fig6Tasks is Fig. 6 with one point-task per packet: the mobile channel
-// is a pure function of the transmit time t = p * 2 ms, so packet p needs
-// no state from packet p-1.
+// fig6Tasks reproduces Fig. 6 at Position A (mobile): (a) the frequency of
+// symbol errors at each in-packet symbol position — revealing the
+// ~48-position periodicity induced by weak subcarriers — and (b) the
+// symbol error rate of each data subcarrier. It has one point-task per
+// packet: the mobile channel is a pure function of the transmit time
+// t = p * 2 ms, so packet p needs no state from packet p-1.
 func fig6Tasks(cfg Fig6Config) TaskSet {
-	cfg.setDefaults()
-	packets := scaled(cfg.Packets, cfg.Scale)
+	packets := scaled(fig6Packets, cfg.Scale)
 	return tasks[fig6Packet]{
 		n: packets,
 		run: func(ctx context.Context, p int, rng *rand.Rand) (fig6Packet, error) {
@@ -78,7 +61,7 @@ func fig6Tasks(cfg Fig6Config) TaskSet {
 				return fig6Packet{}, err
 			}
 			t := float64(p) * 2e-3 // back-to-back traffic at 2 ms spacing
-			pr, err := probe(&trialScratch{}, ch, t, mode, 1024, cfg.SNR, rng)
+			pr, err := probe(&trialScratch{}, ch, t, mode, 1024, fig6SNR, rng)
 			if err != nil {
 				return fig6Packet{}, err
 			}
@@ -93,11 +76,11 @@ func fig6Tasks(cfg Fig6Config) TaskSet {
 			}, nil
 		},
 		assemble: func(perPacket []fig6Packet) (*Result, error) {
-			posErrors := make([]int, cfg.Positions)
+			posErrors := make([]int, fig6Positions)
 			var scErrors, scCounts [ofdm.NumData]int
 			for _, pkt := range perPacket {
 				for _, pos := range pkt.ErrorPositions {
-					if pos < cfg.Positions {
+					if pos < fig6Positions {
 						posErrors[pos]++
 					}
 				}
@@ -114,7 +97,7 @@ func fig6Tasks(cfg Fig6Config) TaskSet {
 				YLabel: "error frequency / SER",
 			}
 			a := Series{Name: "ErrorFreqByPosition"}
-			for i := 0; i < cfg.Positions; i++ {
+			for i := 0; i < fig6Positions; i++ {
 				a.X = append(a.X, float64(i+1))
 				a.Y = append(a.Y, float64(posErrors[i])/float64(packets))
 			}
@@ -133,13 +116,4 @@ func fig6Tasks(cfg Fig6Config) TaskSet {
 			return res, nil
 		},
 	}
-}
-
-// Fig6ErrorPattern reproduces Fig. 6 at Position A (mobile): (a) the
-// frequency of symbol errors at each in-packet symbol position — revealing
-// the ~48-position periodicity induced by weak subcarriers — and (b) the
-// symbol error rate of each data subcarrier. Each packet is an independent
-// point-task.
-func Fig6ErrorPattern(ctx context.Context, cfg Fig6Config) (*Result, error) {
-	return runTasks(ctx, "fig6", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, fig6Tasks(cfg))
 }

@@ -13,66 +13,47 @@ import (
 	"cos/internal/scenario"
 )
 
+// fig7SNR is the true channel SNR in dB (the paper's lab links were
+// short-range and strong), and fig7Avg the packets averaged per D(t)
+// snapshot to suppress estimator noise.
+const (
+	fig7SNR = 22
+	fig7Avg = 4
+)
+
+// fig7TausMs are the evaluated time gaps in milliseconds, as in the paper.
+var fig7TausMs = []float64{10, 20, 30, 40}
+
 // Fig7Config parameterizes the temporal-selectivity measurement.
 type Fig7Config struct {
-	// SNR is the true channel SNR in dB (default 22; the paper's lab links
-	// were short-range and strong).
-	SNR float64
-	// TausMs are the evaluated time gaps in milliseconds (default
-	// 10,20,30,40 as in the paper).
-	TausMs []float64
 	// Draws is the number of (t, t+tau) sample pairs per tau for the CDF
 	// (default 120).
 	Draws int
-	// Avg is the number of packets averaged per D(t) snapshot to suppress
-	// estimator noise (default 4).
-	Avg int
 	// Scale shrinks Draws.
 	Scale float64
-	// Seed drives all randomness.
-	Seed int64
-	// Workers bounds the point-task pool (0 = GOMAXPROCS).
-	Workers int
 	// Scenario is an optional scenario reference ("" = default world).
 	Scenario string
 }
 
 func (c *Fig7Config) setDefaults() {
-	if c.SNR == 0 {
-		c.SNR = 22
-	}
-	if len(c.TausMs) == 0 {
-		c.TausMs = []float64{10, 20, 30, 40}
-	}
 	if c.Draws == 0 {
 		c.Draws = 120
-	}
-	if c.Avg == 0 {
-		c.Avg = 4
-	}
-	if c.Scale == 0 {
-		c.Scale = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 }
 
 // errorVectorSnapshot measures the per-subcarrier mean error-vector
-// magnitudes D(t) and EVM(t), averaged over avg known packets at time t to
-// suppress estimator noise (the channel is static within a snapshot).
-func errorVectorSnapshot(ctx context.Context, ch scenario.ChannelModel, t float64, mode phy.Mode, snr float64, avg int, rng *rand.Rand) (d, evm []float64, err error) {
-	if avg < 1 {
-		avg = 1
-	}
+// magnitudes D(t) and EVM(t) at fig7SNR, averaged over fig7Avg known
+// packets at time t to suppress estimator noise (the channel is static
+// within a snapshot).
+func errorVectorSnapshot(ctx context.Context, ch scenario.ChannelModel, t float64, mode phy.Mode, rng *rand.Rand) (d, evm []float64, err error) {
 	scr := &trialScratch{}
 	dAcc := make([]float64, ofdm.NumData)
 	evmAcc := make([]float64, ofdm.NumData)
-	for i := 0; i < avg; i++ {
+	for i := 0; i < fig7Avg; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		pr, err := probe(scr, ch, t, mode, 1024, snr, rng)
+		pr, err := probe(scr, ch, t, mode, 1024, fig7SNR, rng)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -86,8 +67,8 @@ func errorVectorSnapshot(ctx context.Context, ch scenario.ChannelModel, t float6
 		}
 	}
 	for k := 0; k < ofdm.NumData; k++ {
-		dAcc[k] /= float64(avg)
-		evmAcc[k] /= float64(avg)
+		dAcc[k] /= fig7Avg
+		evmAcc[k] /= fig7Avg
 	}
 	return dAcc, evmAcc, nil
 }
@@ -99,14 +80,18 @@ type fig7Record struct {
 	Nabla float64   `json:"nabla,omitempty"`
 }
 
-// fig7Tasks is Fig. 7 with two kinds of point-tasks: snapshot tasks
+// fig7Tasks reproduces Fig. 7 in the indoor mobile scenario: (a)
+// per-subcarrier EVM snapshots separated by time gap tau, showing the
+// channel's frequency signature persists across tens of milliseconds, and
+// (b) the CDF of the normalized EVM change (Eq. (2)) for each tau. It has
+// two kinds of point-tasks: snapshot tasks
 // 0..len(taus) for part (a) — task 0 is the tau=0 baseline — and one task
 // per (tau, draw) pair for part (b), each measuring an independent D(t),
 // D(t+tau) pair.
 func fig7Tasks(cfg Fig7Config) TaskSet {
 	cfg.setDefaults()
 	draws := scaled(cfg.Draws, cfg.Scale)
-	taus := cfg.TausMs
+	taus := fig7TausMs
 	const t0 = 0.050
 	return tasks[fig7Record]{
 		n: 1 + len(taus) + len(taus)*draws,
@@ -127,17 +112,17 @@ func fig7Tasks(cfg Fig7Config) TaskSet {
 				if i > 0 {
 					t += taus[i-1] / 1000
 				}
-				_, evm, err := errorVectorSnapshot(ctx, ch, t, mode, cfg.SNR, cfg.Avg, rng)
+				_, evm, err := errorVectorSnapshot(ctx, ch, t, mode, rng)
 				return fig7Record{EVM: evm}, err
 			}
 			j := i - 1 - len(taus)
 			tau := taus[j/draws]
 			t := 0.010 + float64(j%draws)*0.0075
-			dT, _, err := errorVectorSnapshot(ctx, ch, t, mode, cfg.SNR, cfg.Avg, rng)
+			dT, _, err := errorVectorSnapshot(ctx, ch, t, mode, rng)
 			if err != nil {
 				return fig7Record{}, err
 			}
-			dTau, _, err := errorVectorSnapshot(ctx, ch, t+tau/1000, mode, cfg.SNR, cfg.Avg, rng)
+			dTau, _, err := errorVectorSnapshot(ctx, ch, t+tau/1000, mode, rng)
 			if err != nil {
 				return fig7Record{}, err
 			}
@@ -179,14 +164,6 @@ func fig7Tasks(cfg Fig7Config) TaskSet {
 			return res, nil
 		},
 	}
-}
-
-// Fig7Temporal reproduces Fig. 7 in the indoor mobile scenario:
-// (a) per-subcarrier EVM snapshots separated by time gap tau, showing the
-// channel's frequency signature persists across tens of milliseconds, and
-// (b) the CDF of the normalized EVM change (Eq. (2)) for each tau.
-func Fig7Temporal(ctx context.Context, cfg Fig7Config) (*Result, error) {
-	return runTasks(ctx, "fig7", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, fig7Tasks(cfg))
 }
 
 func fmtMs(ms float64) string {

@@ -20,14 +20,8 @@ type Fig9Config struct {
 	// PointsPerMode is the number of measured-SNR points inside each
 	// mode's operating band (default 3).
 	PointsPerMode int
-	// PSDULen is the packet size in bytes (default 1024).
-	PSDULen int
 	// Scale shrinks PacketsPerTrial (PRR resolution degrades gracefully).
 	Scale float64
-	// Seed drives all randomness.
-	Seed int64
-	// Workers bounds the point-task pool (0 = GOMAXPROCS).
-	Workers int
 	// Scenario is an optional scenario reference ("" = default world).
 	Scenario string
 }
@@ -42,16 +36,10 @@ func (c *Fig9Config) setDefaults() {
 	if c.PointsPerMode == 0 {
 		c.PointsPerMode = 3
 	}
-	if c.PSDULen == 0 {
-		c.PSDULen = 1024
-	}
-	if c.Scale == 0 {
-		c.Scale = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 }
+
+// fig9PSDULen is the packet size in bytes.
+const fig9PSDULen = 1024
 
 // maxSilenceBudget caps the binary search; beyond this the erasure load is
 // far past any code's correction capability for 1 KB packets.
@@ -64,9 +52,14 @@ type fig9Point struct {
 	Rm     float64 `json:"rm"`
 }
 
-// fig9Tasks is Fig. 9 with one point-task per (mode, SNR point) pair —
-// each runs its own calibration and PRR binary search on a private RNG —
-// so the sweep parallelizes across the full mode grid.
+// fig9Tasks reproduces Fig. 9: Rm, the maximum number of silence symbols
+// per second sustainable at packet reception rate >= TargetPRR, as a
+// function of measured SNR, for the six modes the paper evaluates. Within
+// a mode's band Rm rises with SNR (more spare code redundancy); at each
+// rate switch the budget resets; lower code rates and lower-order
+// modulations support higher Rm. It has one point-task per (mode, SNR
+// point) pair — each runs its own calibration and PRR binary search on a
+// private RNG — so the sweep parallelizes across the full mode grid.
 func fig9Tasks(cfg Fig9Config) TaskSet {
 	cfg.setDefaults()
 	packets := scaled(cfg.PacketsPerTrial, cfg.Scale)
@@ -103,7 +96,7 @@ func fig9Tasks(cfg Fig9Config) TaskSet {
 			if err != nil {
 				return fig9Point{}, err
 			}
-			return fig9Point{Target: target, Rm: icos.SilencesPerSecond(budget, mode, cfg.PSDULen)}, nil
+			return fig9Point{Target: target, Rm: icos.SilencesPerSecond(budget, mode, fig9PSDULen)}, nil
 		},
 		assemble: func(pts []fig9Point) (*Result, error) {
 			res := &Result{
@@ -126,20 +119,10 @@ func fig9Tasks(cfg Fig9Config) TaskSet {
 	}
 }
 
-// Fig9Capacity reproduces Fig. 9: Rm, the maximum number of silence symbols
-// per second sustainable at packet reception rate >= TargetPRR, as a
-// function of measured SNR, for the six modes the paper evaluates. Within a
-// mode's band Rm rises with SNR (more spare code redundancy); at each rate
-// switch the budget resets; lower code rates and lower-order modulations
-// support higher Rm.
-func Fig9Capacity(ctx context.Context, cfg Fig9Config) (*Result, error) {
-	return runTasks(ctx, "fig9", RunOptions{Workers: cfg.Workers, Seed: cfg.Seed}, fig9Tasks(cfg))
-}
-
 // maxBudgetAtPRR binary-searches the largest silence budget whose PRR meets
 // the target.
 func maxBudgetAtPRR(ctx context.Context, scr *trialScratch, ch scenario.ChannelModel, actualSNR float64, mode phy.Mode, cfg Fig9Config, packets int, rng *rand.Rand) (int, error) {
-	nSym := mode.SymbolsForPSDU(cfg.PSDULen)
+	nSym := mode.SymbolsForPSDU(fig9PSDULen)
 	prrOK := func(budget int) (bool, error) {
 		if budget == 0 {
 			return true, nil
@@ -152,7 +135,7 @@ func maxBudgetAtPRR(ctx context.Context, scr *trialScratch, ch scenario.ChannelM
 		failures := 0
 		trial := cosTrialConfig{
 			mode:     mode,
-			psduLen:  cfg.PSDULen,
+			psduLen:  fig9PSDULen,
 			silences: budget,
 			k:        icos.DefaultBitsPerInterval,
 			ctrlSCs:  ctrlSCs,

@@ -37,7 +37,7 @@ type RunOptions struct {
 // from a spec runs exactly the tasks the local pool would.
 var registry = map[string]func(RunOptions) TaskSet{
 	"fig2": func(o RunOptions) TaskSet {
-		cfg := Fig2Config{Seed: o.Seed, Scenario: o.Scenario}
+		cfg := Fig2Config{Scenario: o.Scenario}
 		if o.Scale < 1 {
 			cfg.Variants = 2
 			cfg.Step = 2
@@ -45,19 +45,19 @@ var registry = map[string]func(RunOptions) TaskSet{
 		return fig2Tasks(cfg)
 	},
 	"fig3": func(o RunOptions) TaskSet {
-		return fig3Tasks(Fig3Config{Scale: o.Scale, Seed: o.Seed, Scenario: o.Scenario})
+		return fig3Tasks(Fig3Config{Scale: o.Scale, Scenario: o.Scenario})
 	},
 	"fig5": func(o RunOptions) TaskSet {
-		return fig5Tasks(Fig5Config{Scale: o.Scale, Seed: o.Seed, Scenario: o.Scenario})
+		return fig5Tasks(Fig5Config{Scale: o.Scale, Scenario: o.Scenario})
 	},
 	"fig6": func(o RunOptions) TaskSet {
-		return fig6Tasks(Fig6Config{Scale: o.Scale, Seed: o.Seed, Scenario: o.Scenario})
+		return fig6Tasks(Fig6Config{Scale: o.Scale, Scenario: o.Scenario})
 	},
 	"fig7": func(o RunOptions) TaskSet {
-		return fig7Tasks(Fig7Config{Scale: o.Scale, Seed: o.Seed, Scenario: o.Scenario})
+		return fig7Tasks(Fig7Config{Scale: o.Scale, Scenario: o.Scenario})
 	},
 	"fig9": func(o RunOptions) TaskSet {
-		cfg := Fig9Config{Scale: o.Scale, Seed: o.Seed, Scenario: o.Scenario}
+		cfg := Fig9Config{Scale: o.Scale, Scenario: o.Scenario}
 		if o.Scale < 1 {
 			cfg.PointsPerMode = 2
 		}

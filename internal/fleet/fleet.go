@@ -386,7 +386,6 @@ func (e *fleetExecutor) ExecTasks(ctx context.Context, id string, opts experimen
 			Figure:   id,
 			Scale:    opts.Scale,
 			Seed:     opts.Seed,
-			Workers:  1,
 			Scenario: opts.Scenario,
 			Task:     i,
 		}

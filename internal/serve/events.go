@@ -93,8 +93,8 @@ type TerminalEvent struct {
 	// StageNS aggregates the flight recorder's per-exchange stage timings
 	// (Exchange.StageNS) over every exchange the job performed, keyed by
 	// stage name — the same keys as the trace schema's stage_ns map.
-	// Omitted for kinds with no exchange hook (figure jobs run through the
-	// experiment pool, which aggregates at the registry level instead).
+	// Omitted for kinds with no exchange hook (a figure_task job runs one
+	// experiment point-task, which builds its own channels, not links).
 	StageNS map[string]int64 `json:"stage_ns,omitempty"`
 	// TraceDigest is the exemplar link from this (wall-clock) metrics
 	// record to the job's deterministic flight-recorder trace: the content
@@ -202,7 +202,7 @@ func (a *stageAgg) observe(ex *cos.Exchange) {
 }
 
 // toMap renders the totals keyed by stage name, or nil if nothing was
-// recorded (e.g. figure jobs, which have no exchange hook).
+// recorded (e.g. figure_task jobs, which have no exchange hook).
 func (a *stageAgg) toMap() map[string]int64 {
 	var total int64
 	for _, v := range a.ns {

@@ -108,7 +108,7 @@ func TestJobLifecycleEvents(t *testing.T) {
 }
 
 // TestStageCorrelationAcrossKinds checks that stream and wlan jobs also
-// carry flight-recorder totals (figure jobs intentionally do not).
+// carry flight-recorder totals (figure_task jobs intentionally do not).
 func TestStageCorrelationAcrossKinds(t *testing.T) {
 	s := New(Config{Shards: 2, Metrics: obs.NewRegistry()})
 	defer s.Drain(10 * time.Second)
@@ -119,7 +119,7 @@ func TestStageCorrelationAcrossKinds(t *testing.T) {
 	}{
 		{Spec{Kind: KindStream, Sends: 2, StreamBits: 16, PayloadBytes: 64}, true},
 		{Spec{Kind: KindWLAN, Stations: 2, Rounds: 3, PayloadBytes: 64}, true},
-		{Spec{Kind: KindFigure, Figure: "fig2", Scale: 0.05}, false},
+		{Spec{Kind: KindFigureTask, Figure: "fig2", Scale: 0.05}, false},
 	} {
 		j, err := s.Submit(tc.spec)
 		if err != nil {

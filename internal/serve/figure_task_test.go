@@ -58,8 +58,9 @@ func TestFigureTaskMatchesLocalRunTask(t *testing.T) {
 	}
 }
 
-// TestFigureTaskValidation: bad indices, unknown figures, and a task index
-// on any other kind are all rejected at admission.
+// TestFigureTaskValidation: bad indices, unknown figures, a task index on
+// any other kind, and the retired whole-figure kind are all rejected at
+// admission.
 func TestFigureTaskValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -74,7 +75,7 @@ func TestFigureTaskValidation(t *testing.T) {
 			s.Task = 3
 			return s
 		}(), "task"},
-		{"task on a whole figure", Spec{Kind: KindFigure, Figure: "fig2", Task: 1}, "task"},
+		{"retired whole-figure kind", Spec{Kind: "figure", Figure: "fig2"}, "figure_task"},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Validate()

@@ -70,6 +70,14 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		t.Fatalf("invalid spec: status %d code %q", resp.StatusCode, env.Error.Code)
 	}
 
+	// 400 invalid_spec: the retired whole-figure kind, with a message that
+	// names its replacement.
+	resp = postRaw(t, c, []byte(`{"kind":"figure","figure":"fig9","scale":0.2}`), nil)
+	if env := decodeEnvelope(t, resp.Body); resp.StatusCode != 400 || env.Error.Code != servehttp.CodeInvalidSpec ||
+		!strings.Contains(env.Error.Message, "figure_task") {
+		t.Fatalf("retired figure kind: status %d code %q message %q", resp.StatusCode, env.Error.Code, env.Error.Message)
+	}
+
 	// 413 payload_too_large.
 	huge := []byte(`{"kind":"link","figure":"` + strings.Repeat("x", servehttp.MaxSpecBytes) + `"}`)
 	resp = postRaw(t, c, huge, nil)

@@ -23,11 +23,11 @@ import (
 // observer so the caller can correlate the job with the flight recorder's
 // per-stage timings. tc, when non-nil, rides the same hook and captures
 // the job's full schema-v2 trace (plus sampled PHY probes via
-// cos.WithProbe when tc.probeEvery >= 1). Figure jobs have no per-link
-// hook (they run through the experiment pool) and leave both untouched —
-// a traced figure job yields a header-only trace. WLAN jobs capture
-// events from every station link but no probes (wlan.Config has no probe
-// plumbing).
+// cos.WithProbe when tc.probeEvery >= 1). figure_task jobs have no
+// per-link hook (a point-task builds its own channels) and leave both
+// untouched — a traced figure_task job yields a header-only trace. WLAN
+// jobs capture events from every station link but no probes (wlan.Config
+// has no probe plumbing).
 func run(ctx context.Context, spec Spec, w io.Writer, agg *stageAgg, tc *traceCapture) error {
 	enc := json.NewEncoder(w)
 	switch spec.Kind {
@@ -37,8 +37,6 @@ func run(ctx context.Context, spec Spec, w io.Writer, agg *stageAgg, tc *traceCa
 		return runStream(ctx, spec, enc, agg, tc)
 	case KindWLAN:
 		return runWLAN(ctx, spec, enc, agg, tc)
-	case KindFigure:
-		return runFigure(ctx, spec, enc)
 	case KindFigureTask:
 		return runFigureTask(ctx, spec, enc)
 	default:
@@ -352,65 +350,6 @@ func runWLAN(ctx context.Context, spec Spec, enc *json.Encoder, agg *stageAgg, t
 		sum.CoSDataDeliveredPerLost = float64(cosRep.DataDelivered) / float64(cosRep.DataLost)
 	}
 	return enc.Encode(sum)
-}
-
-// figureMeta opens a figure job's stream.
-type figureMeta struct {
-	Type   string `json:"type"` // "figure_meta"
-	ID     string `json:"id"`
-	Title  string `json:"title"`
-	XLabel string `json:"x_label"`
-	YLabel string `json:"y_label"`
-	Series int    `json:"series"`
-}
-
-// pointRecord is one figure data point.
-type pointRecord struct {
-	Type   string  `json:"type"` // "point"
-	Series string  `json:"series"`
-	X      float64 `json:"x"`
-	Y      float64 `json:"y"`
-}
-
-// noteRecord carries a figure interpretation note.
-type noteRecord struct {
-	Type string `json:"type"` // "note"
-	Note string `json:"note"`
-}
-
-func runFigure(ctx context.Context, spec Spec, enc *json.Encoder) error {
-	res, err := experiments.Run(ctx, spec.Figure, experiments.RunOptions{
-		Scale:    spec.Scale,
-		Workers:  spec.Workers,
-		Seed:     spec.Seed,
-		Scenario: spec.Scenario,
-	})
-	if err != nil {
-		return err
-	}
-	if err := enc.Encode(figureMeta{
-		Type:   "figure_meta",
-		ID:     res.ID,
-		Title:  res.Title,
-		XLabel: res.XLabel,
-		YLabel: res.YLabel,
-		Series: len(res.Series),
-	}); err != nil {
-		return err
-	}
-	for _, s := range res.Series {
-		for i := range s.X {
-			if err := enc.Encode(pointRecord{Type: "point", Series: s.Name, X: s.X[i], Y: s.Y[i]}); err != nil {
-				return err
-			}
-		}
-	}
-	for _, n := range res.Notes {
-		if err := enc.Encode(noteRecord{Type: "note", Note: n}); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // TaskRecord is the single NDJSON record a figure_task job streams: the

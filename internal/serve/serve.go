@@ -1,7 +1,7 @@
 // Package serve is the transport-free core of the cos-serve daemon: a
 // long-lived job-queue service that runs simulation workloads — link
-// exchanges, control streams, WLAN coordination rounds, and named
-// experiment figures — on a sharded worker pool and streams each job's
+// exchanges, control streams, WLAN coordination rounds, and experiment
+// figure point-tasks — on a sharded worker pool and streams each job's
 // results as NDJSON.
 //
 // Three properties define the subsystem:

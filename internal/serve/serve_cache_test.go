@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -311,5 +312,57 @@ func TestFailedJobsSettleAcrossRestart(t *testing.T) {
 	}
 	if _, ok := s2.ResultByDigest(j.Digest()); ok {
 		t.Fatal("failed digest has a servable result")
+	}
+}
+
+// TestRetiredFigureKindInStore: a data directory written while the daemon
+// still ran whole-figure jobs recovers cleanly. The pending figure spec is
+// unrunnable, so recovery drops it and admits nothing; the completed
+// figure body is still the right bytes for its digest and keeps serving.
+func TestRetiredFigureKindInStore(t *testing.T) {
+	dir := t.TempDir()
+	st1, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending := Spec{Kind: "figure", Figure: "fig2", Scale: 0.05}
+	done := Spec{Kind: "figure", Figure: "fig10a"}
+	body := []byte(`{"type":"figure_meta","id":"fig10a","title":"t","x_label":"x","y_label":"y","series":1}` + "\n")
+	for i, spec := range []Spec{pending, done} {
+		canon, err := spec.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st1.LogSubmit(fmt.Sprintf("job-%06d", i+1), spec.Digest(), canon); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st1.LogResult("job-000002", done.Digest(), "done", "", body, nil); err != nil {
+		t.Fatal(err)
+	}
+	st1.Close()
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	s := New(Config{Shards: 1, Metrics: obs.NewRegistry(), Cache: cache.New(0), Store: st2})
+	defer s.Drain(5 * time.Second)
+
+	recovered := eventsOfType(s.Journal().Snapshot(0), EventStoreRecovered)
+	if len(recovered) != 1 {
+		t.Fatalf("store_recovered events = %+v", recovered)
+	}
+	var sre StoreRecoveredEvent
+	decodeInto(t, recovered[0], &sre)
+	if sre.Dropped != 1 || sre.Requeued != 0 || sre.Completed != 1 {
+		t.Fatalf("store_recovered payload = %+v, want dropped 1, requeued 0, completed 1", sre)
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("recovery admitted %d jobs for the retired kind: %+v", len(jobs), jobs)
+	}
+	if got, ok := s.ResultByDigest(done.Digest()); !ok || !bytes.Equal(got, body) {
+		t.Fatalf("ResultByDigest = %q, %v; want the stored figure body", got, ok)
 	}
 }

@@ -76,20 +76,23 @@ func TestStateString(t *testing.T) {
 
 func TestSpecValidation(t *testing.T) {
 	bad := []Spec{
-		{},                                           // missing kind
-		{Kind: "bogus"},                              // unknown kind
-		{Kind: KindLink, TimeoutMS: -1},              // negative timeout
-		{Kind: KindLink, Position: "Z"},              // unknown position
-		{Kind: KindLink, SNRdB: 99},                  // SNR out of range
-		{Kind: KindLink, PayloadBytes: 4},            // payload too small
-		{Kind: KindLink, Packets: -1},                // negative packets
-		{Kind: KindStream, StreamBits: -1},           // negative stream payload
-		{Kind: KindStream, Sends: 1e6},               // too many sends
-		{Kind: KindWLAN, Stations: 99},               // too many stations
-		{Kind: KindWLAN, Rounds: -5},                 // negative rounds
-		{Kind: KindFigure},                           // missing figure ID
-		{Kind: KindFigure, Figure: "nope"},           // unknown figure
-		{Kind: KindFigure, Figure: "fig2", Scale: 2}, // scale out of range
+		{},                                                 // missing kind
+		{Kind: "bogus"},                                    // unknown kind
+		{Kind: KindLink, TimeoutMS: -1},                    // negative timeout
+		{Kind: KindLink, Position: "Z"},                    // unknown position
+		{Kind: KindLink, SNRdB: 99},                        // SNR out of range
+		{Kind: KindLink, PayloadBytes: 4},                  // payload too small
+		{Kind: KindLink, Packets: -1},                      // negative packets
+		{Kind: KindStream, StreamBits: -1},                 // negative stream payload
+		{Kind: KindStream, Sends: 1e6},                     // too many sends
+		{Kind: KindWLAN, Stations: 99},                     // too many stations
+		{Kind: KindWLAN, Rounds: -5},                       // negative rounds
+		{Kind: KindFigureTask},                             // missing figure ID
+		{Kind: KindFigureTask, Figure: "nope"},             // unknown figure
+		{Kind: KindFigureTask, Figure: "fig2", Scale: 2},   // scale out of range
+		{Kind: KindLink, Workers: -1},                      // workers would split digests
+		{Kind: KindLink, Workers: 4},                       // workers would split digests
+		{Kind: KindFigureTask, Figure: "fig2", Workers: 3}, // workers would split digests
 	}
 	for _, spec := range bad {
 		if err := spec.Validate(); err == nil {
@@ -100,7 +103,7 @@ func TestSpecValidation(t *testing.T) {
 		{Kind: KindLink},
 		{Kind: KindStream, Position: "flat"},
 		{Kind: KindWLAN, Stations: 2, Rounds: 5},
-		{Kind: KindFigure, Figure: "fig10a"},
+		{Kind: KindFigureTask, Figure: "fig10a", Workers: 1},
 	}
 	for _, spec := range good {
 		if err := spec.Validate(); err != nil {
@@ -171,7 +174,7 @@ func TestStreamWLANAndFigureJobs(t *testing.T) {
 	specs := []Spec{
 		{Kind: KindStream, Sends: 2, StreamBits: 8, PayloadBytes: 256},
 		{Kind: KindWLAN, Stations: 2, Rounds: 4, PayloadBytes: 64},
-		{Kind: KindFigure, Figure: "fig10a"},
+		{Kind: KindFigureTask, Figure: "fig10a"},
 	}
 	for _, spec := range specs {
 		j, err := s.Submit(spec)

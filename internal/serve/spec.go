@@ -31,9 +31,6 @@ const (
 	// KindWLAN runs the access-coordination network simulation, comparing
 	// CoS grants against explicit grant frames.
 	KindWLAN Kind = "wlan"
-	// KindFigure regenerates one named experiment figure via
-	// experiments.Run and streams its data points.
-	KindFigure Kind = "figure"
 	// KindFigureTask runs a single point-task of a figure
 	// (experiments.Tasks) and streams its one record. It is the unit the
 	// fleet coordinator fans out: every task has its own spec digest, so
@@ -89,12 +86,15 @@ type Spec struct {
 	// Rounds is the WLAN scheduling round count (default 100, max 1e6).
 	Rounds int `json:"rounds,omitempty"`
 
-	// Figure is the experiment ID for figure jobs (see experiments.IDs).
+	// Figure is the experiment ID for figure_task jobs (see
+	// experiments.IDs).
 	Figure string `json:"figure,omitempty"`
 	// Scale shrinks figure sample sizes (default 0.1; 1 = publication).
 	Scale float64 `json:"scale,omitempty"`
-	// Workers bounds the figure's point-task pool (default 1; figure
-	// output is bit-identical for any worker count).
+	// Workers is read by no job: a figure_task runs one task on one
+	// goroutine. The field remains only because v1 canonical bytes carry
+	// "workers":1, so Validate accepts 0 (absent) and 1 and nothing else —
+	// any other value would split one job's digest for identical work.
 	Workers int `json:"workers,omitempty"`
 	// Task is the point-task index for figure_task jobs: which task of the
 	// figure's decomposition (experiments.Tasks under this spec's figure,
@@ -327,14 +327,19 @@ func DecodeCanonical(data []byte) (Spec, error) {
 func (s Spec) Validate() error {
 	s = s.normalized()
 	switch s.Kind {
-	case KindLink, KindStream, KindWLAN, KindFigure, KindFigureTask:
+	case KindLink, KindStream, KindWLAN, KindFigureTask:
 	case "":
-		return fmt.Errorf("serve: spec missing kind (want link, stream, wlan, figure or figure_task)")
+		return fmt.Errorf("serve: spec missing kind (want link, stream, wlan or figure_task)")
+	case "figure":
+		return fmt.Errorf(`serve: kind "figure" is retired: submit one figure_task job per point-task, as cos-figures -fleet does`)
 	default:
-		return fmt.Errorf("serve: unknown kind %q (want link, stream, wlan, figure or figure_task)", s.Kind)
+		return fmt.Errorf("serve: unknown kind %q (want link, stream, wlan or figure_task)", s.Kind)
 	}
 	if s.TimeoutMS < 0 {
 		return fmt.Errorf("serve: timeout_ms %d must be non-negative", s.TimeoutMS)
+	}
+	if s.Workers != 1 {
+		return fmt.Errorf("serve: workers %d: only 0 or 1 is accepted (no job reads it)", s.Workers)
 	}
 	if s.Task != 0 && s.Kind != KindFigureTask {
 		return fmt.Errorf("serve: task is only valid for figure_task jobs (kind %q)", s.Kind)
@@ -377,19 +382,6 @@ func (s Spec) Validate() error {
 		if s.Rounds < 1 || s.Rounds > 1e6 {
 			return fmt.Errorf("serve: rounds %d outside [1,1000000]", s.Rounds)
 		}
-	case KindFigure:
-		if s.Figure == "" {
-			return fmt.Errorf("serve: figure job missing figure ID (known: %v)", experiments.IDs())
-		}
-		if _, ok := experiments.Tasks(s.Figure, experiments.RunOptions{}); !ok {
-			return fmt.Errorf("serve: unknown figure %q (known: %v)", s.Figure, experiments.IDs())
-		}
-		if s.Scale < 0 || s.Scale > 1 {
-			return fmt.Errorf("serve: scale %v outside (0,1]", s.Scale)
-		}
-		if s.Workers < 0 {
-			return fmt.Errorf("serve: workers %d must be non-negative", s.Workers)
-		}
 	case KindFigureTask:
 		if s.Figure == "" {
 			return fmt.Errorf("serve: figure_task job missing figure ID (known: %v)", experiments.IDs())
@@ -409,8 +401,7 @@ func (s Spec) Validate() error {
 }
 
 // taskRunOptions maps a normalized figure_task spec onto the RunOptions
-// that parameterize its figure's decomposition. Workers is pinned to 1:
-// one task is one unit of work, and the pool never sees it.
+// that parameterize its figure's decomposition.
 func (s Spec) taskRunOptions() experiments.RunOptions {
-	return experiments.RunOptions{Scale: s.Scale, Seed: s.Seed, Workers: 1, Scenario: s.Scenario}
+	return experiments.RunOptions{Scale: s.Scale, Seed: s.Seed, Scenario: s.Scenario}
 }

@@ -76,8 +76,8 @@ func TestSpecDigestEquality(t *testing.T) {
 		{Kind: KindLink, PayloadBytes: 512},
 		{Kind: KindLink, Packets: 5},
 		{Kind: KindLink, ControlBits: 16},
-		{Kind: KindFigure, Figure: "fig2"},
-		{Kind: KindFigure, Figure: "fig2", Scale: 0.5},
+		{Kind: KindFigureTask, Figure: "fig2"},
+		{Kind: KindFigureTask, Figure: "fig2", Scale: 0.5},
 	}
 	seen := map[string]int{}
 	for i, s := range distinct {

@@ -33,8 +33,8 @@ type traceCapture struct {
 }
 
 // newTraceCapture starts a capture. The schema header is written up
-// front so workloads with no exchange hook (figure jobs) still finish
-// with a well-formed, versioned — if event-free — trace.
+// front so workloads with no exchange hook (figure_task jobs) still
+// finish with a well-formed, versioned — if event-free — trace.
 func newTraceCapture(probeEvery int) *traceCapture {
 	c := &traceCapture{probeEvery: probeEvery}
 	c.w = trace.NewWriter(&c.buf)

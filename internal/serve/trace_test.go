@@ -374,8 +374,8 @@ func TestTraceDigestInTerminalEvent(t *testing.T) {
 }
 
 // TestTraceOtherKinds: every workload yields a well-formed trace — WLAN
-// jobs capture events from every station link (no probes), figure jobs
-// have no exchange hook and finish with a valid header-only trace.
+// jobs capture events from every station link (no probes), figure_task
+// jobs have no exchange hook and finish with a valid header-only trace.
 func TestTraceOtherKinds(t *testing.T) {
 	s := newTestServer(t, Config{Shards: 2})
 
@@ -392,7 +392,7 @@ func TestTraceOtherKinds(t *testing.T) {
 		t.Fatalf("wlan trace: version %d, %d events", version, len(events))
 	}
 
-	fig := submitTraced(t, s, Spec{Kind: KindFigure, Figure: "fig2", Scale: 0.05}, 0)
+	fig := submitTraced(t, s, Spec{Kind: KindFigureTask, Figure: "fig2", Scale: 0.05}, 0)
 	body, _, err = s.JobTrace(fig)
 	if err != nil {
 		t.Fatal(err)

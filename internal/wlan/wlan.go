@@ -131,9 +131,6 @@ type Config struct {
 	Stations int
 	// SNRdB is each downlink's true SNR (default 18).
 	SNRdB float64
-	// Position selects the channel geometry (default PositionB; each
-	// station gets an independent variant of it).
-	Position cos.Position
 	// PayloadBytes is the data frame payload (default 1024).
 	PayloadBytes int
 	// Coordination selects the grant transport (default CoordCoS).
@@ -160,9 +157,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.SNRdB == 0 {
 		c.SNRdB = 18
-	}
-	if c.Position == 0 {
-		c.Position = cos.PositionB
 	}
 	if c.PayloadBytes == 0 {
 		c.PayloadBytes = 1024
@@ -196,7 +190,7 @@ type Network struct {
 }
 
 // New builds a network; every station gets an independent channel variant
-// at the configured position and SNR.
+// of Position B at the configured SNR.
 func New(cfg Config) (*Network, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
@@ -204,7 +198,7 @@ func New(cfg Config) (*Network, error) {
 	n := &Network{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 	for s := 0; s < cfg.Stations; s++ {
 		opts := []cos.Option{
-			cos.WithPosition(cfg.Position),
+			cos.WithPosition(cos.PositionB),
 			cos.WithSNR(cfg.SNRdB),
 			cos.WithSeed(cfg.Seed + int64(s)*101),
 			cos.WithChannelVariant(int64(s + 1)),
