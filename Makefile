@@ -30,7 +30,7 @@ ci: build vet
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) test -race -short ./...
-	$(GO) test -run 'TestPipelineGolden|TestScenarioLinkGoldens|TestLinkSendSteadyStateAllocs|TestStandaloneNodesMatchLink' .
+	$(GO) test -run 'TestPipelineGolden|TestScenarioLinkGoldens|TestLinkSendSteadyStateAllocs' .
 	$(GO) test -run 'TestRegistryRunsEverythingTiny|TestFig9TinyShape' ./internal/experiments/
 	$(GO) test -run 'TestStreamWLANAndFigureJobs' ./internal/serve/
 	$(GO) test -race -run 'TestSIGTERMDrainsGracefully|TestRestartServesDurableResults' ./cmd/cos-serve/
@@ -73,6 +73,7 @@ fuzz:
 	$(GO) test ./internal/cos/ -run xxx -fuzz FuzzIntervalRoundTrip -fuzztime 30s
 	$(GO) test ./internal/scenario/ -run xxx -fuzz FuzzParseRef -fuzztime 30s
 	$(GO) test ./internal/serve/ -run xxx -fuzz FuzzDecodeSpec -fuzztime 30s
+	$(GO) test ./internal/serve/client/ -run xxx -fuzz FuzzDecodeEnvelope -fuzztime 30s
 	$(GO) test ./internal/trace/ -run xxx -fuzz FuzzReadTrace -fuzztime 30s
 
 cover:

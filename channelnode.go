@@ -3,19 +3,18 @@ package cos
 import (
 	"math/rand"
 
-	"cos/internal/ofdm"
 	"cos/internal/scenario"
 )
 
-// Channel is the propagation node between a Transmitter and a Receiver: the
+// channelNode is the propagation node between a transmitter and a receiver: the
 // configured scenario's channel model (the indoor tapped-delay line by
 // default) plus AWGN at the configured SNR and the scenario's interferer.
 // It owns the link's noise RNG, so forward (Transmit) and reverse (Reverse,
 // for explicit feedback) traffic draw from one stream exactly as a
 // reciprocal channel should. Received sample buffers are scratch, valid
-// until the next call of the same method. A Channel is not safe for
+// until the next call of the same method. A channelNode is not safe for
 // concurrent use.
-type Channel struct {
+type channelNode struct {
 	cfg     config
 	model   scenario.ChannelModel
 	intf    scenario.Interferer
@@ -26,18 +25,7 @@ type Channel struct {
 	rev []complex128
 }
 
-// NewChannel builds a standalone channel node from link options. Inside a
-// Link the channel is wired up by NewLink.
-func NewChannel(opts ...Option) (*Channel, error) {
-	cfg, err := buildConfig(opts)
-	if err != nil {
-		return nil, err
-	}
-	m := newLinkMetrics(cfg.metrics)
-	return newChannelNode(cfg, &m)
-}
-
-func newChannelNode(cfg config, m *linkMetrics) (*Channel, error) {
+func newChannelNode(cfg config, m *linkMetrics) (*channelNode, error) {
 	model, err := cfg.scenario.NewChannel(scenario.Geometry{
 		Position: cfg.position,
 		Mobile:   cfg.mobile,
@@ -50,7 +38,7 @@ func newChannelNode(cfg config, m *linkMetrics) (*Channel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Channel{
+	return &channelNode{
 		cfg:     cfg,
 		model:   model,
 		intf:    intf,
@@ -59,23 +47,12 @@ func newChannelNode(cfg config, m *linkMetrics) (*Channel, error) {
 	}, nil
 }
 
-// FrequencyResponse returns the channel's per-subcarrier response at
-// simulation time now, and whether the model exposes one (flat and TDL
-// models do; abstract channels may not).
-func (c *Channel) FrequencyResponse(now float64) ([ofdm.NumSubcarriers]complex128, bool) {
-	fr, ok := c.model.(scenario.FrequencyResponder)
-	if !ok {
-		return [ofdm.NumSubcarriers]complex128{}, false
-	}
-	return fr.FrequencyResponse(now), true
-}
-
 // Transmit propagates a frame's samples through the channel at simulation
 // time now: the scenario's channel model (convolution plus AWGN scaled to
 // the configured SNR) and its interferer if one is configured. It returns
 // the received samples (scratch, valid until the next Transmit) and the
 // channel-sounder (ground truth) SNR in dB.
-func (c *Channel) Transmit(samples []complex128, now float64) ([]complex128, float64, error) {
+func (c *channelNode) Transmit(samples []complex128, now float64) ([]complex128, float64, error) {
 	sp := c.metrics.span(StageChannel)
 	var actual float64
 	var err error
@@ -96,7 +73,7 @@ func (c *Channel) Transmit(samples []complex128, now float64) ([]complex128, flo
 // (reciprocity). The interferer does not apply — feedback frames are
 // ACK-sized and ride the reverse direction. The returned samples are
 // scratch, valid until the next Reverse.
-func (c *Channel) Reverse(frame []complex128, now float64) ([]complex128, error) {
+func (c *channelNode) Reverse(frame []complex128, now float64) ([]complex128, error) {
 	var err error
 	c.rev, _, err = c.model.Propagate(c.rev, frame, now, c.cfg.snrDB, c.rng)
 	if err != nil {

@@ -37,14 +37,12 @@
 // (StreamDelivered, StreamStallAborted, StreamFragmentLost,
 // StreamHeaderCorrupted); the boolean Delivered field is derived from it.
 //
-// # Retaining exchanges
-//
-// The *Exchange delivered to a WithObserver callback may share slice
-// memory (Data, ControlSent, ControlSubcarriers, ...) with live link
-// state that later packets overwrite. Observers that only read fields
-// synchronously need nothing special; observers that retain or mutate an
-// exchange past the callback must take an Exchange.Clone(), which deep-
-// copies every slice field.
+// NewLink followed by Send or SendStream is the one way into the
+// pipeline; the transmitter, channel, and receiver nodes it wires
+// together are internal. Every *Exchange that Send returns, and that
+// WithObserver callbacks receive, is a snapshot the caller owns: Send
+// allocates its slices (and its Probe) fresh, so an exchange may be
+// retained or mutated without reaching link state.
 //
 // Lower layers live under internal/: the 802.11a PHY (internal/phy), OFDM
 // waveform (internal/ofdm), channel coding with erasure Viterbi decoding

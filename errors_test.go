@@ -17,9 +17,6 @@ func TestConfigErrorFromOptions(t *testing.T) {
 		option string
 	}{
 		{"snr", WithSNR(99), "WithSNR"},
-		{"bits-per-interval", WithBitsPerInterval(0), "WithBitsPerInterval"},
-		{"subcarrier-range", WithControlSubcarrierRange(0, 4), "WithControlSubcarrierRange"},
-		{"detector-factor", WithDetectorFactor(-1), "WithDetectorFactor"},
 		{"silence-budget", WithSilenceBudget(-1), "WithSilenceBudget"},
 		{"packet-interval", WithPacketInterval(0), "WithPacketInterval"},
 		{"observer", WithObserver(nil), "WithObserver"},
@@ -91,67 +88,6 @@ func TestErrFramingRequired(t *testing.T) {
 	_, err = link.SendStream(make([]byte, 40), make([]byte, 256))
 	if !errors.Is(err, ErrFramingRequired) {
 		t.Errorf("err = %v, want ErrFramingRequired", err)
-	}
-}
-
-func TestExchangeClone(t *testing.T) {
-	link, err := NewLink(WithSNR(22), WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 256)
-	// Warm the feedback loop, then size the control bits to the budget so
-	// the exchange carries control whenever the link allows any.
-	var ex *Exchange
-	for i := 0; i < 4; i++ {
-		budget, err := link.MaxControlBits(len(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := budget / 4 * 4
-		if n > 8 {
-			n = 8
-		}
-		ex, err = link.Send(data, make([]byte, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	cp := ex.Clone()
-	if cp == ex {
-		t.Fatal("Clone returned the same pointer")
-	}
-	if len(cp.ControlSent) != len(ex.ControlSent) || len(cp.ControlSubcarriers) != len(ex.ControlSubcarriers) {
-		t.Fatal("Clone dropped slice contents")
-	}
-	// Mutating the clone must not reach the original. (The original's
-	// slices may alias live link state — ControlSubcarriers can be the
-	// link's current selection — which is exactly why retaining observers
-	// clone.)
-	if len(cp.ControlSent) > 0 {
-		want := ex.ControlSent[0]
-		cp.ControlSent[0] ^= 1
-		if ex.ControlSent[0] != want {
-			t.Error("ControlSent aliased")
-		}
-	}
-	if len(cp.ControlSubcarriers) > 0 {
-		want := ex.ControlSubcarriers[0]
-		cp.ControlSubcarriers[0] += 100
-		if ex.ControlSubcarriers[0] != want {
-			t.Error("ControlSubcarriers aliased")
-		}
-	}
-	if cp.Data != nil {
-		want := ex.Data[0]
-		cp.Data[0] ^= 0xff
-		if ex.Data[0] != want {
-			t.Error("Data aliased")
-		}
-	}
-	var nilEx *Exchange
-	if nilEx.Clone() != nil {
-		t.Error("nil Clone should be nil")
 	}
 }
 

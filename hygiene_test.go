@@ -1,10 +1,12 @@
 package cos
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -113,6 +115,79 @@ func TestFleetConsumers(t *testing.T) {
 				pkg, module)
 		}
 	}
+}
+
+// TestPublicAPIGolden pins the exported surface of package cos — every
+// exported top-level constant, variable, type and function, plus the
+// exported methods of exported types — against testdata/cos_api.golden.
+// Growing or shrinking the library's front door is then a reviewed diff
+// of that file rather than a side effect.
+func TestPublicAPIGolden(t *testing.T) {
+	got := strings.Join(exportedAPI(t), "\n") + "\n"
+	want, err := os.ReadFile(filepath.Join("testdata", "cos_api.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("exported API of package cos changed; if intended, write this to testdata/cos_api.golden:\n%s", got)
+	}
+}
+
+// exportedAPI parses the package's non-test sources and lists its
+// exported identifiers, one "<kind> <name>" line each, sorted.
+func exportedAPI(t *testing.T) []string {
+	t.Helper()
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var api []string
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if !d.Name.IsExported() {
+					continue
+				}
+				if d.Recv == nil {
+					api = append(api, "func "+d.Name.Name)
+					continue
+				}
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok && id.IsExported() {
+					api = append(api, "method "+id.Name+"."+d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						if sp.Name.IsExported() {
+							api = append(api, "type "+sp.Name.Name)
+						}
+					case *ast.ValueSpec:
+						for _, name := range sp.Names {
+							if name.IsExported() {
+								api = append(api, d.Tok.String()+" "+name.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(api)
+	return api
 }
 
 // moduleImports parses every non-test .go file under the module root and

@@ -28,7 +28,8 @@ func TestParseRetryAfter(t *testing.T) {
 		{now.Add(-time.Minute).Format(http.TimeFormat), 0, true},
 		{"soon", 0, false},
 		{"", 0, false},
-		{"1.5", 0, false}, // delta-seconds is an integer; fractions are not the protocol
+		{"1.5", 0, false},                 // delta-seconds is an integer; fractions are not the protocol
+		{"9223372036854775807", 0, false}, // no Duration holds it
 	}
 	for _, tc := range cases {
 		got, ok := ParseRetryAfter(tc.in, now)

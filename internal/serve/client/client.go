@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -161,12 +162,16 @@ func (c *Client) do(req *http.Request) (*http.Response, error) {
 // ("Mon, 02 Jan 2006 15:04:05 GMT" and the obsolete date layouts). Values
 // in the past — a negative delta or an elapsed date — clamp to zero, which
 // still means "the server sent a hint" (retry immediately), so ok stays
-// true; ok is false only for unparseable values.
+// true; ok is false only for unparseable values and delta-seconds too
+// large for a Duration.
 func ParseRetryAfter(v string, now time.Time) (wait time.Duration, ok bool) {
 	v = strings.TrimSpace(v)
 	if secs, err := strconv.Atoi(v); err == nil {
 		if secs < 0 {
 			return 0, true
+		}
+		if int64(secs) > math.MaxInt64/int64(time.Second) {
+			return 0, false // would wrap negative
 		}
 		return time.Duration(secs) * time.Second, true
 	}
@@ -198,7 +203,8 @@ func decodeEnvelope(body io.Reader, apiErr *APIError) {
 	if err := json.Unmarshal(env.Error, &info); err == nil {
 		apiErr.Code = info.Code
 		apiErr.Message = info.Message
-		if info.RetryAfterMS > 0 {
+		// A hint no Duration can hold would wrap negative: treat it as absent.
+		if info.RetryAfterMS > 0 && info.RetryAfterMS <= math.MaxInt64/int64(time.Millisecond) {
 			apiErr.RetryAfter = time.Duration(info.RetryAfterMS) * time.Millisecond
 		}
 		return

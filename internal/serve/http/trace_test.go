@@ -126,7 +126,7 @@ func TestTraceUnavailableTyped(t *testing.T) {
 
 // TestTraceBadHeaders: malformed or inconsistent trace headers are 400s.
 func TestTraceBadHeaders(t *testing.T) {
-	_, base := startTraceAPI(t, serve.Config{Shards: 1})
+	c, base := startTraceAPI(t, serve.Config{Shards: 1})
 	post := func(hdr map[string]string) *http.Response {
 		t.Helper()
 		req, err := http.NewRequest("POST", base+"/jobs",
@@ -155,6 +155,14 @@ func TestTraceBadHeaders(t *testing.T) {
 		if resp := post(hdr); resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("headers %v: status %d, want 400", hdr, resp.StatusCode)
 		}
+	}
+
+	// A probe cadence on a wlan job, whose trace carries no probes.
+	wlan := serve.Spec{Kind: serve.KindWLAN, Stations: 2, Rounds: 3, PayloadBytes: 64}
+	_, err := c.Submit(context.Background(), wlan, client.SubmitOptions{Trace: true, ProbeEvery: 2})
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest || apiErr.Code != servehttp.CodeBadRequest {
+		t.Fatalf("probed wlan submit: err = %v, want 400 %s", err, servehttp.CodeBadRequest)
 	}
 }
 

@@ -19,24 +19,22 @@ import (
 // order — and therefore the byte stream — is deterministic; all
 // randomness derives from spec.Seed.
 //
-// agg, when non-nil, is wired into the workload's links as an exchange
-// observer so the caller can correlate the job with the flight recorder's
-// per-stage timings. tc, when non-nil, rides the same hook and captures
-// the job's full schema-v2 trace (plus sampled PHY probes via
-// cos.WithProbe when tc.probeEvery >= 1). figure_task jobs have no
-// per-link hook (a point-task builds its own channels) and leave both
-// untouched — a traced figure_task job yields a header-only trace. WLAN
-// jobs capture events from every station link but no probes (wlan.Config
-// has no probe plumbing).
-func run(ctx context.Context, spec Spec, w io.Writer, agg *stageAgg, tc *traceCapture) error {
+// hook holds the options appended to every link the workload builds: the
+// job's exchange observer (per-stage timings, and the trace capture of a
+// traced job) and, for a probed trace, cos.WithProbe. figure_task jobs
+// have no per-link hook (a point-task builds its own channels) and ignore
+// it — a traced figure_task job yields a header-only trace. Admission
+// refuses a probe cadence on wlan and figure_task jobs, so only link and
+// stream traces carry probes.
+func run(ctx context.Context, spec Spec, w io.Writer, hook []cos.Option) error {
 	enc := json.NewEncoder(w)
 	switch spec.Kind {
 	case KindLink:
-		return runLink(ctx, spec, enc, agg, tc)
+		return runLink(ctx, spec, enc, hook)
 	case KindStream:
-		return runStream(ctx, spec, enc, agg, tc)
+		return runStream(ctx, spec, enc, hook)
 	case KindWLAN:
-		return runWLAN(ctx, spec, enc, agg, tc)
+		return runWLAN(ctx, spec, enc, hook)
 	case KindFigureTask:
 		return runFigureTask(ctx, spec, enc)
 	default:
@@ -55,11 +53,9 @@ type ConfigError struct {
 // Error implements error.
 func (e *ConfigError) Error() string { return "serve: " + e.Field + ": " + e.Reason }
 
-// linkOptions builds the cos.Link options shared by link and stream jobs;
-// agg (when non-nil) is attached as the flight-recorder observer, and tc
-// (when non-nil) as the trace-capture observer, with probe sampling when
-// the capture asked for it.
-func linkOptions(spec Spec, agg *stageAgg, tc *traceCapture) ([]cos.Option, error) {
+// linkOptions builds the cos.Link options shared by link and stream jobs,
+// ending with the job's hook.
+func linkOptions(spec Spec, hook []cos.Option) ([]cos.Option, error) {
 	pos, err := parsePosition(spec.Position)
 	if err != nil {
 		return nil, err
@@ -79,16 +75,7 @@ func linkOptions(spec Spec, agg *stageAgg, tc *traceCapture) ([]cos.Option, erro
 	if spec.Mobile {
 		opts = append(opts, cos.WithMobile())
 	}
-	if agg != nil {
-		opts = append(opts, cos.WithObserver(agg.observe))
-	}
-	if tc != nil {
-		opts = append(opts, cos.WithObserver(tc.observe))
-		if tc.probeEvery >= 1 {
-			opts = append(opts, cos.WithProbe(tc.probeEvery))
-		}
-	}
-	return opts, nil
+	return append(opts, hook...), nil
 }
 
 // packetRecord is one link exchange.
@@ -118,8 +105,8 @@ type linkSummary struct {
 	ElapsedSimSeconds float64 `json:"elapsed_sim_seconds"`
 }
 
-func runLink(ctx context.Context, spec Spec, enc *json.Encoder, agg *stageAgg, tc *traceCapture) error {
-	opts, err := linkOptions(spec, agg, tc)
+func runLink(ctx context.Context, spec Spec, enc *json.Encoder, hook []cos.Option) error {
+	opts, err := linkOptions(spec, hook)
 	if err != nil {
 		return err
 	}
@@ -206,8 +193,8 @@ type streamSummary struct {
 	PacketsUsed int    `json:"packets_used"`
 }
 
-func runStream(ctx context.Context, spec Spec, enc *json.Encoder, agg *stageAgg, tc *traceCapture) error {
-	opts, err := linkOptions(spec, agg, tc)
+func runStream(ctx context.Context, spec Spec, enc *json.Encoder, hook []cos.Option) error {
+	opts, err := linkOptions(spec, hook)
 	if err != nil {
 		return err
 	}
@@ -278,19 +265,7 @@ type wlanSummary struct {
 	CoSDataDeliveredPerLost float64 `json:"cos_data_delivered_per_lost"`
 }
 
-func runWLAN(ctx context.Context, spec Spec, enc *json.Encoder, agg *stageAgg, tc *traceCapture) error {
-	// wlan.Config carries a single observer hook; compose the stage
-	// aggregator and the trace capture when both are wanted. Probes are
-	// not plumbed through wlan, so WLAN traces carry events only.
-	var observer cos.Observer
-	switch {
-	case agg != nil && tc != nil:
-		observer = func(ex *cos.Exchange) { agg.observe(ex); tc.observe(ex) }
-	case agg != nil:
-		observer = agg.observe
-	case tc != nil:
-		observer = tc.observe
-	}
+func runWLAN(ctx context.Context, spec Spec, enc *json.Encoder, hook []cos.Option) error {
 	runOne := func(coord wlan.Coordination) (*wlan.Report, error) {
 		n, err := wlan.New(wlan.Config{
 			Stations:     spec.Stations,
@@ -299,7 +274,7 @@ func runWLAN(ctx context.Context, spec Spec, enc *json.Encoder, agg *stageAgg, t
 			Coordination: coord,
 			Seed:         spec.Seed,
 			Scenario:     spec.Scenario,
-			Observer:     observer,
+			LinkOptions:  hook,
 		})
 		if err != nil {
 			return nil, err

@@ -34,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"cos"
 	"cos/internal/obs"
 	"cos/internal/obs/event"
 	"cos/internal/serve/cache"
@@ -53,9 +54,9 @@ var (
 	// trace body is gone (HTTP 404).
 	ErrTraceUnavailable = errors.New("serve: trace unavailable")
 	// ErrInvalidTraceOptions: the submission's trace options are
-	// inconsistent — ProbeEvery < 0, or ProbeEvery > 0 without Trace
-	// (HTTP 400).
-	ErrInvalidTraceOptions = errors.New("serve: probe cadence requires tracing and must be >= 0")
+	// inconsistent — ProbeEvery < 0, or ProbeEvery > 0 without Trace or on
+	// a kind whose trace carries no probes (wlan, figure_task) (HTTP 400).
+	ErrInvalidTraceOptions = errors.New("serve: probe cadence requires tracing of a link or stream job and must be >= 0")
 )
 
 // Config parameterizes a Server. The zero value selects sane defaults.
@@ -298,8 +299,9 @@ type SubmitOptions struct {
 	// the same spec share a digest and a cache entry.
 	Trace bool
 	// ProbeEvery samples a deep PHY introspection probe on every Nth
-	// exchange of a traced job (cos.WithProbe); 0 captures events only.
-	// Setting it without Trace, or negative, fails admission with
+	// exchange of a traced link or stream job (cos.WithProbe); 0 captures
+	// events only. Setting it without Trace, on a wlan or figure_task job
+	// (neither has probe plumbing), or negative, fails admission with
 	// ErrInvalidTraceOptions.
 	ProbeEvery int
 }
@@ -336,7 +338,10 @@ func (s *Server) SubmitWith(spec Spec, opts SubmitOptions) (*Job, error) {
 		return nil, err
 	}
 	digest := norm.Digest()
-	if opts.ProbeEvery < 0 || (opts.ProbeEvery > 0 && !opts.Trace) {
+	// Only link and stream jobs hand their links a probe cadence; on wlan
+	// and figure_task jobs it would be dropped without a word.
+	probed := norm.Kind == KindLink || norm.Kind == KindStream
+	if opts.ProbeEvery < 0 || (opts.ProbeEvery > 0 && (!opts.Trace || !probed)) {
 		s.rejected.With("invalid").Inc()
 		s.noteSubmit(true)
 		s.emit(EventJobRejected, "", RejectedEvent{
@@ -766,14 +771,20 @@ func (s *Server) runJob(j *Job) {
 	// agg correlates the job with the flight recorder: the run wires it
 	// into every link as an exchange observer, so the terminal event can
 	// report where the job's execution time went, stage by stage. tc, for
-	// traced submissions only, captures the full schema-v2 trace on the
-	// same hook; untraced jobs carry a nil capture and pay nothing.
+	// traced submissions only, captures the full schema-v2 trace; it joins
+	// agg in the job's one observer, and untraced jobs pay nothing for it.
 	agg := &stageAgg{}
+	observe := agg.observe
 	var tc *traceCapture
 	if j.traced {
-		tc = newTraceCapture(j.probeEvery)
+		tc = newTraceCapture()
+		observe = func(ex *cos.Exchange) { agg.observe(ex); tc.observe(ex) }
 	}
-	err := run(ctx, j.spec, j.buf, agg, tc)
+	hook := []cos.Option{cos.WithObserver(observe)}
+	if j.probeEvery > 0 { // admitted only on traced link and stream jobs
+		hook = append(hook, cos.WithProbe(j.probeEvery))
+	}
+	err := run(ctx, j.spec, j.buf, hook)
 	if tc != nil && err == nil {
 		// Finalize before the finish hooks run: persistTerminal writes the
 		// artifact and emitTerminalEvent stamps its digest.

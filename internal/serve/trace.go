@@ -10,9 +10,9 @@ import (
 )
 
 // traceCapture records one job's flight-recorder trace (schema v2) into
-// memory while the job runs on its shard. The capture rides the same
-// cos.WithObserver hook the stage aggregator uses, so traced jobs pay one
-// extra observer call per exchange and untraced jobs pay nothing.
+// memory while the job runs on its shard. The capture shares the job's one
+// cos.WithObserver hook with the stage aggregator, so traced jobs pay one
+// extra call per exchange and untraced jobs pay nothing.
 //
 // The captured body is deterministic: the one wall-clock field the trace
 // schema carries (stage_ns) is stripped before serialization, so the
@@ -27,29 +27,25 @@ import (
 //
 // Captures run on a single shard worker goroutine; no locking.
 type traceCapture struct {
-	probeEvery int
-	buf        bytes.Buffer
-	w          *trace.Writer
+	buf bytes.Buffer
+	w   *trace.Writer
 }
 
 // newTraceCapture starts a capture. The schema header is written up
 // front so workloads with no exchange hook (figure_task jobs) still
 // finish with a well-formed, versioned — if event-free — trace.
-func newTraceCapture(probeEvery int) *traceCapture {
-	c := &traceCapture{probeEvery: probeEvery}
+func newTraceCapture() *traceCapture {
+	c := &traceCapture{}
 	c.w = trace.NewWriter(&c.buf)
 	c.w.WriteHeader()
 	return c
 }
 
-// observe is the cos.Observer wired into the job's links. The exchange
-// is cloned (the link reuses it and its slices after the callback), and
-// StageNS is dropped: it is the only nondeterministic field an exchange
-// carries, and keeping the trace body byte-stable is what makes it
-// content-addressable.
+// observe records one exchange of the job's links. StageNS is dropped:
+// it is the only nondeterministic field an exchange carries, and keeping
+// the trace body byte-stable is what makes it content-addressable.
 func (c *traceCapture) observe(ex *cos.Exchange) {
-	ex = ex.Clone()
-	ev := trace.FromExchange(ex.Seq, ex, ex.DataBytes)
+	ev := trace.FromExchange(ex)
 	ev.StageNS = nil
 	c.w.Write(ev)
 }

@@ -186,6 +186,16 @@ func TestTraceInvalidOptions(t *testing.T) {
 	if _, err := s.SubmitWith(fastLinkSpec(1), SubmitOptions{Trace: true, ProbeEvery: -1}); !errors.Is(err, ErrInvalidTraceOptions) {
 		t.Fatalf("negative ProbeEvery: err = %v, want ErrInvalidTraceOptions", err)
 	}
+	// wlan links have no probe plumbing and figure tasks no exchange hook:
+	// a cadence there would be dropped from the trace without a word.
+	for _, spec := range []Spec{
+		{Kind: KindWLAN, Stations: 2, Rounds: 3, PayloadBytes: 64},
+		{Kind: KindFigureTask, Figure: "fig2", Scale: 0.05},
+	} {
+		if _, err := s.SubmitWith(spec, SubmitOptions{Trace: true, ProbeEvery: 2}); !errors.Is(err, ErrInvalidTraceOptions) {
+			t.Fatalf("traced %s job with ProbeEvery 2: err = %v, want ErrInvalidTraceOptions", spec.Kind, err)
+		}
+	}
 }
 
 // TestTraceCacheReuse: with a store, a cache-hit resubmission at the same

@@ -25,7 +25,7 @@ func reportEvents(t *testing.T) []Event {
 		if err != nil {
 			t.Fatal(err)
 		}
-		events = append(events, FromExchange(i, ex, len(data)))
+		events = append(events, FromExchange(ex))
 	}
 	return events
 }

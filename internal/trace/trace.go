@@ -100,8 +100,8 @@ type ProbeRecord struct {
 	NoiseVar              float64   `json:"noise_var,omitempty"`
 }
 
-// fromProbe flattens a cos.Probe (sharing slices: events are written
-// immediately and the probe is already a clone on the observer path).
+// fromProbe flattens a cos.Probe, sharing its slices: the probe belongs
+// to its exchange, which the caller owns.
 func fromProbe(p *cos.Probe) *ProbeRecord {
 	if p == nil {
 		return nil
@@ -122,8 +122,9 @@ func fromProbe(p *cos.Probe) *ProbeRecord {
 	}
 }
 
-// FromExchange flattens a link exchange into an event.
-func FromExchange(seq int, ex *cos.Exchange, dataBytes int) Event {
+// FromExchange flattens a link exchange into an event; the event shares
+// the exchange's slices.
+func FromExchange(ex *cos.Exchange) Event {
 	var stageNS map[string]int64
 	for i, ns := range ex.StageNS {
 		if ns <= 0 {
@@ -135,11 +136,11 @@ func FromExchange(seq int, ex *cos.Exchange, dataBytes int) Event {
 		stageNS[cos.Stage(i).String()] = ns
 	}
 	return Event{
-		Seq:                seq,
+		Seq:                ex.Seq,
 		Time:               ex.Time,
 		RateMbps:           ex.Mode.RateMbps,
 		DataOK:             ex.DataOK,
-		DataBytes:          dataBytes,
+		DataBytes:          ex.DataBytes,
 		ControlBits:        len(ex.ControlSent),
 		ControlOK:          ex.ControlOK,
 		ControlVerified:    ex.ControlVerified,
@@ -201,17 +202,12 @@ func (t *Writer) Write(e Event) error {
 // cos.WithObserver and every completed exchange is appended to the trace
 // with its on-link sequence number. Write errors are deferred to Err,
 // since observers cannot fail the exchange.
-//
-// The exchange is cloned before flattening: the observer contract says the
-// link may reuse the exchange (and its slices) after the callback returns,
-// and the flattened event aliases ControlSubcarriers.
 func (t *Writer) Observer() cos.Observer {
 	return func(ex *cos.Exchange) {
 		if t.obsErr != nil {
 			return
 		}
-		ex = ex.Clone()
-		if err := t.Write(FromExchange(ex.Seq, ex, ex.DataBytes)); err != nil {
+		if err := t.Write(FromExchange(ex)); err != nil {
 			t.obsErr = err
 		}
 	}

@@ -296,7 +296,7 @@ func TestFromExchangeEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Write(FromExchange(i, ex, len(data))); err != nil {
+		if err := w.Write(FromExchange(ex)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -334,7 +334,7 @@ func TestFromExchangeCarriesStagesAndProbes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		events = append(events, FromExchange(i, ex, len(data)))
+		events = append(events, FromExchange(ex))
 	}
 	probes := 0
 	for i, e := range events {

@@ -141,11 +141,11 @@ type Config struct {
 	// "hybrid-bscpec:0.2,0.05,25", ...) applied to every station link; ""
 	// selects the default world (see internal/scenario).
 	Scenario string
-	// Observer, when non-nil, receives every downlink exchange from every
-	// station's link (the flight-recorder hook). The serve layer uses it to
-	// aggregate per-stage timings for WLAN jobs; it has no effect on the
-	// simulation itself.
-	Observer cos.Observer
+	// LinkOptions are appended to every station link's options. The serve
+	// layer passes its exchange observer here (the flight-recorder hook
+	// that aggregates per-stage timings and captures traces), which has no
+	// effect on the simulation itself.
+	LinkOptions []cos.Option
 }
 
 func (c *Config) setDefaults() error {
@@ -216,10 +216,7 @@ func New(cfg Config) (*Network, error) {
 			}
 			opts = append(opts, cos.WithScenario(ref.Name, ref.Params...))
 		}
-		if cfg.Observer != nil {
-			opts = append(opts, cos.WithObserver(cfg.Observer))
-		}
-		link, err := cos.NewLink(opts...)
+		link, err := cos.NewLink(append(opts, cfg.LinkOptions...)...)
 		if err != nil {
 			return nil, err
 		}

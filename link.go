@@ -15,19 +15,18 @@ import (
 // selected control subcarriers (and its measured SNR) back to the sender,
 // which adapts both the data rate and the control-message rate.
 //
-// A Link is thin wiring over three pipeline nodes — Transmitter, Channel,
-// and Receiver — each of which owns its own scratch arena, so steady-state
-// Sends allocate only the Exchange handed to the caller. The nodes are
-// also usable standalone (NewTransmitter, NewChannel, NewReceiver) for
-// multi-link topologies.
+// A Link is thin wiring over three internal pipeline nodes — transmitter,
+// channel, and receiver — each of which owns its own scratch arena, so
+// steady-state Sends allocate only the Exchange handed to the caller.
 //
-// Create a Link with NewLink and push packets through it with Send.
-// A Link is not safe for concurrent use.
+// Create a Link with NewLink and push packets through it with Send (or
+// SendStream); that is the one way into the pipeline. A Link is not safe
+// for concurrent use.
 type Link struct {
 	cfg     config
-	tx      *Transmitter
-	ch      *Channel
-	rx      *Receiver
+	tx      *transmitter
+	ch      *channelNode
+	rx      *receiver
 	now     float64
 	seq     int
 	metrics linkMetrics
@@ -36,11 +35,14 @@ type Link struct {
 // Observer receives every completed exchange, immediately after the link
 // finishes processing it and before Send returns. Observers are the
 // link's event stream: trace capture, metrics sinks, and experiment
-// bookkeeping all consume the same hook (see WithObserver). The Exchange
-// is shared — observers must not mutate or retain it past the call.
+// bookkeeping all consume the same hook (see WithObserver). Every
+// observer receives the same *Exchange that Send returns, so an observer
+// that mutates it changes what later observers and the caller see.
 type Observer func(*Exchange)
 
-// Exchange reports everything observable about one packet exchange.
+// Exchange reports everything observable about one packet exchange. Send
+// allocates every slice of an Exchange (and its Probe) fresh, so the
+// caller owns it: retaining or mutating it never reaches link state.
 type Exchange struct {
 	// Seq is the 0-based index of this exchange on its link.
 	Seq int
@@ -89,27 +91,6 @@ type Exchange struct {
 	// when the link was built with WithProbe and this exchange was sampled;
 	// nil otherwise.
 	Probe *Probe
-}
-
-// Clone returns a deep copy of the exchange: the slice fields (Data,
-// ControlSent, ControlReceived, ControlPayload, ControlSubcarriers) are
-// copied and the Probe (when present) is deep-copied too, so the clone
-// stays valid after the observer callback returns and the link reuses or
-// drops the original. Observers that retain exchanges (trace buffers,
-// async sinks) must clone; synchronous consumers that only read fields
-// inside the callback need not.
-func (ex *Exchange) Clone() *Exchange {
-	if ex == nil {
-		return nil
-	}
-	cp := *ex
-	cp.Data = append([]byte(nil), ex.Data...)
-	cp.ControlSent = append([]byte(nil), ex.ControlSent...)
-	cp.ControlReceived = append([]byte(nil), ex.ControlReceived...)
-	cp.ControlPayload = append([]byte(nil), ex.ControlPayload...)
-	cp.ControlSubcarriers = append([]int(nil), ex.ControlSubcarriers...)
-	cp.Probe = ex.Probe.Clone()
-	return &cp
 }
 
 // linkMetrics holds the link's metric handles, resolved once at
@@ -192,42 +173,29 @@ func newLinkMetrics(r *obs.Registry) linkMetrics {
 	}
 }
 
-// buildConfig folds options over the default config and validates the
-// cross-option constraints shared by NewLink and the node constructors.
-func buildConfig(opts []Option) (config, error) {
+// NewLink builds a link from options. The zero-option link is PositionB,
+// static, 18 dB SNR, adaptive everything.
+func NewLink(opts ...Option) (*Link, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
 		if err := o(&cfg); err != nil {
-			return cfg, err
+			return nil, err
 		}
 	}
 	if cfg.fixedRateMbps != 0 {
 		if _, err := phy.ModeByRate(cfg.fixedRateMbps); err != nil {
-			return cfg, err
+			return nil, err
 		}
 	}
-	return cfg, nil
-}
-
-// NewLink builds a link from options. The zero-option link is PositionB,
-// static, 18 dB SNR, adaptive everything.
-func NewLink(opts ...Option) (*Link, error) {
-	cfg, err := buildConfig(opts)
-	if err != nil {
-		return nil, err
-	}
+	var err error
 	l := &Link{cfg: cfg, metrics: newLinkMetrics(cfg.metrics)}
-	ch, err := newChannelNode(cfg, &l.metrics)
-	if err != nil {
+	if l.ch, err = newChannelNode(cfg, &l.metrics); err != nil {
 		return nil, err
 	}
-	l.tx, err = newTransmitter(cfg, &l.metrics)
-	if err != nil {
+	if l.tx, err = newTransmitter(cfg, &l.metrics); err != nil {
 		return nil, err
 	}
-	l.ch = ch
-	l.rx, err = newReceiver(cfg, ch, &l.metrics)
-	if err != nil {
+	if l.rx, err = newReceiver(cfg, l.ch, &l.metrics); err != nil {
 		return nil, err
 	}
 	return l, nil
@@ -283,12 +251,14 @@ func (l *Link) Send(data, control []byte) (*Exchange, error) {
 	if err != nil {
 		return nil, err
 	}
+	// ControlSubcarriers is copied: the frame's set aliases the
+	// transmitter's selection, or the shared bootstrap set on a fresh link.
 	ex := &Exchange{
 		Seq:                l.seq,
 		DataBytes:          len(data),
 		Mode:               f.Mode,
 		Time:               l.now,
-		ControlSubcarriers: f.ControlSubcarriers,
+		ControlSubcarriers: append([]int(nil), f.ControlSubcarriers...),
 	}
 	if len(control) > 0 {
 		ex.ControlSent = append([]byte(nil), control...)

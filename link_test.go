@@ -3,6 +3,8 @@ package cos
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -211,7 +213,7 @@ func TestLinkDisabledCoSRejectsControl(t *testing.T) {
 }
 
 func TestLinkBudgetEnforced(t *testing.T) {
-	link, err := NewLink(WithSNR(20), WithSeed(18), WithSilenceBudget(3), WithBitsPerInterval(4))
+	link, err := NewLink(WithSNR(20), WithSeed(18), WithSilenceBudget(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,11 +324,6 @@ func TestOptionValidation(t *testing.T) {
 	bad := [][]Option{
 		{WithSNR(99)},
 		{WithFixedRate(33)},
-		{WithBitsPerInterval(0)},
-		{WithBitsPerInterval(17)},
-		{WithControlSubcarrierRange(0, 5)},
-		{WithControlSubcarrierRange(6, 2)},
-		{WithDetectorFactor(0)},
 		{WithSilenceBudget(-1)},
 		{WithScenario("pulse", -1, 10, 0.1)},
 		{WithPacketInterval(0)},
@@ -490,30 +487,6 @@ func TestLinkChannelVariantsDiffer(t *testing.T) {
 	}
 }
 
-func TestLinkDetectorFactorOption(t *testing.T) {
-	// A huge detector factor drives false positives up; the link must still
-	// run (control mostly fails, data survives via erasure decoding).
-	link, err := NewLink(WithSNR(20), WithSeed(82), WithDetectorFactor(50), WithFixedRate(12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 512)
-	if _, err := link.Send(data, nil); err != nil {
-		t.Fatal(err)
-	}
-	fp := 0
-	for i := 0; i < 5; i++ {
-		ex, err := link.Send(data, randBits(rand.New(rand.NewSource(int64(i))), 16))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fp += ex.Detection.FalsePositives
-	}
-	if fp == 0 {
-		t.Error("a 50x threshold factor should produce false positives")
-	}
-}
-
 func TestLinkNowStartsAtZero(t *testing.T) {
 	link, err := NewLink()
 	if err != nil {
@@ -572,4 +545,120 @@ func TestSendStreamRejectsEmptyPayload(t *testing.T) {
 	if _, err := link.SendStream(nil, make([]byte, 64)); err == nil {
 		t.Error("empty payload should error")
 	}
+}
+
+// TestExchangeOwnsControlSubcarriers pins that an Exchange's
+// ControlSubcarriers is the caller's own copy: writing to it must not
+// reach the transmitter's selection or the bootstrap set {9..16} that
+// every fresh link starts from.
+func TestExchangeOwnsControlSubcarriers(t *testing.T) {
+	bootstrap := []int{9, 10, 11, 12, 13, 14, 15, 16}
+	data := make([]byte, 256)
+	first, err := NewLink(WithSeed(41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := first.Send(data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ex.ControlSubcarriers, bootstrap) {
+		t.Fatalf("first exchange used %v, want the bootstrap set %v", ex.ControlSubcarriers, bootstrap)
+	}
+	// Restore what was written, so a failure here cannot leak a corrupted
+	// bootstrap set into the rest of the package's tests.
+	old := ex.ControlSubcarriers[0]
+	ex.ControlSubcarriers[0] = 47
+	defer func() { ex.ControlSubcarriers[0] = old }()
+
+	second, err := NewLink(WithSeed(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := second.ControlSubcarriers(); !slices.Equal(got, bootstrap) {
+		t.Errorf("fresh link selects %v after a caller wrote to an exchange, want %v", got, bootstrap)
+	}
+	ex2, err := second.Send(data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ex2.ControlSubcarriers, bootstrap) {
+		t.Errorf("fresh link bootstrapped on %v after a caller wrote to an exchange, want %v", ex2.ControlSubcarriers, bootstrap)
+	}
+}
+
+// TestObserverMayRetainExchanges retains every exchange of a probed,
+// control-carrying session in an observer and checks, once the session is
+// over, that each still equals the deep copy taken inside the callback:
+// later packets must not write through any slice an exchange holds.
+func TestObserverMayRetainExchanges(t *testing.T) {
+	var retained, copies []*Exchange
+	link, err := NewLink(WithSNR(20), WithSeed(43), WithProbe(3),
+		WithObserver(func(ex *Exchange) {
+			retained = append(retained, ex)
+			copies = append(copies, deepCopyExchange(ex))
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(44))
+	data := make([]byte, 512)
+	const packets = 20
+	for i := 0; i < packets; i++ {
+		rng.Read(data)
+		budget, err := link.MaxControlBits(len(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := budget / 4 * 4
+		if n > 16 {
+			n = 16
+		}
+		if _, err := link.Send(data, randBits(rng, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(retained) != packets {
+		t.Fatalf("observer saw %d exchanges, want %d", len(retained), packets)
+	}
+	probes, withControl := 0, 0
+	for i, ex := range retained {
+		if !reflect.DeepEqual(ex, copies[i]) {
+			t.Errorf("exchange %d changed after its callback returned", i)
+		}
+		if ex.Probe != nil {
+			probes++
+		}
+		if len(ex.ControlSent) > 0 {
+			withControl++
+		}
+	}
+	if probes == 0 || withControl == 0 {
+		t.Fatalf("session exercised %d probes and %d control exchanges; want both > 0", probes, withControl)
+	}
+}
+
+// deepCopyExchange copies every slice an Exchange (and its Probe) holds,
+// keeping nil and empty slices distinct.
+func deepCopyExchange(ex *Exchange) *Exchange {
+	cp := *ex
+	cp.Data = slices.Clone(ex.Data)
+	cp.ControlSent = slices.Clone(ex.ControlSent)
+	cp.ControlReceived = slices.Clone(ex.ControlReceived)
+	cp.ControlPayload = slices.Clone(ex.ControlPayload)
+	cp.ControlSubcarriers = slices.Clone(ex.ControlSubcarriers)
+	if ex.Probe != nil {
+		p := *ex.Probe
+		p.EVM = slices.Clone(p.EVM)
+		p.ErrorVectors = slices.Clone(p.ErrorVectors)
+		p.SubcarrierErrorCounts = slices.Clone(p.SubcarrierErrorCounts)
+		p.SubcarrierSymbols = slices.Clone(p.SubcarrierSymbols)
+		p.SymbolErrorPositions = slices.Clone(p.SymbolErrorPositions)
+		p.ErasurePositions = slices.Clone(p.ErasurePositions)
+		p.ControlSubcarriers = slices.Clone(p.ControlSubcarriers)
+		p.DetectorThresholds = slices.Clone(p.DetectorThresholds)
+		p.DetectorEnergyRatios = slices.Clone(p.DetectorEnergyRatios)
+		cp.Probe = &p
+	}
+	return &cp
 }

@@ -11,13 +11,3 @@ type MetricsRegistry = obs.Registry
 // NewMetricsRegistry returns an empty, isolated registry for injection
 // via WithMetricsRegistry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// DefaultMetrics returns the process-wide registry: the one every link
-// uses unless overridden, the one the internal pipeline stages
-// (PHY, detector, Viterbi, rate control, WLAN coordination) always use,
-// and the one the CLIs expose with -metrics-addr.
-func DefaultMetrics() *MetricsRegistry { return obs.Default() }
-
-// MetricsSnapshot flattens the default registry into name->value pairs;
-// histograms expand to _count, _sum, _p50, _p95 and _p99 keys.
-func MetricsSnapshot() map[string]float64 { return obs.Snapshot() }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cos"
+	"cos/internal/obs"
 )
 
 // TestPipelineMetricsEndToEnd runs a realistic session against the default
@@ -16,7 +17,7 @@ func TestPipelineMetricsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-hundred-packet session")
 	}
-	cos.DefaultMetrics().Reset()
+	obs.Default().Reset()
 
 	// 12 dB with 16 control bits per packet: low enough for detector
 	// errors and rate flapping, high enough for control to mostly work
@@ -48,7 +49,7 @@ func TestPipelineMetricsEndToEnd(t *testing.T) {
 		}
 	}
 
-	snap := cos.MetricsSnapshot()
+	snap := obs.Snapshot()
 	mustBePositive := []string{
 		"cos_link_exchanges_total",
 		"cos_link_data_ok_total",

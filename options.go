@@ -22,6 +22,17 @@ const (
 	PositionFlat = channel.PositionFlat
 )
 
+// The CoS parameters the paper fixes (Sec. III): k control bits per
+// inter-silence interval, the size bounds of the control subcarrier set
+// the receiver selects, and the energy detector's threshold factor (zero
+// selects the detector's geometric-mean operating point, 1.0).
+const (
+	bitsPerInterval = 4
+	minCtrlSCs      = 4
+	maxCtrlSCs      = 8
+	detectorFactor  = 0
+)
+
 // config collects Link settings; built by options.
 type config struct {
 	position         Position
@@ -31,10 +42,6 @@ type config struct {
 	seed             int64
 	snrDB            float64
 	fixedRateMbps    int
-	bitsPerInterval  int
-	minCtrl          int
-	maxCtrl          int
-	thresholdFactor  float64
 	silenceBudget    int
 	adaptiveBudget   bool
 	packetInterval   float64
@@ -48,15 +55,12 @@ type config struct {
 
 func defaultConfig() config {
 	return config{
-		position:        PositionB,
-		seed:            1,
-		snrDB:           18,
-		bitsPerInterval: 4,
-		minCtrl:         4,
-		maxCtrl:         8,
-		adaptiveBudget:  true,
-		packetInterval:  2e-3,
-		metrics:         obs.Default(),
+		position:       PositionB,
+		seed:           1,
+		snrDB:          18,
+		adaptiveBudget: true,
+		packetInterval: 2e-3,
+		metrics:        obs.Default(),
 	}
 }
 
@@ -116,41 +120,6 @@ func WithSNR(db float64) Option {
 func WithFixedRate(mbps int) Option {
 	return func(c *config) error {
 		c.fixedRateMbps = mbps
-		return nil
-	}
-}
-
-// WithBitsPerInterval sets k, the control bits carried per inter-silence
-// interval (default 4, as in the paper).
-func WithBitsPerInterval(k int) Option {
-	return func(c *config) error {
-		if k < 1 || k > 16 {
-			return &ConfigError{Option: "WithBitsPerInterval", Reason: fmt.Sprintf("bits per interval %d out of range [1,16]", k)}
-		}
-		c.bitsPerInterval = k
-		return nil
-	}
-}
-
-// WithControlSubcarrierRange bounds how many control subcarriers the
-// selection algorithm uses (defaults 4..8).
-func WithControlSubcarrierRange(min, max int) Option {
-	return func(c *config) error {
-		if min < 1 || (max != 0 && max < min) {
-			return &ConfigError{Option: "WithControlSubcarrierRange", Reason: fmt.Sprintf("bad control subcarrier range [%d,%d]", min, max)}
-		}
-		c.minCtrl, c.maxCtrl = min, max
-		return nil
-	}
-}
-
-// WithDetectorFactor scales the energy-detection threshold (default 1.0).
-func WithDetectorFactor(f float64) Option {
-	return func(c *config) error {
-		if f <= 0 {
-			return &ConfigError{Option: "WithDetectorFactor", Reason: fmt.Sprintf("detector factor %v must be positive", f)}
-		}
-		c.thresholdFactor = f
 		return nil
 	}
 }
@@ -250,8 +219,7 @@ func WithObserver(o Observer) Option {
 // them off the hot path (the BENCH_trace.json overhead budget assumes
 // every >= 64 for long sessions). Without this option no probe work runs
 // at all. The probe is attached to Exchange.Probe, where observers (e.g.
-// trace capture into schema v2) pick it up; an observer must not retain
-// it without Clone.
+// trace capture into schema v2) pick it up.
 func WithProbe(every int) Option {
 	return func(c *config) error {
 		if every < 1 {

@@ -1,7 +1,6 @@
 package cos_test
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 
@@ -66,95 +65,12 @@ func TestLinkSendSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestStandaloneNodesMatchLink drives the public Transmitter -> Channel ->
-// Receiver nodes by hand — the multi-link simulation wiring — and checks
-// the outcome of every packet is identical to a Link built from the same
-// options: same bytes, same SNRs, same control verdicts. This pins the
-// contract that Link is pure wiring around the nodes.
-func TestStandaloneNodesMatchLink(t *testing.T) {
-	opts := []cos.Option{cos.WithSNR(20), cos.WithSeed(6)}
-	link, err := cos.NewLink(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx, err := cos.NewTransmitter(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := cos.NewChannel(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rx, err := cos.NewReceiver(ch, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	data := make([]byte, 1024)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	ctrlLink := make([]byte, 0, 64)
-	now := 0.0
-	const interval = 2e-3 // the default packet interval
-
-	for p := 0; p < 12; p++ {
-		ex, ctrl := sendWithBudgetedControl(t, link, data, ctrlLink)
-
-		// Standalone pipeline, fed the exact same inputs.
-		maxBits, err := tx.MaxControlBits(len(data))
-		if err != nil {
-			t.Fatalf("packet %d: MaxControlBits: %v", p, err)
-		}
-		if got := maxBits / 4 * 4; got < len(ctrl) {
-			t.Fatalf("packet %d: standalone budget %d < link control length %d", p, got, len(ctrl))
-		}
-		f, err := tx.Encode(data, ctrl)
-		if err != nil {
-			t.Fatalf("packet %d: Encode: %v", p, err)
-		}
-		rxSamples, actualSNR, err := ch.Transmit(f.Samples, now)
-		if err != nil {
-			t.Fatalf("packet %d: Transmit: %v", p, err)
-		}
-		res, err := rx.Receive(f, rxSamples, now)
-		if err != nil {
-			t.Fatalf("packet %d: Receive: %v", p, err)
-		}
-		if res.FeedbackOK {
-			tx.ApplyFeedback(res.Feedback)
-		} else {
-			tx.NoteLoss()
-		}
-		now += interval
-
-		if actualSNR != ex.ActualSNRdB {
-			t.Fatalf("packet %d: actual SNR %v != link %v", p, actualSNR, ex.ActualSNRdB)
-		}
-		if res.MeasuredSNRdB != ex.MeasuredSNRdB {
-			t.Fatalf("packet %d: measured SNR %v != link %v", p, res.MeasuredSNRdB, ex.MeasuredSNRdB)
-		}
-		if res.DataOK != ex.DataOK {
-			t.Fatalf("packet %d: DataOK %v != link %v", p, res.DataOK, ex.DataOK)
-		}
-		if res.DataOK && !bytes.Equal(res.Data, ex.Data) {
-			t.Fatalf("packet %d: decoded data differs from link", p)
-		}
-		if res.ControlOK != ex.ControlOK {
-			t.Fatalf("packet %d: ControlOK %v != link %v", p, res.ControlOK, ex.ControlOK)
-		}
-		if !bytes.Equal(res.ControlReceived, ex.ControlReceived) {
-			t.Fatalf("packet %d: control bits differ from link", p)
-		}
-	}
-}
-
 // TestPipelineNodesRace exercises the node wiring from concurrent
-// goroutines — independent links plus a hand-wired standalone pipeline per
-// goroutine — so `go test -race` can catch unsynchronized access to the
-// package-level shared state the nodes lean on (the interleaver cache, the
-// precomputed preamble, the metrics registry). Each link itself stays
-// single-goroutine, per the concurrency contract.
+// goroutines — one independent link per goroutine — so `go test -race` can
+// catch unsynchronized access to the package-level shared state the nodes
+// lean on (the interleaver cache, the precomputed preamble, the metrics
+// registry). Each link itself stays single-goroutine, per the concurrency
+// contract.
 func TestPipelineNodesRace(t *testing.T) {
 	const workers = 4
 	data := make([]byte, 256)
@@ -168,8 +84,7 @@ func TestPipelineNodesRace(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			opts := []cos.Option{cos.WithSNR(20), cos.WithSeed(seed)}
-			link, err := cos.NewLink(opts...)
+			link, err := cos.NewLink(cos.WithSNR(20), cos.WithSeed(seed))
 			if err != nil {
 				errs <- err
 				return
@@ -193,37 +108,6 @@ func TestPipelineNodesRace(t *testing.T) {
 					errs <- err
 					return
 				}
-			}
-			// Standalone nodes in the same goroutine: constructors and one
-			// manual pass also touch the shared caches.
-			tx, err := cos.NewTransmitter(opts...)
-			if err != nil {
-				errs <- err
-				return
-			}
-			ch, err := cos.NewChannel(opts...)
-			if err != nil {
-				errs <- err
-				return
-			}
-			rx, err := cos.NewReceiver(ch, opts...)
-			if err != nil {
-				errs <- err
-				return
-			}
-			f, err := tx.Encode(data, nil)
-			if err != nil {
-				errs <- err
-				return
-			}
-			rxSamples, _, err := ch.Transmit(f.Samples, 0)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if _, err := rx.Receive(f, rxSamples, 0); err != nil {
-				errs <- err
-				return
 			}
 		}(int64(w + 1))
 	}

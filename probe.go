@@ -53,24 +53,6 @@ type Probe struct {
 	NoiseVar float64
 }
 
-// Clone returns a deep copy of the probe.
-func (p *Probe) Clone() *Probe {
-	if p == nil {
-		return nil
-	}
-	cp := *p
-	cp.EVM = append([]float64(nil), p.EVM...)
-	cp.ErrorVectors = append([]float64(nil), p.ErrorVectors...)
-	cp.SubcarrierErrorCounts = append([]int(nil), p.SubcarrierErrorCounts...)
-	cp.SubcarrierSymbols = append([]int(nil), p.SubcarrierSymbols...)
-	cp.SymbolErrorPositions = append([]int(nil), p.SymbolErrorPositions...)
-	cp.ErasurePositions = append([]int(nil), p.ErasurePositions...)
-	cp.ControlSubcarriers = append([]int(nil), p.ControlSubcarriers...)
-	cp.DetectorThresholds = append([]float64(nil), p.DetectorThresholds...)
-	cp.DetectorEnergyRatios = append([]float64(nil), p.DetectorEnergyRatios...)
-	return &cp
-}
-
 // buildProbe assembles a Probe from one exchange's transmit packet and
 // front end. erased may be nil (data-only packet); hard may be nil.
 func buildProbe(ex *Exchange, pkt *phy.TxPacket, fe *phy.FrontEnd, erased [][]bool, hard []byte, det icos.Detector, ctrlSCs []int) (*Probe, error) {

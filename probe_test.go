@@ -127,27 +127,6 @@ func TestProbeContents(t *testing.T) {
 	}
 }
 
-func TestProbeCloneIsDeep(t *testing.T) {
-	link, err := cos.NewLink(cos.WithSNR(18), cos.WithSeed(34), cos.WithProbe(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := sendN(t, link, 1)[0].Probe
-	cp := p.Clone()
-	if cp == p {
-		t.Fatal("Clone returned the receiver")
-	}
-	cp.EVM[0] = -99
-	cp.ControlSubcarriers[0] = -99
-	if p.EVM[0] == -99 || p.ControlSubcarriers[0] == -99 {
-		t.Error("Clone shares slices with the original")
-	}
-	var nilProbe *cos.Probe
-	if nilProbe.Clone() != nil {
-		t.Error("nil Clone should stay nil")
-	}
-}
-
 func TestProbeRejectsBadInterval(t *testing.T) {
 	_, err := cos.NewLink(cos.WithProbe(0))
 	var ce *cos.ConfigError

@@ -10,11 +10,11 @@ import (
 	"cos/internal/scenario"
 )
 
-// RxResult reports the receive-side outcome of one frame. Its slice fields
+// rxResult reports the receive-side outcome of one frame. Its slice fields
 // alias the receiver's scratch storage, so a result is valid only until
 // the next Receive on the same receiver; Link copies what it hands to
 // callers.
-type RxResult struct {
+type rxResult struct {
 	// MeasuredSNRdB is the receiver NIC's SNR estimate for this frame.
 	MeasuredSNRdB float64
 	// DataOK reports whether the data payload passed its frame check.
@@ -39,7 +39,7 @@ type RxResult struct {
 	Detection icos.DetectionStats
 	// Feedback is what the receiver would feed back to the transmitter;
 	// meaningful only when FeedbackOK.
-	Feedback LinkFeedback
+	Feedback linkFeedback
 	// FeedbackOK reports whether feedback reached the sender: false after
 	// a data loss, and false when an explicit feedback frame was lost.
 	FeedbackOK bool
@@ -51,16 +51,16 @@ type RxResult struct {
 	det  icos.Detector
 }
 
-// Receiver is the receive-side pipeline node: front end, silence
+// receiver is the receive-side pipeline node: front end, silence
 // detection, control-interval decoding, erasure Viterbi decoding, and the
 // feedback computation of the paper's Fig. 8 closed loop. It owns a
 // reusable scratch arena, so steady-state Receive calls allocate only
 // where the selection algorithm does; results alias that arena and are
-// valid until the next Receive. A Receiver is not safe for concurrent use.
-type Receiver struct {
+// valid until the next Receive. A receiver is not safe for concurrent use.
+type receiver struct {
 	cfg     config
 	emb     scenario.Embedding
-	ch      *Channel
+	ch      *channelNode
 	metrics *linkMetrics
 
 	// Feedback state (valid after the first successful frame). lastSel
@@ -81,33 +81,20 @@ type Receiver struct {
 	sums   [ofdm.NumData]float64
 	counts [ofdm.NumData]int
 	snrs   [ofdm.NumData]float64
-	res    RxResult
+	res    rxResult
 }
 
-// NewReceiver builds a standalone receiver node from link options. The
-// channel carries explicit feedback frames on its reverse direction (it
-// may be nil when WithExplicitFeedback is not used). Inside a Link the
-// receiver is wired up by NewLink.
-func NewReceiver(ch *Channel, opts ...Option) (*Receiver, error) {
-	cfg, err := buildConfig(opts)
-	if err != nil {
-		return nil, err
-	}
-	m := newLinkMetrics(cfg.metrics)
-	return newReceiver(cfg, ch, &m)
-}
-
-func newReceiver(cfg config, ch *Channel, m *linkMetrics) (*Receiver, error) {
+func newReceiver(cfg config, ch *channelNode, m *linkMetrics) (*receiver, error) {
 	emb, err := cfg.scenario.NewEmbedding()
 	if err != nil {
 		return nil, err
 	}
-	return &Receiver{cfg: cfg, emb: emb, ch: ch, metrics: m}, nil
+	return &receiver{cfg: cfg, emb: emb, ch: ch, metrics: m}, nil
 }
 
 // LastEVM returns the receiver's most recent per-subcarrier EVM picture
 // (48 fractions), or nil before the first successful frame.
-func (r *Receiver) LastEVM() []float64 {
+func (r *receiver) LastEVM() []float64 {
 	if !r.haveEVM {
 		return nil
 	}
@@ -121,9 +108,9 @@ func (r *Receiver) LastEVM() []float64 {
 // erasure Viterbi data decoding, and — after a CRC pass — the feedback
 // computation. The result aliases the receiver's scratch and is valid
 // until the next Receive.
-func (r *Receiver) Receive(f *Frame, samples []complex128, now float64) (*RxResult, error) {
+func (r *receiver) Receive(f *txFrame, samples []complex128, now float64) (*rxResult, error) {
 	res := &r.res
-	*res = RxResult{}
+	*res = rxResult{}
 
 	spFE := r.metrics.span(StageFrontEnd)
 	fe, err := phy.RunFrontEndInto(&r.rx, samples)
@@ -136,11 +123,11 @@ func (r *Receiver) Receive(f *Frame, samples []complex128, now float64) (*RxResu
 	}
 	spFE.End()
 
-	det := icos.Detector{Scheme: f.Mode.Modulation, ThresholdFactor: r.cfg.thresholdFactor}
+	det := icos.Detector{Scheme: f.Mode.Modulation, ThresholdFactor: detectorFactor}
 	var detectedMask [][]bool
 	if len(f.ControlBits) > 0 {
 		spDet := r.metrics.span(StageDetect)
-		detectedMask, err = r.emb.Mask(fe, f.Mode, f.ControlSubcarriers, r.cfg.thresholdFactor)
+		detectedMask, err = r.emb.Mask(fe, f.Mode, f.ControlSubcarriers, detectorFactor)
 		if err != nil {
 			return nil, err
 		}
@@ -160,7 +147,7 @@ func (r *Receiver) Receive(f *Frame, samples []complex128, now float64) (*RxResu
 		// ride the data bits (padding) can read the decode result; the
 		// silence path draws no randomness here, so the order is free.
 		spCtrl := r.metrics.span(StageControlDecode)
-		ctrlBits, exErr := r.emb.Extract(dec, detectedMask, f.ControlSubcarriers, r.cfg.bitsPerInterval)
+		ctrlBits, exErr := r.emb.Extract(dec, detectedMask, f.ControlSubcarriers, bitsPerInterval)
 		spCtrl.End()
 		if exErr == nil {
 			res.ControlDecoded = true
@@ -213,10 +200,10 @@ func (r *Receiver) Receive(f *Frame, samples []complex128, now float64) (*RxResu
 // selection and SNR feedback. The bool result reports whether the
 // feedback reached the sender (false when an explicit feedback frame was
 // lost).
-func (r *Receiver) updateFeedback(f *Frame, fe *phy.FrontEnd, psdu []byte, erased [][]bool, measured float64, now float64) (LinkFeedback, bool, error) {
+func (r *receiver) updateFeedback(f *txFrame, fe *phy.FrontEnd, psdu []byte, erased [][]bool, measured float64, now float64) (linkFeedback, bool, error) {
 	grid, err := phy.ReconstructGridInto(&r.ref, f.Packet.Config, psdu)
 	if err != nil {
-		return LinkFeedback{}, false, err
+		return linkFeedback{}, false, err
 	}
 	r.evm = [ofdm.NumData]float64{}
 	r.sums = [ofdm.NumData]float64{}
@@ -224,11 +211,11 @@ func (r *Receiver) updateFeedback(f *Frame, fe *phy.FrontEnd, psdu []byte, erase
 	for s := 0; s < fe.NumSymbols(); s++ {
 		r.eq, err = fe.EqualizedInto(r.eq, s)
 		if err != nil {
-			return LinkFeedback{}, false, err
+			return linkFeedback{}, false, err
 		}
 		row, err := grid.Symbol(s)
 		if err != nil {
-			return LinkFeedback{}, false, err
+			return linkFeedback{}, false, err
 		}
 		for d := 0; d < ofdm.NumData; d++ {
 			if erased != nil && erased[s][d] {
@@ -245,7 +232,7 @@ func (r *Receiver) updateFeedback(f *Frame, fe *phy.FrontEnd, psdu []byte, erase
 		}
 	}
 	if _, err := fe.SubcarrierSNRsInto(r.snrs[:]); err != nil {
-		return LinkFeedback{}, false, err
+		return linkFeedback{}, false, err
 	}
 	// Smooth the channel picture across packets (EWMA): a single packet's
 	// estimate is noisy enough at weak subcarriers to let a borderline
@@ -268,7 +255,7 @@ func (r *Receiver) updateFeedback(f *Frame, fe *phy.FrontEnd, psdu []byte, erase
 		nextMode = f.Mode
 	}
 	noDetectable := false
-	sel, err := icos.SelectDetectable(r.evm[:], r.snrs[:], nextMode.Modulation, r.cfg.minCtrl, r.cfg.maxCtrl, 0)
+	sel, err := icos.SelectDetectable(r.evm[:], r.snrs[:], nextMode.Modulation, minCtrlSCs, maxCtrlSCs, 0)
 	if err != nil {
 		// No detectable subcarriers in this packet's estimate. Keep the
 		// previous selection if one exists (estimates fluctuate packet to
@@ -287,20 +274,20 @@ func (r *Receiver) updateFeedback(f *Frame, fe *phy.FrontEnd, psdu []byte, erase
 		fb := icos.Feedback{MeasuredSNRdB: clampFeedbackSNR(measured), Selected: sel}
 		frame, err := icos.BuildFeedbackFrame(fb)
 		if err != nil {
-			return LinkFeedback{}, false, err
+			return linkFeedback{}, false, err
 		}
 		rxf, err := r.ch.Reverse(frame, now)
 		if err != nil {
-			return LinkFeedback{}, false, err
+			return linkFeedback{}, false, err
 		}
-		parsed, err := icos.ParseFeedbackFrame(rxf, icos.Detector{ThresholdFactor: r.cfg.thresholdFactor})
+		parsed, err := icos.ParseFeedbackFrame(rxf, icos.Detector{ThresholdFactor: detectorFactor})
 		if err != nil {
 			// Feedback lost: the sender behaves as after a data loss
 			// (Sec. III-F) — conservative settings next packet.
 			r.haveFeedback = false
 			r.lastSel = nil
 			r.storeEVM()
-			return LinkFeedback{}, false, nil
+			return linkFeedback{}, false, nil
 		}
 		measured = parsed.MeasuredSNRdB
 		sel = parsed.Selected
@@ -311,12 +298,12 @@ func (r *Receiver) updateFeedback(f *Frame, fe *phy.FrontEnd, psdu []byte, erase
 	r.measuredSNR = measured
 	r.storeEVM()
 	r.lastSel = sel
-	return LinkFeedback{MeasuredSNRdB: measured, ControlSubcarriers: sel, NoDetectable: noDetectable}, true, nil
+	return linkFeedback{MeasuredSNRdB: measured, ControlSubcarriers: sel, NoDetectable: noDetectable}, true, nil
 }
 
 // storeEVM records the (post-smoothing) EVM and SNR pictures as the
 // baseline for the next packet's EWMA.
-func (r *Receiver) storeEVM() {
+func (r *receiver) storeEVM() {
 	r.lastEVM = r.evm
 	r.lastSCSNRs = r.snrs
 	r.haveEVM = true

@@ -3,7 +3,7 @@ package cos
 import "cos/internal/obs"
 
 // This file owns the pipeline's stage vocabulary and its span wiring. The
-// node implementations (Transmitter, Channel, Receiver) start every timed
+// node implementations (transmitter, channelNode, receiver) start every timed
 // section through linkMetrics.span, and stageNames is a compile-time
 // length-checked array, so a stage cannot be added without its name, its
 // latency histogram, and its StageNS slot all appearing here.
@@ -16,10 +16,10 @@ type Stage int
 
 const (
 	// StageTxEncode covers the sender: FCS, scramble/encode/interleave/map,
-	// silence embedding, and IFFT+CP sample generation (Transmitter.Encode).
+	// silence embedding, and IFFT+CP sample generation (transmitter.Encode).
 	StageTxEncode Stage = iota
 	// StageChannel covers the TDL channel, noise, and interference
-	// (Channel.Transmit).
+	// (channelNode.Transmit).
 	StageChannel
 	// StageFrontEnd covers the receiver front end: FFTs, channel estimate,
 	// pilot-aided noise estimate, SNR measurement.
@@ -34,7 +34,7 @@ const (
 	StageEVD
 	// StageFeedback covers the receiver's EVM recomputation, subcarrier
 	// selection, and (with WithExplicitFeedback) the reverse-channel frame.
-	// Stages FrontEnd through Feedback run inside Receiver.Receive.
+	// Stages FrontEnd through Feedback run inside receiver.Receive.
 	StageFeedback
 
 	// StageCount is the number of stages; it is not itself a stage.

@@ -9,11 +9,11 @@ import (
 	"cos/internal/scenario"
 )
 
-// Frame is one encoded transmission: the output of Transmitter.Encode and
-// the input to Channel.Transmit / Receiver.Receive. Its slice fields alias
+// txFrame is one encoded transmission: the output of transmitter.Encode and
+// the input to channelNode.Transmit / receiver.Receive. Its slice fields alias
 // the transmitter's scratch storage, so a frame is valid only until the
 // next Encode on the same transmitter.
-type Frame struct {
+type txFrame struct {
 	// Mode is the 802.11a mode the transmitter selected.
 	Mode phy.Mode
 	// DataBytes is the data payload length in bytes.
@@ -38,10 +38,10 @@ type Frame struct {
 	SilencesInserted int
 }
 
-// LinkFeedback is what the receiver feeds back to the transmitter after a
+// linkFeedback is what the receiver feeds back to the transmitter after a
 // successful exchange: the smoothed SNR report and the selected control
 // subcarriers (Fig. 8's closed loop).
-type LinkFeedback struct {
+type linkFeedback struct {
 	// MeasuredSNRdB is the receiver's (smoothed) SNR report.
 	MeasuredSNRdB float64
 	// ControlSubcarriers is the selected control set; empty when no
@@ -52,14 +52,14 @@ type LinkFeedback struct {
 	NoDetectable bool
 }
 
-// Transmitter is the sender-side pipeline node: it selects the data mode
+// transmitter is the sender-side pipeline node: it selects the data mode
 // and silence budget from the last feedback, runs the 802.11a transmit
 // chain, embeds control bits through the scenario's embedding scheme
 // (silence intervals by default), and renders baseband samples. It owns a
 // reusable scratch arena, so steady-state Encode calls do not allocate;
-// the returned Frame aliases that arena and is valid until the next
-// Encode. A Transmitter is not safe for concurrent use.
-type Transmitter struct {
+// the returned frame aliases that arena and is valid until the next
+// Encode. A transmitter is not safe for concurrent use.
+type transmitter struct {
 	cfg     config
 	emb     scenario.Embedding
 	rateTbl *icos.RateTable
@@ -81,32 +81,19 @@ type Transmitter struct {
 	framed  []byte
 	padded  []byte
 	samples []complex128
-	frame   Frame
+	frame   txFrame
 }
 
-// NewTransmitter builds a standalone transmitter node from link options.
-// Inside a Link the transmitter is wired up by NewLink; standalone nodes
-// are for multi-link topologies where sender and receiver are driven
-// separately.
-func NewTransmitter(opts ...Option) (*Transmitter, error) {
-	cfg, err := buildConfig(opts)
-	if err != nil {
-		return nil, err
-	}
-	m := newLinkMetrics(cfg.metrics)
-	return newTransmitter(cfg, &m)
-}
-
-func newTransmitter(cfg config, m *linkMetrics) (*Transmitter, error) {
+func newTransmitter(cfg config, m *linkMetrics) (*transmitter, error) {
 	emb, err := cfg.scenario.NewEmbedding()
 	if err != nil {
 		return nil, err
 	}
-	return &Transmitter{cfg: cfg, emb: emb, rateTbl: icos.DefaultRateTable(), metrics: m}, nil
+	return &transmitter{cfg: cfg, emb: emb, rateTbl: icos.DefaultRateTable(), metrics: m}, nil
 }
 
 // Mode returns the data mode the next Encode will use.
-func (t *Transmitter) Mode() (phy.Mode, error) {
+func (t *transmitter) Mode() (phy.Mode, error) {
 	if t.cfg.fixedRateMbps != 0 {
 		return phy.ModeByRate(t.cfg.fixedRateMbps)
 	}
@@ -118,7 +105,7 @@ func (t *Transmitter) Mode() (phy.Mode, error) {
 }
 
 // SilenceBudget returns the per-packet silence budget for the next frame.
-func (t *Transmitter) SilenceBudget() int {
+func (t *transmitter) SilenceBudget() int {
 	if !t.cfg.adaptiveBudget {
 		return t.cfg.silenceBudget
 	}
@@ -143,7 +130,7 @@ func (t *Transmitter) SilenceBudget() int {
 // for a payload of dataLen bytes, accounting for the current budget, the
 // control subcarrier set, and the embedding scheme's capacity (worst-case
 // interval layout for silences, pad size for padding).
-func (t *Transmitter) MaxControlBits(dataLen int) (int, error) {
+func (t *transmitter) MaxControlBits(dataLen int) (int, error) {
 	if t.cfg.disableCoS || (t.emb.Budgeted() && t.noDetectable) {
 		return 0, nil
 	}
@@ -151,10 +138,10 @@ func (t *Transmitter) MaxControlBits(dataLen int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	k := t.cfg.bitsPerInterval
+	k := bitsPerInterval
 	nCtrl := len(t.ctrlSCs)
 	if nCtrl == 0 {
-		nCtrl = t.cfg.minCtrl
+		nCtrl = minCtrlSCs
 	}
 	byCapacity := t.emb.Capacity(mode, dataLen+bits.FCSLen, nCtrl, k)
 	if !t.emb.Budgeted() {
@@ -187,7 +174,7 @@ func (t *Transmitter) MaxControlBits(dataLen int) (int, error) {
 
 // ControlSubcarriers returns the control subcarrier set the next Encode
 // will use (a copy).
-func (t *Transmitter) ControlSubcarriers() []int {
+func (t *transmitter) ControlSubcarriers() []int {
 	src := t.ctrlSCs
 	if len(src) == 0 {
 		src = defaultCtrlSCs
@@ -202,7 +189,7 @@ func (t *Transmitter) ControlSubcarriers() []int {
 // multiple of the configured bits-per-interval and fit within
 // MaxControlBits; pass nil for a data-only frame. The returned frame
 // aliases the transmitter's scratch and is valid until the next Encode.
-func (t *Transmitter) Encode(data, control []byte) (*Frame, error) {
+func (t *transmitter) Encode(data, control []byte) (*txFrame, error) {
 	mode, err := t.Mode()
 	if err != nil {
 		return nil, err
@@ -222,7 +209,7 @@ func (t *Transmitter) Encode(data, control []byte) (*Frame, error) {
 		ctrlSCs = defaultCtrlSCs
 	}
 	f := &t.frame
-	*f = Frame{
+	*f = txFrame{
 		Mode:               mode,
 		DataBytes:          len(data),
 		PSDULen:            len(t.psdu),
@@ -240,7 +227,7 @@ func (t *Transmitter) Encode(data, control []byte) (*Frame, error) {
 			return nil, fmt.Errorf("cos: %d control bits exceed the current budget of %d: %w", len(control), maxBits, ErrBudgetExceeded)
 		}
 		wire := control
-		align := t.emb.Align(t.cfg.bitsPerInterval)
+		align := t.emb.Align(bitsPerInterval)
 		if t.cfg.controlFraming {
 			t.framed, err = icos.FrameControlInto(t.framed, control)
 			if err != nil {
@@ -255,7 +242,7 @@ func (t *Transmitter) Encode(data, control []byte) (*Frame, error) {
 			return nil, fmt.Errorf("cos: %d control bits is not a multiple of k=%d (or use WithControlFraming): %w",
 				len(control), align, ErrControlAlignment)
 		}
-		f.TruthMask, f.SilencesInserted, err = t.emb.Embed(pkt, ctrlSCs, wire, t.cfg.bitsPerInterval)
+		f.TruthMask, f.SilencesInserted, err = t.emb.Embed(pkt, ctrlSCs, wire, bitsPerInterval)
 		if err != nil {
 			return nil, err
 		}
@@ -272,7 +259,7 @@ func (t *Transmitter) Encode(data, control []byte) (*Frame, error) {
 
 // ApplyFeedback installs the receiver's feedback; it governs the mode,
 // budget, and control set of subsequent Encodes.
-func (t *Transmitter) ApplyFeedback(fb LinkFeedback) {
+func (t *transmitter) ApplyFeedback(fb linkFeedback) {
 	t.haveFeedback = true
 	t.measuredSNR = fb.MeasuredSNRdB
 	t.ctrlSCs = fb.ControlSubcarriers
@@ -282,7 +269,7 @@ func (t *Transmitter) ApplyFeedback(fb LinkFeedback) {
 // NoteLoss records that the last exchange produced no usable feedback
 // (data or feedback-frame loss): the transmitter falls back to
 // conservative settings for the next frame (Sec. III-F).
-func (t *Transmitter) NoteLoss() {
+func (t *transmitter) NoteLoss() {
 	t.haveFeedback = false
 	t.noDetectable = false
 	t.ctrlSCs = nil
