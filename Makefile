@@ -23,14 +23,14 @@ race:
 
 # The pre-merge gate. Every short test runs under the race detector, so a
 # new test is raced without a new line here; the tests that skip under
-# -short (goldens, the tiny whole-registry figure sweeps, cos-serve
-# subprocesses) and cmd/cos-bench, a module of its own that ./... does not
-# enter, get lines of their own.
+# -short (goldens, the metrics end-to-end session, the tiny whole-registry
+# figure sweeps, cos-serve subprocesses) and cmd/cos-bench, a module of its
+# own that ./... does not enter, get lines of their own.
 ci: build vet
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) test -race -short ./...
-	$(GO) test -run 'TestPipelineGolden|TestScenarioLinkGoldens|TestLinkSendSteadyStateAllocs' .
+	$(GO) test -run 'TestPipelineGolden|TestScenarioLinkGoldens|TestLinkSendSteadyStateAllocs|TestPipelineMetricsEndToEnd' .
 	$(GO) test -run 'TestRegistryRunsEverythingTiny|TestFig9TinyShape' ./internal/experiments/
 	$(GO) test -run 'TestStreamWLANAndFigureJobs' ./internal/serve/
 	$(GO) test -race -run 'TestSIGTERMDrainsGracefully|TestRestartServesDurableResults' ./cmd/cos-serve/
@@ -74,6 +74,7 @@ fuzz:
 	$(GO) test ./internal/scenario/ -run xxx -fuzz FuzzParseRef -fuzztime 30s
 	$(GO) test ./internal/serve/ -run xxx -fuzz FuzzDecodeSpec -fuzztime 30s
 	$(GO) test ./internal/serve/client/ -run xxx -fuzz FuzzDecodeEnvelope -fuzztime 30s
+	$(GO) test ./internal/serve/store/ -run xxx -fuzz FuzzReplay -fuzztime 30s
 	$(GO) test ./internal/trace/ -run xxx -fuzz FuzzReadTrace -fuzztime 30s
 
 cover:

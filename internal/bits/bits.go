@@ -7,8 +7,6 @@
 // and makes interleaving, puncturing, and erasure bookkeeping trivial.
 package bits
 
-import "fmt"
-
 // Equal reports whether two bit slices have identical length and contents.
 func Equal(a, b []byte) bool {
 	if len(a) != len(b) {
@@ -37,29 +35,4 @@ func Diff(a, b []byte) int {
 		}
 	}
 	return d
-}
-
-// PackUint encodes the low n bits of v into a bit slice, LSB first.
-func PackUint(v uint64, n int) []byte {
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		out[i] = byte((v >> i) & 1)
-	}
-	return out
-}
-
-// UnpackUint decodes a bit slice (LSB first) into an unsigned integer.
-// len(b) must be at most 64.
-func UnpackUint(b []byte) (uint64, error) {
-	if len(b) > 64 {
-		return 0, fmt.Errorf("bits: cannot unpack %d bits into uint64", len(b))
-	}
-	var v uint64
-	for i, bit := range b {
-		if bit > 1 {
-			return 0, fmt.Errorf("bits: element %d = %d is not a bit", i, bit)
-		}
-		v |= uint64(bit) << i
-	}
-	return v, nil
 }

@@ -58,35 +58,6 @@ func TestEqualAndDiff(t *testing.T) {
 	}
 }
 
-func TestPackUnpackUint(t *testing.T) {
-	for _, c := range []struct {
-		v uint64
-		n int
-	}{{0, 1}, {1, 1}, {5, 4}, {15, 4}, {0xDEADBEEF, 32}, {1<<63 | 7, 64}} {
-		b := PackUint(c.v, c.n)
-		if len(b) != c.n {
-			t.Fatalf("PackUint(%v,%d) length %d", c.v, c.n, len(b))
-		}
-		got, err := UnpackUint(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mask := ^uint64(0)
-		if c.n < 64 {
-			mask = (1 << c.n) - 1
-		}
-		if got != c.v&mask {
-			t.Errorf("roundtrip(%v,%d) = %v", c.v, c.n, got)
-		}
-	}
-	if _, err := UnpackUint(make([]byte, 65)); err == nil {
-		t.Error("UnpackUint of 65 bits should error")
-	}
-	if _, err := UnpackUint([]byte{2}); err == nil {
-		t.Error("UnpackUint of non-bit should error")
-	}
-}
-
 func TestScramblerSelfInverse(t *testing.T) {
 	f := func(data []byte, seed byte) bool {
 		in := FromBytesInto(nil, data)

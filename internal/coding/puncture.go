@@ -59,22 +59,3 @@ func (r CodeRate) puncturePattern() []bool {
 func (r CodeRate) Valid() bool {
 	return r == Rate1_2 || r == Rate2_3 || r == Rate3_4
 }
-
-// PuncturedLen returns the number of coded bits after puncturing motherLen
-// rate-1/2 coded bits. motherLen must be a multiple of the pattern period.
-func (r CodeRate) PuncturedLen(motherLen int) (int, error) {
-	if !r.Valid() {
-		return 0, fmt.Errorf("coding: invalid code rate %d", int(r))
-	}
-	pat := r.puncturePattern()
-	if motherLen%len(pat) != 0 {
-		return 0, fmt.Errorf("coding: mother-code length %d is not a multiple of puncture period %d", motherLen, len(pat))
-	}
-	kept := 0
-	for _, k := range pat {
-		if k {
-			kept++
-		}
-	}
-	return motherLen / len(pat) * kept, nil
-}

@@ -47,10 +47,6 @@ func TestPunctureLengths(t *testing.T) {
 		if len(out) != c.want {
 			t.Errorf("PunctureInto(%v) length %d, want %d", c.r, len(out), c.want)
 		}
-		n, err := c.r.PuncturedLen(24)
-		if err != nil || n != c.want {
-			t.Errorf("PuncturedLen(%v,24) = %d,%v; want %d,nil", c.r, n, err, c.want)
-		}
 	}
 }
 
@@ -81,9 +77,6 @@ func TestPunctureErrors(t *testing.T) {
 	}
 	if _, err := PunctureInto(nil, make([]byte, 6), CodeRate(0)); err == nil {
 		t.Error("want error for invalid rate")
-	}
-	if _, err := (CodeRate(0)).PuncturedLen(6); !CodeRate(0).Valid() && err == nil {
-		t.Error("want error from PuncturedLen for odd mother length at least")
 	}
 }
 

@@ -44,10 +44,6 @@ func MaxMessageBits(numSymbols, nCtrl, k int) int {
 	return maxIntervals * k
 }
 
-// SilenceCount returns the number of silence symbols needed to convey the
-// given intervals (one per interval plus the start marker).
-func SilenceCount(intervals []int) int { return len(intervals) + 1 }
-
 func validateCtrlSCs(ctrlSCs []int) error {
 	if len(ctrlSCs) == 0 {
 		return fmt.Errorf("cos: no control subcarriers")

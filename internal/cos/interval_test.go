@@ -212,12 +212,3 @@ func TestMaxMessageBits(t *testing.T) {
 		t.Error("degenerate inputs should yield 0")
 	}
 }
-
-func TestSilenceCount(t *testing.T) {
-	if got := SilenceCount([]int{1, 2, 3}); got != 4 {
-		t.Errorf("SilenceCount = %d, want 4", got)
-	}
-	if got := SilenceCount(nil); got != 1 {
-		t.Errorf("SilenceCount(nil) = %d, want 1", got)
-	}
-}

@@ -104,13 +104,6 @@ func (t *RateTable) Fallback() int {
 	return min
 }
 
-// Entries returns a copy of the sorted table.
-func (t *RateTable) Entries() []RateEntry {
-	out := make([]RateEntry, len(t.entries))
-	copy(out, t.entries)
-	return out
-}
-
 // DefaultRateTable returns a conservative table calibrated on this
 // repository's channel simulator (regenerate with examples/ratemap; see
 // EXPERIMENTS.md). Entries are indexed by *measured* SNR — what the
@@ -149,16 +142,4 @@ func SilencesPerSecond(budget int, mode phy.Mode, psduLen int) float64 {
 	symbols := mode.SymbolsForPSDU(psduLen)
 	packetDur := float64(ofdm.PreambleLen+symbols*ofdm.SymbolLen) / ofdm.SampleRate
 	return float64(budget) / packetDur
-}
-
-// ControlBitsPerSecond converts a per-packet silence budget into a control
-// message bit rate: each silence beyond the start marker closes one
-// interval carrying k bits.
-func ControlBitsPerSecond(budget int, k int, mode phy.Mode, psduLen int) float64 {
-	if budget < 2 {
-		return 0
-	}
-	symbols := mode.SymbolsForPSDU(psduLen)
-	packetDur := float64(ofdm.PreambleLen+symbols*ofdm.SymbolLen) / ofdm.SampleRate
-	return float64((budget-1)*k) / packetDur
 }

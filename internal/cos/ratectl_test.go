@@ -58,25 +58,20 @@ func TestRateTableEntriesSortedCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := tbl.Entries()
-	if e[0].SNRdB != 5 || e[1].SNRdB != 15 {
+	if e := tbl.entries; e[0].SNRdB != 5 || e[1].SNRdB != 15 {
 		t.Errorf("entries not sorted: %v", e)
-	}
-	e[0].SilencesPerPacket = 999
-	if tbl.Entries()[0].SilencesPerPacket == 999 {
-		t.Error("Entries returned aliased storage")
 	}
 }
 
 func TestDefaultRateTableSane(t *testing.T) {
 	tbl := DefaultRateTable()
-	if len(tbl.Entries()) < 5 {
+	if len(tbl.entries) < 5 {
 		t.Error("default table suspiciously small")
 	}
 	if tbl.Fallback() <= 0 {
 		t.Error("fallback budget should be positive")
 	}
-	for _, e := range tbl.Entries() {
+	for _, e := range tbl.entries {
 		if e.SilencesPerPacket <= 0 {
 			t.Errorf("entry %+v has non-positive budget", e)
 		}
@@ -93,24 +88,5 @@ func TestSilencesPerSecond(t *testing.T) {
 	want := 18.0 / 360e-6
 	if math.Abs(got-want)/want > 1e-9 {
 		t.Errorf("SilencesPerSecond = %v, want %v", got, want)
-	}
-}
-
-func TestControlBitsPerSecond(t *testing.T) {
-	mode, err := phy.ModeByRate(24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 18 silences -> 17 intervals x 4 bits per 360us packet.
-	got := ControlBitsPerSecond(18, 4, mode, 1024)
-	want := 17.0 * 4 / 360e-6
-	if math.Abs(got-want)/want > 1e-9 {
-		t.Errorf("ControlBitsPerSecond = %v, want %v", got, want)
-	}
-	if ControlBitsPerSecond(1, 4, mode, 1024) != 0 {
-		t.Error("budget 1 carries no intervals")
-	}
-	if ControlBitsPerSecond(0, 4, mode, 1024) != 0 {
-		t.Error("budget 0 carries no intervals")
 	}
 }

@@ -131,6 +131,3 @@ func (r *Reassembler) Push(fragment []byte) (complete []byte, done bool, err err
 	copy(out, r.buf)
 	return out, true, nil
 }
-
-// InProgress reports whether a partial message is buffered.
-func (r *Reassembler) InProgress() bool { return r.active }

@@ -96,7 +96,7 @@ func TestReassemblerAbortsOnGap(t *testing.T) {
 	if _, done, err := re.Push(frags[2]); err == nil || done {
 		t.Error("gap should abort the message with an error")
 	}
-	if re.InProgress() {
+	if re.active {
 		t.Error("aborted message still marked in progress")
 	}
 }

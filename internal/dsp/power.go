@@ -51,19 +51,3 @@ func DB(linear float64) float64 {
 func Linear(db float64) float64 {
 	return math.Pow(10, db/10)
 }
-
-// ScaleTo returns a copy of x scaled so its average power equals target.
-// If x has zero power the copy is returned unchanged.
-func ScaleTo(x []complex128, target float64) []complex128 {
-	out := make([]complex128, len(x))
-	p := Power(x)
-	if p <= 0 {
-		copy(out, x)
-		return out
-	}
-	g := complex(math.Sqrt(target/p), 0)
-	for i, v := range x {
-		out[i] = v * g
-	}
-	return out
-}

@@ -40,20 +40,3 @@ func TestDBRoundTrip(t *testing.T) {
 		t.Error("DB(-1) should be -Inf")
 	}
 }
-
-func TestScaleTo(t *testing.T) {
-	x := []complex128{2, 2i, -2, -2i}
-	y := ScaleTo(x, 1)
-	if got := Power(y); math.Abs(got-1) > 1e-12 {
-		t.Errorf("Power after ScaleTo = %v, want 1", got)
-	}
-	// Original must be untouched.
-	if got := Power(x); math.Abs(got-4) > 1e-12 {
-		t.Errorf("ScaleTo mutated input: power = %v", got)
-	}
-	// Zero signal passes through.
-	z := ScaleTo([]complex128{0, 0}, 5)
-	if Power(z) != 0 {
-		t.Error("ScaleTo of zero signal should stay zero")
-	}
-}

@@ -1,7 +1,6 @@
 package dsp
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -60,76 +59,4 @@ func EmpiricalCDF(xs []float64) []CDFPoint {
 		out[i] = CDFPoint{Value: v, Prob: float64(i+1) / n}
 	}
 	return out
-}
-
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using nearest-rank
-// interpolation. It returns an error for an empty input or out-of-range q.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("dsp: quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("dsp: quantile %v out of range [0,1]", q)
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return sorted[idx], nil
-}
-
-// Running accumulates streaming mean/min/max statistics without retaining
-// samples. The zero value is ready to use.
-type Running struct {
-	n    int
-	sum  float64
-	min  float64
-	max  float64
-	sumS float64
-}
-
-// Add records one sample.
-func (r *Running) Add(v float64) {
-	if r.n == 0 || v < r.min {
-		r.min = v
-	}
-	if r.n == 0 || v > r.max {
-		r.max = v
-	}
-	r.n++
-	r.sum += v
-	r.sumS += v * v
-}
-
-// N returns the number of recorded samples.
-func (r *Running) N() int { return r.n }
-
-// Mean returns the mean of recorded samples, or 0 if none were recorded.
-func (r *Running) Mean() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.sum / float64(r.n)
-}
-
-// Min returns the smallest recorded sample, or 0 if none were recorded.
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest recorded sample, or 0 if none were recorded.
-func (r *Running) Max() float64 { return r.max }
-
-// StdDev returns the population standard deviation of recorded samples.
-func (r *Running) StdDev() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	m := r.Mean()
-	v := r.sumS/float64(r.n) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
 }

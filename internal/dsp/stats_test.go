@@ -37,48 +37,3 @@ func TestEmpiricalCDF(t *testing.T) {
 		t.Error("EmpiricalCDF(nil) should be nil")
 	}
 }
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40, 50}
-	cases := []struct {
-		q    float64
-		want float64
-	}{{0, 10}, {0.2, 10}, {0.5, 30}, {0.9, 50}, {1, 50}}
-	for _, c := range cases {
-		got, err := Quantile(xs, c.q)
-		if err != nil {
-			t.Fatalf("Quantile(%v): %v", c.q, err)
-		}
-		if got != c.want {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Error("Quantile of empty slice should error")
-	}
-	if _, err := Quantile(xs, 1.5); err == nil {
-		t.Error("Quantile out of range should error")
-	}
-}
-
-func TestRunningStats(t *testing.T) {
-	var r Running
-	if r.N() != 0 || r.Mean() != 0 {
-		t.Error("zero-value Running should report zeros")
-	}
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		r.Add(v)
-	}
-	if r.N() != 8 {
-		t.Errorf("N = %d, want 8", r.N())
-	}
-	if math.Abs(r.Mean()-5) > 1e-12 {
-		t.Errorf("Mean = %v, want 5", r.Mean())
-	}
-	if r.Min() != 2 || r.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v, want 2/9", r.Min(), r.Max())
-	}
-	if math.Abs(r.StdDev()-2) > 1e-12 {
-		t.Errorf("StdDev = %v, want 2", r.StdDev())
-	}
-}

@@ -100,15 +100,6 @@ func (s Scheme) HardDemap(y complex128) ([]byte, error) {
 	return out, nil
 }
 
-// NearestPoint returns the normalized constellation point closest to y.
-func (s Scheme) NearestPoint(y complex128) (complex128, error) {
-	bits, err := s.HardDemap(y)
-	if err != nil {
-		return 0, err
-	}
-	return s.Map(bits)
-}
-
 // SoftDemap computes max-log bit metrics for one received point (Eq. (8)):
 //
 //	lambda_i = [ min_{x in chi_0^i} |y-x|^2 - min_{x in chi_1^i} |y-x|^2 ] / N0
@@ -173,21 +164,4 @@ func softAxis(out []float64, bitsPerAxis int, y, norm, noiseVar float64) {
 		}
 		out[bit] = (min0 - min1) / noiseVar
 	}
-}
-
-// DemapBits hard-demaps a sequence of received points into a bit stream.
-func (s Scheme) DemapBits(ys []complex128) ([]byte, error) {
-	m := s.BitsPerSymbol()
-	if m == 0 {
-		return nil, fmt.Errorf("modulation: invalid scheme %d", int(s))
-	}
-	out := make([]byte, 0, len(ys)*m)
-	for _, y := range ys {
-		b, err := s.HardDemap(y)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b...)
-	}
-	return out, nil
 }

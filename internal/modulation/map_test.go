@@ -209,9 +209,13 @@ func TestMapBitsDemapBitsRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out, err := s.DemapBits(pts)
-		if err != nil {
-			return false
+		out := make([]byte, 0, len(in))
+		for _, pt := range pts {
+			b, err := s.HardDemap(pt)
+			if err != nil {
+				return false
+			}
+			out = append(out, b...)
 		}
 		return bits.Equal(out, in)
 	}
@@ -284,21 +288,6 @@ func TestBPSKSoftDemapExactForm(t *testing.T) {
 	want := 4 * 0.7 / 0.5
 	if math.Abs(m[0]-want) > 1e-12 {
 		t.Errorf("BPSK metric = %v, want %v", m[0], want)
-	}
-}
-
-func TestNearestPoint(t *testing.T) {
-	for _, s := range allSchemes {
-		pts := s.Constellation()
-		for _, pt := range pts {
-			got, err := s.NearestPoint(pt + complex(0.01, -0.01))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cmplx.Abs(got-pt) > 1e-12 {
-				t.Errorf("%v: NearestPoint drifted from %v to %v", s, pt, got)
-			}
-		}
 	}
 }
 

@@ -244,19 +244,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n upper bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	if width <= 0 || n < 1 {
-		panic("obs: LinearBuckets needs width > 0, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start += width
-	}
-	return out
-}
-
 // Histogram is a fixed-bucket distribution with an implicit +Inf bucket.
 // Observations are O(log buckets) with no allocation; quantiles are
 // estimated by linear interpolation inside the matched bucket (the same
@@ -410,17 +397,6 @@ func (f *CounterFamily) With(value string) *Counter {
 	c = &Counter{name: f.name}
 	f.children[value] = c
 	return c
-}
-
-// Values returns a copy of the family's children by label value.
-func (f *CounterFamily) Values() map[string]uint64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make(map[string]uint64, len(f.children))
-	for v, c := range f.children {
-		out[v] = c.Value()
-	}
-	return out
 }
 
 func (f *CounterFamily) sortedValues() []string {

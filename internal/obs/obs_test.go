@@ -60,7 +60,11 @@ func TestInvalidNamePanics(t *testing.T) {
 
 func TestHistogramQuantiles(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat_seconds", "latency", LinearBuckets(1, 1, 100))
+	bounds := make([]float64, 100)
+	for i := range bounds {
+		bounds[i] = float64(i + 1)
+	}
+	h := r.Histogram("lat_seconds", "latency", bounds)
 	if h.Quantile(0.5) != 0 {
 		t.Error("empty histogram quantile should be 0")
 	}
@@ -112,12 +116,8 @@ func TestCounterFamily(t *testing.T) {
 	if f.With("6").Value() != 2 {
 		t.Errorf("child = %d", f.With("6").Value())
 	}
-	vals := f.Values()
-	if vals["6"] != 2 || vals["54"] != 1 {
-		t.Errorf("values: %v", vals)
-	}
 	snap := r.Snapshot()
-	if snap[`pkts_total{rate_mbps="6"}`] != 2 {
+	if snap[`pkts_total{rate_mbps="6"}`] != 2 || snap[`pkts_total{rate_mbps="54"}`] != 1 {
 		t.Errorf("snapshot: %v", snap)
 	}
 	r.Reset()

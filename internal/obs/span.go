@@ -47,12 +47,6 @@ func NewSpanSet(r *Registry, prefix, help string, stages []string) *SpanSet {
 	return ss
 }
 
-// Len returns the number of stages.
-func (ss *SpanSet) Len() int { return len(ss.stages) }
-
-// StageName returns the name of stage i.
-func (ss *SpanSet) StageName(i int) string { return ss.stages[i] }
-
 // Span is one open timing interval; close it with End. The zero Span is
 // inert: End on it records nothing, so conditional instrumentation can
 // keep a Span variable without branching at the close site.

@@ -9,8 +9,8 @@ import (
 func TestSpanSetRecordsStages(t *testing.T) {
 	r := NewRegistry()
 	ss := NewSpanSet(r, "test_pipeline", "Test stage latency", []string{"tx", "rx"})
-	if ss.Len() != 2 || ss.StageName(1) != "rx" {
-		t.Fatalf("stage bookkeeping: len=%d name1=%q", ss.Len(), ss.StageName(1))
+	if len(ss.stages) != 2 || ss.stages[1] != "rx" {
+		t.Fatalf("stage bookkeeping: %q", ss.stages)
 	}
 	sp := ss.StartSpan(0)
 	time.Sleep(time.Millisecond)

@@ -58,9 +58,6 @@ func (w *RateWindow) AddAt(t time.Time, n int) {
 	w.total += uint64(n)
 }
 
-// Count returns the events recorded within the window ending now.
-func (w *RateWindow) Count() uint64 { return w.CountAt(time.Now()) }
-
 // CountAt returns the events recorded within the window ending at t.
 func (w *RateWindow) CountAt(t time.Time) uint64 {
 	w.mu.Lock()
@@ -68,9 +65,6 @@ func (w *RateWindow) CountAt(t time.Time) uint64 {
 	w.advance(t)
 	return w.total
 }
-
-// Rate returns events per second over the window ending now.
-func (w *RateWindow) Rate() float64 { return w.RateAt(time.Now()) }
 
 // RateAt returns events per second over the window ending at t.
 func (w *RateWindow) RateAt(t time.Time) float64 {

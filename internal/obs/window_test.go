@@ -55,7 +55,7 @@ func TestRateWindowConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := w.Count(); got != 4000 {
+	if got := w.CountAt(time.Now()); got != 4000 {
 		t.Fatalf("count = %d, want 4000", got)
 	}
 }

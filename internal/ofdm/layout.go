@@ -24,8 +24,6 @@ const (
 	SymbolLen = NumSubcarriers + CPLen
 	// SampleRate is the 802.11a baseband sample rate in Hz.
 	SampleRate = 20e6
-	// SymbolDuration is the OFDM symbol duration in seconds.
-	SymbolDuration = SymbolLen / SampleRate
 )
 
 // PilotIndices lists the logical pilot subcarrier positions.
@@ -50,14 +48,6 @@ func buildDataIndices() []int {
 		}
 		out = append(out, k)
 	}
-	return out
-}
-
-// DataIndices returns the logical indices (-26..26) of the 48 data
-// subcarriers in ascending order. The returned slice is a copy.
-func DataIndices() []int {
-	out := make([]int, NumData)
-	copy(out, dataIndices)
 	return out
 }
 

@@ -170,15 +170,10 @@ func (b *Bins) PilotObservation(p int) (complex128, error) {
 	return b[bin], nil
 }
 
-// Demodulate splits samples into OFDM symbols, strips each cyclic prefix,
-// and FFTs the remaining 64 samples. len(samples) must be a multiple of
-// SymbolLen.
-func Demodulate(samples []complex128) ([]Bins, error) {
-	return DemodulateInto(nil, samples)
-}
-
-// DemodulateInto is Demodulate writing into dst, which is grown (reusing its
-// capacity) to one Bins per OFDM symbol.
+// DemodulateInto splits samples into OFDM symbols, strips each cyclic
+// prefix, and FFTs the remaining 64 samples into dst, which is grown
+// (reusing its capacity) to one Bins per OFDM symbol. len(samples) must be
+// a multiple of SymbolLen.
 func DemodulateInto(dst []Bins, samples []complex128) ([]Bins, error) {
 	if len(samples)%SymbolLen != 0 {
 		return nil, fmt.Errorf("ofdm: sample count %d is not a multiple of %d", len(samples), SymbolLen)

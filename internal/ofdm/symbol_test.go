@@ -69,7 +69,7 @@ func TestModulateDemodulateRoundTrip(t *testing.T) {
 	if len(samples) != 5*SymbolLen {
 		t.Fatalf("sample count = %d, want %d", len(samples), 5*SymbolLen)
 	}
-	binsList, err := Demodulate(samples)
+	binsList, err := DemodulateInto(nil, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestModulateGuardBinsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bins, err := Demodulate(samples)
+	bins, err := DemodulateInto(nil, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestCyclicPrefixIsCopyOfTail(t *testing.T) {
 }
 
 func TestDemodulateRejectsPartialSymbol(t *testing.T) {
-	if _, err := Demodulate(make([]complex128, SymbolLen+1)); err == nil {
+	if _, err := DemodulateInto(nil, make([]complex128, SymbolLen+1)); err == nil {
 		t.Error("want error for partial symbol")
 	}
 }
@@ -154,7 +154,7 @@ func TestSilencedSubcarrierHasZeroEnergy(t *testing.T) {
 		t.Fatal(err)
 	}
 	samples, _ := g.Modulate(0)
-	bins, _ := Demodulate(samples)
+	bins, _ := DemodulateInto(nil, samples)
 	v, _ := bins[0].DataValue(silenced)
 	if cmplx.Abs(v) > 1e-9 {
 		t.Errorf("silenced subcarrier energy %v", dsp.MagSq(v))

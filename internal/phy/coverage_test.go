@@ -9,17 +9,6 @@ import (
 	"cos/internal/ofdm"
 )
 
-func TestDecoderInputBERHelper(t *testing.T) {
-	d := &Diagnostics{DecoderInputBitErrors: 5, DecoderInputBits: 100}
-	if got := d.DecoderInputBER(); got != 0.05 {
-		t.Errorf("DecoderInputBER = %v", got)
-	}
-	var empty Diagnostics
-	if empty.DecoderInputBER() != 0 {
-		t.Error("empty diagnostics BER should be 0")
-	}
-}
-
 func TestReconstructGridMatchesOriginal(t *testing.T) {
 	rng := rand.New(rand.NewSource(601))
 	m, _ := ModeByRate(36)
@@ -121,38 +110,6 @@ func TestSNRHelpersErrors(t *testing.T) {
 	}
 	if got < 19.99 || got > 20.01 {
 		t.Errorf("SNR roundtrip = %v, want 20", got)
-	}
-}
-
-func TestEncodeSignalErrors(t *testing.T) {
-	if _, err := EncodeSignal(Mode{RateMbps: 99}, 100); err == nil {
-		t.Error("unknown mode should error")
-	}
-	m, _ := ModeByRate(6)
-	sig, err := EncodeSignal(m, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sig) != ofdm.NumData {
-		t.Errorf("SIGNAL symbol has %d points", len(sig))
-	}
-	// BPSK points only.
-	for i, p := range sig {
-		if imag(p) != 0 || (real(p) != 1 && real(p) != -1) {
-			t.Fatalf("SIGNAL point %d = %v is not BPSK", i, p)
-		}
-	}
-}
-
-func TestSamplesWithSignalErrors(t *testing.T) {
-	// An oversized PSDU cannot be described by the 12-bit LENGTH field.
-	m, _ := ModeByRate(54)
-	tx, err := BuildPacket(TxConfig{Mode: m}, make([]byte, MaxSignalLength+1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx.SamplesWithSignal(); err == nil {
-		t.Error("PSDU beyond the LENGTH field should error")
 	}
 }
 

@@ -31,26 +31,6 @@ type Diagnostics struct {
 	ErrorVectors [ofdm.NumData]float64
 }
 
-// DecoderInputBER returns the fraction of erroneous coded bits at the
-// decoder input.
-func (d *Diagnostics) DecoderInputBER() float64 {
-	if d.DecoderInputBits == 0 {
-		return 0
-	}
-	return float64(d.DecoderInputBitErrors) / float64(d.DecoderInputBits)
-}
-
-// SubcarrierSER returns the symbol error rate of data subcarrier d.
-func (d *Diagnostics) SubcarrierSER(sc int) (float64, error) {
-	if sc < 0 || sc >= ofdm.NumData {
-		return 0, fmt.Errorf("phy: subcarrier %d out of range", sc)
-	}
-	if d.SymbolsPerSubcarrier[sc] == 0 {
-		return 0, nil
-	}
-	return float64(d.SubcarrierErrorCounts[sc]) / float64(d.SymbolsPerSubcarrier[sc]), nil
-}
-
 // ErrorPositions returns the flattened in-packet positions (symbol-major,
 // subcarrier-minor: pos = s*48 + d) of every symbol error — the x-axis of
 // Fig. 6(a), whose ~48-position periodicity reveals the weak subcarriers.

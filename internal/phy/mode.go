@@ -106,12 +106,6 @@ func (m Mode) SymbolsForPSDU(psduLen int) int {
 	return (nBits + m.NDBPS() - 1) / m.NDBPS()
 }
 
-// DataRate returns the exact data rate in bits/s implied by NDBPS and the
-// 4 us symbol duration.
-func (m Mode) DataRate() float64 {
-	return float64(m.NDBPS()) / ofdm.SymbolDuration
-}
-
 // SelectMode implements the SNR-based rate adaptation of [Holland et al.]
 // that both the paper and this reproduction adopt: the fastest mode whose
 // minimum required SNR is at or below the measured SNR. Below the slowest

@@ -25,10 +25,6 @@ func TestModeTable(t *testing.T) {
 		if got := m.NCBPS(); got != wantNCBPS[m.RateMbps] {
 			t.Errorf("%v NCBPS = %d, want %d", m, got, wantNCBPS[m.RateMbps])
 		}
-		// Nominal rate = NDBPS / 4 us.
-		if got := m.DataRate(); got != float64(m.RateMbps)*1e6 {
-			t.Errorf("%v DataRate = %v, want %v", m, got, float64(m.RateMbps)*1e6)
-		}
 	}
 	// Ascending rates and thresholds.
 	for i := 1; i < len(ms); i++ {

@@ -74,7 +74,7 @@ func TestGridSymbolCountMatchesFormula(t *testing.T) {
 }
 
 // TestSamplesLengthInvariant: rendered packets are always preamble plus a
-// whole number of OFDM symbols, with and without the SIGNAL field.
+// whole number of OFDM symbols.
 func TestSamplesLengthInvariant(t *testing.T) {
 	f := func(modeIdx uint8, lenRaw uint16) bool {
 		mode := Modes()[int(modeIdx)%8]
@@ -87,12 +87,7 @@ func TestSamplesLengthInvariant(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		withSig, err := tx.SamplesWithSignal()
-		if err != nil {
-			return false
-		}
-		wantPlain := ofdm.PreambleLen + tx.NumSymbols()*ofdm.SymbolLen
-		return len(plain) == wantPlain && len(withSig) == wantPlain+ofdm.SymbolLen
+		return len(plain) == ofdm.PreambleLen+tx.NumSymbols()*ofdm.SymbolLen
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -174,12 +169,5 @@ func TestDiagnoseExcludesErasedPositions(t *testing.T) {
 	}
 	if diag.SymbolsPerSubcarrier[7] != 0 {
 		t.Errorf("erased subcarrier counted %d compared symbols", diag.SymbolsPerSubcarrier[7])
-	}
-	ser, err := diag.SubcarrierSER(7)
-	if err != nil || ser != 0 {
-		t.Errorf("SER of fully-erased subcarrier = %v, %v", ser, err)
-	}
-	if _, err := diag.SubcarrierSER(48); err == nil {
-		t.Error("out-of-range subcarrier should error")
 	}
 }

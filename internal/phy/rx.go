@@ -48,22 +48,13 @@ type FrontEnd struct {
 
 // RunFrontEnd consumes a packet's baseband samples (preamble + payload) and
 // produces the front-end state. The payload length must be a whole number
-// of OFDM symbols; timing synchronization is assumed ideal. Payload pilot
-// polarity indices start at 1 (the layout without a SIGNAL symbol); use
-// RunFrontEndAt for self-describing frames.
+// of OFDM symbols; timing synchronization is assumed ideal.
 func RunFrontEnd(samples []complex128) (*FrontEnd, error) {
-	return RunFrontEndAt(samples, 1)
-}
-
-// RunFrontEndAt is RunFrontEnd with an explicit pilot polarity index for
-// the first post-preamble OFDM symbol: 0 when that symbol is the SIGNAL
-// field, 1 when the payload follows the preamble directly.
-func RunFrontEndAt(samples []complex128, firstPilotIndex int) (*FrontEnd, error) {
-	return runFrontEnd(&FrontEnd{}, samples, firstPilotIndex)
+	return runFrontEnd(&FrontEnd{}, samples)
 }
 
 // runFrontEnd fills fe from samples and records the front-end metrics.
-func runFrontEnd(fe *FrontEnd, samples []complex128, firstPilotIndex int) (*FrontEnd, error) {
+func runFrontEnd(fe *FrontEnd, samples []complex128) (*FrontEnd, error) {
 	if len(samples) < ofdm.PreambleLen+ofdm.SymbolLen {
 		return nil, fmt.Errorf("phy: packet too short: %d samples", len(samples))
 	}
@@ -71,7 +62,7 @@ func runFrontEnd(fe *FrontEnd, samples []complex128, firstPilotIndex int) (*Fron
 	// estimation loops costs the inner function registers (see
 	// coding.Viterbi.Decode for the measurement).
 	start := time.Now()
-	if err := frontEndInto(fe, samples, firstPilotIndex); err != nil {
+	if err := frontEndInto(fe, samples); err != nil {
 		return nil, err
 	}
 	mRxFrontEnds.Inc()
@@ -81,7 +72,7 @@ func runFrontEnd(fe *FrontEnd, samples []complex128, firstPilotIndex int) (*Fron
 
 // frontEndInto fills fe from samples, reusing the capacity of fe.Bins and
 // fe.PerSymbolNoise. All other fields are overwritten.
-func frontEndInto(fe *FrontEnd, samples []complex128, firstPilotIndex int) error {
+func frontEndInto(fe *FrontEnd, samples []complex128) error {
 	payload := samples[ofdm.PreambleLen:]
 	if len(payload)%ofdm.SymbolLen != 0 {
 		return fmt.Errorf("phy: payload %d samples is not a whole number of OFDM symbols", len(payload))
@@ -137,7 +128,10 @@ func frontEndInto(fe *FrontEnd, samples []complex128, firstPilotIndex int) error
 			if err != nil {
 				return err
 			}
-			want, err := ofdm.PilotValue(p, firstPilotIndex+s)
+			// Pilot polarity index 0 belongs to the 802.11a SIGNAL symbol,
+			// which this link never transmits (the receiver is handed the
+			// rate and length), so payload symbol s carries index 1+s.
+			want, err := ofdm.PilotValue(p, 1+s)
 			if err != nil {
 				return err
 			}

@@ -188,5 +188,5 @@ func RunFrontEndInto(s *RxScratch, samples []complex128) (*FrontEnd, error) {
 	if s == nil {
 		s = &RxScratch{}
 	}
-	return runFrontEnd(&s.fe, samples, 1)
+	return runFrontEnd(&s.fe, samples)
 }

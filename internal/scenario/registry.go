@@ -131,27 +131,6 @@ func Names() []string {
 	return namesLocked(scenarios)
 }
 
-// Channels lists registered channel model names, sorted.
-func Channels() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	return namesLocked(channels)
-}
-
-// Interferers lists registered interferer names, sorted.
-func Interferers() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	return namesLocked(interferers)
-}
-
-// Embeddings lists registered embedding names, sorted.
-func Embeddings() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	return namesLocked(embeddings)
-}
-
 // List returns all registered scenario presets sorted by name — the
 // deterministic enumeration behind `cos-sim -list-scenarios` and
 // cos-serve's GET /scenarios.

@@ -41,11 +41,6 @@ func TestResolveAndListing(t *testing.T) {
 			t.Errorf("List()[%d] = %q, want %q", i, s.Name, names[i])
 		}
 	}
-	for _, kind := range [][]string{scenario.Channels(), scenario.Interferers(), scenario.Embeddings()} {
-		if !sort.StringsAreSorted(kind) {
-			t.Errorf("component listing not sorted: %v", kind)
-		}
-	}
 }
 
 // TestFormatListDeterministic pins the -list-scenarios text: stable across

@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -57,7 +58,7 @@ func (b *Backoff) Delay(attempt int, hint time.Duration) time.Duration {
 	} else {
 		d = base
 		for i := 1; i < attempt && d < max; i++ {
-			d = time.Duration(float64(d) * factor)
+			d = scaleDuration(d, factor)
 		}
 		if d > max {
 			d = max
@@ -73,9 +74,19 @@ func (b *Backoff) Delay(attempt int, hint time.Duration) time.Duration {
 		if scale < 0 {
 			scale = 0
 		}
-		d = time.Duration(float64(d) * scale)
+		d = scaleDuration(d, scale)
 	}
 	return d
+}
+
+// scaleDuration returns d*f, saturating at the largest Duration: a
+// far-future Retry-After parses to that maximum, and converting a product
+// past it wraps negative, which would turn the longest wait into none.
+func scaleDuration(d time.Duration, f float64) time.Duration {
+	if x := float64(d) * f; x < math.MaxInt64 {
+		return time.Duration(x)
+	}
+	return math.MaxInt64
 }
 
 // RetryAfterHint extracts the server's Retry-After from an error chain:

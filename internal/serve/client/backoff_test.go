@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -168,6 +169,24 @@ func TestBackoffHint(t *testing.T) {
 	}
 	if got := RetryAfterHint(errors.New("plain")); got != 0 {
 		t.Errorf("RetryAfterHint(plain) = %v, want 0", got)
+	}
+}
+
+// TestBackoffHugeHintStaysPositive: a far-future HTTP-date saturates the
+// hint at the largest Duration, and jittering it up must saturate too
+// instead of wrapping to a negative (that is, immediate) retry.
+func TestBackoffHugeHintStaysPositive(t *testing.T) {
+	now := time.Date(2026, 2, 3, 10, 0, 0, 0, time.UTC)
+	hint, ok := ParseRetryAfter(now.AddDate(400, 0, 0).Format(http.TimeFormat), now)
+	if !ok || hint != math.MaxInt64 {
+		t.Fatalf("ParseRetryAfter(400 years out) = (%v, %v), want the largest Duration", hint, ok)
+	}
+	b := Backoff{Rand: rand.New(rand.NewSource(1))}
+	floor := float64(hint) * (1 - 0.2)
+	for i := 0; i < 64; i++ {
+		if got := b.Delay(1, hint); got <= 0 || float64(got) < floor {
+			t.Fatalf("draw %d: Delay(1, %v) = %v, want positive and >= hint*(1-jitter)", i, hint, got)
+		}
 	}
 }
 

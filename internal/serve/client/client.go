@@ -25,23 +25,7 @@ import (
 	"time"
 
 	"cos/internal/serve"
-)
-
-// Error codes from the server's error envelope (the servehttp Code*
-// vocabulary). Stable: branch on these, not on message text.
-const (
-	CodeInvalidSpec     = "invalid_spec"
-	CodeBadRequest      = "bad_request"
-	CodeUnknownJob      = "unknown_job"
-	CodePayloadTooLarge = "payload_too_large"
-	CodeOverloaded      = "overloaded"
-	CodeDraining        = "draining"
-	CodeNotFound        = "not_found"
-	CodeInternal        = "internal"
-	// CodeTraceUnavailable: the job has no retrievable flight-recorder
-	// trace (untraced submission, not finished done, or the persisted
-	// trace body is gone).
-	CodeTraceUnavailable = "trace_unavailable"
+	servehttp "cos/internal/serve/http"
 )
 
 // APIError is a non-2xx response from the server. It unwraps to the serve
@@ -53,8 +37,9 @@ const (
 type APIError struct {
 	// StatusCode is the HTTP status.
 	StatusCode int
-	// Code is the machine-readable error code from the envelope ("" when
-	// the server predates the envelope or the body was unreadable).
+	// Code is the machine-readable error code from the envelope, one of
+	// the servehttp Code* constants ("" when the server predates the
+	// envelope or the body was unreadable).
 	Code string
 	// Message is the server's error string.
 	Message string
@@ -74,13 +59,13 @@ func (e *APIError) Error() string {
 // Unwrap maps the error code onto the serve sentinels for errors.Is.
 func (e *APIError) Unwrap() error {
 	switch e.Code {
-	case CodeOverloaded:
+	case servehttp.CodeOverloaded:
 		return serve.ErrOverloaded
-	case CodeDraining:
+	case servehttp.CodeDraining:
 		return serve.ErrDraining
-	case CodeUnknownJob:
+	case servehttp.CodeUnknownJob:
 		return serve.ErrUnknownJob
-	case CodeTraceUnavailable:
+	case servehttp.CodeTraceUnavailable:
 		return serve.ErrTraceUnavailable
 	}
 	// Legacy servers send a bare string envelope with no code: fall back

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cos/internal/serve"
+	servehttp "cos/internal/serve/http"
 )
 
 // TestDecodeEnvelopeTyped pins the typed envelope path: code, message, and
@@ -17,7 +18,7 @@ func TestDecodeEnvelopeTyped(t *testing.T) {
 	apiErr := &APIError{StatusCode: http.StatusTooManyRequests}
 	decodeEnvelope(strings.NewReader(
 		`{"error":{"code":"overloaded","message":"serve: admission queue full","retry_after_ms":1000}}`), apiErr)
-	if apiErr.Code != CodeOverloaded || apiErr.Message != "serve: admission queue full" {
+	if apiErr.Code != servehttp.CodeOverloaded || apiErr.Message != "serve: admission queue full" {
 		t.Fatalf("typed decode = %+v", apiErr)
 	}
 	if apiErr.RetryAfter != time.Second {

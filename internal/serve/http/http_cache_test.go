@@ -91,7 +91,7 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		t.Fatalf("unknown job error = %v, want errors.Is ErrUnknownJob", err)
 	}
 	var apiErr *client.APIError
-	if !errors.As(err, &apiErr) || apiErr.Code != client.CodeUnknownJob {
+	if !errors.As(err, &apiErr) || apiErr.Code != servehttp.CodeUnknownJob {
 		t.Fatalf("unknown job APIError = %+v", apiErr)
 	}
 
@@ -109,7 +109,7 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 	if !errors.Is(err, serve.ErrOverloaded) {
 		t.Fatalf("overload error = %v, want errors.Is ErrOverloaded", err)
 	}
-	if !errors.As(err, &apiErr) || apiErr.Code != client.CodeOverloaded || apiErr.RetryAfter <= 0 {
+	if !errors.As(err, &apiErr) || apiErr.Code != servehttp.CodeOverloaded || apiErr.RetryAfter <= 0 {
 		t.Fatalf("overload APIError = %+v", apiErr)
 	}
 
@@ -119,7 +119,7 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 	if !errors.Is(err, serve.ErrDraining) {
 		t.Fatalf("draining error = %v, want errors.Is ErrDraining", err)
 	}
-	if !errors.As(err, &apiErr) || apiErr.Code != client.CodeDraining {
+	if !errors.As(err, &apiErr) || apiErr.Code != servehttp.CodeDraining {
 		t.Fatalf("draining APIError = %+v", apiErr)
 	}
 }

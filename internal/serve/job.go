@@ -146,9 +146,6 @@ type Status struct {
 // ID returns the job's identifier.
 func (j *Job) ID() string { return j.id }
 
-// Spec returns the job's normalized spec.
-func (j *Job) Spec() Spec { return j.spec }
-
 // Digest returns the spec's content address (Spec.Digest of the
 // normalized spec), assigned at admission.
 func (j *Job) Digest() string { return j.digest }

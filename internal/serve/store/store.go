@@ -160,9 +160,6 @@ func Open(dir string) (*Store, error) {
 
 func (s *Store) walPath() string { return filepath.Join(s.dir, walName) }
 
-// Dir returns the store's data directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Recovery returns what Open found in the WAL. The slices are the
 // caller's to keep; they are not updated by later appends.
 func (s *Store) Recovery() Recovery { return s.rec }
@@ -200,8 +197,12 @@ func (s *Store) replay() error {
 		if err := json.Unmarshal(line, &r); err != nil || r.WAL != walVersion {
 			break // corrupt or foreign record: stop trusting the log here
 		}
-		switch r.Op {
-		case opSubmit:
+		switch {
+		case !validDigest(r.Digest):
+			// A digest that is not lowercase hex names no result file, and
+			// "", ".." or "../results" would make the body check below stat
+			// a directory: skip the record, as ReadResult would refuse it.
+		case r.Op == opSubmit:
 			ds := states[r.Digest]
 			if ds == nil {
 				states[r.Digest] = &digestState{state: "pending", job: r.Job, spec: r.Spec, order: order}
@@ -216,7 +217,7 @@ func (s *Store) replay() error {
 			}
 			// pending stays pending (one re-run covers every duplicate);
 			// done stays done (content-addressed results cannot change).
-		case opResult:
+		case r.Op == opResult:
 			ds := states[r.Digest]
 			if ds == nil {
 				ds = &digestState{job: r.Job, order: order}

@@ -291,6 +291,43 @@ func TestStoreHostileTraceDigestReplaysUntraced(t *testing.T) {
 	}
 }
 
+// TestStoreReplaySkipsHostileSpecDigests covers a tampered WAL whose spec
+// digest is not lowercase hex: "", ".." and "../results" all name a
+// directory that exists, so a "done" record for them must never reach the
+// body check. Each such record is skipped, and replay carries on past it.
+func TestStoreReplaySkipsHostileSpecDigests(t *testing.T) {
+	dir := t.TempDir()
+	open(t, dir).Close()
+	var wal bytes.Buffer
+	for _, bad := range []string{"", "..", "../results", "ABC", "a/b"} {
+		for _, r := range []record{
+			{WAL: walVersion, Op: opSubmit, Job: "job-000001", Digest: bad, Spec: spec("link")},
+			{WAL: walVersion, Op: opResult, Job: "job-000001", Digest: bad, State: "done"},
+		} {
+			line, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wal.Write(append(line, '\n'))
+		}
+	}
+	wal.WriteString(`{"wal":1,"op":"submit","job":"job-000002","digest":"` + digB + `","spec":{"spec_schema":1,"spec":{"kind":"link"}},"t_ms":1}` + "\n")
+	if err := os.WriteFile(filepath.Join(dir, walName), wal.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := open(t, dir).Recovery()
+	if len(rec.Completed) != 0 {
+		t.Fatalf("Completed = %+v; a hostile digest replayed as done", rec.Completed)
+	}
+	if len(rec.Pending) != 1 || rec.Pending[0].Digest != digB {
+		t.Fatalf("Pending = %+v, want only the valid submit after the hostile records", rec.Pending)
+	}
+	if rec.Records != 11 || rec.TruncatedBytes != 0 {
+		t.Fatalf("Records = %d, TruncatedBytes = %d; want all 11 records replayed, none truncated", rec.Records, rec.TruncatedBytes)
+	}
+}
+
 func TestStoreClosedRefusesAppends(t *testing.T) {
 	s := open(t, t.TempDir())
 	s.Close()

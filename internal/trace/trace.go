@@ -159,7 +159,6 @@ func FromExchange(ex *cos.Exchange) Event {
 type Writer struct {
 	w         *bufio.Writer
 	enc       *json.Encoder
-	n         int
 	headerErr error
 	wroteHdr  bool
 	obsErr    error
@@ -194,7 +193,6 @@ func (t *Writer) Write(e Event) error {
 	if err := t.enc.Encode(e); err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
-	t.n++
 	return nil
 }
 
@@ -216,10 +214,6 @@ func (t *Writer) Observer() cos.Observer {
 // Err returns the first error an Observer write hit, if any.
 func (t *Writer) Err() error { return t.obsErr }
 
-// Count returns the number of events written (the header is not an
-// event).
-func (t *Writer) Count() int { return t.n }
-
 // Flush drains buffered output; call before closing the underlying file.
 func (t *Writer) Flush() error { return t.w.Flush() }
 
@@ -235,18 +229,11 @@ type FormatError struct {
 func (e *FormatError) Error() string { return fmt.Sprintf("trace: event %d: %v", e.Event, e.Err) }
 func (e *FormatError) Unwrap() error { return e.Err }
 
-// Read loads every event from a JSON-lines stream. A leading schema
-// header is consumed when present (its absence means a version-0 file);
-// unknown fields on events are ignored, so traces from newer builds with
-// extra instrumentation still load.
-func Read(r io.Reader) ([]Event, error) {
-	events, _, err := ReadVersioned(r)
-	return events, err
-}
-
-// ReadVersioned is Read, also reporting the file's schema version (0 for
-// headerless pre-versioning files). Parse failures are returned as
-// *FormatError.
+// ReadVersioned loads every event from a JSON-lines stream and reports the
+// file's schema version. A leading schema header is consumed when present
+// (its absence means a version-0 file); unknown fields on events are
+// ignored, so traces from newer builds with extra instrumentation still
+// load. Parse failures are returned as *FormatError.
 func ReadVersioned(r io.Reader) ([]Event, int, error) {
 	var out []Event
 	version := 0

@@ -30,10 +30,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Count() != 3 {
-		t.Fatalf("Count = %d", w.Count())
-	}
-	got, err := Read(strings.NewReader(b.String()))
+	got, _, err := ReadVersioned(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +43,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("{\"seq\":0}\nnot json\n")); err == nil {
+	if _, _, err := ReadVersioned(strings.NewReader("{\"seq\":0}\nnot json\n")); err == nil {
 		t.Error("garbage line should error")
 	}
 }
@@ -265,12 +262,12 @@ func TestObserverCapturesSession(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Count() != 4 {
-		t.Fatalf("observer captured %d events, want 4", w.Count())
-	}
-	events, err := Read(strings.NewReader(b.String()))
+	events, _, err := ReadVersioned(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(events) != 4 {
+		t.Fatalf("observer captured %d events, want 4", len(events))
 	}
 	for i, e := range events {
 		if e.Seq != i {
@@ -303,7 +300,7 @@ func TestFromExchangeEndToEnd(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	events, err := Read(strings.NewReader(b.String()))
+	events, _, err := ReadVersioned(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

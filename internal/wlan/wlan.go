@@ -265,15 +265,10 @@ func packetAirtime(ex *cos.Exchange, payloadBytes int) float64 {
 	return (320.0 + float64(symbols*80)) / 20e6
 }
 
-// Run executes rounds of the downlink scheduler: each round sends one data
-// frame to the current station carrying (or accompanied by) the grant that
-// names the next station. A lost grant idles the next round's slot, exactly
-// the cost real coordination loss incurs.
-func (n *Network) Run(rounds int) (*Report, error) {
-	return n.RunContext(context.Background(), rounds)
-}
-
-// RunContext is Run with cooperative cancellation: the scheduler polls ctx
+// RunContext executes rounds of the downlink scheduler: each round sends one
+// data frame to the current station carrying (or accompanied by) the grant
+// that names the next station. A lost grant idles the next round's slot,
+// exactly the cost real coordination loss incurs. The scheduler polls ctx
 // once per round and returns ctx.Err() mid-simulation when it fires, so
 // CLIs can honor SIGINT and the serve layer can enforce job deadlines.
 func (n *Network) RunContext(ctx context.Context, rounds int) (*Report, error) {

@@ -1,6 +1,7 @@
 package wlan
 
 import (
+	"context"
 	"testing"
 
 	"cos"
@@ -82,7 +83,7 @@ func TestRunRejectsBadRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Run(0); err == nil {
+	if _, err := n.RunContext(context.Background(), 0); err == nil {
 		t.Error("zero rounds should error")
 	}
 }
@@ -94,7 +95,7 @@ func TestCoSCoordinationSavesAirtime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := n.Run(rounds)
+		rep, err := n.RunContext(context.Background(), rounds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +132,7 @@ func TestRoundRobinFairness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := n.Run(45)
+	rep, err := n.RunContext(context.Background(), 45)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestReportAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rounds = 20
-	rep, err := n.Run(rounds)
+	rep, err := n.RunContext(context.Background(), rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestLowSNRDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := n.Run(30)
+	rep, err := n.RunContext(context.Background(), 30)
 	if err != nil {
 		t.Fatal(err)
 	}
