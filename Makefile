@@ -76,6 +76,7 @@ fuzz:
 	$(GO) test ./internal/serve/client/ -run xxx -fuzz FuzzDecodeEnvelope -fuzztime 30s
 	$(GO) test ./internal/serve/store/ -run xxx -fuzz FuzzReplay -fuzztime 30s
 	$(GO) test ./internal/trace/ -run xxx -fuzz FuzzReadTrace -fuzztime 30s
+	$(GO) test ./internal/coding/ -run xxx -fuzz FuzzViterbiMatchesReference -fuzztime 30s
 
 cover:
 	$(GO) test -cover ./...

@@ -34,29 +34,3 @@ func parity(x uint) byte {
 func ConvEncode(in []byte) ([]byte, error) {
 	return ConvEncodeInto(nil, in)
 }
-
-// branch describes one trellis transition used by the Viterbi decoder.
-type branch struct {
-	next uint8 // next state
-	outA int8  // +1/-1 antipodal form of generator-A output
-	outB int8  // +1/-1 antipodal form of generator-B output
-}
-
-// trellis holds the two outgoing branches (input bit 0 and 1) per state.
-// It is computed once at package init; the code is fixed by the standard.
-var trellis [NumStates][2]branch
-
-func init() {
-	for s := 0; s < NumStates; s++ {
-		for b := uint(0); b <= 1; b++ {
-			window := b<<6 | uint(s)
-			a := parity(window & GeneratorA)
-			bb := parity(window & GeneratorB)
-			trellis[s][b] = branch{
-				next: uint8(window >> 1),
-				outA: int8(2*int(a) - 1),
-				outB: int8(2*int(bb) - 1),
-			}
-		}
-	}
-}

@@ -40,22 +40,37 @@ type Viterbi struct {
 	Terminated bool
 }
 
-// decision records the transition that won a trellis state at one step:
-// bits 0-5 hold the predecessor state, bit 6 the input bit. Predecessor
-// recovery cannot re-derive the previous state from (ns, bit) alone because
-// the trellis shift drops the LSB, so it is stored explicitly.
-type decision uint8
+// butterflySigns[j] holds the antipodal generator outputs (a, b) on the
+// branch from state 2j to state j. The trellis shifts the input bit into
+// bit 5 and drops bit 0, so states j and j+32 share the predecessors 2j and
+// 2j+1: a butterfly. Both generators tap the newest and the oldest bit, so
+// flipping either one negates both outputs, and the butterfly's four
+// branches carry (a, b) for 2j->j and 2j+1->j+32, (-a, -b) for the other
+// two.
+var butterflySigns [NumStates / 2]struct{ a, b float64 }
 
-// ViterbiScratch holds the decoder's working storage — the two path-metric
-// columns, the decision matrix, and the output bits — so repeated decodes
-// reuse one arena. The zero value is ready to use; arrays grow on demand and
-// are retained between calls. A scratch must not be shared across concurrent
-// decodes, and the bits returned by DecodeInto are valid only until the next
-// decode with the same scratch.
+func init() {
+	for j := range butterflySigns {
+		window := uint(j) << 1 // input bit 0, predecessor 2j
+		butterflySigns[j].a = float64(2*int(parity(window&GeneratorA)) - 1)
+		butterflySigns[j].b = float64(2*int(parity(window&GeneratorB)) - 1)
+	}
+}
+
+// ViterbiScratch holds the decoder's working storage — the survivor bits
+// and the output bits — so repeated decodes reuse one arena. The zero value
+// is ready to use; arrays grow on demand and are retained between calls. A
+// scratch must not be shared across concurrent decodes, and the bits
+// returned by DecodeInto are valid only until the next decode with the same
+// scratch.
 type ViterbiScratch struct {
-	cur, next []float64
-	decisions []decision
-	out       []byte
+	// pm holds every state's path metric after the last decoded step.
+	pm [NumStates]float64
+	// surv[t] bit j is set when state j after step t was reached from the
+	// odd predecessor (j&31)<<1|1, clear for the even one. The input bit
+	// is j>>5, so one bit per state is the whole survivor.
+	surv []uint64
+	out  []byte
 }
 
 // Decode returns the maximum-likelihood information bits for the given
@@ -68,7 +83,8 @@ func (v *Viterbi) Decode(metrics []float64) ([]byte, error) {
 // DecodeInto is Decode using s as working storage; the returned bits alias
 // s and are valid until the next decode with the same scratch. A nil s
 // decodes into fresh storage, making DecodeInto(nil, m) identical to
-// Decode(m).
+// Decode(m). A NaN or infinite metric is an error, and so are finite
+// metrics so large that a path metric could overflow.
 func (v *Viterbi) DecodeInto(s *ViterbiScratch, metrics []float64) ([]byte, error) {
 	if len(metrics)%2 != 0 {
 		return nil, fmt.Errorf("coding: metric count %d is odd; rate-1/2 code needs pairs", len(metrics))
@@ -82,6 +98,11 @@ func (v *Viterbi) DecodeInto(s *ViterbiScratch, metrics []float64) ([]byte, erro
 	// loop needs, a measured ~5% on a 1 KB decode.
 	start := time.Now()
 	erased := 0
+	// total bounds every path metric, which is a sum of +-m over a prefix
+	// of metrics rounded in the same order. A NaN or infinite metric makes
+	// it non-finite as well, so one test after the loop keeps this loop
+	// and the trellis free of a per-metric branch.
+	total := 0.0
 	for _, m := range metrics {
 		// Branchless count: erasure positions look random to the branch
 		// predictor, and a mispredicting loop over ~16k metrics is
@@ -91,6 +112,10 @@ func (v *Viterbi) DecodeInto(s *ViterbiScratch, metrics []float64) ([]byte, erro
 			inc = 1
 		}
 		erased += inc
+		total += math.Abs(m)
+	}
+	if !(total <= math.MaxFloat64) {
+		return nil, badMetrics(metrics)
 	}
 	out, err := v.decode(s, metrics)
 	if err != nil {
@@ -103,6 +128,22 @@ func (v *Viterbi) DecodeInto(s *ViterbiScratch, metrics []float64) ([]byte, erro
 	return out, nil
 }
 
+// badMetrics names the first non-finite metric, or reports that finite
+// metrics are too large to sum.
+func badMetrics(metrics []float64) error {
+	for i, m := range metrics {
+		if math.IsNaN(m) || math.IsInf(m, 0) {
+			return fmt.Errorf("coding: metric %d is %v; metrics must be finite", i, m)
+		}
+	}
+	return fmt.Errorf("coding: metric magnitudes sum past the float64 range; path metrics would overflow")
+}
+
+// decode runs the trellis as 32 add-compare-select butterflies per step,
+// bit-identical to a loop over source states: each candidate adds in the
+// same order, (pm +- mA) +- mB; a tie keeps the even predecessor; and an
+// unreachable state needs no test, since -Inf plus a finite metric stays
+// -Inf and never wins.
 func (v *Viterbi) decode(s *ViterbiScratch, metrics []float64) ([]byte, error) {
 	if s == nil {
 		s = &ViterbiScratch{}
@@ -111,45 +152,39 @@ func (v *Viterbi) decode(s *ViterbiScratch, metrics []float64) ([]byte, error) {
 	// compiler can prove 2*t+1 < len(metrics) and drop the bounds checks
 	// in the trellis loop.
 	steps := len(metrics) / 2
-	negInf := math.Inf(-1)
-	s.cur = growFloat64(s.cur, NumStates)
-	s.next = growFloat64(s.next, NumStates)
-	cur, next := s.cur, s.next
+	var cols [2][NumStates]float64
+	cur, next := &cols[0], &cols[1]
 	cur[0] = 0 // encoder starts in state 0
 	for st := 1; st < NumStates; st++ {
-		cur[st] = negInf
+		cur[st] = math.Inf(-1)
 	}
 
-	// decisions[t*NumStates + ns] records the input bit whose transition
-	// won state ns at step t, together with the predecessor state.
-	if cap(s.decisions) < steps*NumStates {
-		s.decisions = make([]decision, steps*NumStates)
+	if cap(s.surv) < steps {
+		s.surv = make([]uint64, steps)
 	}
-	decisions := s.decisions[:steps*NumStates]
+	surv := s.surv[:steps]
 
 	for t := 0; t < steps; t++ {
 		mA := metrics[2*t]
 		mB := metrics[2*t+1]
-		for s := range next {
-			next[s] = negInf
+		var w uint64
+		for j := range butterflySigns {
+			uA, uB := butterflySigns[j].a*mA, butterflySigns[j].b*mB
+			p0, p1 := cur[2*j], cur[2*j+1]
+			// Candidates from the even and odd predecessor into j (input
+			// bit 0) and into j+32 (input bit 1).
+			e0, o0 := p0+uA+uB, p1-uA-uB
+			e1, o1 := p0-uA-uB, p1+uA+uB
+			next[j] = max(e0, o0)
+			next[j+32] = max(e1, o1)
+			// The survivor bit is the sign of even minus odd: set only when
+			// the odd candidate is strictly larger, as a tie gives +0.
+			w |= math.Float64bits(e0-o0)>>63<<j | math.Float64bits(e1-o1)>>63<<(j+32)
 		}
-		for s := 0; s < NumStates; s++ {
-			pm := cur[s]
-			if math.IsInf(pm, -1) {
-				continue
-			}
-			for b := 0; b <= 1; b++ {
-				br := trellis[s][b]
-				m := pm + float64(br.outA)*mA + float64(br.outB)*mB
-				ns := int(br.next)
-				if m > next[ns] {
-					next[ns] = m
-					decisions[t*NumStates+ns] = decision(uint8(s) | uint8(b)<<6)
-				}
-			}
-		}
+		surv[t] = w
 		cur, next = next, cur
 	}
+	s.pm = *cur
 
 	// Pick the terminal state.
 	end := 0
@@ -168,11 +203,10 @@ func (v *Viterbi) decode(s *ViterbiScratch, metrics []float64) ([]byte, error) {
 
 	s.out = growBytes(s.out, steps)
 	out := s.out
-	state := end
+	state := uint(end)
 	for t := steps - 1; t >= 0; t-- {
-		d := decisions[t*NumStates+state]
-		out[t] = byte(d >> 6)
-		state = int(d & 0x3F)
+		out[t] = byte(state >> 5)
+		state = (state&31)<<1 | uint(surv[t]>>state&1)
 	}
 	return out, nil
 }

@@ -336,6 +336,7 @@ func ablationThresholdTasks(cfg AblationConfig) TaskSet {
 				base := cosTrialConfig{
 					mode: mode, psduLen: 1024, silences: 12,
 					k: icos.DefaultBitsPerInterval, ctrlSCs: ctrlSCs,
+					controlOnly: true,
 				}
 				base.detector = icos.Detector{Scheme: mode.Modulation}
 				if r, err := runCoSTrial(scr, ch, 0, actual, base, rng); err == nil && r.ctrlOK {

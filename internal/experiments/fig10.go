@@ -227,12 +227,13 @@ func fig10bTasks(cfg Fig10bConfig) TaskSet {
 					return [2]float64{}, err
 				}
 				r, err := runCoSTrial(scr, ch, 0, op.actual, cosTrialConfig{
-					mode:     mode,
-					psduLen:  1024,
-					silences: 12,
-					k:        icos.DefaultBitsPerInterval,
-					ctrlSCs:  fig10CtrlSCs,
-					detector: icos.Detector{FixedThreshold: th},
+					mode:        mode,
+					psduLen:     1024,
+					silences:    12,
+					k:           icos.DefaultBitsPerInterval,
+					ctrlSCs:     fig10CtrlSCs,
+					detector:    icos.Detector{FixedThreshold: th},
+					controlOnly: true,
 				}, rng)
 				if err != nil {
 					return [2]float64{}, err
@@ -302,12 +303,13 @@ func accuracyPoint(ctx context.Context, cfg Fig10cConfig, snr float64, interfere
 		return [2]float64{}, err
 	}
 	trial := cosTrialConfig{
-		mode:     mode,
-		psduLen:  1024,
-		silences: 12,
-		k:        icos.DefaultBitsPerInterval,
-		ctrlSCs:  fig10CtrlSCs,
-		detector: icos.Detector{Scheme: mode.Modulation},
+		mode:        mode,
+		psduLen:     1024,
+		silences:    12,
+		k:           icos.DefaultBitsPerInterval,
+		ctrlSCs:     fig10CtrlSCs,
+		detector:    icos.Detector{Scheme: mode.Modulation},
+		controlOnly: true,
 	}
 	if interfere {
 		trial.interferer = channel.PulseInterferer{Power: 40, BurstLen: 160, StartProb: 0.004}

@@ -155,6 +155,12 @@ type cosTrialConfig struct {
 	placement []icos.Pos
 	// llrBits quantizes the decoder input (0 = float metrics).
 	llrBits int
+	// controlOnly stops the trial after control extraction, for callers
+	// that read only the control-side outputs: detection and ctrlOK stay
+	// valid, while the data decode is skipped and dataOK stays false. The
+	// decode draws no randomness, so the trials that follow see the same
+	// RNG stream either way.
+	controlOnly bool
 }
 
 // cosTrialResult reports one trial's outcome.
@@ -277,6 +283,9 @@ func runCoSTrial(s *trialScratch, ch scenario.ChannelModel, t, actualSNR float64
 		}
 	}
 
+	if cfg.controlOnly {
+		return res, nil
+	}
 	if cfg.ignoreErasures {
 		mask = nil
 	}

@@ -100,28 +100,16 @@ func (s Scheme) HardDemap(y complex128) ([]byte, error) {
 	return out, nil
 }
 
-// SoftDemap computes max-log bit metrics for one received point (Eq. (8)):
+// SoftDemapInto computes max-log bit metrics for one received point
+// (Eq. (8)) into dst, whose length must be exactly BitsPerSymbol:
 //
 //	lambda_i = [ min_{x in chi_0^i} |y-x|^2 - min_{x in chi_1^i} |y-x|^2 ] / N0
 //
 // Positive metrics favor bit 1. noiseVar is the complex noise variance N0;
 // values below a small floor are clamped to keep metrics finite. The Gray
-// mapping is I/Q-separable, so each axis is searched independently.
-func (s Scheme) SoftDemap(y complex128, noiseVar float64) ([]float64, error) {
-	m := s.BitsPerSymbol()
-	if m == 0 {
-		return nil, fmt.Errorf("modulation: invalid scheme %d", int(s))
-	}
-	out := make([]float64, m)
-	if err := s.SoftDemapInto(out, y, noiseVar); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SoftDemapInto is SoftDemap writing the BitsPerSymbol metrics into dst,
-// whose length must be exactly BitsPerSymbol. It is the allocation-free form
-// the receiver uses to demap straight into a symbol's metric segment.
+// mapping is I/Q-separable, so each axis is searched independently. The
+// receiver demaps straight into a symbol's metric segment, so nothing is
+// allocated.
 func (s Scheme) SoftDemapInto(dst []float64, y complex128, noiseVar float64) error {
 	m := s.BitsPerSymbol()
 	if m == 0 {

@@ -228,15 +228,16 @@ func TestSoftDemapSignMatchesHardDecision(t *testing.T) {
 	// For any observation, the sign of each soft metric must agree with the
 	// hard decision for that bit (max-log with Gray mapping guarantees it).
 	rng := rand.New(rand.NewSource(42))
+	soft := make([]float64, 8)
 	for _, s := range allSchemes {
+		soft := soft[:s.BitsPerSymbol()]
 		for trial := 0; trial < 300; trial++ {
 			y := complex(rng.NormFloat64(), rng.NormFloat64())
 			hard, err := s.HardDemap(y)
 			if err != nil {
 				t.Fatal(err)
 			}
-			soft, err := s.SoftDemap(y, 0.1)
-			if err != nil {
+			if err := s.SoftDemapInto(soft, y, 0.1); err != nil {
 				t.Fatal(err)
 			}
 			if len(soft) != len(hard) {
@@ -255,9 +256,15 @@ func TestSoftDemapSignMatchesHardDecision(t *testing.T) {
 
 func TestSoftDemapScalesWithNoise(t *testing.T) {
 	y := complex(0.3, -0.8)
+	a, b := make([]float64, 8), make([]float64, 8)
 	for _, s := range allSchemes {
-		a, _ := s.SoftDemap(y, 0.1)
-		b, _ := s.SoftDemap(y, 0.2)
+		a, b := a[:s.BitsPerSymbol()], b[:s.BitsPerSymbol()]
+		if err := s.SoftDemapInto(a, y, 0.1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SoftDemapInto(b, y, 0.2); err != nil {
+			t.Fatal(err)
+		}
 		for i := range a {
 			if math.Abs(a[i]-2*b[i]) > 1e-9 {
 				t.Errorf("%v: metric should scale 1/N0 (a=%v b=%v)", s, a[i], b[i])
@@ -267,9 +274,10 @@ func TestSoftDemapScalesWithNoise(t *testing.T) {
 }
 
 func TestSoftDemapClampsTinyNoise(t *testing.T) {
+	m := make([]float64, 8)
 	for _, s := range allSchemes {
-		m, err := s.SoftDemap(0.5+0.5i, 0)
-		if err != nil {
+		m := m[:s.BitsPerSymbol()]
+		if err := s.SoftDemapInto(m, 0.5+0.5i, 0); err != nil {
 			t.Fatal(err)
 		}
 		for _, v := range m {
@@ -281,8 +289,8 @@ func TestSoftDemapClampsTinyNoise(t *testing.T) {
 }
 
 func TestBPSKSoftDemapExactForm(t *testing.T) {
-	m, err := BPSK.SoftDemap(complex(0.7, 0.3), 0.5)
-	if err != nil {
+	m := make([]float64, 1)
+	if err := BPSK.SoftDemapInto(m, complex(0.7, 0.3), 0.5); err != nil {
 		t.Fatal(err)
 	}
 	want := 4 * 0.7 / 0.5

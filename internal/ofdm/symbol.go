@@ -81,15 +81,6 @@ func (g *Grid) Resize(numSymbols int) {
 	*g = *NewGrid(numSymbols)
 }
 
-// Clone returns a deep copy of the grid.
-func (g *Grid) Clone() *Grid {
-	out := NewGrid(len(g.symbols))
-	for i, row := range g.symbols {
-		copy(out.symbols[i], row)
-	}
-	return out
-}
-
 // Modulate converts the grid into baseband time-domain samples. Each OFDM
 // symbol n (firstSymbolIndex+i for row i, needed for pilot polarity) is
 // assembled into 64 bins (48 data + 4 polarized pilots + zero guards),

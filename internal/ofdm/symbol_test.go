@@ -46,19 +46,6 @@ func TestGridAccessors(t *testing.T) {
 	}
 }
 
-func TestGridClone(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	g := randGrid(rng, 2)
-	c := g.Clone()
-	if err := c.Set(0, 0, 99); err != nil {
-		t.Fatal(err)
-	}
-	v, _ := g.At(0, 0)
-	if v == 99 {
-		t.Error("Clone shares storage with original")
-	}
-}
-
 func TestModulateDemodulateRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	g := randGrid(rng, 5)
