@@ -77,6 +77,7 @@ fuzz:
 	$(GO) test ./internal/serve/store/ -run xxx -fuzz FuzzReplay -fuzztime 30s
 	$(GO) test ./internal/trace/ -run xxx -fuzz FuzzReadTrace -fuzztime 30s
 	$(GO) test ./internal/coding/ -run xxx -fuzz FuzzViterbiMatchesReference -fuzztime 30s
+	$(GO) test ./internal/fleet/ -run xxx -fuzz FuzzTaskRecords -fuzztime 30s
 
 cover:
 	$(GO) test -cover ./...

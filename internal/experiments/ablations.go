@@ -494,6 +494,11 @@ func ablationQuantizationTasks(cfg AblationConfig) TaskSet {
 				XLabel: "measured SNR (dB)",
 				YLabel: "packet reception rate",
 			}
+			for si, row := range prrs {
+				if err := checkLen("ablation-quantization", si, len(row), len(widths)); err != nil {
+					return nil, err
+				}
+			}
 			for wi, w := range widths {
 				name := "float"
 				if w != 0 {

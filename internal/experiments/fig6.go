@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 
 	"cos/internal/channel"
@@ -78,8 +79,11 @@ func fig6Tasks(cfg Fig6Config) TaskSet {
 		assemble: func(perPacket []fig6Packet) (*Result, error) {
 			posErrors := make([]int, fig6Positions)
 			var scErrors, scCounts [ofdm.NumData]int
-			for _, pkt := range perPacket {
+			for i, pkt := range perPacket {
 				for _, pos := range pkt.ErrorPositions {
+					if pos < 0 {
+						return nil, fmt.Errorf("experiments: fig6 task %d record has error position %d", i, pos)
+					}
 					if pos < fig6Positions {
 						posErrors[pos]++
 					}

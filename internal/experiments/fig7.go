@@ -141,6 +141,9 @@ func fig7Tasks(cfg Fig7Config) TaskSet {
 				names = append(names, "EVM tau="+fmtMs(tau))
 			}
 			for i, name := range names {
+				if err := checkLen("fig7", i, len(recs[i].EVM), ofdm.NumData); err != nil {
+					return nil, err
+				}
 				s := Series{Name: name}
 				for d := 0; d < ofdm.NumData; d++ {
 					s.X = append(s.X, float64(d+1))

@@ -75,6 +75,16 @@ func (t tasks[R]) Assemble(raw []json.RawMessage) (*Result, error) {
 	return t.assemble(recs)
 }
 
+// checkLen reports a record whose slice does not hold the want values its
+// task produces. Records may arrive over the wire, so Assemble turns a
+// malformed one into an error instead of an index panic.
+func checkLen(id string, task, got, want int) error {
+	if got != want {
+		return fmt.Errorf("experiments: %s task %d record has %d values, want %d", id, task, got, want)
+	}
+	return nil
+}
+
 // runTasks executes a TaskSet and assembles its Result. With opts.Exec
 // set, the executor owns task execution (the records come back over the
 // wire); otherwise the tasks run on the in-process pool — same per-task

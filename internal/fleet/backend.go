@@ -121,6 +121,13 @@ func (b *httpBackend) Health(ctx context.Context) error {
 
 // Run submits the spec, waits for the job to settle, and streams the
 // result body. A cache hit on the server returns immediately.
+//
+// The server keeps only a window of finished jobs, so the job ID can
+// answer job_evicted once the job is terminal. The body is then read by
+// spec digest, which is lossless because results are content-addressed;
+// the task does not fail over. A digest with no stored result means the
+// evicted job did not finish done, and the error is transient, so a retry
+// runs the spec again.
 func (b *httpBackend) Run(ctx context.Context, spec serve.Spec) ([]byte, error) {
 	st, err := b.c.Submit(ctx, spec, client.SubmitOptions{})
 	if err != nil {
@@ -130,13 +137,28 @@ func (b *httpBackend) Run(ctx context.Context, spec serve.Spec) ([]byte, error) 
 		}
 		return nil, err
 	}
+	id, digest := st.ID, st.Digest
+	byDigest := func(ctx context.Context) ([]byte, error) {
+		body, err := b.c.ResultBytes(ctx, digest)
+		if errors.Is(err, serve.ErrUnknownJob) {
+			return nil, fmt.Errorf("fleet: job %s on backend %s was evicted without a stored result: %v", id, b.name, err)
+		}
+		return body, err
+	}
 	if !st.Terminal {
-		if st, err = b.c.Wait(ctx, st.ID); err != nil {
+		if st, err = b.c.Wait(ctx, id); err != nil {
+			if errors.Is(err, serve.ErrJobEvicted) {
+				return byDigest(ctx)
+			}
 			return nil, err
 		}
 	}
-	return settle(ctx, b.name, st.ID, st.State, st.Error, func(ctx context.Context) ([]byte, error) {
-		return b.c.ResultBytes(ctx, st.ID)
+	return settle(ctx, b.name, id, st.State, st.Error, func(ctx context.Context) ([]byte, error) {
+		body, err := b.c.ResultBytes(ctx, id)
+		if errors.Is(err, serve.ErrJobEvicted) {
+			return byDigest(ctx)
+		}
+		return body, err
 	})
 }
 

@@ -394,7 +394,14 @@ func (e *fleetExecutor) ExecTasks(ctx context.Context, id string, opts experimen
 	if err != nil {
 		return nil, err
 	}
-	recs := make([]json.RawMessage, n)
+	return decodeTaskRecords(id, bodies)
+}
+
+// decodeTaskRecords unwraps the figure_task result bodies of figure id,
+// indexed by task, into the per-task records Assemble takes. Each body
+// must hold one TaskRecord naming that figure and its own index.
+func decodeTaskRecords(id string, bodies [][]byte) ([]json.RawMessage, error) {
+	recs := make([]json.RawMessage, len(bodies))
 	for i, body := range bodies {
 		var tr serve.TaskRecord
 		if err := json.Unmarshal(bytes.TrimSpace(body), &tr); err != nil {

@@ -6,7 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +19,7 @@ import (
 	"cos/internal/serve"
 	"cos/internal/serve/cache"
 	"cos/internal/serve/client"
+	servehttp "cos/internal/serve/http"
 )
 
 func newServer(t testing.TB, cfg serve.Config) *serve.Server {
@@ -399,5 +403,70 @@ func TestCloseFailsPendingTasks(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("pending task never settled after Close")
+	}
+}
+
+// TestHostReadsEvictedJobByDigest: the daemon keeps only a window of
+// finished jobs, so a job can be evicted between Host.Run's submit and its
+// reads. Run then reads the body by spec digest, without failing over,
+// whether eviction answers the result read (a cache hit) or the status
+// poll of a job that was still running.
+func TestHostReadsEvictedJobByDigest(t *testing.T) {
+	srv := newServer(t, serve.Config{Shards: 1, Cache: cache.New(0)})
+	filler := serve.Spec{Kind: serve.KindLink, Seed: 1, Packets: 1, PayloadBytes: 16}
+	warm := serve.Spec{Kind: serve.KindLink, Seed: 2, Packets: 2, PayloadBytes: 64}
+	want := map[string][]byte{}
+	for _, spec := range []serve.Spec{filler, warm} {
+		job, err := srv.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-job.Done()
+		if want[spec.Digest()], err = io.ReadAll(job.Result()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// In front of every read of a finished job by ID, cache hits of the
+	// filler spec push that job out of the server's window.
+	var evictions atomic.Int32
+	h := servehttp.NewHandler(srv)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if id, ok := strings.CutPrefix(r.URL.Path, "/jobs/job-"); ok && r.Method == http.MethodGet {
+			id = "job-" + strings.TrimSuffix(id, "/result")
+			if j, err := srv.Job(id); err == nil && j.State().Terminal() {
+				for {
+					if _, err := srv.Job(id); errors.Is(err, serve.ErrJobEvicted) {
+						break
+					}
+					if _, err := srv.Submit(filler); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				evictions.Add(1)
+			}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	cold := serve.Spec{Kind: serve.KindLink, Seed: 3, Packets: 2, PayloadBytes: 64}
+	host := Host(ts.URL)
+	for _, spec := range []serve.Spec{warm, cold} {
+		before := evictions.Load()
+		body, err := host.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("Run(seed %d) after eviction: %v", spec.Seed, err)
+		}
+		if evictions.Load() == before {
+			t.Fatalf("Run(seed %d) read no evicted job; the test proves nothing", spec.Seed)
+		}
+		if w, ok := want[spec.Digest()]; ok && !bytes.Equal(body, w) {
+			t.Fatalf("Run(seed %d) returned %d bytes, want the computed %d", spec.Seed, len(body), len(w))
+		}
+		if got, ok := srv.ResultByDigest(spec.Digest()); !ok || !bytes.Equal(body, got) {
+			t.Fatalf("Run(seed %d) body differs from the server's stored result", spec.Seed)
+		}
 	}
 }

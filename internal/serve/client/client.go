@@ -65,6 +65,8 @@ func (e *APIError) Unwrap() error {
 		return serve.ErrDraining
 	case servehttp.CodeUnknownJob:
 		return serve.ErrUnknownJob
+	case servehttp.CodeJobEvicted:
+		return serve.ErrJobEvicted
 	case servehttp.CodeTraceUnavailable:
 		return serve.ErrTraceUnavailable
 	}
@@ -253,7 +255,8 @@ func (c *Client) Status(ctx context.Context, id string) (serve.Status, error) {
 	return st, json.NewDecoder(resp.Body).Decode(&st)
 }
 
-// Jobs lists every job's status in submission order.
+// Jobs lists, in submission order, the status of every live job and of
+// the finished jobs the server still retains.
 func (c *Client) Jobs(ctx context.Context) ([]serve.Status, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/jobs", nil)
 	if err != nil {

@@ -21,6 +21,8 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add([]byte(`{"error":{"code":"overloaded","message":"serve: admission queue full","retry_after_ms":1000}}`),
 		"overloaded", "serve: admission queue full", int64(1000))
 	f.Add([]byte(`{"error":"serve: unknown job"}`), "unknown_job", "serve: unknown job", int64(0))
+	f.Add([]byte(`{"error":{"code":"job_evicted","message":"serve: unknown job: evicted from the retained-job window: \"job-000001\""}}`),
+		"job_evicted", "serve: unknown job: evicted from the retained-job window", int64(0))
 	f.Add([]byte(`{"error":{"code":"draining","message":"serve: server is dr`), "draining", "", int64(-1))
 	f.Add([]byte(`{"error":{"code":"overloaded","retry_after_ms":9223372036854775807}}`), "overloaded", "", int64(math.MaxInt64))
 	f.Fuzz(func(t *testing.T, body []byte, code, message string, retryMS int64) {

@@ -10,7 +10,7 @@
 //	GET  /jobs                  list all job statuses
 //	GET  /jobs/{key}            one job's status (key: job ID or spec digest)
 //	GET  /jobs/{key}/result     stream the job's NDJSON results; a digest
-//	                            with no live job serves the stored body
+//	                            with no retained job serves the stored body
 //	GET  /jobs/{key}/trace      the job's flight-recorder trace (NDJSON,
 //	                            schema v2); blocks until the job is
 //	                            terminal; 404 trace_unavailable for
@@ -32,6 +32,8 @@
 //
 // with retry_after_ms present only on 429. The code vocabulary is the
 // Code* constants below; clients switch on codes, never on message text.
+// The server retains a bounded window of finished jobs: an older job ID
+// answers 404 job_evicted, and its result stays under its spec digest.
 // Admission pressure maps to status codes: a full shard queue returns 429
 // (code "overloaded") with a Retry-After hint, and a draining server
 // returns 503 (code "draining").
@@ -71,6 +73,10 @@ const (
 	CodeBadRequest = "bad_request"
 	// CodeUnknownJob: no job (or stored result) matches the key.
 	CodeUnknownJob = "unknown_job"
+	// CodeJobEvicted: the key is a job ID the server assigned, but the job
+	// has left the retained-job window; its result, if it finished done,
+	// is still served under its spec digest.
+	CodeJobEvicted = "job_evicted"
 	// CodePayloadTooLarge: the request body exceeded MaxSpecBytes.
 	CodePayloadTooLarge = "payload_too_large"
 	// CodeOverloaded: the shard queue is full; retry after retry_after_ms.
@@ -343,7 +349,7 @@ func resolveTrace(s *serve.Server, w http.ResponseWriter, r *http.Request) (body
 	}
 	job, err := s.Job(key)
 	if err != nil {
-		writeError(w, http.StatusNotFound, CodeUnknownJob, err)
+		writeLookupError(w, err)
 		return nil, "", false
 	}
 	select {
@@ -373,16 +379,27 @@ func lookup(s *serve.Server, w http.ResponseWriter, r *http.Request) (*serve.Job
 		job, err = s.Job(key)
 	}
 	if err != nil {
-		writeError(w, http.StatusNotFound, CodeUnknownJob, err)
+		writeLookupError(w, err)
 		return nil, false
 	}
 	return job, true
 }
 
+// writeLookupError answers a failed job lookup with 404: job_evicted for
+// an assigned ID the retained window has dropped, unknown_job otherwise.
+func writeLookupError(w http.ResponseWriter, err error) {
+	code := CodeUnknownJob
+	if errors.Is(err, serve.ErrJobEvicted) {
+		code = CodeJobEvicted
+	}
+	writeError(w, http.StatusNotFound, code, err)
+}
+
 // streamResultByKey serves GET /jobs/{key}/result. A job ID (or a digest
-// with a live job) streams that job's NDJSON as it is produced. A digest
-// with no live job — e.g. after a daemon restart — falls back to the
-// content-addressed result store and serves the finished body directly.
+// with a retained job) streams that job's NDJSON as it is produced. A
+// digest with no retained job — after eviction or a daemon restart —
+// falls back to the content-addressed result store and serves the
+// finished body directly.
 func streamResultByKey(s *serve.Server, w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if serve.IsDigest(key) {
@@ -402,38 +419,20 @@ func streamResultByKey(s *serve.Server, w http.ResponseWriter, r *http.Request) 
 	}
 	job, err := s.Job(key)
 	if err != nil {
-		writeError(w, http.StatusNotFound, CodeUnknownJob, err)
+		writeLookupError(w, err)
 		return
 	}
 	streamResult(job, w, r)
 }
 
-// streamResult copies the job's NDJSON stream to the client, flushing each
-// chunk so records arrive while the job is still running. The copy ends at
-// the job's terminal state (reader EOF) or when the client disconnects.
+// streamResult streams the job's NDJSON straight from its result log,
+// flushed chunk by chunk so records arrive while the job is still running.
+// It ends at the job's terminal state or as soon as the client
+// disconnects, even while the job is between records.
 func streamResult(job *serve.Job, w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	reader := job.Result()
-	buf := make([]byte, 32*1024)
-	for {
-		if r.Context().Err() != nil {
-			return
-		}
-		n, err := reader.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if err != nil {
-			return // io.EOF: stream complete
-		}
-	}
+	job.WriteResult(r.Context(), w)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

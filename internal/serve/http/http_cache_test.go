@@ -95,6 +95,36 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		t.Fatalf("unknown job APIError = %+v", apiErr)
 	}
 
+	// 404 job_evicted: an ID the server assigned whose job has left the
+	// retained window (cache hits on a second server push it out).
+	evSrv, evc := startAPI(t, serve.Config{Shards: 1, Cache: cache.New(0)})
+	hit := serve.Spec{Kind: serve.KindLink, Seed: 9, Packets: 2, PayloadBytes: 64}
+	evicted, err := evc.Submit(context.Background(), hit, client.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := evc.Wait(context.Background(), evicted.ID); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		if _, err := evSrv.Job(evicted.ID); errors.Is(err, serve.ErrJobEvicted) {
+			break
+		}
+		if i == 1<<16 {
+			t.Fatalf("job %s still retained after %d cache hits", evicted.ID, i)
+		}
+		if _, err := evSrv.Submit(hit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = evc.Status(context.Background(), evicted.ID)
+	if !errors.Is(err, serve.ErrJobEvicted) || !errors.Is(err, serve.ErrUnknownJob) {
+		t.Fatalf("evicted job error = %v, want errors.Is ErrJobEvicted and ErrUnknownJob", err)
+	}
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound || apiErr.Code != servehttp.CodeJobEvicted {
+		t.Fatalf("evicted job APIError = %+v", apiErr)
+	}
+
 	// 429 overloaded with retry hints in header and envelope.
 	slow := serve.Spec{Kind: serve.KindLink, Packets: 1e6, PayloadBytes: 64}
 	first, err := c.Submit(context.Background(), slow, client.SubmitOptions{})

@@ -235,3 +235,57 @@ func waitRunning(t *testing.T, c *client.Client, id string) {
 	}
 	t.Fatalf("job %s never started running", id)
 }
+
+// TestResultHandlerReturnsOnDisconnect: a client that gives up on a result
+// stream frees its handler at once, even while the job is between records
+// and nothing else would wake the stream. A full-scale fig9 point writes
+// its one record after seconds of simulation.
+func TestResultHandlerReturnsOnDisconnect(t *testing.T) {
+	srv := serve.New(serve.Config{Shards: 1, Metrics: obs.NewRegistry()})
+	returned := make(chan struct{}, 1)
+	h := servehttp.NewHandler(srv)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if strings.HasSuffix(r.URL.Path, "/result") {
+			returned <- struct{}{}
+		}
+	}))
+	t.Cleanup(func() {
+		srv.Drain(10 * time.Second)
+		ts.Close()
+	})
+	c := client.New(ts.URL)
+
+	st, err := c.Submit(context.Background(), serve.Spec{
+		Kind: serve.KindFigureTask, Figure: "fig9", Scale: 1, Seed: 1, Task: 1,
+	}, client.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Cancel(st.ID)
+	waitRunning(t, c, st.ID)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	got := make(chan error, 1)
+	go func() {
+		_, err := c.ResultBytes(ctx, st.ID)
+		got <- err
+	}()
+	time.Sleep(100 * time.Millisecond) // let the handler block on the running job
+	cancel()
+	if err := <-got; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled result read returned %v", err)
+	}
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the result handler still blocks 5s after its client went away")
+	}
+	job, err := srv.Job(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.State().Terminal() {
+		t.Fatalf("job %s finished (%s) before the check; it proves nothing", st.ID, job.State())
+	}
+}

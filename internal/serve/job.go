@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 )
@@ -54,6 +55,8 @@ func (s State) Terminal() bool {
 // through Status and results through Result.
 type Job struct {
 	id     string
+	seq    uint64 // admission order: the N of job-N
+	key    string // the submission's idempotency key ("" when none)
 	spec   Spec   // normalized
 	digest string // content address: spec.Digest() of the normalized spec
 	cached bool   // born terminal from a result-cache hit; never ran
@@ -84,26 +87,32 @@ type Job struct {
 	traceBytes  int
 }
 
+// closedDone is the Done channel every cache-hit job shares: such a job
+// is born terminal and never finishes again, so nothing closes it twice.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
 // newCachedJob builds a job born terminal from a result-cache hit: state
-// done, the stored byte stream already written and closed, Done() already
-// closed. It never touches a shard.
-func newCachedJob(id string, spec Spec, digest string, body []byte) *Job {
+// done, Done() already closed, and the cached body as its closed result
+// stream. The body is shared with the cache, not copied. It never touches
+// a shard.
+func newCachedJob(seq uint64, spec Spec, digest string, body []byte) *Job {
 	now := time.Now()
-	j := &Job{
-		id:        id,
+	return &Job{
+		id:        jobID(seq),
+		seq:       seq,
 		spec:      spec,
 		digest:    digest,
 		cached:    true,
-		buf:       newBuffer(),
+		buf:       closedBuffer(body),
 		state:     StateDone,
 		submitted: now,
 		finished:  now,
-		done:      make(chan struct{}),
+		done:      closedDone,
 	}
-	j.buf.Write(body)
-	j.buf.Close()
-	close(j.done)
-	return j
 }
 
 // Status is a point-in-time snapshot of a job, shaped for JSON.
@@ -206,6 +215,17 @@ func (j *Job) Status() Status {
 // until more output arrives and return io.EOF once the job is terminal and
 // the stream is fully consumed. Multiple readers each see the full stream.
 func (j *Job) Result() *ResultReader { return j.buf.Reader() }
+
+// WriteResult streams the job's NDJSON result to w from the start, as it
+// is produced, flushing after each chunk when w has a Flush method (an
+// http.ResponseWriter does). It returns nil once the job is terminal and
+// the whole stream is written, ctx.Err() as soon as ctx is done — also
+// while waiting for a running job's next record — or w's write error.
+// The bytes are written straight from the job's result log: nothing is
+// copied, and streaming a finished job allocates nothing.
+func (j *Job) WriteResult(ctx context.Context, w io.Writer) error {
+	return j.buf.writeTo(ctx, w)
+}
 
 // setRunning transitions queued → running; it reports false when the job
 // was already cancelled.

@@ -28,9 +28,13 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -49,6 +53,11 @@ var (
 	ErrDraining = errors.New("serve: server is draining")
 	// ErrUnknownJob: no job with the requested ID (HTTP 404).
 	ErrUnknownJob = errors.New("serve: unknown job")
+	// ErrJobEvicted: the ID names a job this server admitted, but the job
+	// has left the retained-job window (HTTP 404, code job_evicted). It
+	// wraps ErrUnknownJob. The job's result, if it finished done, stays
+	// reachable by its spec digest.
+	ErrJobEvicted = fmt.Errorf("%w: evicted from the retained-job window", ErrUnknownJob)
 	// ErrTraceUnavailable: the job has no retrievable flight-recorder trace
 	// — it was submitted untraced, did not finish done, or its persisted
 	// trace body is gone (HTTP 404).
@@ -121,6 +130,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// retainedJobs is how many terminal jobs the server keeps addressable by
+// ID. Queued and running jobs are always kept; once a job turns terminal
+// (a cache hit is born terminal) it joins a FIFO window, and the oldest
+// terminal job beyond retainedJobs is evicted: its ID answers
+// ErrJobEvicted and its idempotency key is forgotten. Nothing is lost
+// that matters, because a finished result is content-addressed and
+// resolves by spec digest (ResultByDigest). The bound is a constant: it
+// caps the job table's memory, and no caller needs another value.
+const retainedJobs = 4096
+
 // Server is a running job service. Create one with New, submit jobs with
 // Submit, and shut it down with Drain. All methods are safe for
 // concurrent use.
@@ -131,10 +150,13 @@ type Server struct {
 	baseCancel context.CancelFunc
 
 	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string        // job IDs in submission order
-	byDigest map[string]*Job // newest job per spec digest
-	byKey    map[string]*Job // jobs by idempotency key
+	jobs     map[string]*Job // every queued and running job, plus the window
+	byDigest map[string]*Job // newest retained job per spec digest
+	byKey    map[string]*Job // retained jobs by idempotency key
+	// window holds the retained terminal jobs as a ring in the order they
+	// turned terminal; once it is full, windowNext indexes the oldest.
+	window     []*Job
+	windowNext int
 	// traces maps a spec digest to its finished trace artifact's metadata
 	// (the trace's own content address + capture cadence). Populated when a
 	// traced job finishes done and from store recovery; consulted so a
@@ -287,7 +309,8 @@ func (s *Server) recover() {
 type SubmitOptions struct {
 	// IdempotencyKey deduplicates retries: a second submission carrying the
 	// same key returns the job the first one admitted instead of admitting
-	// another. Keys live for the server's lifetime. Empty disables
+	// another. A key lives as long as its job is retained (see
+	// retainedJobs); a retry after eviction admits afresh. Empty disables
 	// deduplication. Orthogonal to content addressing: two different keys
 	// with the same spec are two submissions (the second may hit the cache).
 	IdempotencyKey string
@@ -383,19 +406,16 @@ func (s *Server) SubmitWith(spec Spec, opts SubmitOptions) (*Job, error) {
 	}
 	if body, ok := s.lookupResultLocked(digest); ok && cacheable {
 		s.nextID++
-		job := newCachedJob(fmt.Sprintf("job-%06d", s.nextID), norm, digest, body)
+		job := newCachedJob(s.nextID, norm, digest, body)
+		job.key = opts.IdempotencyKey
 		if opts.Trace {
 			job.traced = true
 			job.probeEvery = opts.ProbeEvery
 			job.traceDigest = tm.digest
 			job.traceBytes = tm.bytes
 		}
-		s.jobs[job.id] = job
-		s.order = append(s.order, job.id)
-		s.byDigest[digest] = job
-		if opts.IdempotencyKey != "" {
-			s.byKey[opts.IdempotencyKey] = job
-		}
+		s.addLocked(job)
+		s.retireLocked(job)
 		s.mu.Unlock()
 		s.submitted.Inc()
 		s.cacheHits.Inc()
@@ -407,7 +427,9 @@ func (s *Server) SubmitWith(spec Spec, opts SubmitOptions) (*Job, error) {
 	}
 	s.nextID++
 	job := &Job{
-		id:         fmt.Sprintf("job-%06d", s.nextID),
+		id:         jobID(s.nextID),
+		seq:        s.nextID,
+		key:        opts.IdempotencyKey,
 		spec:       norm,
 		digest:     digest,
 		traced:     opts.Trace,
@@ -431,12 +453,7 @@ func (s *Server) SubmitWith(spec Spec, opts SubmitOptions) (*Job, error) {
 		return nil, ErrOverloaded
 	}
 	s.nextSh++
-	s.jobs[job.id] = job
-	s.order = append(s.order, job.id)
-	s.byDigest[digest] = job
-	if opts.IdempotencyKey != "" {
-		s.byKey[opts.IdempotencyKey] = job
-	}
+	s.addLocked(job)
 	// The admitted event and the depth gauge precede the send: once the job
 	// is in the queue a worker may journal job_started and decrement the
 	// gauge at any moment.
@@ -453,6 +470,58 @@ func (s *Server) SubmitWith(spec Spec, opts SubmitOptions) (*Job, error) {
 	}
 	s.noteSubmit(false)
 	return job, nil
+}
+
+// jobID formats the ID of the n-th admitted job.
+func jobID(n uint64) string { return fmt.Sprintf("job-%06d", n) }
+
+// assignedLocked reports whether id is the ID of a job this server has
+// admitted, retained or not. IDs are dense: job-1 … job-nextID were all
+// assigned (a rejected admission hands its number to the next job).
+func (s *Server) assignedLocked(id string) bool {
+	rest, ok := strings.CutPrefix(id, "job-")
+	if !ok {
+		return false
+	}
+	n, err := strconv.ParseUint(rest, 10, 64)
+	return err == nil && n >= 1 && n <= s.nextID && jobID(n) == id
+}
+
+// addLocked enters an admitted job in the table and its indexes.
+func (s *Server) addLocked(j *Job) {
+	s.jobs[j.id] = j
+	s.byDigest[j.digest] = j
+	if j.key != "" {
+		s.byKey[j.key] = j
+	}
+}
+
+// retire enters a job that has just turned terminal in the retained
+// window. Runs as a finish hook.
+func (s *Server) retire(j *Job) {
+	s.mu.Lock()
+	s.retireLocked(j)
+	s.mu.Unlock()
+}
+
+// retireLocked appends j to the window, evicting the oldest terminal job
+// once the window holds retainedJobs: the evicted job leaves the table,
+// its idempotency key, and the digest index if that still names it.
+func (s *Server) retireLocked(j *Job) {
+	if len(s.window) < retainedJobs {
+		s.window = append(s.window, j)
+		return
+	}
+	old := s.window[s.windowNext]
+	delete(s.jobs, old.id)
+	if old.key != "" && s.byKey[old.key] == old {
+		delete(s.byKey, old.key)
+	}
+	if s.byDigest[old.digest] == old {
+		delete(s.byDigest, old.digest)
+	}
+	s.window[s.windowNext] = j
+	s.windowNext = (s.windowNext + 1) % retainedJobs
 }
 
 // lookupResultLocked resolves digest to a finished result body: the cache
@@ -491,7 +560,8 @@ func (s *Server) logSubmit(j *Job) {
 }
 
 // persistTerminal makes a terminal state durable and cacheable: done
-// results enter the cache and the store (body first, then the WAL record);
+// results enter the cache and the store (body first, then the WAL record),
+// the cache keeping the job's own closed result bytes, not a copy;
 // failures append a settled marker so restarts do not retry them;
 // cancellations write nothing — absence is what makes them re-run after a
 // restart. Runs as a finish hook, before Done() observers wake.
@@ -530,18 +600,24 @@ func (s *Server) noteSubmit(rejected bool) {
 	}
 }
 
-// Job returns the job with the given ID.
+// Job returns the job with the given ID. An ID this server assigned whose
+// job has left the retained window fails with ErrJobEvicted; any other
+// unknown ID with ErrUnknownJob.
 func (s *Server) Job(id string) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
+		if s.assignedLocked(id) {
+			return nil, fmt.Errorf("%w: %q", ErrJobEvicted, id)
+		}
 		return nil, fmt.Errorf("%w: %q", ErrUnknownJob, id)
 	}
 	return j, nil
 }
 
-// JobByDigest returns the most recently admitted job for a spec digest.
+// JobByDigest returns the most recently admitted retained job for a spec
+// digest.
 func (s *Server) JobByDigest(digest string) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -610,15 +686,16 @@ func (s *Server) TraceByDigest(specDigest string) (body []byte, digest string, e
 	return nil, "", ErrTraceUnavailable
 }
 
-// Jobs snapshots every known job's status in submission order.
+// Jobs snapshots the status of every queued and running job and of the
+// retained terminal jobs, in submission order.
 func (s *Server) Jobs() []Status {
 	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	jobs := make([]*Job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, s.jobs[id])
+	jobs := make([]*Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		jobs = append(jobs, j)
 	}
 	s.mu.Unlock()
+	slices.SortFunc(jobs, func(a, b *Job) int { return cmp.Compare(a.seq, b.seq) })
 	out := make([]Status, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.Status()
@@ -640,6 +717,7 @@ func (s *Server) Cancel(id string) error {
 	j.requestCancel(func() {
 		s.finished.With("cancelled").Inc()
 		s.emitTerminalEvent(j, nil)
+		s.retire(j)
 	})
 	return nil
 }
@@ -747,6 +825,7 @@ func (s *Server) runJob(j *Job) {
 		j.finish(StateCancelled, "", func() {
 			s.finished.With("cancelled").Inc()
 			s.emitTerminalEvent(j, nil)
+			s.retire(j)
 		})
 		return
 	}
@@ -793,13 +872,14 @@ func (s *Server) runJob(j *Job) {
 
 	s.inflight.Add(-1)
 	s.jobSeconds.Observe(time.Since(start).Seconds())
-	// Both finish hooks land before Done() fires: "wait for the job, then
+	// The finish hooks land before Done() fires: "wait for the job, then
 	// read its trail / resubmit its spec" always sees the terminal journal
 	// event and the populated cache.
 	hooks := func(st State) []func() {
 		return []func(){
 			func() { s.persistTerminal(j, st) },
 			func() { s.emitTerminalEvent(j, agg) },
+			func() { s.retire(j) },
 		}
 	}
 	switch {

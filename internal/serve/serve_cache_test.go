@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -364,5 +365,55 @@ func TestRetiredFigureKindInStore(t *testing.T) {
 	}
 	if got, ok := s.ResultByDigest(done.Digest()); !ok || !bytes.Equal(got, body) {
 		t.Fatalf("ResultByDigest = %q, %v; want the stored figure body", got, ok)
+	}
+}
+
+// TestCacheHitSharesCachedBody: a finished body exists once. The cache
+// keeps the computed job's own result bytes, and a cache-hit job streams
+// the cache's bytes, so a hit allocates its bookkeeping, not its body.
+func TestCacheHitSharesCachedBody(t *testing.T) {
+	c := cache.New(0)
+	s := newTestServer(t, Config{Shards: 1, Cache: c})
+	spec := Spec{Kind: KindLink, Seed: 3, Packets: 200, PayloadBytes: 64}
+	first, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, first, 60*time.Second); st.State != "done" {
+		t.Fatalf("computing run ended %s: %s", st.State, st.Error)
+	}
+	body := readAll(t, first)
+	cached, ok := c.Get(first.Digest())
+	if !ok || !bytes.Equal(cached, body) {
+		t.Fatalf("cache entry after the run: ok=%v, %d bytes vs %d", ok, len(cached), len(body))
+	}
+	if &cached[0] != &first.buf.Bytes()[0] {
+		t.Error("the cache holds a copy of the computed job's body, not the body")
+	}
+	hit, err := s.Submit(spec)
+	if err != nil || !hit.Cached() {
+		t.Fatalf("resubmission: cached=%v err=%v", err == nil && hit.Cached(), err)
+	}
+	if &hit.buf.Bytes()[0] != &cached[0] {
+		t.Error("the cache-hit job holds a copy of the cached body")
+	}
+	if got := readAll(t, hit); !bytes.Equal(got, body) {
+		t.Fatalf("cache hit served %d bytes, want the computed %d", len(got), len(body))
+	}
+
+	const n = 200
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if _, err := s.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perHit := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("%d B allocated per cache hit of a %d B body", perHit, len(body))
+	if perHit > uint64(len(body))/4 {
+		t.Errorf("a cache hit allocates %d B, over a quarter of the %d B body it serves", perHit, len(body))
 	}
 }
