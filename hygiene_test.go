@@ -117,6 +117,43 @@ func TestFleetConsumers(t *testing.T) {
 	}
 }
 
+// TestOneSilencePath keeps one implementation of the silence scheme: the
+// interval coding, layout and detection primitives of internal/cos are
+// called only by internal/cos itself and by the cos-silence embedding
+// (internal/scenario/silence). Every other caller, the figures' trials
+// included, goes through the embedding's Embed/Mask/Extract, so the
+// figures measure the code a Link runs.
+func TestOneSilencePath(t *testing.T) {
+	primitives := map[string]bool{
+		"EncodeIntervalsInto":  true,
+		"LayoutInto":           true,
+		"ExtractIntervalsInto": true,
+		"DecodeIntervalsInto":  true,
+		"DetectMaskInto":       true,
+	}
+	allowed := map[string]bool{
+		"internal/cos":              true,
+		"internal/scenario/silence": true,
+	}
+	fset := token.NewFileSet()
+	for _, path := range sourceFiles(t) {
+		if allowed[filepath.ToSlash(filepath.Dir(path))] {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && primitives[sel.Sel.Name] {
+				t.Errorf("%s: uses %s; outside internal/cos, silences are embedded, detected and decoded through the cos-silence Embedding (internal/scenario/silence)",
+					fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+	}
+}
+
 // TestPublicAPIGolden pins the exported surface of package cos — every
 // exported top-level constant, variable, type and function, plus the
 // exported methods of exported types — against testdata/cos_api.golden.
@@ -190,12 +227,11 @@ func exportedAPI(t *testing.T) []string {
 	return api
 }
 
-// moduleImports parses every non-test .go file under the module root and
-// returns importPath -> set of imported paths.
-func moduleImports(t *testing.T, module string) map[string]map[string]bool {
+// sourceFiles lists every non-test .go file under the module root,
+// skipping hidden, testdata and vendor directories.
+func sourceFiles(t *testing.T) []string {
 	t.Helper()
-	imports := map[string]map[string]bool{}
-	fset := token.NewFileSet()
+	var paths []string
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -207,12 +243,27 @@ func moduleImports(t *testing.T, module string) map[string]map[string]bool {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			paths = append(paths, path)
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
+// moduleImports parses every non-test .go file under the module root and
+// returns importPath -> set of imported paths.
+func moduleImports(t *testing.T, module string) map[string]map[string]bool {
+	t.Helper()
+	imports := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range sourceFiles(t) {
 		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		pkg := module
 		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
@@ -226,10 +277,6 @@ func moduleImports(t *testing.T, module string) map[string]map[string]bool {
 		for _, imp := range f.Imports {
 			set[strings.Trim(imp.Path.Value, `"`)] = true
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	return imports
 }

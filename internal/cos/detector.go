@@ -55,9 +55,6 @@ type Detector struct {
 	// Scheme.MinPointEnergy() times the subcarrier gain. Zero assumes unit
 	// minimum energy (BPSK/QPSK-safe, optimistic for QAM).
 	Scheme modulation.Scheme
-	// ThresholdFactor scales the adaptive per-subcarrier threshold; zero
-	// selects 1.0 (the geometric-mean operating point).
-	ThresholdFactor float64
 	// FixedThreshold, when positive, bypasses adaptive estimation and uses
 	// this absolute post-FFT energy threshold on every subcarrier instead
 	// (the Fig. 10(b) threshold sweep and the fixed-threshold ablation).
@@ -69,10 +66,6 @@ type Detector struct {
 func (d Detector) Threshold(fe *phy.FrontEnd, sc int) (float64, error) {
 	if d.FixedThreshold > 0 {
 		return d.FixedThreshold, nil
-	}
-	f := d.ThresholdFactor
-	if f == 0 {
-		f = 1.0
 	}
 	minE := 1.0
 	if d.Scheme.Valid() {
@@ -87,7 +80,7 @@ func (d Detector) Threshold(fe *phy.FrontEnd, sc int) (float64, error) {
 		eta = 1e-12
 	}
 	active := minE*dsp.MagSq(h) + eta
-	th := f * math.Sqrt(eta*active)
+	th := math.Sqrt(eta * active)
 	if floor := minThresholdFactor * eta; th < floor {
 		th = floor
 	}

@@ -162,17 +162,9 @@ func TestDetectorThresholdSelection(t *testing.T) {
 	if th, err := (Detector{FixedThreshold: 0.5}).Threshold(r.fe, 0); err != nil || th != 0.5 {
 		t.Errorf("fixed threshold = %v, %v", th, err)
 	}
-	// Adaptive threshold scales linearly with the factor (above the floor).
 	one, err := (Detector{}).Threshold(r.fe, 5)
 	if err != nil {
 		t.Fatal(err)
-	}
-	three, err := (Detector{ThresholdFactor: 3}).Threshold(r.fe, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if three < one*2.5 {
-		t.Errorf("factor-3 threshold %v should be ~3x factor-1 %v", three, one)
 	}
 	// Adaptive threshold is at least the noise-floor floor.
 	if one < 2*r.fe.NoiseVar*0.99 {

@@ -64,7 +64,7 @@ func ablationEVDTasks(cfg AblationConfig) TaskSet {
 			scr := &trialScratch{}
 			ctrlSCs := fig10CtrlSCs
 			if b > 0 {
-				if sel, err := selectCtrlSCsForBudget(scr, ch, 0, snr, mode, mode.SymbolsForPSDU(1024), b, icos.DefaultBitsPerInterval, rng); err == nil {
+				if sel, err := selectCtrlSCsForBudget(scr, ch, 0, snr, mode, mode.SymbolsForPSDU(1024), b, rng); err == nil {
 					ctrlSCs = sel
 				}
 			}
@@ -74,8 +74,7 @@ func ablationEVDTasks(cfg AblationConfig) TaskSet {
 					return [2]float64{}, err
 				}
 				trial := cosTrialConfig{
-					mode: mode, psduLen: 1024, silences: b,
-					k: icos.DefaultBitsPerInterval, ctrlSCs: ctrlSCs,
+					mode: mode, psduLen: 1024, silences: b, ctrlSCs: ctrlSCs,
 					detector: icos.Detector{Scheme: mode.Modulation},
 				}
 				r, err := runCoSTrial(scr, ch, 0, snr, trial, rng)
@@ -86,7 +85,7 @@ func ablationEVDTasks(cfg AblationConfig) TaskSet {
 					okEVD++
 				}
 				// Ignorant arm: decode without any erasure mask.
-				trial.ignoreErasures = true
+				trial.erasures = erasuresNone
 				r, err = runCoSTrial(scr, ch, 0, snr, trial, rng)
 				if err != nil {
 					continue
@@ -181,7 +180,7 @@ func ablationPlacementTasks(cfg AblationConfig) TaskSet {
 				}
 				trial := cosTrialConfig{
 					mode: mode, psduLen: 1024,
-					ctrlSCs: scs, placement: positions, genieMask: true,
+					ctrlSCs: scs, placement: positions, erasures: erasuresTruth,
 					detector: icos.Detector{Scheme: mode.Modulation},
 				}
 				r, err := runCoSTrial(scr, ch, 0, snr, trial, rng)
@@ -324,7 +323,7 @@ func ablationThresholdTasks(cfg AblationConfig) TaskSet {
 			}
 			// Both arms use the same per-SNR subcarrier selection so the
 			// comparison isolates the detector's threshold policy.
-			ctrlSCs, err := selectCtrlSCsForBudget(scr, ch, 0, actual, mode, mode.SymbolsForPSDU(1024), 12, icos.DefaultBitsPerInterval, rng)
+			ctrlSCs, err := selectCtrlSCsForBudget(scr, ch, 0, actual, mode, mode.SymbolsForPSDU(1024), 12, rng)
 			if err != nil {
 				ctrlSCs = fig10CtrlSCs
 			}
@@ -334,8 +333,7 @@ func ablationThresholdTasks(cfg AblationConfig) TaskSet {
 					return [2]float64{}, err
 				}
 				base := cosTrialConfig{
-					mode: mode, psduLen: 1024, silences: 12,
-					k: icos.DefaultBitsPerInterval, ctrlSCs: ctrlSCs,
+					mode: mode, psduLen: 1024, silences: 12, ctrlSCs: ctrlSCs,
 					controlOnly: true,
 				}
 				base.detector = icos.Detector{Scheme: mode.Modulation}
@@ -365,8 +363,11 @@ func ablationThresholdTasks(cfg AblationConfig) TaskSet {
 
 // controlAccuracyTasks measures the paper's headline claim — control
 // messages delivered with close to 100% accuracy across the practical SNR
-// region — using the full closed-loop pipeline. It has one point-task per
-// SNR point; each records its (control delivery, data PRR) pair.
+// region. The trials are open-loop: 12 Mb/s fixed, control subcarriers
+// selected once per point from clean probes, and no rate or feedback
+// loop; embedding, detection and interval decoding run through the
+// Link's cos-silence Embedding. It has one point-task per SNR point; each
+// records its (control delivery, data PRR) pair.
 func controlAccuracyTasks(cfg AblationConfig) TaskSet {
 	cfg.setDefaults()
 	packets := scaled(ablationPackets, cfg.Scale)
@@ -390,7 +391,7 @@ func controlAccuracyTasks(cfg AblationConfig) TaskSet {
 			if err != nil {
 				return [2]float64{}, err
 			}
-			ctrlSCs, err := selectCtrlSCsForBudget(scr, ch, 0, actual, mode, mode.SymbolsForPSDU(1024), 12, icos.DefaultBitsPerInterval, rng)
+			ctrlSCs, err := selectCtrlSCsForBudget(scr, ch, 0, actual, mode, mode.SymbolsForPSDU(1024), 12, rng)
 			if err != nil {
 				ctrlSCs = fig10CtrlSCs
 			}
@@ -400,8 +401,7 @@ func controlAccuracyTasks(cfg AblationConfig) TaskSet {
 					return [2]float64{}, err
 				}
 				r, err := runCoSTrial(scr, ch, 0, actual, cosTrialConfig{
-					mode: mode, psduLen: 1024, silences: 12,
-					k: icos.DefaultBitsPerInterval, ctrlSCs: ctrlSCs,
+					mode: mode, psduLen: 1024, silences: 12, ctrlSCs: ctrlSCs,
 					detector: icos.Detector{Scheme: mode.Modulation},
 				}, rng)
 				if err != nil {
@@ -470,11 +470,10 @@ func ablationQuantizationTasks(cfg AblationConfig) TaskSet {
 					// selection) irrelevant here, so the paper's fixed
 					// mid-band control set keeps every cell comparable.
 					r, err := runCoSTrial(scr, ch, 0, actual, cosTrialConfig{
-						mode: mode, psduLen: 1024, silences: 12,
-						k: icos.DefaultBitsPerInterval, ctrlSCs: fig10CtrlSCs,
-						detector:  icos.Detector{Scheme: mode.Modulation},
-						genieMask: true, // isolate LLR width from detection noise
-						llrBits:   w,
+						mode: mode, psduLen: 1024, silences: 12, ctrlSCs: fig10CtrlSCs,
+						detector: icos.Detector{Scheme: mode.Modulation},
+						erasures: erasuresTruth, // isolate LLR width from detection noise
+						llrBits:  w,
 					}, rng)
 					if err != nil {
 						continue

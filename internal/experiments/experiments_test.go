@@ -268,16 +268,24 @@ func TestAblationEVDShape(t *testing.T) {
 	}
 	evd := seriesByName(t, res, "ErasureViterbi")
 	ign := seriesByName(t, res, "ErasureIgnorant")
-	var evdSum, ignSum float64
-	for i := range evd.Y {
-		evdSum += evd.Y[i]
-		ignSum += ign.Y[i]
+	// Silences are free under EVD (Sec. III-E): at every budget it keeps
+	// PRR near 1 and never loses to decoding the silences as data, and
+	// somewhere it wins outright.
+	wins := false
+	for i, x := range evd.X {
+		if evd.Y[i] < 0.95 {
+			t.Errorf("%v silences: EVD PRR %v, want >= 0.95", x, evd.Y[i])
+		}
+		if evd.Y[i] < ign.Y[i] {
+			t.Errorf("%v silences: EVD PRR %v below erasure-ignorant %v", x, evd.Y[i], ign.Y[i])
+		}
+		wins = wins || evd.Y[i] > ign.Y[i]
 	}
-	if evdSum <= ignSum {
-		t.Errorf("EVD should beat erasure-ignorant decoding: %v vs %v", evd.Y, ign.Y)
+	if !wins {
+		t.Errorf("EVD should beat erasure-ignorant decoding at some budget: %v vs %v", evd.Y, ign.Y)
 	}
 	// At zero silences both decode everything.
-	if evd.Y[0] < 0.95 || ign.Y[0] < 0.95 {
+	if ign.Y[0] < 0.95 {
 		t.Errorf("baseline PRR without silences should be ~1: %v / %v", evd.Y[0], ign.Y[0])
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"cos/internal/ofdm"
 	"cos/internal/phy"
 	"cos/internal/pool"
+	"cos/internal/scenario"
 )
 
 // fig10CtrlSCs is the contiguous control set of the paper's Fig. 10(a)
@@ -230,7 +231,6 @@ func fig10bTasks(cfg Fig10bConfig) TaskSet {
 					mode:        mode,
 					psduLen:     1024,
 					silences:    12,
-					k:           icos.DefaultBitsPerInterval,
 					ctrlSCs:     fig10CtrlSCs,
 					detector:    icos.Detector{FixedThreshold: th},
 					controlOnly: true,
@@ -302,17 +302,18 @@ func accuracyPoint(ctx context.Context, cfg Fig10cConfig, snr float64, interfere
 	if err != nil {
 		return [2]float64{}, err
 	}
+	if interfere {
+		// Only the trials see the pulses: calibration runs on the clean
+		// channel.
+		ch = scenario.Interfered(ch, channel.PulseInterferer{Power: 40, BurstLen: 160, StartProb: 0.004})
+	}
 	trial := cosTrialConfig{
 		mode:        mode,
 		psduLen:     1024,
 		silences:    12,
-		k:           icos.DefaultBitsPerInterval,
 		ctrlSCs:     fig10CtrlSCs,
 		detector:    icos.Detector{Scheme: mode.Modulation},
 		controlOnly: true,
-	}
-	if interfere {
-		trial.interferer = channel.PulseInterferer{Power: 40, BurstLen: 160, StartProb: 0.004}
 	}
 	var stats icos.DetectionStats
 	for p := 0; p < scaled(fig10cPackets, cfg.Scale); p++ {

@@ -127,7 +127,7 @@ func maxBudgetAtPRR(ctx context.Context, scr *trialScratch, ch scenario.ChannelM
 		if budget == 0 {
 			return true, nil
 		}
-		ctrlSCs, err := selectCtrlSCsForBudget(scr, ch, 0, actualSNR, mode, nSym, budget, icos.DefaultBitsPerInterval, rng)
+		ctrlSCs, err := selectCtrlSCsForBudget(scr, ch, 0, actualSNR, mode, nSym, budget, rng)
 		if err != nil {
 			return false, nil // no usable control subcarriers: budget unsustainable
 		}
@@ -137,7 +137,6 @@ func maxBudgetAtPRR(ctx context.Context, scr *trialScratch, ch scenario.ChannelM
 			mode:     mode,
 			psduLen:  fig9PSDULen,
 			silences: budget,
-			k:        icos.DefaultBitsPerInterval,
 			ctrlSCs:  ctrlSCs,
 			detector: icos.Detector{Scheme: mode.Modulation},
 		}

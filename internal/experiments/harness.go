@@ -11,6 +11,7 @@ import (
 	"cos/internal/phy"
 	"cos/internal/scenario"
 	_ "cos/internal/scenario/all" // register the built-in scenario components
+	"cos/internal/scenario/silence"
 )
 
 // trialChannel draws the channel model an experiment point-task propagates
@@ -44,25 +45,21 @@ func freqResponse(model scenario.ChannelModel, t float64) ([ofdm.NumSubcarriers]
 }
 
 // trialScratch is the experiments' reusable working storage: the PHY
-// transmit/receive scratch arenas plus every buffer the trial harness
-// needs between packets. One scratch serves one point-task; results
-// returned by probe and runCoSTrial alias it and are valid only until its
-// next use. A nil scratch is accepted everywhere and means fresh
-// allocation (the pre-arena behaviour).
+// transmit/receive scratch arenas, the silence embedding (which owns the
+// interval, layout and mask scratch, as it does in a Link's nodes), and
+// the trial's own packet buffers. One scratch serves one point-task;
+// results returned by probe and runCoSTrial alias it and are valid only
+// until its next use.
 type trialScratch struct {
 	tx       phy.TxScratch
 	rx       phy.RxScratch
+	emb      silence.Embedding
 	samples  []complex128
 	rxBuf    []complex128
 	psdu     []byte
 	payload  []byte
 	ctrl     []byte
-	txIvals  []int
-	txPos    []icos.Pos
-	truthMsk [][]bool
-	detMsk   [][]bool
-	rxIvals  []int
-	rxBits   []byte
+	truthMsk [][]bool // the placement ablation's explicit layout
 }
 
 // probe pushes one known packet through ch at time t with the given true
@@ -77,9 +74,6 @@ type probeResult struct {
 }
 
 func probe(s *trialScratch, ch scenario.ChannelModel, t float64, mode phy.Mode, psduLen int, actualSNR float64, rng *rand.Rand) (*probeResult, error) {
-	if s == nil {
-		s = &trialScratch{}
-	}
 	if cap(s.psdu) < psduLen {
 		s.psdu = make([]byte, psduLen)
 	}
@@ -134,24 +128,34 @@ func calibrateActualSNR(s *trialScratch, ch scenario.ChannelModel, t float64, mo
 	return actual, nil
 }
 
-// cosTrialConfig parameterizes one CoS packet trial.
+// erasureSource picks the mask that marks erasures for a trial's data
+// decode.
+type erasureSource int
+
+const (
+	// erasuresDetected decodes with the receiver's detected mask, as a
+	// Link does.
+	erasuresDetected erasureSource = iota
+	// erasuresTruth decodes with the transmitter's true mask (genie).
+	erasuresTruth
+	// erasuresNone decodes without any erasure mask (the erasure-ignorant
+	// baseline of the EVD ablation).
+	erasuresNone
+)
+
+// cosTrialConfig parameterizes one CoS packet trial. Control bits are
+// interval-coded with icos.DefaultBitsPerInterval bits per interval, as in
+// a Link.
 type cosTrialConfig struct {
-	mode      phy.Mode
-	psduLen   int
-	silences  int // total silence symbols to insert (0 = none)
-	k         int
-	ctrlSCs   []int
-	genieMask bool // decode with the true mask instead of the detected one
-	// ignoreErasures decodes without any erasure mask (the erasure-
-	// ignorant baseline of the EVD ablation).
-	ignoreErasures bool
-	detector       icos.Detector
-	// interferer, when non-nil, injects interference into the received
-	// samples (Fig. 10(d) uses the pulse interferer).
-	interferer scenario.Interferer
+	mode     phy.Mode
+	psduLen  int
+	silences int // total silence symbols to insert (0 = none)
+	ctrlSCs  []int
+	detector icos.Detector
+	erasures erasureSource
 	// placement overrides interval-coded layout with an explicit silence
-	// position list (placement ablation); silences/k are ignored for
-	// control decoding when set.
+	// position list (placement ablation); silences is ignored and no
+	// control message is decoded when set.
 	placement []icos.Pos
 	// llrBits quantizes the decoder input (0 = float metrics).
 	llrBits int
@@ -172,11 +176,12 @@ type cosTrialResult struct {
 
 // runCoSTrial sends one FCS-protected packet with an embedded random control
 // message sized to produce exactly cfg.silences silence symbols, then runs
-// the full receive pipeline, all through s's scratch arenas.
+// the receive pipeline, all through s's scratch arenas. Embedding,
+// detection and interval decoding go through the cos-silence Embedding, the
+// calls a Link's transmitter and receiver make; the trial is open-loop (the
+// caller fixes the mode, control subcarriers and detector).
 func runCoSTrial(s *trialScratch, ch scenario.ChannelModel, t, actualSNR float64, cfg cosTrialConfig, rng *rand.Rand) (*cosTrialResult, error) {
-	if s == nil {
-		s = &trialScratch{}
-	}
+	const k = icos.DefaultBitsPerInterval
 	n := cfg.psduLen - bits.FCSLen
 	if cap(s.payload) < n {
 		s.payload = make([]byte, n)
@@ -199,10 +204,9 @@ func runCoSTrial(s *trialScratch, ch scenario.ChannelModel, t, actualSNR float64
 		}
 		truthMask = s.truthMsk
 	case cfg.silences > 0:
-		nBits := (cfg.silences - 1) * cfg.k
-		if nBits < 0 {
-			nBits = 0
-		}
+		// A start marker plus one silence per k-bit interval; one silence
+		// is a lone marker carrying no bits, and is still embedded.
+		nBits := (cfg.silences - 1) * k
 		if cap(s.ctrl) < nBits {
 			s.ctrl = make([]byte, nBits)
 		}
@@ -210,19 +214,10 @@ func runCoSTrial(s *trialScratch, ch scenario.ChannelModel, t, actualSNR float64
 		for i := range ctrl {
 			ctrl[i] = byte(rng.Intn(2))
 		}
-		s.txIvals, err = icos.EncodeIntervalsInto(s.txIvals, ctrl, cfg.k)
+		truthMask, _, err = s.emb.Embed(tx, cfg.ctrlSCs, ctrl, k)
 		if err != nil {
 			return nil, err
 		}
-		s.txPos, err = icos.LayoutInto(s.txPos, s.txIvals, tx.NumSymbols(), cfg.ctrlSCs)
-		if err != nil {
-			return nil, err
-		}
-		s.truthMsk, err = icos.InsertSilencesInto(s.truthMsk, tx.Grid, s.txPos)
-		if err != nil {
-			return nil, err
-		}
-		truthMask = s.truthMsk
 	}
 
 	s.samples, err = tx.SamplesInto(s.samples)
@@ -233,11 +228,6 @@ func runCoSTrial(s *trialScratch, ch scenario.ChannelModel, t, actualSNR float64
 	if err != nil {
 		return nil, err
 	}
-	if cfg.interferer != nil {
-		if _, err := cfg.interferer.Apply(s.rxBuf, rng); err != nil {
-			return nil, err
-		}
-	}
 	fe, err := phy.RunFrontEndInto(&s.rx, s.rxBuf)
 	if err != nil {
 		return nil, err
@@ -245,49 +235,31 @@ func runCoSTrial(s *trialScratch, ch scenario.ChannelModel, t, actualSNR float64
 
 	res := &cosTrialResult{}
 	var mask [][]bool
-	if cfg.placement != nil {
-		s.detMsk, err = cfg.detector.DetectMaskInto(s.detMsk, fe, cfg.ctrlSCs)
+	if truthMask != nil {
+		detected, err := s.emb.Mask(fe, cfg.detector, cfg.ctrlSCs)
 		if err != nil {
 			return nil, err
 		}
-		res.detection, err = icos.CompareMasks(truthMask, s.detMsk, cfg.ctrlSCs)
+		if cfg.placement == nil {
+			// Silence extraction reads only the mask, so it needs no data
+			// decode.
+			got, exErr := s.emb.Extract(nil, detected, cfg.ctrlSCs, k)
+			res.ctrlOK = exErr == nil && len(got) >= len(ctrl) && bits.Equal(got[:len(ctrl)], ctrl)
+		}
+		res.detection, err = icos.CompareMasks(truthMask, detected, cfg.ctrlSCs)
 		if err != nil {
 			return nil, err
 		}
-		mask = s.detMsk
-		if cfg.genieMask {
-			mask = truthMask
-		}
-	} else if cfg.silences > 0 {
-		s.detMsk, err = cfg.detector.DetectMaskInto(s.detMsk, fe, cfg.ctrlSCs)
-		if err != nil {
-			return nil, err
-		}
-		var ctrlBits []byte
-		var exErr error
-		s.rxIvals, exErr = icos.ExtractIntervalsInto(s.rxIvals, s.detMsk, cfg.ctrlSCs)
-		if exErr == nil {
-			s.rxBits, exErr = icos.DecodeIntervalsInto(s.rxBits, s.rxIvals, cfg.k)
-			ctrlBits = s.rxBits
-		}
-		if exErr == nil && len(ctrlBits) >= len(ctrl) && bits.Equal(ctrlBits[:len(ctrl)], ctrl) {
-			res.ctrlOK = true
-		}
-		res.detection, err = icos.CompareMasks(truthMask, s.detMsk, cfg.ctrlSCs)
-		if err != nil {
-			return nil, err
-		}
-		mask = s.detMsk
-		if cfg.genieMask {
+		switch cfg.erasures {
+		case erasuresDetected:
+			mask = detected
+		case erasuresTruth:
 			mask = truthMask
 		}
 	}
 
 	if cfg.controlOnly {
 		return res, nil
-	}
-	if cfg.ignoreErasures {
-		mask = nil
 	}
 	dec, err := fe.DecodeInto(&s.rx, phy.DecodeConfig{Mode: cfg.mode, PSDULen: len(s.psdu), Erased: mask, LLRBits: cfg.llrBits})
 	if err != nil {
@@ -301,11 +273,11 @@ func runCoSTrial(s *trialScratch, ch scenario.ChannelModel, t, actualSNR float64
 
 // selectCtrlSCsForBudget measures EVM and per-subcarrier SNR from a few
 // clean probes, then selects enough detectable control subcarriers to fit
-// `silences` silence symbols into a packet of nSym symbols with k bits per
-// interval (worst-case interval spacing). Averaging the probes matters: a
+// `silences` silence symbols into a packet of nSym symbols (worst-case
+// interval spacing). Averaging the probes matters: a
 // single packet's channel estimate is noisy enough at weak subcarriers to
 // let a borderline-undetectable subcarrier slip past the floor.
-func selectCtrlSCsForBudget(s *trialScratch, ch scenario.ChannelModel, t, actualSNR float64, mode phy.Mode, nSym, silences, k int, rng *rand.Rand) ([]int, error) {
+func selectCtrlSCsForBudget(s *trialScratch, ch scenario.ChannelModel, t, actualSNR float64, mode phy.Mode, nSym, silences int, rng *rand.Rand) ([]int, error) {
 	const probes = 3
 	evm := make([]float64, ofdm.NumData)
 	snrs := make([]float64, ofdm.NumData)
@@ -328,7 +300,7 @@ func selectCtrlSCsForBudget(s *trialScratch, ch scenario.ChannelModel, t, actual
 		}
 	}
 	// Worst-case positions needed: every interval at its maximum.
-	need := 1 + silences*(1<<k)
+	need := 1 + silences*(1<<icos.DefaultBitsPerInterval)
 	minCtrl := (need + nSym - 1) / nSym
 	if minCtrl < 4 {
 		minCtrl = 4

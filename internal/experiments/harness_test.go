@@ -31,7 +31,6 @@ func TestControlOnlyTrialMatchesFullTrial(t *testing.T) {
 			mode:        mode,
 			psduLen:     1024,
 			silences:    12,
-			k:           icos.DefaultBitsPerInterval,
 			ctrlSCs:     fig10CtrlSCs,
 			detector:    icos.Detector{Scheme: mode.Modulation},
 			controlOnly: controlOnly,

@@ -20,6 +20,7 @@ import (
 
 	"cos/internal/bits"
 	"cos/internal/coding"
+	icos "cos/internal/cos"
 	"cos/internal/ofdm"
 	"cos/internal/phy"
 	"cos/internal/scenario"
@@ -146,7 +147,7 @@ func (e *Embedding) Embed(pkt *phy.TxPacket, _ []int, wire []byte, _ int) ([][]b
 }
 
 // Mask returns nil: padding marks no erasures.
-func (e *Embedding) Mask(*phy.FrontEnd, phy.Mode, []int, float64) ([][]bool, error) {
+func (e *Embedding) Mask(*phy.FrontEnd, icos.Detector, []int) ([][]bool, error) {
 	return nil, nil
 }
 

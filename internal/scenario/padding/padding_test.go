@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	icos "cos/internal/cos"
 	"cos/internal/phy"
 )
 
@@ -126,7 +127,7 @@ func TestInterfaceContract(t *testing.T) {
 	if e.Align(4) != 1 || e.Align(1) != 1 {
 		t.Error("padding must align to single bits")
 	}
-	mask, err := e.Mask(nil, phy.Mode{}, nil, 0)
+	mask, err := e.Mask(nil, icos.Detector{}, nil)
 	if err != nil || mask != nil {
 		t.Errorf("Mask = %v, %v; want nil, nil", mask, err)
 	}

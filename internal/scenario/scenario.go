@@ -15,6 +15,7 @@ import (
 	"math/rand"
 
 	"cos/internal/channel"
+	icos "cos/internal/cos"
 	"cos/internal/ofdm"
 	"cos/internal/phy"
 )
@@ -77,10 +78,10 @@ type Embedding interface {
 	// (nil when the scheme inserts no silences) and the number of silence
 	// symbols inserted.
 	Embed(pkt *phy.TxPacket, ctrlSCs []int, wire []byte, k int) ([][]bool, int, error)
-	// Mask runs receive-side silence detection over the front end and
-	// returns the detected mask, or nil when the scheme marks no erasures
-	// (the mask feeds erasure Viterbi decoding and EVM exclusion).
-	Mask(fe *phy.FrontEnd, mode phy.Mode, ctrlSCs []int, thresholdFactor float64) ([][]bool, error)
+	// Mask runs receive-side silence detection with det over the front
+	// end and returns the detected mask, or nil when the scheme marks no
+	// erasures (the mask feeds erasure Viterbi decoding and EVM exclusion).
+	Mask(fe *phy.FrontEnd, det icos.Detector, ctrlSCs []int) ([][]bool, error)
 	// Extract recovers the wire bits from a decoded packet; mask is the
 	// value Mask returned for this packet. The result may be longer than
 	// the sent message (trailing noise or keystream bits), callers match

@@ -62,9 +62,8 @@ func (e *Embedding) Embed(pkt *phy.TxPacket, ctrlSCs []int, wire []byte, k int) 
 	return e.truthMask, icos.MaskCount(e.truthMask, ctrlSCs), nil
 }
 
-// Mask runs energy detection over the control subcarriers.
-func (e *Embedding) Mask(fe *phy.FrontEnd, mode phy.Mode, ctrlSCs []int, thresholdFactor float64) ([][]bool, error) {
-	det := icos.Detector{Scheme: mode.Modulation, ThresholdFactor: thresholdFactor}
+// Mask runs det's energy detection over the control subcarriers.
+func (e *Embedding) Mask(fe *phy.FrontEnd, det icos.Detector, ctrlSCs []int) ([][]bool, error) {
 	var err error
 	e.detMask, err = det.DetectMaskInto(e.detMask, fe, ctrlSCs)
 	if err != nil {

@@ -201,6 +201,38 @@ func parsePosition(name string) (cos.Position, error) {
 // those silently re-keys every digest.
 const SpecSchemaVersion = 1
 
+// canonicalSpec is the inner object of the canonical encoding. Its fields
+// are declared in sorted key order, so encoding/json writes the keys
+// sorted; every field but scenario and task is always present, so "absent"
+// and "default" collapse onto the same bytes.
+type canonicalSpec struct {
+	ControlBits  int     `json:"control_bits"`
+	Figure       string  `json:"figure"`
+	Kind         Kind    `json:"kind"`
+	Mobile       bool    `json:"mobile"`
+	Packets      int     `json:"packets"`
+	PayloadBytes int     `json:"payload_bytes"`
+	Position     string  `json:"position"`
+	Rounds       int     `json:"rounds"`
+	Scale        float64 `json:"scale"`
+	// Scenario is present only when a non-default scenario is selected:
+	// pre-scenario specs keep their exact v1 canonical bytes
+	// (testdata/spec_canonical_v1.golden) without a schema bump.
+	Scenario   string  `json:"scenario,omitempty"`
+	Seed       int64   `json:"seed"`
+	Sends      int     `json:"sends"`
+	SNRdB      float64 `json:"snr_db"`
+	Stations   int     `json:"stations"`
+	StreamBits int     `json:"stream_bits"`
+	// Task exists only for figure_task jobs (the scenario-field
+	// precedent): every other kind keeps its v1 digest, and each
+	// point-task of a figure gets its own content address, which is what
+	// lets the result cache deduplicate tasks across a fleet.
+	Task      *int  `json:"task,omitempty"`
+	TimeoutMS int64 `json:"timeout_ms"`
+	Workers   int   `json:"workers"`
+}
+
 // Canonical returns the deterministic, versioned byte encoding of the
 // normalized spec: a JSON object {"spec": {...}, "spec_schema": N} whose
 // inner object carries every spec field explicitly (defaults applied, keys
@@ -210,43 +242,35 @@ const SpecSchemaVersion = 1
 // schema change requiring a SpecSchemaVersion bump.
 func (s Spec) Canonical() ([]byte, error) {
 	n := s.normalized()
-	// Maps marshal with sorted keys, which is exactly the canonical-order
-	// guarantee; every field is present so "absent" and "default" collapse
-	// onto the same bytes.
-	fields := map[string]any{
-		"kind":          string(n.Kind),
-		"seed":          n.Seed,
-		"timeout_ms":    n.TimeoutMS,
-		"snr_db":        n.SNRdB,
-		"position":      n.Position,
-		"mobile":        n.Mobile,
-		"payload_bytes": n.PayloadBytes,
-		"packets":       n.Packets,
-		"control_bits":  n.ControlBits,
-		"stream_bits":   n.StreamBits,
-		"sends":         n.Sends,
-		"stations":      n.Stations,
-		"rounds":        n.Rounds,
-		"figure":        n.Figure,
-		"scale":         n.Scale,
-		"workers":       n.Workers,
-	}
-	// The scenario key is present only when a non-default scenario is
-	// selected: pre-scenario specs must keep their exact v1 canonical
-	// bytes (testdata/spec_canonical_v1.golden) without a schema bump.
-	if n.Scenario != "" {
-		fields["scenario"] = n.Scenario
-	}
-	// The task key exists only for figure_task jobs (the scenario-field
-	// precedent): every pre-existing kind keeps its v1 digest, and each
-	// point-task of a figure gets its own content address — which is what
-	// lets the result cache deduplicate tasks across a fleet.
+	var task *int
 	if n.Kind == KindFigureTask {
-		fields["task"] = n.Task
+		task = &n.Task
 	}
-	b, err := json.Marshal(map[string]any{
-		"spec":        fields,
-		"spec_schema": SpecSchemaVersion,
+	b, err := json.Marshal(struct {
+		Spec   canonicalSpec `json:"spec"`
+		Schema int           `json:"spec_schema"`
+	}{
+		Spec: canonicalSpec{
+			ControlBits:  n.ControlBits,
+			Figure:       n.Figure,
+			Kind:         n.Kind,
+			Mobile:       n.Mobile,
+			Packets:      n.Packets,
+			PayloadBytes: n.PayloadBytes,
+			Position:     n.Position,
+			Rounds:       n.Rounds,
+			Scale:        n.Scale,
+			Scenario:     n.Scenario,
+			Seed:         n.Seed,
+			Sends:        n.Sends,
+			SNRdB:        n.SNRdB,
+			Stations:     n.Stations,
+			StreamBits:   n.StreamBits,
+			Task:         task,
+			TimeoutMS:    n.TimeoutMS,
+			Workers:      n.Workers,
+		},
+		Schema: SpecSchemaVersion,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: canonical encoding: %w", err)

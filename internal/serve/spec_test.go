@@ -137,10 +137,59 @@ func TestDecodeCanonicalRoundTrip(t *testing.T) {
 	}
 }
 
+// mapCanonical is the original map-based canonical encoder, kept as the
+// oracle for Canonical's struct encoding: maps marshal with sorted keys,
+// and every field is present except scenario (non-default only) and task
+// (figure_task only).
+func mapCanonical(s Spec) ([]byte, error) {
+	n := s.normalized()
+	fields := map[string]any{
+		"kind":          string(n.Kind),
+		"seed":          n.Seed,
+		"timeout_ms":    n.TimeoutMS,
+		"snr_db":        n.SNRdB,
+		"position":      n.Position,
+		"mobile":        n.Mobile,
+		"payload_bytes": n.PayloadBytes,
+		"packets":       n.Packets,
+		"control_bits":  n.ControlBits,
+		"stream_bits":   n.StreamBits,
+		"sends":         n.Sends,
+		"stations":      n.Stations,
+		"rounds":        n.Rounds,
+		"figure":        n.Figure,
+		"scale":         n.Scale,
+		"workers":       n.Workers,
+	}
+	if n.Scenario != "" {
+		fields["scenario"] = n.Scenario
+	}
+	if n.Kind == KindFigureTask {
+		fields["task"] = n.Task
+	}
+	return json.Marshal(map[string]any{
+		"spec":        fields,
+		"spec_schema": SpecSchemaVersion,
+	})
+}
+
+// BenchmarkCanonical costs one Canonical call, which every submission
+// (cache hits included) pays to compute its digest.
+func BenchmarkCanonical(b *testing.B) {
+	s := Spec{Kind: KindFigureTask, Figure: "fig3", Task: 2, Scale: 0.05, Scenario: "pulse"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Canonical(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // FuzzDecodeSpec: DecodeSpec reads untrusted request bodies, so no input
 // may panic it, and any spec it accepts must have a stable content
-// address: Canonical -> DecodeCanonical -> Canonical reproduces the same
-// bytes and the same digest.
+// address: Canonical matches the map-based oracle byte for byte, and
+// Canonical -> DecodeCanonical -> Canonical reproduces the same bytes and
+// the same digest.
 func FuzzDecodeSpec(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "spec_canonical_v1.golden"))
 	if err != nil {
@@ -156,7 +205,10 @@ func FuzzDecodeSpec(f *testing.F) {
 	f.Add([]byte(wrap.Spec))
 	f.Add(golden)
 	f.Add([]byte(`{"kind":"figure_task","figure":"fig3","task":2,"scale":0.05}`))
+	f.Add([]byte(`{"kind":"figure_task","figure":"fig2"}`))
 	f.Add([]byte(`{"kind":"link","position":"c","scenario":"pulse:40,160,0.004"}`))
+	f.Add([]byte(`{"kind":"stream","task":3,"scenario":"default","mobile":true,"timeout_ms":5000}`))
+	f.Add([]byte(`{"kind":"wlan","figure":"<fig&\u2028>","scale":1e-7,"snr_db":-3.25,"seed":-9}`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSpec(data)
@@ -166,6 +218,13 @@ func FuzzDecodeSpec(f *testing.F) {
 		first, err := s.Canonical()
 		if err != nil {
 			t.Fatalf("Canonical of accepted spec %+v: %v", s, err)
+		}
+		want, err := mapCanonical(s)
+		if err != nil {
+			t.Fatalf("map oracle of accepted spec %+v: %v", s, err)
+		}
+		if !bytes.Equal(first, want) {
+			t.Fatalf("Canonical differs from the map oracle:\n got: %s\nwant: %s", first, want)
 		}
 		back, err := DecodeCanonical(first)
 		if err != nil {

@@ -22,15 +22,12 @@ const (
 	PositionFlat = channel.PositionFlat
 )
 
-// The CoS parameters the paper fixes (Sec. III): k control bits per
-// inter-silence interval, the size bounds of the control subcarrier set
-// the receiver selects, and the energy detector's threshold factor (zero
-// selects the detector's geometric-mean operating point, 1.0).
+// The size bounds of the control subcarrier set the receiver selects
+// (Sec. III-D). The paper's other fixed parameter, k control bits per
+// inter-silence interval, is icos.DefaultBitsPerInterval.
 const (
-	bitsPerInterval = 4
-	minCtrlSCs      = 4
-	maxCtrlSCs      = 8
-	detectorFactor  = 0
+	minCtrlSCs = 4
+	maxCtrlSCs = 8
 )
 
 // config collects Link settings; built by options.

@@ -123,11 +123,11 @@ func (r *receiver) Receive(f *txFrame, samples []complex128, now float64) (*rxRe
 	}
 	spFE.End()
 
-	det := icos.Detector{Scheme: f.Mode.Modulation, ThresholdFactor: detectorFactor}
+	det := icos.Detector{Scheme: f.Mode.Modulation}
 	var detectedMask [][]bool
 	if len(f.ControlBits) > 0 {
 		spDet := r.metrics.span(StageDetect)
-		detectedMask, err = r.emb.Mask(fe, f.Mode, f.ControlSubcarriers, detectorFactor)
+		detectedMask, err = r.emb.Mask(fe, det, f.ControlSubcarriers)
 		if err != nil {
 			return nil, err
 		}
@@ -147,7 +147,7 @@ func (r *receiver) Receive(f *txFrame, samples []complex128, now float64) (*rxRe
 		// ride the data bits (padding) can read the decode result; the
 		// silence path draws no randomness here, so the order is free.
 		spCtrl := r.metrics.span(StageControlDecode)
-		ctrlBits, exErr := r.emb.Extract(dec, detectedMask, f.ControlSubcarriers, bitsPerInterval)
+		ctrlBits, exErr := r.emb.Extract(dec, detectedMask, f.ControlSubcarriers, icos.DefaultBitsPerInterval)
 		spCtrl.End()
 		if exErr == nil {
 			res.ControlDecoded = true
@@ -280,7 +280,7 @@ func (r *receiver) updateFeedback(f *txFrame, fe *phy.FrontEnd, psdu []byte, era
 		if err != nil {
 			return linkFeedback{}, false, err
 		}
-		parsed, err := icos.ParseFeedbackFrame(rxf, icos.Detector{ThresholdFactor: detectorFactor})
+		parsed, err := icos.ParseFeedbackFrame(rxf, icos.Detector{})
 		if err != nil {
 			// Feedback lost: the sender behaves as after a data loss
 			// (Sec. III-F) — conservative settings next packet.

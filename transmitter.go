@@ -138,7 +138,7 @@ func (t *transmitter) MaxControlBits(dataLen int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	k := bitsPerInterval
+	k := icos.DefaultBitsPerInterval
 	nCtrl := len(t.ctrlSCs)
 	if nCtrl == 0 {
 		nCtrl = minCtrlSCs
@@ -227,7 +227,7 @@ func (t *transmitter) Encode(data, control []byte) (*txFrame, error) {
 			return nil, fmt.Errorf("cos: %d control bits exceed the current budget of %d: %w", len(control), maxBits, ErrBudgetExceeded)
 		}
 		wire := control
-		align := t.emb.Align(bitsPerInterval)
+		align := t.emb.Align(icos.DefaultBitsPerInterval)
 		if t.cfg.controlFraming {
 			t.framed, err = icos.FrameControlInto(t.framed, control)
 			if err != nil {
@@ -242,7 +242,7 @@ func (t *transmitter) Encode(data, control []byte) (*txFrame, error) {
 			return nil, fmt.Errorf("cos: %d control bits is not a multiple of k=%d (or use WithControlFraming): %w",
 				len(control), align, ErrControlAlignment)
 		}
-		f.TruthMask, f.SilencesInserted, err = t.emb.Embed(pkt, ctrlSCs, wire, bitsPerInterval)
+		f.TruthMask, f.SilencesInserted, err = t.emb.Embed(pkt, ctrlSCs, wire, icos.DefaultBitsPerInterval)
 		if err != nil {
 			return nil, err
 		}
