@@ -23,15 +23,14 @@ race:
 
 # The pre-merge gate. Every short test runs under the race detector, so a
 # new test is raced without a new line here; the tests that skip under
-# -short (goldens, the metrics end-to-end session, the tiny whole-registry
-# figure sweeps, cos-serve subprocesses) and cmd/cos-bench, a module of its
-# own that ./... does not enter, get lines of their own.
+# -short (goldens, the metrics end-to-end session, cos-serve subprocesses)
+# and cmd/cos-bench, a module of its own that ./... does not enter, get
+# lines of their own.
 ci: build vet
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) test -race -short ./...
 	$(GO) test -run 'TestPipelineGolden|TestScenarioLinkGoldens|TestLinkSendSteadyStateAllocs|TestPipelineMetricsEndToEnd' .
-	$(GO) test -run 'TestRegistryRunsEverythingTiny|TestFig9TinyShape' ./internal/experiments/
 	$(GO) test -run 'TestStreamWLANAndFigureJobs' ./internal/serve/
 	$(GO) test -race -run 'TestSIGTERMDrainsGracefully|TestRestartServesDurableResults' ./cmd/cos-serve/
 	$(GO) -C cmd/cos-bench vet ./...
@@ -61,7 +60,7 @@ bench-events:
 bench-fleet:
 	$(GO) test -v ./internal/fleet/ -run TestWriteBenchFleetReport -bench-fleet-out $(CURDIR)/BENCH_fleet.json
 
-# Publication-quality data for every paper figure and ablation (~10 min).
+# Publication-quality data for every paper figure and ablation (~75 s on 2 vCPUs).
 figures:
 	$(GO) run ./cmd/cos-figures -fig all -scale 1 -out results/
 

@@ -104,13 +104,14 @@ func (t *RateTable) Fallback() int {
 	return min
 }
 
-// DefaultRateTable returns a conservative table calibrated on this
-// repository's channel simulator (regenerate with examples/ratemap; see
-// EXPERIMENTS.md). Entries are indexed by *measured* SNR — what the
-// receiver reports — and carry half the measured sustainable budget as
-// engineering margin. The sawtooth follows the data-rate bands: 1/2-coded
-// modes leave far more spare redundancy than 3/4-coded ones (the paper's
-// Fig. 9 ordering), so the budget drops at every switch into a 3/4 band.
+// DefaultRateTable returns a conservative, hand-set table. Entries are
+// indexed by *measured* SNR — what the receiver reports. The sawtooth
+// follows the data-rate bands: 1/2-coded modes leave far more spare
+// redundancy than 3/4-coded ones (the paper's Fig. 9 ordering), so the
+// budget drops at every switch into a 3/4 band. No program generates the
+// rows; the measurement they must stay under is Fig. 9's maxBudgetAtPRR,
+// the largest budget per mode and measured SNR that keeps PRR >= 0.993
+// (internal/experiments).
 func DefaultRateTable() *RateTable {
 	t, err := NewRateTable([]RateEntry{
 		{SNRdB: 4.0, SilencesPerPacket: 4},   // 6 Mb/s (BPSK,1/2)

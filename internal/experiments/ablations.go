@@ -20,31 +20,14 @@ import (
 // before scaling.
 const ablationPackets = 120
 
-// AblationConfig parameterizes the design-choice ablations.
-type AblationConfig struct {
-	// Scale shrinks the packets per measured point.
-	Scale float64
-	// Seed drives all randomness.
-	Seed int64
-	// Scenario is an optional scenario reference ("" = default world).
-	Scenario string
-}
-
-func (c *AblationConfig) setDefaults() {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
-
 // ablationEVDTasks compares erasure Viterbi decoding (silences marked via
 // the detected mask) against erasure-ignorant decoding (silences demapped
 // as if they were data) as the silence load grows: PRR vs silences per
 // packet. This isolates the value of Sec. III-E. It has one point-task per
 // silence budget; each records the (EVD, erasure-ignorant) PRR pair.
-func ablationEVDTasks(cfg AblationConfig) TaskSet {
-	cfg.setDefaults()
+func ablationEVDTasks(o RunOptions) TaskSet {
 	const snr = 15.0
-	packets := scaled(ablationPackets, cfg.Scale)
+	packets := scaled(ablationPackets, o.Scale)
 	budgets := []int{0, 4, 8, 16, 24, 32, 48, 64}
 	return tasks[[2]float64]{
 		n: len(budgets),
@@ -56,7 +39,7 @@ func ablationEVDTasks(cfg AblationConfig) TaskSet {
 			// Per task: a channel model owns tap scratch, so point-tasks
 			// must not share one (the same variant is the same
 			// deterministic draw).
-			ch, err := trialChannel(cfg.Scenario, channel.PositionB, false, 11)
+			ch, err := trialChannel(o.Scenario, channel.PositionB, false, 11)
 			if err != nil {
 				return [2]float64{}, err
 			}
@@ -129,13 +112,12 @@ var placementNames = []string{"WeakSubcarriers", "RandomSubcarriers", "StrongSub
 // point-task per (placement, budget) cell; each records its PRR. The weak
 // and strong subcarrier sets are ranked once per TaskSet from the
 // channel's response (genie knowledge, no randomness).
-func ablationPlacementTasks(cfg AblationConfig) TaskSet {
-	cfg.setDefaults()
+func ablationPlacementTasks(o RunOptions) TaskSet {
 	const snr = 17.2 // just above the 16 dB threshold: the budget binds
-	packets := scaled(ablationPackets, cfg.Scale)
+	packets := scaled(ablationPackets, o.Scale)
 	budgets := []int{16, 48, 96, 144}
 	ranking := sync.OnceValues(func() ([2][]int, error) {
-		ch, err := trialChannel(cfg.Scenario, channel.PositionA, false, 13)
+		ch, err := trialChannel(o.Scenario, channel.PositionA, false, 13)
 		if err != nil {
 			return [2][]int{}, err
 		}
@@ -152,7 +134,7 @@ func ablationPlacementTasks(cfg AblationConfig) TaskSet {
 			if err != nil {
 				return 0, err
 			}
-			ch, err := trialChannel(cfg.Scenario, channel.PositionA, false, 13)
+			ch, err := trialChannel(o.Scenario, channel.PositionA, false, 13)
 			if err != nil {
 				return 0, err
 			}
@@ -271,9 +253,8 @@ func randomPlacement(rng *rand.Rand, n, nSym int, ctrlSCs []int) ([]icos.Pos, er
 // reserved for the fixed-threshold calibration prelude's RNG
 // (pool.TaskRNG(seed, 0)); tasks 1..len(snrs) are the SNR points, each
 // recording its (adaptive, fixed) control delivery rates.
-func ablationThresholdTasks(cfg AblationConfig) TaskSet {
-	cfg.setDefaults()
-	packets := scaled(ablationPackets, cfg.Scale)
+func ablationThresholdTasks(o RunOptions) TaskSet {
+	packets := scaled(ablationPackets, o.Scale)
 	snrs := []float64{6, 9, 12, 15, 18, 21}
 	// The fixed threshold is calibrated once at the middle SNR, then used
 	// everywhere — what a non-adaptive implementation would do.
@@ -282,11 +263,11 @@ func ablationThresholdTasks(cfg AblationConfig) TaskSet {
 		if err != nil {
 			return 0, err
 		}
-		ch, err := trialChannel(cfg.Scenario, channel.PositionB, false, 4)
+		ch, err := trialChannel(o.Scenario, channel.PositionB, false, 4)
 		if err != nil {
 			return 0, err
 		}
-		rng := pool.TaskRNG(cfg.Seed, 0)
+		rng := pool.TaskRNG(o.Seed, 0)
 		scr := &trialScratch{}
 		midActual, err := calibrateActualSNR(scr, ch, 0, mode, 12, rng)
 		if err != nil {
@@ -312,7 +293,7 @@ func ablationThresholdTasks(cfg AblationConfig) TaskSet {
 			if err != nil {
 				return [2]float64{}, err
 			}
-			ch, err := trialChannel(cfg.Scenario, channel.PositionB, false, 4)
+			ch, err := trialChannel(o.Scenario, channel.PositionB, false, 4)
 			if err != nil {
 				return [2]float64{}, err
 			}
@@ -368,9 +349,8 @@ func ablationThresholdTasks(cfg AblationConfig) TaskSet {
 // loop; embedding, detection and interval decoding run through the
 // Link's cos-silence Embedding. It has one point-task per SNR point; each
 // records its (control delivery, data PRR) pair.
-func controlAccuracyTasks(cfg AblationConfig) TaskSet {
-	cfg.setDefaults()
-	packets := scaled(ablationPackets, cfg.Scale)
+func controlAccuracyTasks(o RunOptions) TaskSet {
+	packets := scaled(ablationPackets, o.Scale)
 	snrs := []float64{8, 10, 12, 14, 16, 18, 20, 22}
 	return tasks[[2]float64]{
 		n: len(snrs),
@@ -382,7 +362,7 @@ func controlAccuracyTasks(cfg AblationConfig) TaskSet {
 			// Per task: a channel model owns tap scratch, so point-tasks
 			// must not share one (the same variant is the same
 			// deterministic draw).
-			ch, err := trialChannel(cfg.Scenario, channel.PositionB, false, 19)
+			ch, err := trialChannel(o.Scenario, channel.PositionB, false, 19)
 			if err != nil {
 				return [2]float64{}, err
 			}
@@ -435,9 +415,8 @@ func controlAccuracyTasks(cfg AblationConfig) TaskSet {
 // float, 5-bit, 4-bit and 3-bit decoder inputs. It has one point-task per
 // SNR point, the widths swept inside the task (they share the point's
 // calibration); each records its PRR per width.
-func ablationQuantizationTasks(cfg AblationConfig) TaskSet {
-	cfg.setDefaults()
-	packets := scaled(ablationPackets, cfg.Scale)
+func ablationQuantizationTasks(o RunOptions) TaskSet {
+	packets := scaled(ablationPackets, o.Scale)
 	snrs := []float64{13, 14, 15, 16}
 	widths := []int{0, 5, 4, 3} // 0 = float
 	return tasks[[]float64]{
@@ -450,7 +429,7 @@ func ablationQuantizationTasks(cfg AblationConfig) TaskSet {
 			// Per task: a channel model owns tap scratch, so point-tasks
 			// must not share one (the same variant is the same
 			// deterministic draw).
-			ch, err := trialChannel(cfg.Scenario, channel.PositionB, false, 11)
+			ch, err := trialChannel(o.Scenario, channel.PositionB, false, 11)
 			if err != nil {
 				return nil, err
 			}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"strings"
 	"testing"
 )
 
@@ -28,11 +27,19 @@ func seriesNames(r *Result) []string {
 	return out
 }
 
-func TestFig2ShapeActualAboveMinRequired(t *testing.T) {
-	res, err := runTasks(context.Background(), "fig2", RunOptions{}, fig2Tasks(Fig2Config{Variants: 2, Step: 2}))
+// runFigure runs figure id exactly as `cos-figures -fig id -scale scale
+// -seed 1` does, so a shape test checks the figure users see.
+func runFigure(t *testing.T, id string, scale float64) *Result {
+	t.Helper()
+	res, err := Run(context.Background(), id, RunOptions{Scale: scale, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestFig2ShapeActualAboveMinRequired(t *testing.T) {
+	res := runFigure(t, "fig2", 0.1)
 	minReq := seriesByName(t, res, "MinRequiredSNR")
 	actual := seriesByName(t, res, "ActualSNR")
 	if len(minReq.X) < 5 {
@@ -62,10 +69,7 @@ func TestFig2ShapeActualAboveMinRequired(t *testing.T) {
 }
 
 func TestFig3ShapeBERDecreasesWithSNR(t *testing.T) {
-	res, err := runTasks(context.Background(), "fig3", RunOptions{}, fig3Tasks(Fig3Config{Scale: 0.25, Step: 1.3}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFigure(t, "fig3", 0.15)
 	actual := seriesByName(t, res, "ActualBER")
 	redundant := seriesByName(t, res, "RedundantBER")
 	if actual.Y[0] <= actual.Y[len(actual.Y)-1] {
@@ -82,10 +86,7 @@ func TestFig3ShapeBERDecreasesWithSNR(t *testing.T) {
 }
 
 func TestFig5ShapeFrequencyDiversity(t *testing.T) {
-	res, err := runTasks(context.Background(), "fig5", RunOptions{}, fig5Tasks(Fig5Config{Scale: 0.3}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFigure(t, "fig5", 0.3)
 	if len(res.Series) != 3 {
 		t.Fatalf("want 3 position series, got %v", seriesNames(res))
 	}
@@ -117,10 +118,7 @@ func TestFig5ShapeFrequencyDiversity(t *testing.T) {
 }
 
 func TestFig6ShapePeriodicErrors(t *testing.T) {
-	res, err := runTasks(context.Background(), "fig6", RunOptions{}, fig6Tasks(Fig6Config{Scale: 0.15}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFigure(t, "fig6", 0.15)
 	ser := seriesByName(t, res, "SERBySubcarrier")
 	freq := seriesByName(t, res, "ErrorFreqByPosition")
 	if len(freq.Y) != 1000 {
@@ -154,10 +152,7 @@ func TestFig6ShapePeriodicErrors(t *testing.T) {
 }
 
 func TestFig7ShapeTemporalStability(t *testing.T) {
-	res, err := runTasks(context.Background(), "fig7", RunOptions{}, fig7Tasks(Fig7Config{Scale: 0.15, Draws: 20}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFigure(t, "fig7", 0.05)
 	// CDF medians should be small (stable channel) and grow with tau.
 	med := func(s Series) float64 {
 		for i, p := range s.Y {
@@ -178,10 +173,7 @@ func TestFig7ShapeTemporalStability(t *testing.T) {
 }
 
 func TestFig10aShapeSilencesDiscernible(t *testing.T) {
-	res, err := runTasks(context.Background(), "fig10a", RunOptions{}, fig10aTasks(Fig10aConfig{}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFigure(t, "fig10a", 0.01)
 	s := seriesByName(t, res, "RelativeMagnitude")
 	if len(s.Y) != 52 {
 		t.Fatalf("%d subcarriers", len(s.Y))
@@ -206,10 +198,7 @@ func TestFig10aShapeSilencesDiscernible(t *testing.T) {
 }
 
 func TestFig10bShapeThresholdTradeoff(t *testing.T) {
-	res, err := runTasks(context.Background(), "fig10b", RunOptions{}, fig10bTasks(Fig10bConfig{Scale: tinyScale, Points: 9}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFigure(t, "fig10b", tinyScale)
 	fp := seriesByName(t, res, "FalsePositive")
 	fn := seriesByName(t, res, "FalseNegative")
 	// FN falls with threshold; FP rises.
@@ -222,10 +211,7 @@ func TestFig10bShapeThresholdTradeoff(t *testing.T) {
 }
 
 func TestFig10cShapeAccuracy(t *testing.T) {
-	res, err := runTasks(context.Background(), "fig10c", RunOptions{}, fig10cTasks(Fig10cConfig{Scale: tinyScale, SNRs: []float64{4, 10, 16}}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFigure(t, "fig10c", 0.03)
 	fp := seriesByName(t, res, "FalsePositive")
 	fn := seriesByName(t, res, "FalseNegative")
 	// FN stays low everywhere; FP at high SNR is near zero and no larger
@@ -245,10 +231,7 @@ func TestFig10cShapeAccuracy(t *testing.T) {
 }
 
 func TestFig10dShapeInterference(t *testing.T) {
-	res, err := runTasks(context.Background(), "fig10d", RunOptions{}, fig10dTasks(Fig10cConfig{Scale: tinyScale, SNRs: []float64{8, 14, 20}}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFigure(t, "fig10d", 0.05)
 	dirty := seriesByName(t, res, "CoS with strong interference")
 	clean := seriesByName(t, res, "CoS")
 	var dirtySum, cleanSum float64
@@ -262,10 +245,7 @@ func TestFig10dShapeInterference(t *testing.T) {
 }
 
 func TestAblationEVDShape(t *testing.T) {
-	res, err := runTasks(context.Background(), "ablation-evd", RunOptions{}, ablationEVDTasks(AblationConfig{Scale: 0.2}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFigure(t, "ablation-evd", 0.2)
 	evd := seriesByName(t, res, "ErasureViterbi")
 	ign := seriesByName(t, res, "ErasureIgnorant")
 	// Silences are free under EVD (Sec. III-E): at every budget it keeps
@@ -291,10 +271,7 @@ func TestAblationEVDShape(t *testing.T) {
 }
 
 func TestAblationPlacementShape(t *testing.T) {
-	res, err := runTasks(context.Background(), "ablation-placement", RunOptions{}, ablationPlacementTasks(AblationConfig{Scale: 0.2}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFigure(t, "ablation-placement", 0.2)
 	weak := seriesByName(t, res, "WeakSubcarriers")
 	strong := seriesByName(t, res, "StrongSubcarriers")
 	var weakSum, strongSum float64
@@ -308,10 +285,7 @@ func TestAblationPlacementShape(t *testing.T) {
 }
 
 func TestControlAccuracyShape(t *testing.T) {
-	res, err := runTasks(context.Background(), "accuracy", RunOptions{}, controlAccuracyTasks(AblationConfig{Scale: 0.15}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFigure(t, "accuracy", 0.15)
 	s := seriesByName(t, res, "ControlDelivery")
 	last := len(s.Y) - 1
 	if s.Y[last] < 0.9 {
@@ -319,25 +293,15 @@ func TestControlAccuracyShape(t *testing.T) {
 	}
 }
 
-func TestRegistryRunsEverythingTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("registry sweep is slow")
-	}
+// TestZeroOptionsSelectScaleAndSeedOne: the zero RunOptions decomposes
+// every figure exactly as Scale 1, Seed 1 does, as RunOptions documents.
+func TestZeroOptionsSelectScaleAndSeedOne(t *testing.T) {
 	for _, id := range IDs() {
-		if id == "fig9" {
-			continue // covered by its own test below; too slow here
-		}
-		res, err := Run(context.Background(), id, RunOptions{Scale: 0.05})
-		if err != nil {
-			t.Errorf("%s: %v", id, err)
-			continue
-		}
-		if len(res.Series) == 0 {
-			t.Errorf("%s: empty result", id)
-		}
-		csv := res.String()
-		if !strings.Contains(csv, "series,x,y") {
-			t.Errorf("%s: CSV header missing", id)
+		want, _ := Tasks(id, RunOptions{Scale: 1, Seed: 1})
+		for _, o := range []RunOptions{{}, {Scale: -1}} {
+			if got, _ := Tasks(id, o); got.NumTasks() != want.NumTasks() {
+				t.Errorf("%s: %+v decomposes into %d tasks, Scale 1 into %d", id, o, got.NumTasks(), want.NumTasks())
+			}
 		}
 	}
 }
@@ -349,19 +313,13 @@ func TestRunUnknownID(t *testing.T) {
 }
 
 func TestFig9TinyShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig9 is slow")
-	}
-	res, err := runTasks(context.Background(), "fig9", RunOptions{}, fig9Tasks(Fig9Config{PacketsPerTrial: 30, PointsPerMode: 2, TargetPRR: 0.96}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFigure(t, "fig9", 0.05)
 	if len(res.Series) != 6 {
 		t.Fatalf("want 6 mode series, got %v", seriesNames(res))
 	}
-	// Key qualitative claims: every mode sustains a nonzero budget, and
-	// within a mode Rm does not fall from the band's low edge to its high
-	// edge.
+	// Key qualitative claims, at the figure's own PRR target: every mode
+	// sustains a nonzero budget, and within a mode Rm does not fall from
+	// the band's low edge to its high edge.
 	for _, s := range res.Series {
 		if len(s.Y) != 2 {
 			t.Fatalf("%s: %d points", s.Name, len(s.Y))
@@ -376,10 +334,7 @@ func TestFig9TinyShape(t *testing.T) {
 }
 
 func TestAblationQuantizationShape(t *testing.T) {
-	res, err := runTasks(context.Background(), "ablation-quantization", RunOptions{}, ablationQuantizationTasks(AblationConfig{Scale: 0.15}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFigure(t, "ablation-quantization", 0.15)
 	float := seriesByName(t, res, "float")
 	q4 := seriesByName(t, res, "4-bit")
 	q3 := seriesByName(t, res, "3-bit")
@@ -398,10 +353,7 @@ func TestAblationQuantizationShape(t *testing.T) {
 }
 
 func TestAblationThresholdShape(t *testing.T) {
-	res, err := runTasks(context.Background(), "ablation-threshold", RunOptions{}, ablationThresholdTasks(AblationConfig{Scale: 0.15}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFigure(t, "ablation-threshold", 0.15)
 	adaptive := seriesByName(t, res, "AdaptivePerSubcarrier")
 	fixed := seriesByName(t, res, "FixedGlobal")
 	// The fixed threshold only works near its 12 dB calibration point; the

@@ -22,31 +22,16 @@ var fig10CtrlSCs = []int{9, 10, 11, 12, 13, 14, 15, 16}
 // fig10aSNR is the true channel SNR in dB of the Fig. 10(a) snapshot.
 const fig10aSNR = 15
 
-// Fig10aConfig parameterizes the FFT-magnitude snapshot.
-type Fig10aConfig struct {
-	// Seed drives all randomness.
-	Seed int64
-	// Scenario is an optional scenario reference ("" = default world).
-	Scenario string
-}
-
-func (c *Fig10aConfig) setDefaults() {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
-
 // fig10aTasks reproduces Fig. 10(a): the relative FFT magnitudes of the
 // 52 occupied subcarriers of one received OFDM symbol in which control
 // subcarriers 10, 11 and 17 (1-based; 9, 10 and 16 here) carry silence
 // symbols. The silent bins are clearly discernible. It is a single packet,
 // so a one-task set whose record is the normalized magnitude curve.
-func fig10aTasks(cfg Fig10aConfig) TaskSet {
-	cfg.setDefaults()
+func fig10aTasks(o RunOptions) TaskSet {
 	return tasks[[]float64]{
 		n: 1,
 		run: func(context.Context, int, *rand.Rand) ([]float64, error) {
-			return fig10aMagnitudes(cfg)
+			return fig10aMagnitudes(o)
 		},
 		assemble: func(recs [][]float64) (*Result, error) {
 			res := &Result{
@@ -68,14 +53,14 @@ func fig10aTasks(cfg Fig10aConfig) TaskSet {
 }
 
 // fig10aMagnitudes measures the 52 occupied subcarriers' FFT magnitudes,
-// normalized to the maximum, drawing from its own rand.NewSource(Seed).
-func fig10aMagnitudes(cfg Fig10aConfig) ([]float64, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+// normalized to the maximum, drawing from its own rand.NewSource(o.Seed).
+func fig10aMagnitudes(o RunOptions) ([]float64, error) {
+	rng := rand.New(rand.NewSource(o.Seed))
 	mode, err := phy.ModeByRate(24)
 	if err != nil {
 		return nil, err
 	}
-	ch, err := trialChannel(cfg.Scenario, channel.PositionC, false, 5)
+	ch, err := trialChannel(o.Scenario, channel.PositionC, false, 5)
 	if err != nil {
 		return nil, err
 	}
@@ -130,33 +115,15 @@ func fig10aMagnitudes(cfg Fig10aConfig) ([]float64, error) {
 }
 
 // fig10bMeasuredSNR is the calibrated NIC SNR of the Fig. 10(b)
-// operating point (9.2 dB, as in the paper), and fig10bPackets the packets
-// per threshold point before scaling.
+// operating point (9.2 dB, as in the paper), fig10bPackets the packets per
+// threshold point before scaling, and fig10bPoints the threshold points
+// (fig10bReducedPoints below scale 1).
 const (
-	fig10bMeasuredSNR = 9.2
-	fig10bPackets     = 120
+	fig10bMeasuredSNR   = 9.2
+	fig10bPackets       = 120
+	fig10bPoints        = 25
+	fig10bReducedPoints = 13
 )
-
-// Fig10bConfig parameterizes the threshold sweep.
-type Fig10bConfig struct {
-	// Points is the number of threshold points (default 25).
-	Points int
-	// Scale shrinks the packets per threshold point.
-	Scale float64
-	// Seed drives all randomness.
-	Seed int64
-	// Scenario is an optional scenario reference ("" = default world).
-	Scenario string
-}
-
-func (c *Fig10bConfig) setDefaults() {
-	if c.Points == 0 {
-		c.Points = 25
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
 
 // fig10bPrelude is the operating point every threshold point shares.
 type fig10bPrelude struct {
@@ -172,25 +139,28 @@ type fig10bPrelude struct {
 // axis is the threshold in dB relative to the estimated noise floor (the
 // paper's absolute dBm axis shifted by its noise floor). Task 0 is
 // reserved for the shared calibration prelude's RNG (pool.TaskRNG(seed,
-// 0)); tasks 1..Points are the threshold points, each recording its
+// 0)); tasks 1..points are the threshold points, each recording its
 // (FP, FN) probabilities.
-func fig10bTasks(cfg Fig10bConfig) TaskSet {
-	cfg.setDefaults()
-	packets := scaled(fig10bPackets, cfg.Scale)
-	relDB := make([]float64, cfg.Points) // threshold, dB above the noise floor
+func fig10bTasks(o RunOptions) TaskSet {
+	packets := scaled(fig10bPackets, o.Scale)
+	points := fig10bPoints
+	if o.Scale < 1 {
+		points = fig10bReducedPoints
+	}
+	relDB := make([]float64, points) // threshold, dB above the noise floor
 	for pi := range relDB {
-		relDB[pi] = -15 + 40*float64(pi)/float64(cfg.Points-1)
+		relDB[pi] = -15 + 40*float64(pi)/float64(points-1)
 	}
 	prelude := sync.OnceValues(func() (fig10bPrelude, error) {
 		mode, err := phy.ModeByRate(12)
 		if err != nil {
 			return fig10bPrelude{}, err
 		}
-		ch, err := trialChannel(cfg.Scenario, channel.PositionB, false, 4)
+		ch, err := trialChannel(o.Scenario, channel.PositionB, false, 4)
 		if err != nil {
 			return fig10bPrelude{}, err
 		}
-		rng := pool.TaskRNG(cfg.Seed, 0)
+		rng := pool.TaskRNG(o.Seed, 0)
 		scr := &trialScratch{}
 		actual, err := calibrateActualSNR(scr, ch, 0, mode, fig10bMeasuredSNR, rng)
 		if err != nil {
@@ -203,7 +173,7 @@ func fig10bTasks(cfg Fig10bConfig) TaskSet {
 		return fig10bPrelude{actual: actual, noiseFloor: pr.fe.NoiseVar}, nil
 	})
 	return tasks[[2]float64]{
-		n: cfg.Points + 1,
+		n: points + 1,
 		run: func(ctx context.Context, i int, rng *rand.Rand) ([2]float64, error) {
 			if i == 0 {
 				return [2]float64{}, nil // reserved: the prelude's RNG
@@ -216,7 +186,7 @@ func fig10bTasks(cfg Fig10bConfig) TaskSet {
 			if err != nil {
 				return [2]float64{}, err
 			}
-			ch, err := trialChannel(cfg.Scenario, channel.PositionB, false, 4)
+			ch, err := trialChannel(o.Scenario, channel.PositionB, false, 4)
 			if err != nil {
 				return [2]float64{}, err
 			}
@@ -260,40 +230,26 @@ func fig10bTasks(cfg Fig10bConfig) TaskSet {
 // 10(d) before scaling (1000, as in the paper).
 const fig10cPackets = 1000
 
-// Fig10cConfig parameterizes the accuracy-vs-SNR sweep.
-type Fig10cConfig struct {
-	// SNRs are the measured-SNR operating points (default 3..20 dB).
-	SNRs []float64
-	// Scale shrinks the packets per point.
-	Scale float64
-	// Seed drives all randomness.
-	Seed int64
-	// Scenario is an optional scenario reference ("" = default world).
-	Scenario string
-}
-
-func (c *Fig10cConfig) setDefaults() {
-	if len(c.SNRs) == 0 {
-		c.SNRs = []float64{3, 4, 6, 8, 10, 12, 14, 16, 18, 20}
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
+// fig10cSNRs are the measured-SNR operating points of Figs. 10(c) and
+// 10(d); fig10dReducedSNRs replaces them in Fig. 10(d) below scale 1.
+var (
+	fig10cSNRs        = []float64{3, 4, 6, 8, 10, 12, 14, 16, 18, 20}
+	fig10dReducedSNRs = []float64{4, 8, 12, 16, 20}
+)
 
 // accuracyPoint is one operating point of the detection-accuracy
 // measurement behind Figs. 10(c) and 10(d): it calibrates to the measured
 // SNR, then accumulates the adaptive detector's statistics on rng,
 // optionally under pulse interference, and returns the (FP, FN)
 // probabilities.
-func accuracyPoint(ctx context.Context, cfg Fig10cConfig, snr float64, interfere bool, rng *rand.Rand) ([2]float64, error) {
+func accuracyPoint(ctx context.Context, o RunOptions, snr float64, interfere bool, rng *rand.Rand) ([2]float64, error) {
 	mode, err := phy.ModeByRate(12)
 	if err != nil {
 		return [2]float64{}, err
 	}
 	// Per task: a channel model owns tap scratch, so point-tasks must not
 	// share one (the same variant is the same deterministic draw).
-	ch, err := trialChannel(cfg.Scenario, channel.PositionB, false, 4)
+	ch, err := trialChannel(o.Scenario, channel.PositionB, false, 4)
 	if err != nil {
 		return [2]float64{}, err
 	}
@@ -316,7 +272,7 @@ func accuracyPoint(ctx context.Context, cfg Fig10cConfig, snr float64, interfere
 		controlOnly: true,
 	}
 	var stats icos.DetectionStats
-	for p := 0; p < scaled(fig10cPackets, cfg.Scale); p++ {
+	for p := 0; p < scaled(fig10cPackets, o.Scale); p++ {
 		if err := ctx.Err(); err != nil {
 			return [2]float64{}, err
 		}
@@ -344,12 +300,11 @@ func pairSeries(name string, xs []float64, pts [][2]float64, col int) Series {
 // ~1% everywhere, while false positives rise only at very low SNR where
 // deep fades approach the noise floor. One point-task per SNR operating
 // point.
-func fig10cTasks(cfg Fig10cConfig) TaskSet {
-	cfg.setDefaults()
+func fig10cTasks(o RunOptions) TaskSet {
 	return tasks[[2]float64]{
-		n: len(cfg.SNRs),
+		n: len(fig10cSNRs),
 		run: func(ctx context.Context, i int, rng *rand.Rand) ([2]float64, error) {
-			return accuracyPoint(ctx, cfg, cfg.SNRs[i], false, rng)
+			return accuracyPoint(ctx, o, fig10cSNRs[i], false, rng)
 		},
 		assemble: func(pts [][2]float64) (*Result, error) {
 			res := &Result{
@@ -358,8 +313,8 @@ func fig10cTasks(cfg Fig10cConfig) TaskSet {
 				XLabel: "measured SNR (dB)",
 				YLabel: "probability",
 			}
-			res.Add(pairSeries("FalsePositive", cfg.SNRs, pts, 0))
-			res.Add(pairSeries("FalseNegative", cfg.SNRs, pts, 1))
+			res.Add(pairSeries("FalsePositive", fig10cSNRs, pts, 0))
+			res.Add(pairSeries("FalseNegative", fig10cSNRs, pts, 1))
 			return res, nil
 		},
 	}
@@ -372,16 +327,19 @@ func fig10cTasks(cfg Fig10cConfig) TaskSet {
 // are the interference arm, which draws independent noise from the seed
 // schedule of Seed+1 (pool.TaskRNG(Seed+1, i-n)) instead of the RNG it is
 // handed.
-func fig10dTasks(cfg Fig10cConfig) TaskSet {
-	cfg.setDefaults()
-	n := len(cfg.SNRs)
+func fig10dTasks(o RunOptions) TaskSet {
+	snrs := fig10cSNRs
+	if o.Scale < 1 {
+		snrs = fig10dReducedSNRs
+	}
+	n := len(snrs)
 	return tasks[[2]float64]{
 		n: 2 * n,
 		run: func(ctx context.Context, i int, rng *rand.Rand) ([2]float64, error) {
 			if i < n {
-				return accuracyPoint(ctx, cfg, cfg.SNRs[i], false, rng)
+				return accuracyPoint(ctx, o, snrs[i], false, rng)
 			}
-			return accuracyPoint(ctx, cfg, cfg.SNRs[i-n], true, pool.TaskRNG(cfg.Seed+1, i-n))
+			return accuracyPoint(ctx, o, snrs[i-n], true, pool.TaskRNG(o.Seed+1, i-n))
 		},
 		assemble: func(pts [][2]float64) (*Result, error) {
 			res := &Result{
@@ -390,8 +348,8 @@ func fig10dTasks(cfg Fig10cConfig) TaskSet {
 				XLabel: "measured SNR (dB)",
 				YLabel: "false negative probability",
 			}
-			res.Add(pairSeries("CoS with strong interference", cfg.SNRs, pts[n:], 1))
-			res.Add(pairSeries("CoS", cfg.SNRs, pts[:n], 1))
+			res.Add(pairSeries("CoS with strong interference", snrs, pts[n:], 1))
+			res.Add(pairSeries("CoS", snrs, pts[:n], 1))
 			return res, nil
 		},
 	}

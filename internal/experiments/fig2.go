@@ -9,38 +9,15 @@ import (
 	"cos/internal/phy"
 )
 
-// fig2MinSNR and fig2MaxSNR bound the swept measured-SNR range in dB, as
-// in the paper's Fig. 2.
-const fig2MinSNR, fig2MaxSNR float64 = 5, 25
-
-// Fig2Config parameterizes the SNR-gap measurement.
-type Fig2Config struct {
-	// Step is the sweep step in dB (default 1).
-	Step float64
-	// Variants is the number of independent channel realizations averaged
-	// per point (default 3).
-	Variants int
-	// Scenario is an optional scenario reference ("" = default world).
-	Scenario string
-}
-
-func (c *Fig2Config) setDefaults() {
-	if c.Step == 0 {
-		c.Step = 1
-	}
-	if c.Variants == 0 {
-		c.Variants = 3
-	}
-}
-
-// steps is the number of SNR points in the sweep grid.
-func (c *Fig2Config) steps() int {
-	n := 0
-	for snr := fig2MinSNR; snr <= fig2MaxSNR+1e-9; snr += c.Step {
-		n++
-	}
-	return n
-}
+// The Fig. 2 sweep: the measured-SNR range in dB, as in the paper's
+// Fig. 2, stepped fig2Step dB with fig2Variants channel realizations
+// averaged per point (fig2ReducedStep and fig2ReducedVariants below scale
+// 1).
+const (
+	fig2MinSNR, fig2MaxSNR            float64 = 5, 25
+	fig2Step, fig2ReducedStep         float64 = 1, 2
+	fig2Variants, fig2ReducedVariants         = 3, 2
+)
 
 // fig2Record is one (variant, SNR) probe's serialized outcome. ok=false
 // marks an out-of-range SNR estimate whose slot stays empty.
@@ -58,19 +35,22 @@ type fig2Record struct {
 // NIC's frequency-selectivity-blind SNR estimate sitting below the true
 // mean SNR. It decomposes into one point-task per (variant, SNR) grid
 // cell.
-func fig2Tasks(cfg Fig2Config) TaskSet {
-	cfg.setDefaults()
-	steps := cfg.steps()
+func fig2Tasks(o RunOptions) TaskSet {
+	step, variants := fig2Step, fig2Variants
+	if o.Scale < 1 {
+		step, variants = fig2ReducedStep, fig2ReducedVariants
+	}
+	steps := int((fig2MaxSNR-fig2MinSNR)/step) + 1
 	return tasks[fig2Record]{
-		n: cfg.Variants * steps,
+		n: variants * steps,
 		run: func(ctx context.Context, i int, rng *rand.Rand) (fig2Record, error) {
 			probeMode, err := phy.ModeByRate(6)
 			if err != nil {
 				return fig2Record{}, err
 			}
 			v := i / steps
-			snr := fig2MinSNR + float64(i%steps)*cfg.Step
-			ch, err := trialChannel(cfg.Scenario, channel.PositionA, false, int64(v+1))
+			snr := fig2MinSNR + float64(i%steps)*step
+			ch, err := trialChannel(o.Scenario, channel.PositionA, false, int64(v+1))
 			if err != nil {
 				return fig2Record{}, err
 			}

@@ -10,28 +10,13 @@ import (
 )
 
 // The Fig. 3 sweep spans the 24 Mb/s operating band of the paper's
-// Fig. 3 (measured SNR 12 to 17.3 dB) and averages fig3Packets packets per
-// point before scaling.
+// Fig. 3 (measured SNR 12 to 17.3 dB) in fig3Step dB steps and averages
+// fig3Packets packets per point before scaling.
 const (
 	fig3MinSNR, fig3MaxSNR float64 = 12, 17.3
+	fig3Step               float64 = 0.5
 	fig3Packets                    = 80
 )
-
-// Fig3Config parameterizes the decoder-input BER measurement.
-type Fig3Config struct {
-	// Step is the sweep step in dB (default 0.5).
-	Step float64
-	// Scale shrinks the packets per point for quick runs.
-	Scale float64
-	// Scenario is an optional scenario reference ("" = default world).
-	Scenario string
-}
-
-func (c *Fig3Config) setDefaults() {
-	if c.Step == 0 {
-		c.Step = 0.5
-	}
-}
 
 // fig3BERAt measures the decoder-input BER at one target measured SNR; it
 // is the body of one point-task and draws only from its private rng.
@@ -67,16 +52,6 @@ func fig3BERAt(ctx context.Context, ch scenario.ChannelModel, mode phy.Mode, tar
 	return float64(errsTotal) / float64(bitsTotal), nil
 }
 
-// snrPoints is the sweep grid: task 0 is the decoder tolerance anchor at
-// fig3MinSNR, tasks 1..n the swept points.
-func (c *Fig3Config) snrPoints() []float64 {
-	snrs := []float64{fig3MinSNR}
-	for snr := fig3MinSNR; snr <= fig3MaxSNR+1e-9; snr += c.Step {
-		snrs = append(snrs, snr)
-	}
-	return snrs
-}
-
 // fig3Record is one point-task's serialized outcome: the decoder-input BER
 // measured at its SNR point.
 type fig3Record struct {
@@ -90,9 +65,13 @@ type fig3Record struct {
 // the mode's minimum required SNR (12 dB) minus the actual BER. It
 // decomposes into one point-task per SNR point plus the 12 dB tolerance
 // anchor (task 0).
-func fig3Tasks(cfg Fig3Config) TaskSet {
-	cfg.setDefaults()
-	snrs := cfg.snrPoints()
+func fig3Tasks(o RunOptions) TaskSet {
+	// Task 0 is the decoder tolerance anchor at fig3MinSNR, tasks 1..n the
+	// swept points.
+	snrs := []float64{fig3MinSNR}
+	for snr := fig3MinSNR; snr <= fig3MaxSNR+1e-9; snr += fig3Step {
+		snrs = append(snrs, snr)
+	}
 	return tasks[fig3Record]{
 		n: len(snrs),
 		run: func(ctx context.Context, i int, rng *rand.Rand) (fig3Record, error) {
@@ -103,11 +82,11 @@ func fig3Tasks(cfg Fig3Config) TaskSet {
 			// Per task: a channel model owns tap scratch, so point-tasks must
 			// not share one (the realization itself is deterministic per
 			// variant, so every task sees the same channel).
-			ch, err := trialChannel(cfg.Scenario, channel.PositionA, false, 7)
+			ch, err := trialChannel(o.Scenario, channel.PositionA, false, 7)
 			if err != nil {
 				return fig3Record{}, err
 			}
-			ber, err := fig3BERAt(ctx, ch, mode, snrs[i], scaled(fig3Packets, cfg.Scale), rng)
+			ber, err := fig3BERAt(ctx, ch, mode, snrs[i], scaled(fig3Packets, o.Scale), rng)
 			return fig3Record{BER: ber}, err
 		},
 		assemble: func(recs []fig3Record) (*Result, error) {

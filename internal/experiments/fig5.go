@@ -16,21 +16,13 @@ const (
 	fig5Packets = 10
 )
 
-// Fig5Config parameterizes the per-subcarrier EVM measurement.
-type Fig5Config struct {
-	// Scale shrinks the packets per position.
-	Scale float64
-	// Scenario is an optional scenario reference ("" = default world).
-	Scenario string
-}
-
 // fig5Tasks reproduces Fig. 5: measured per-subcarrier EVM (percent) of
 // the 48 data subcarriers at the three receiver positions. Frequency-
 // selective fading makes different subcarriers — and different positions —
 // exhibit very different EVM. Each position is one point-task, whose
 // record is its per-subcarrier EVM sum over the packets.
-func fig5Tasks(cfg Fig5Config) TaskSet {
-	packets := scaled(fig5Packets, cfg.Scale)
+func fig5Tasks(o RunOptions) TaskSet {
+	packets := scaled(fig5Packets, o.Scale)
 	positions := channel.Positions()
 	return tasks[[ofdm.NumData]float64]{
 		n: len(positions),
@@ -39,7 +31,7 @@ func fig5Tasks(cfg Fig5Config) TaskSet {
 			if err != nil {
 				return acc, err
 			}
-			ch, err := trialChannel(cfg.Scenario, positions[i], false, 0)
+			ch, err := trialChannel(o.Scenario, positions[i], false, 0)
 			if err != nil {
 				return acc, err
 			}

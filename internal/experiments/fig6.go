@@ -22,14 +22,6 @@ const (
 	fig6Positions = 1000
 )
 
-// Fig6Config parameterizes the symbol-error pattern measurement.
-type Fig6Config struct {
-	// Scale shrinks the packet count.
-	Scale float64
-	// Scenario is an optional scenario reference ("" = default world).
-	Scenario string
-}
-
 // fig6Packet is one packet's error pattern, the record of one point-task;
 // assembly merges them serially as an order-independent integer
 // accumulation.
@@ -45,8 +37,8 @@ type fig6Packet struct {
 // symbol error rate of each data subcarrier. It has one point-task per
 // packet: the mobile channel is a pure function of the transmit time
 // t = p * 2 ms, so packet p needs no state from packet p-1.
-func fig6Tasks(cfg Fig6Config) TaskSet {
-	packets := scaled(fig6Packets, cfg.Scale)
+func fig6Tasks(o RunOptions) TaskSet {
+	packets := scaled(fig6Packets, o.Scale)
 	return tasks[fig6Packet]{
 		n: packets,
 		run: func(ctx context.Context, p int, rng *rand.Rand) (fig6Packet, error) {
@@ -57,7 +49,7 @@ func fig6Tasks(cfg Fig6Config) TaskSet {
 			// Per task: a channel model owns tap scratch, so point-tasks
 			// must not share one (variant 0 of the same geometry is the
 			// same draw).
-			ch, err := trialChannel(cfg.Scenario, channel.PositionA, true, 0)
+			ch, err := trialChannel(o.Scenario, channel.PositionA, true, 0)
 			if err != nil {
 				return fig6Packet{}, err
 			}

@@ -14,32 +14,17 @@ import (
 )
 
 // fig7SNR is the true channel SNR in dB (the paper's lab links were
-// short-range and strong), and fig7Avg the packets averaged per D(t)
-// snapshot to suppress estimator noise.
+// short-range and strong), fig7Avg the packets averaged per D(t) snapshot
+// to suppress estimator noise, and fig7Draws the (t, t+tau) sample pairs
+// per tau for the CDF before scaling.
 const (
-	fig7SNR = 22
-	fig7Avg = 4
+	fig7SNR   = 22
+	fig7Avg   = 4
+	fig7Draws = 120
 )
 
 // fig7TausMs are the evaluated time gaps in milliseconds, as in the paper.
 var fig7TausMs = []float64{10, 20, 30, 40}
-
-// Fig7Config parameterizes the temporal-selectivity measurement.
-type Fig7Config struct {
-	// Draws is the number of (t, t+tau) sample pairs per tau for the CDF
-	// (default 120).
-	Draws int
-	// Scale shrinks Draws.
-	Scale float64
-	// Scenario is an optional scenario reference ("" = default world).
-	Scenario string
-}
-
-func (c *Fig7Config) setDefaults() {
-	if c.Draws == 0 {
-		c.Draws = 120
-	}
-}
 
 // errorVectorSnapshot measures the per-subcarrier mean error-vector
 // magnitudes D(t) and EVM(t) at fig7SNR, averaged over fig7Avg known
@@ -88,9 +73,8 @@ type fig7Record struct {
 // 0..len(taus) for part (a) — task 0 is the tau=0 baseline — and one task
 // per (tau, draw) pair for part (b), each measuring an independent D(t),
 // D(t+tau) pair.
-func fig7Tasks(cfg Fig7Config) TaskSet {
-	cfg.setDefaults()
-	draws := scaled(cfg.Draws, cfg.Scale)
+func fig7Tasks(o RunOptions) TaskSet {
+	draws := scaled(fig7Draws, o.Scale)
 	taus := fig7TausMs
 	const t0 = 0.050
 	return tasks[fig7Record]{
@@ -103,7 +87,7 @@ func fig7Tasks(cfg Fig7Config) TaskSet {
 			// Per task: a channel model owns tap scratch, so point-tasks
 			// must not share one (variant 0 of the same geometry is the
 			// same draw).
-			ch, err := trialChannel(cfg.Scenario, channel.PositionC, true, 0)
+			ch, err := trialChannel(o.Scenario, channel.PositionC, true, 0)
 			if err != nil {
 				return fig7Record{}, err
 			}

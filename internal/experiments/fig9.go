@@ -10,36 +10,19 @@ import (
 	"cos/internal/scenario"
 )
 
-// Fig9Config parameterizes the free-control-message capacity measurement.
-type Fig9Config struct {
-	// PacketsPerTrial is the PRR sample size per candidate silence budget
-	// (default 150: PRR >= 0.993 tolerates one loss).
-	PacketsPerTrial int
-	// TargetPRR is the required packet reception rate (default 0.993).
-	TargetPRR float64
-	// PointsPerMode is the number of measured-SNR points inside each
-	// mode's operating band (default 3).
-	PointsPerMode int
-	// Scale shrinks PacketsPerTrial (PRR resolution degrades gracefully).
-	Scale float64
-	// Scenario is an optional scenario reference ("" = default world).
-	Scenario string
-}
+// The Fig. 9 operating point: fig9PSDULen-byte packets, fig9Packets
+// packets per candidate silence budget before scaling (150 tolerate one
+// loss at fig9TargetPRR), and fig9PointsPerMode measured-SNR points inside
+// each mode's operating band (fig9ReducedPointsPerMode below scale 1).
+const (
+	fig9PSDULen              = 1024
+	fig9Packets              = 150
+	fig9PointsPerMode        = 3
+	fig9ReducedPointsPerMode = 2
+)
 
-func (c *Fig9Config) setDefaults() {
-	if c.PacketsPerTrial == 0 {
-		c.PacketsPerTrial = 150
-	}
-	if c.TargetPRR == 0 {
-		c.TargetPRR = 0.993
-	}
-	if c.PointsPerMode == 0 {
-		c.PointsPerMode = 3
-	}
-}
-
-// fig9PSDULen is the packet size in bytes.
-const fig9PSDULen = 1024
+// fig9TargetPRR is the required packet reception rate.
+const fig9TargetPRR float64 = 0.993
 
 // maxSilenceBudget caps the binary search; beyond this the erasure load is
 // far past any code's correction capability for 1 KB packets.
@@ -53,28 +36,31 @@ type fig9Point struct {
 }
 
 // fig9Tasks reproduces Fig. 9: Rm, the maximum number of silence symbols
-// per second sustainable at packet reception rate >= TargetPRR, as a
+// per second sustainable at packet reception rate >= fig9TargetPRR, as a
 // function of measured SNR, for the six modes the paper evaluates. Within
 // a mode's band Rm rises with SNR (more spare code redundancy); at each
 // rate switch the budget resets; lower code rates and lower-order
 // modulations support higher Rm. It has one point-task per (mode, SNR
 // point) pair — each runs its own calibration and PRR binary search on a
 // private RNG — so the sweep parallelizes across the full mode grid.
-func fig9Tasks(cfg Fig9Config) TaskSet {
-	cfg.setDefaults()
-	packets := scaled(cfg.PacketsPerTrial, cfg.Scale)
+func fig9Tasks(o RunOptions) TaskSet {
+	packets := scaled(fig9Packets, o.Scale)
+	points := fig9PointsPerMode
+	if o.Scale < 1 {
+		points = fig9ReducedPointsPerMode
+	}
 	modes := phy.EvaluatedModes()
 	return tasks[fig9Point]{
-		n: len(modes) * cfg.PointsPerMode,
+		n: len(modes) * points,
 		run: func(ctx context.Context, i int, rng *rand.Rand) (fig9Point, error) {
 			// Per task: a channel model owns tap scratch, so point-tasks
 			// must not share one (the same variant is the same
 			// deterministic draw).
-			ch, err := trialChannel(cfg.Scenario, channel.PositionB, false, 3)
+			ch, err := trialChannel(o.Scenario, channel.PositionB, false, 3)
 			if err != nil {
 				return fig9Point{}, err
 			}
-			mi, p := i/cfg.PointsPerMode, i%cfg.PointsPerMode
+			mi, p := i/points, i%points
 			scr := &trialScratch{}
 			mode := modes[mi]
 			// The mode's measured-SNR band: its threshold up to the next
@@ -85,14 +71,14 @@ func fig9Tasks(cfg Fig9Config) TaskSet {
 				hi = modes[mi+1].MinSNRdB - 0.3
 			}
 			target := lo
-			if cfg.PointsPerMode > 1 {
-				target = lo + (hi-lo)*float64(p)/float64(cfg.PointsPerMode-1)
+			if points > 1 {
+				target = lo + (hi-lo)*float64(p)/float64(points-1)
 			}
 			actual, err := calibrateActualSNR(scr, ch, 0, mode, target, rng)
 			if err != nil {
 				return fig9Point{}, err
 			}
-			budget, err := maxBudgetAtPRR(ctx, scr, ch, actual, mode, cfg, packets, rng)
+			budget, err := maxBudgetAtPRR(ctx, scr, ch, actual, mode, packets, rng)
 			if err != nil {
 				return fig9Point{}, err
 			}
@@ -107,13 +93,13 @@ func fig9Tasks(cfg Fig9Config) TaskSet {
 			}
 			for mi, mode := range modes {
 				s := Series{Name: modeLabel(mode)}
-				for _, pt := range pts[mi*cfg.PointsPerMode : (mi+1)*cfg.PointsPerMode] {
+				for _, pt := range pts[mi*points : (mi+1)*points] {
 					s.X = append(s.X, pt.Target)
 					s.Y = append(s.Y, pt.Rm)
 				}
 				res.Add(s)
 			}
-			res.Note("PRR target %.3f over %d packets per trial; silence placement on weak detectable subcarriers; detected-mask erasure decoding", cfg.TargetPRR, packets)
+			res.Note("PRR target %.3f over %d packets per trial; silence placement on weak detectable subcarriers; detected-mask erasure decoding", fig9TargetPRR, packets)
 			return res, nil
 		},
 	}
@@ -121,7 +107,7 @@ func fig9Tasks(cfg Fig9Config) TaskSet {
 
 // maxBudgetAtPRR binary-searches the largest silence budget whose PRR meets
 // the target.
-func maxBudgetAtPRR(ctx context.Context, scr *trialScratch, ch scenario.ChannelModel, actualSNR float64, mode phy.Mode, cfg Fig9Config, packets int, rng *rand.Rand) (int, error) {
+func maxBudgetAtPRR(ctx context.Context, scr *trialScratch, ch scenario.ChannelModel, actualSNR float64, mode phy.Mode, packets int, rng *rand.Rand) (int, error) {
 	nSym := mode.SymbolsForPSDU(fig9PSDULen)
 	prrOK := func(budget int) (bool, error) {
 		if budget == 0 {
@@ -131,7 +117,7 @@ func maxBudgetAtPRR(ctx context.Context, scr *trialScratch, ch scenario.ChannelM
 		if err != nil {
 			return false, nil // no usable control subcarriers: budget unsustainable
 		}
-		allowed := int(float64(packets) * (1 - cfg.TargetPRR))
+		allowed := int(float64(packets) * (1 - fig9TargetPRR))
 		failures := 0
 		trial := cosTrialConfig{
 			mode:     mode,

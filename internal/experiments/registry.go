@@ -21,7 +21,7 @@ type RunOptions struct {
 	// Seed drives all randomness; zero selects 1.
 	Seed int64
 	// Scenario is an optional scenario reference ("" = the default world).
-	// It is threaded into every figure configuration verbatim.
+	// Every figure draws its channels from it verbatim.
 	Scenario string
 	// Exec, when non-nil, runs the figure's point-tasks (see Tasks)
 	// instead of the in-process pool — the fleet coordinator plugs in here
@@ -31,70 +31,40 @@ type RunOptions struct {
 	Exec Executor
 }
 
-// registry maps every experiment ID to its TaskSet constructor. The same
-// opts always yield the same decomposition (task count and per-task
-// behavior), on every host, so a backend that rebuilds a figure's TaskSet
-// from a spec runs exactly the tasks the local pool would.
-var registry = map[string]func(RunOptions) TaskSet{
-	"fig2": func(o RunOptions) TaskSet {
-		cfg := Fig2Config{Scenario: o.Scenario}
-		if o.Scale < 1 {
-			cfg.Variants = 2
-			cfg.Step = 2
-		}
-		return fig2Tasks(cfg)
-	},
-	"fig3": func(o RunOptions) TaskSet {
-		return fig3Tasks(Fig3Config{Scale: o.Scale, Scenario: o.Scenario})
-	},
-	"fig5": func(o RunOptions) TaskSet {
-		return fig5Tasks(Fig5Config{Scale: o.Scale, Scenario: o.Scenario})
-	},
-	"fig6": func(o RunOptions) TaskSet {
-		return fig6Tasks(Fig6Config{Scale: o.Scale, Scenario: o.Scenario})
-	},
-	"fig7": func(o RunOptions) TaskSet {
-		return fig7Tasks(Fig7Config{Scale: o.Scale, Scenario: o.Scenario})
-	},
-	"fig9": func(o RunOptions) TaskSet {
-		cfg := Fig9Config{Scale: o.Scale, Scenario: o.Scenario}
-		if o.Scale < 1 {
-			cfg.PointsPerMode = 2
-		}
-		return fig9Tasks(cfg)
-	},
-	"fig10a": func(o RunOptions) TaskSet {
-		return fig10aTasks(Fig10aConfig{Seed: o.Seed, Scenario: o.Scenario})
-	},
-	"fig10b": func(o RunOptions) TaskSet {
-		cfg := Fig10bConfig{Scale: o.Scale, Seed: o.Seed, Scenario: o.Scenario}
-		if o.Scale < 1 {
-			cfg.Points = 13
-		}
-		return fig10bTasks(cfg)
-	},
-	"fig10c": func(o RunOptions) TaskSet {
-		return fig10cTasks(Fig10cConfig{Scale: o.Scale, Seed: o.Seed, Scenario: o.Scenario})
-	},
-	"fig10d": func(o RunOptions) TaskSet {
-		cfg := Fig10cConfig{Scale: o.Scale, Seed: o.Seed, Scenario: o.Scenario}
-		if o.Scale < 1 {
-			cfg.SNRs = []float64{4, 8, 12, 16, 20}
-		}
-		return fig10dTasks(cfg)
-	},
-	"ablation-evd":          ablationTasks(ablationEVDTasks),
-	"ablation-placement":    ablationTasks(ablationPlacementTasks),
-	"ablation-threshold":    ablationTasks(ablationThresholdTasks),
-	"ablation-quantization": ablationTasks(ablationQuantizationTasks),
-	"accuracy":              ablationTasks(controlAccuracyTasks),
+// normalized applies the zero-value defaults documented on RunOptions:
+// Scale <= 0 selects 1 and Seed 0 selects 1. Tasks and Run decompose only
+// normalized options, so the local pool, an Executor and a fleet backend
+// rebuilding the TaskSet from a spec all see the same scale and seed.
+func (o RunOptions) normalized() RunOptions {
+	if o.Scale <= 0 {
+		o.Scale = 1
+	}
+	if o.Seed == 0 {
+		o.Seed = 1
+	}
+	return o
 }
 
-// ablationTasks adapts an AblationConfig-driven constructor to the registry.
-func ablationTasks(mk func(AblationConfig) TaskSet) func(RunOptions) TaskSet {
-	return func(o RunOptions) TaskSet {
-		return mk(AblationConfig{Scale: o.Scale, Seed: o.Seed, Scenario: o.Scenario})
-	}
+// registry maps every experiment ID to its TaskSet constructor. The same
+// normalized opts always yield the same decomposition (task count and
+// per-task behavior), on every host, so a backend that rebuilds a figure's
+// TaskSet from a spec runs exactly the tasks the local pool would.
+var registry = map[string]func(RunOptions) TaskSet{
+	"fig2":                  fig2Tasks,
+	"fig3":                  fig3Tasks,
+	"fig5":                  fig5Tasks,
+	"fig6":                  fig6Tasks,
+	"fig7":                  fig7Tasks,
+	"fig9":                  fig9Tasks,
+	"fig10a":                fig10aTasks,
+	"fig10b":                fig10bTasks,
+	"fig10c":                fig10cTasks,
+	"fig10d":                fig10dTasks,
+	"ablation-evd":          ablationEVDTasks,
+	"ablation-placement":    ablationPlacementTasks,
+	"ablation-threshold":    ablationThresholdTasks,
+	"ablation-quantization": ablationQuantizationTasks,
+	"accuracy":              controlAccuracyTasks,
 }
 
 // IDs lists all experiment identifiers in sorted order.
@@ -107,14 +77,14 @@ func IDs() []string {
 	return out
 }
 
-// Tasks returns figure id's point-task decomposition under opts, or false
-// when no figure is registered under id.
+// Tasks returns figure id's point-task decomposition under opts (after
+// normalization), or false when no figure is registered under id.
 func Tasks(id string, opts RunOptions) (TaskSet, bool) {
 	mk, ok := registry[id]
 	if !ok {
 		return nil, false
 	}
-	return mk(opts), true
+	return mk(opts.normalized()), true
 }
 
 // Run executes the experiment with the given ID under opts: its TaskSet
@@ -122,6 +92,7 @@ func Tasks(id string, opts RunOptions) (TaskSet, bool) {
 // context-aware entry point cmd/cos-figures and the benchmarks share.
 // Output depends only on opts, never on opts.Workers or scheduling.
 func Run(ctx context.Context, id string, opts RunOptions) (*Result, error) {
+	opts = opts.normalized()
 	ts, ok := Tasks(id, opts)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, IDs())

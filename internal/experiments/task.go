@@ -35,8 +35,8 @@ type TaskSet interface {
 // figure_task job per index to cos-serve backends. ExecTasks must return
 // exactly n records, where record i is what ts.RunTask(ctx, i,
 // pool.TaskRNG(seed, i)) returns for the TaskSet that Tasks(id, opts)
-// builds; opts is passed through verbatim so both sides derive the same
-// decomposition.
+// builds; opts arrives normalized (Scale and Seed set) so both sides
+// derive the same decomposition.
 type Executor interface {
 	ExecTasks(ctx context.Context, id string, opts RunOptions, n int) ([]json.RawMessage, error)
 }
@@ -85,10 +85,11 @@ func checkLen(id string, task, got, want int) error {
 	return nil
 }
 
-// runTasks executes a TaskSet and assembles its Result. With opts.Exec
-// set, the executor owns task execution (the records come back over the
-// wire); otherwise the tasks run on the in-process pool — same per-task
-// seeds, same lowest-index-error rule.
+// runTasks executes a TaskSet built from the normalized opts and
+// assembles its Result. With opts.Exec set, the executor owns task
+// execution (the records come back over the wire); otherwise the tasks run
+// on the in-process pool — same per-task seeds, same lowest-index-error
+// rule.
 func runTasks(ctx context.Context, id string, opts RunOptions, ts TaskSet) (*Result, error) {
 	n := ts.NumTasks()
 	var recs []json.RawMessage
@@ -102,12 +103,8 @@ func runTasks(ctx context.Context, id string, opts RunOptions, ts TaskSet) (*Res
 			return nil, fmt.Errorf("experiments: executor returned %d records for %s, want %d", len(recs), id, n)
 		}
 	} else {
-		seed := opts.Seed
-		if seed == 0 {
-			seed = 1
-		}
 		recs = make([]json.RawMessage, n)
-		if err := pool.ForEach(ctx, opts.Workers, n, seed, func(i int, rng *rand.Rand) error {
+		if err := pool.ForEach(ctx, opts.Workers, n, opts.Seed, func(i int, rng *rand.Rand) error {
 			rec, err := ts.RunTask(ctx, i, rng)
 			if err != nil {
 				return err

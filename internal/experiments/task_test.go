@@ -26,11 +26,7 @@ func (e *replayExecutor) ExecTasks(ctx context.Context, id string, opts RunOptio
 		if !ok {
 			e.t.Fatalf("figure %q lost its decomposition mid-run", id)
 		}
-		seed := opts.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		rec, err := ts.RunTask(ctx, i, pool.TaskRNG(seed, i))
+		rec, err := ts.RunTask(ctx, i, pool.TaskRNG(opts.Seed, i))
 		if err != nil {
 			return nil, err
 		}

@@ -374,7 +374,9 @@ func (c *Coordinator) standDown(b Backend, name string) {
 
 // fleetExecutor plugs the coordinator into experiments.RunOptions.Exec:
 // every point-task becomes one figure_task spec, content-addressed by its
-// digest, and the records come back in task order.
+// digest, and the records come back in task order. experiments.Run hands
+// it normalized options, so the specs carry the scale and seed the local
+// decomposition used (a spec cannot carry "unset").
 type fleetExecutor struct{ c *Coordinator }
 
 // ExecTasks implements experiments.Executor.
@@ -420,15 +422,6 @@ func decodeTaskRecords(id string, bodies [][]byte) ([]json.RawMessage, error) {
 // figure fans out point-by-point, one figure_task job per task, through
 // the executor seam.
 func (c *Coordinator) RunFigure(ctx context.Context, id string, opts experiments.RunOptions) (*experiments.Result, error) {
-	// Pin the wire defaults locally before decomposing: the spec cannot
-	// carry "unset", and both sides must agree on scale and seed for the
-	// task split (and digests) to line up.
-	if opts.Scale <= 0 {
-		opts.Scale = 1
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
 	opts.Exec = &fleetExecutor{c: c}
 	return experiments.Run(ctx, id, opts)
 }

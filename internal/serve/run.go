@@ -219,7 +219,8 @@ func runStream(ctx context.Context, spec Spec, enc *json.Encoder, hook []cos.Opt
 		if err != nil {
 			return err
 		}
-		if res.Delivered {
+		delivered := res.Outcome == cos.StreamDelivered
+		if delivered {
 			sum.Delivered++
 		}
 		sum.PacketsUsed += res.PacketsUsed
@@ -227,7 +228,7 @@ func runStream(ctx context.Context, spec Spec, enc *json.Encoder, hook []cos.Opt
 			Type:               "stream",
 			Index:              i,
 			Outcome:            res.Outcome.String(),
-			Delivered:          res.Delivered,
+			Delivered:          delivered,
 			PacketsUsed:        res.PacketsUsed,
 			FragmentsSent:      res.FragmentsSent,
 			FragmentsDelivered: res.FragmentsDelivered,

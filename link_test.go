@@ -513,7 +513,7 @@ func TestSendStreamDeliversLongControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Delivered {
+	if res.Outcome != StreamDelivered {
 		t.Fatalf("stream not delivered: %+v", res)
 	}
 	if !bytes.Equal(res.Payload, payload) {

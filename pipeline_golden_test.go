@@ -182,7 +182,7 @@ func goldenScenarios() map[string]func(t *testing.T, w io.Writer) {
 					t.Fatal(err)
 				}
 				fmt.Fprintf(w, "stream outcome=%v delivered=%t payload=%x pkts=%d fs=%d fd=%d\n",
-					res.Outcome, res.Delivered, res.Payload, res.PacketsUsed,
+					res.Outcome, res.Outcome == cos.StreamDelivered, res.Payload, res.PacketsUsed,
 					res.FragmentsSent, res.FragmentsDelivered)
 			}
 		},

@@ -45,11 +45,8 @@ func (o StreamOutcome) String() string {
 type StreamResult struct {
 	// Outcome classifies how the transfer ended.
 	Outcome StreamOutcome
-	// Delivered reports whether the receiver reassembled the full payload.
-	// It is always Outcome == StreamDelivered; kept as a field for
-	// compatibility with callers predating Outcome.
-	Delivered bool
-	// Payload is the receiver's reassembled copy when Delivered.
+	// Payload is the receiver's reassembled copy when Outcome is
+	// StreamDelivered.
 	Payload []byte
 	// PacketsUsed counts data packets consumed (including budget-starved
 	// packets that carried no fragment).
@@ -58,10 +55,9 @@ type StreamResult struct {
 	FragmentsSent, FragmentsDelivered int
 }
 
-// finish stamps the outcome and keeps Delivered in sync with it.
+// finish stamps the outcome.
 func (r *StreamResult) finish(o StreamOutcome) *StreamResult {
 	r.Outcome = o
-	r.Delivered = o == StreamDelivered
 	return r
 }
 

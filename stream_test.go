@@ -32,7 +32,7 @@ func TestSendStreamStallAbort(t *testing.T) {
 	// data-only packets hoping the budget recovers (it cannot, the budget
 	// is pinned) and gives up after maxStreamStalls of them.
 	res, snap := streamSnapshot(t, 40, WithSNR(20), WithSeed(21), WithSilenceBudget(0))
-	if res.Delivered {
+	if res.Outcome == StreamDelivered {
 		t.Fatal("stream delivered with a zero budget")
 	}
 	if res.Outcome != StreamStallAborted {
@@ -61,7 +61,7 @@ func TestSendStreamFragmentAbort(t *testing.T) {
 	// At 4 dB the CRC framing rejects corrupted fragments; the stream
 	// aborts on the first unverified one instead of reassembling garbage.
 	res, snap := streamSnapshot(t, 120, WithSNR(4), WithSeed(22), WithSilenceBudget(24), WithFixedRate(6))
-	if res.Delivered {
+	if res.Outcome == StreamDelivered {
 		t.Fatal("stream delivered through a 4 dB channel")
 	}
 	if res.Outcome != StreamFragmentLost && res.Outcome != StreamHeaderCorrupted {
@@ -85,11 +85,8 @@ func TestSendStreamDeliveredMetrics(t *testing.T) {
 	// The happy path from TestSendStreamDeliversLongControl, re-checked
 	// against the stream counters.
 	res, snap := streamSnapshot(t, 180, WithSNR(19), WithSeed(91), WithFixedRate(24))
-	if !res.Delivered {
-		t.Fatalf("stream not delivered: %+v", res)
-	}
 	if res.Outcome != StreamDelivered {
-		t.Errorf("Outcome = %v, want %v", res.Outcome, StreamDelivered)
+		t.Fatalf("stream not delivered: %+v", res)
 	}
 	for name, want := range map[string]float64{
 		"cos_stream_sends_total":               1,
