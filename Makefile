@@ -39,9 +39,9 @@ ci: build vet
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Regenerate BENCH_trace.json: times the exchange loop span-only, with a
-# probe every 64th packet, and with a probe every packet, and checks the
-# sampled-probe overhead stays within the 2% budget.
+# Regenerate BENCH_trace.json: times the exchange loop with the stage
+# clock alone, with a probe every 64th packet, and with a probe every
+# packet, and checks the sampled-probe overhead stays within the 2% budget.
 bench-trace:
 	$(GO) test -run TestWriteBenchTraceReport -bench-trace-out BENCH_trace.json -v .
 

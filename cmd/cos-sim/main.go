@@ -26,29 +26,14 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"strings"
 
 	"cos"
+	"cos/internal/channel"
 	"cos/internal/cli"
 	"cos/internal/pool"
 	"cos/internal/scenario"
 	"cos/internal/trace"
 )
-
-func positionByName(name string) (cos.Position, error) {
-	switch strings.ToUpper(name) {
-	case "A":
-		return cos.PositionA, nil
-	case "B":
-		return cos.PositionB, nil
-	case "C":
-		return cos.PositionC, nil
-	case "FLAT":
-		return cos.PositionFlat, nil
-	default:
-		return 0, fmt.Errorf("unknown position %q (want A, B, C or flat)", name)
-	}
-}
 
 // runStats aggregates one session (one link, -packets packets).
 type runStats struct {
@@ -118,7 +103,7 @@ func main() {
 	}
 	defer app.Close()
 
-	pos, err := positionByName(*posName)
+	pos, err := channel.ParsePosition(*posName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cos-sim: %v\n", err)
 		os.Exit(2)

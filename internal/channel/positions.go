@@ -3,6 +3,7 @@ package channel
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 )
 
 // Position identifies one of the canonical receiver placements of the
@@ -33,6 +34,40 @@ func (p Position) String() string {
 		return "Flat"
 	default:
 		return fmt.Sprintf("Position(%d)", int(p))
+	}
+}
+
+// Name returns the position's canonical short spelling — "A", "B", "C"
+// or "flat" — the form ParsePosition reads back.
+func (p Position) Name() string {
+	switch p {
+	case PositionA:
+		return "A"
+	case PositionB:
+		return "B"
+	case PositionC:
+		return "C"
+	case PositionFlat:
+		return "flat"
+	default:
+		return p.String()
+	}
+}
+
+// ParsePosition maps a case-insensitive short name ("A", "b", "FLAT", ...)
+// to its position.
+func ParsePosition(name string) (Position, error) {
+	switch strings.ToUpper(name) {
+	case "A":
+		return PositionA, nil
+	case "B":
+		return PositionB, nil
+	case "C":
+		return PositionC, nil
+	case "FLAT":
+		return PositionFlat, nil
+	default:
+		return 0, fmt.Errorf("channel: unknown position %q (want A, B, C or flat)", name)
 	}
 }
 

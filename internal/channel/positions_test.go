@@ -2,6 +2,7 @@ package channel
 
 import (
 	"math/cmplx"
+	"strings"
 	"testing"
 )
 
@@ -16,6 +17,29 @@ func TestPositionStrings(t *testing.T) {
 	for p, want := range cases {
 		if got := p.String(); got != want {
 			t.Errorf("String() = %q, want %q", got, want)
+		}
+	}
+}
+
+// TestParsePosition pins the one name parser the CLI and the job specs
+// share: every canonical Name reads back in any case, and an unknown name
+// is rejected with the valid ones listed.
+func TestParsePosition(t *testing.T) {
+	names := map[Position]string{PositionA: "A", PositionB: "B", PositionC: "C", PositionFlat: "flat"}
+	for p, name := range names {
+		if got := p.Name(); got != name {
+			t.Errorf("%v.Name() = %q, want %q", p, got, name)
+		}
+		for _, spelling := range []string{name, strings.ToLower(name), strings.ToUpper(name)} {
+			if got, err := ParsePosition(spelling); err != nil || got != p {
+				t.Errorf("ParsePosition(%q) = %v, %v; want %v", spelling, got, err, p)
+			}
+		}
+	}
+	for _, bad := range []string{"Z", "", "Position A"} {
+		_, err := ParsePosition(bad)
+		if err == nil || !strings.Contains(err.Error(), "want A, B, C or flat") {
+			t.Errorf("ParsePosition(%q) error = %v, want one listing the valid names", bad, err)
 		}
 	}
 }

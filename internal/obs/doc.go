@@ -26,13 +26,11 @@
 // attached observer and fails above 2%; BenchmarkLinkExchangeInstrumented
 // at the repository root measures the same cost by hand.
 //
-// SpanSet/Span time multi-stage pipelines: a SpanSet registers one
-// latency histogram per named stage and keeps an atomic per-owner
-// nanosecond accumulator alongside, so owners (e.g. cos.Link) can Drain
-// a per-operation stage breakdown while the histograms aggregate across
-// operations. StartSpan/End allocate nothing; the zero Span is inert.
-// The flight-recorder overhead budget (sampled probes within 2% on top
-// of spans) is enforced by BENCH_trace.json via `make bench-trace`.
+// Stage timing is not here: cos.Link owns its stage clock (stage.go in
+// the root package) and observes into Histograms registered on the
+// link's Registry. The flight-recorder overhead budget (sampled probes
+// within 2% of the unprobed exchange) is enforced by BENCH_trace.json
+// via `make bench-trace`.
 //
 // Metrics live in a Registry. The process-wide Default() registry is what
 // the pipeline instruments and what obshttp/Snapshot expose; tests that

@@ -49,12 +49,13 @@ func benchSaturate(t *testing.T, cfg Config, window time.Duration) float64 {
 }
 
 // benchLinkExchange measures a bare link exchange with and without the
-// stage-aggregating observer, mirroring BenchmarkLinkExchange's setup.
-func benchLinkExchange(b *testing.B, agg *stageAgg) {
+// job recorder an untraced job attaches, mirroring BenchmarkLinkExchange's
+// setup.
+func benchLinkExchange(b *testing.B, rec *jobRecorder) {
 	b.Helper()
 	opts := []cos.Option{cos.WithSNR(20), cos.WithSeed(6)}
-	if agg != nil {
-		opts = append(opts, cos.WithObserver(agg.observe))
+	if rec != nil {
+		opts = append(opts, cos.WithObserver(rec.observe))
 	}
 	link, err := cos.NewLink(opts...)
 	if err != nil {
@@ -120,12 +121,12 @@ func TestWriteBenchEventsReport(t *testing.T) {
 
 	// Level 2: per-exchange observer cost on a bare link.
 	plainLink := testing.Benchmark(func(b *testing.B) { benchLinkExchange(b, nil) })
-	agg := &stageAgg{}
-	observedLink := testing.Benchmark(func(b *testing.B) { benchLinkExchange(b, agg) })
+	rec := newJobRecorder(false)
+	observedLink := testing.Benchmark(func(b *testing.B) { benchLinkExchange(b, rec) })
 	if plainLink.N == 0 || observedLink.N == 0 {
 		t.Fatal("link benchmark failed to run (b.Fatal inside)")
 	}
-	if agg.toMap() == nil {
+	if rec.stageMap() == nil {
 		t.Fatal("stage observer never fired during the observed benchmark")
 	}
 

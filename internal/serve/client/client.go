@@ -70,8 +70,9 @@ func (e *APIError) Unwrap() error {
 	case servehttp.CodeTraceUnavailable:
 		return serve.ErrTraceUnavailable
 	}
-	// Legacy servers send a bare string envelope with no code: fall back
-	// to the status mapping so errors.Is keeps working.
+	// A body that is not an error envelope at all (ServeMux's plain-text
+	// 404 and 405, a proxy's error page) carries no code: fall back to the
+	// status mapping so errors.Is keeps working.
 	switch e.StatusCode {
 	case http.StatusTooManyRequests:
 		return serve.ErrOverloaded
@@ -172,33 +173,25 @@ func ParseRetryAfter(v string, now time.Time) (wait time.Duration, ok bool) {
 	return 0, false
 }
 
-// decodeEnvelope fills apiErr from the response body. It accepts both the
-// typed envelope {"error":{"code":...,"message":...,"retry_after_ms":...}}
-// and the legacy bare-string form {"error":"..."}.
+// decodeEnvelope fills apiErr from the response body's typed envelope
+// {"error":{"code":...,"message":...,"retry_after_ms":...}}. Any other
+// body leaves the code and message empty and the retry hint as it was.
 func decodeEnvelope(body io.Reader, apiErr *APIError) {
 	var env struct {
-		Error json.RawMessage `json:"error"`
+		Error struct {
+			Code         string `json:"code"`
+			Message      string `json:"message"`
+			RetryAfterMS int64  `json:"retry_after_ms"`
+		} `json:"error"`
 	}
-	if err := json.NewDecoder(io.LimitReader(body, 1<<16)).Decode(&env); err != nil || len(env.Error) == 0 {
+	if err := json.NewDecoder(io.LimitReader(body, 1<<16)).Decode(&env); err != nil {
 		return
 	}
-	var info struct {
-		Code         string `json:"code"`
-		Message      string `json:"message"`
-		RetryAfterMS int64  `json:"retry_after_ms"`
-	}
-	if err := json.Unmarshal(env.Error, &info); err == nil {
-		apiErr.Code = info.Code
-		apiErr.Message = info.Message
-		// A hint no Duration can hold would wrap negative: treat it as absent.
-		if info.RetryAfterMS > 0 && info.RetryAfterMS <= math.MaxInt64/int64(time.Millisecond) {
-			apiErr.RetryAfter = time.Duration(info.RetryAfterMS) * time.Millisecond
-		}
-		return
-	}
-	var legacy string
-	if err := json.Unmarshal(env.Error, &legacy); err == nil {
-		apiErr.Message = legacy
+	apiErr.Code = env.Error.Code
+	apiErr.Message = env.Error.Message
+	// A hint no Duration can hold would wrap negative: treat it as absent.
+	if ms := env.Error.RetryAfterMS; ms > 0 && ms <= math.MaxInt64/int64(time.Millisecond) {
+		apiErr.RetryAfter = time.Duration(ms) * time.Millisecond
 	}
 }
 

@@ -32,9 +32,10 @@ func TestDecodeEnvelopeTyped(t *testing.T) {
 	}
 }
 
-// TestDecodeEnvelopeLegacy: the pre-envelope {"error":"string"} shape
-// still decodes, and sentinel mapping falls back to the status code.
-func TestDecodeEnvelopeLegacy(t *testing.T) {
+// TestUnwrapFallsBackToStatus: a body that is no envelope at all, such as
+// ServeMux's plain-text 404, decodes to nothing, and the sentinel mapping
+// falls back to the status code.
+func TestUnwrapFallsBackToStatus(t *testing.T) {
 	cases := []struct {
 		status int
 		want   error
@@ -42,21 +43,16 @@ func TestDecodeEnvelopeLegacy(t *testing.T) {
 		{http.StatusTooManyRequests, serve.ErrOverloaded},
 		{http.StatusServiceUnavailable, serve.ErrDraining},
 		{http.StatusNotFound, serve.ErrUnknownJob},
+		{http.StatusBadRequest, nil},
 	}
 	for _, tc := range cases {
 		apiErr := &APIError{StatusCode: tc.status}
-		decodeEnvelope(strings.NewReader(`{"error":"legacy message"}`), apiErr)
-		if apiErr.Message != "legacy message" || apiErr.Code != "" {
-			t.Fatalf("legacy decode (%d) = %+v", tc.status, apiErr)
+		decodeEnvelope(strings.NewReader("404 page not found\n"), apiErr)
+		if apiErr.Message != "" || apiErr.Code != "" {
+			t.Fatalf("plain-text decode (%d) = %+v", tc.status, apiErr)
 		}
-		if !errors.Is(apiErr, tc.want) {
-			t.Errorf("status %d did not map to %v", tc.status, tc.want)
+		if got := apiErr.Unwrap(); got != tc.want {
+			t.Errorf("status %d unwrapped to %v, want %v", tc.status, got, tc.want)
 		}
-	}
-	// Garbage bodies leave the error usable.
-	apiErr := &APIError{StatusCode: http.StatusBadRequest}
-	decodeEnvelope(strings.NewReader("not json"), apiErr)
-	if apiErr.Message != "" || errors.Is(apiErr, serve.ErrOverloaded) {
-		t.Fatalf("garbage decode = %+v", apiErr)
 	}
 }

@@ -187,37 +187,6 @@ const (
 	summaryQuantileSamples = 256
 )
 
-// stageAgg accumulates flight-recorder stage timings across every exchange
-// a job performs. It is wired into the job's links as a cos.Observer; the
-// simulation loops run on one worker goroutine, so no locking is needed.
-type stageAgg struct {
-	ns [cos.StageCount]int64
-}
-
-// observe adds one exchange's stage timings (cos.Observer signature).
-func (a *stageAgg) observe(ex *cos.Exchange) {
-	for i, v := range ex.StageNS {
-		a.ns[i] += v
-	}
-}
-
-// toMap renders the totals keyed by stage name, or nil if nothing was
-// recorded (e.g. figure_task jobs, which have no exchange hook).
-func (a *stageAgg) toMap() map[string]int64 {
-	var total int64
-	for _, v := range a.ns {
-		total += v
-	}
-	if total == 0 {
-		return nil
-	}
-	m := make(map[string]int64, len(a.ns))
-	for i, v := range a.ns {
-		m[cos.Stage(i).String()] = v
-	}
-	return m
-}
-
 // opsState is the Server's rolling-window bookkeeping behind summary
 // frames. Present (non-nil windows) only when a journal is attached.
 type opsState struct {
@@ -252,7 +221,7 @@ func (s *Server) emit(typ, job string, payload any) {
 }
 
 // recordTerminal feeds the rolling windows with one finished job.
-func (s *Server) recordTerminal(runMS float64, agg *stageAgg) {
+func (s *Server) recordTerminal(runMS float64, rec *jobRecorder) {
 	if s.ops == nil {
 		return
 	}
@@ -260,8 +229,8 @@ func (s *Server) recordTerminal(runMS float64, agg *stageAgg) {
 	if runMS > 0 {
 		s.ops.runMS.Observe(runMS)
 	}
-	if agg != nil {
-		for i, ns := range agg.ns {
+	if rec != nil {
+		for i, ns := range rec.stageNS {
 			if ns > 0 {
 				s.ops.stageMS[i].Observe(float64(ns) / 1e6)
 			}
@@ -270,8 +239,9 @@ func (s *Server) recordTerminal(runMS float64, agg *stageAgg) {
 }
 
 // emitTerminalEvent writes the job's terminal journal event, correlating
-// it with the aggregated flight-recorder stage timings.
-func (s *Server) emitTerminalEvent(j *Job, agg *stageAgg) {
+// it with the job's recorded flight-recorder stage timings. rec is nil for
+// jobs that never ran.
+func (s *Server) emitTerminalEvent(j *Job, rec *jobRecorder) {
 	if s.journal == nil {
 		return
 	}
@@ -286,8 +256,8 @@ func (s *Server) emitTerminalEvent(j *Job, agg *stageAgg) {
 		ev.RunMS = st.FinishedAt.Sub(*st.StartedAt).Seconds() * 1e3
 		ev.QueueWaitMS = st.StartedAt.Sub(st.SubmittedAt).Seconds() * 1e3
 	}
-	if agg != nil {
-		ev.StageNS = agg.toMap()
+	if rec != nil {
+		ev.StageNS = rec.stageMap()
 	}
 	ev.TraceDigest = st.TraceDigest
 	ev.TraceBytes = st.TraceBytes
@@ -299,7 +269,7 @@ func (s *Server) emitTerminalEvent(j *Job, agg *stageAgg) {
 		typ = EventJobCancelled
 	}
 	s.emit(typ, j.id, ev)
-	s.recordTerminal(ev.RunMS, agg)
+	s.recordTerminal(ev.RunMS, rec)
 }
 
 // summarize builds a summary frame for time now. Exported to the journal

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 
 	"cos"
+	"cos/internal/channel"
 	"cos/internal/experiments"
 	"cos/internal/pool"
 	"cos/internal/scenario"
@@ -56,7 +57,7 @@ func (e *ConfigError) Error() string { return "serve: " + e.Field + ": " + e.Rea
 // linkOptions builds the cos.Link options shared by link and stream jobs,
 // ending with the job's hook.
 func linkOptions(spec Spec, hook []cos.Option) ([]cos.Option, error) {
-	pos, err := parsePosition(spec.Position)
+	pos, err := channel.ParsePosition(spec.Position)
 	if err != nil {
 		return nil, err
 	}

@@ -847,27 +847,20 @@ func (s *Server) runJob(j *Job) {
 		QueueWaitMS: j.started.Sub(j.submitted).Seconds() * 1e3,
 	})
 
-	// agg correlates the job with the flight recorder: the run wires it
-	// into every link as an exchange observer, so the terminal event can
-	// report where the job's execution time went, stage by stage. tc, for
-	// traced submissions only, captures the full schema-v2 trace; it joins
-	// agg in the job's one observer, and untraced jobs pay nothing for it.
-	agg := &stageAgg{}
-	observe := agg.observe
-	var tc *traceCapture
-	if j.traced {
-		tc = newTraceCapture()
-		observe = func(ex *cos.Exchange) { agg.observe(ex); tc.observe(ex) }
-	}
-	hook := []cos.Option{cos.WithObserver(observe)}
+	// rec is the job's one exchange observer: the run wires it into every
+	// link, so the terminal event can report where the job's execution
+	// time went, stage by stage, and traced jobs capture their schema-v2
+	// trace through it.
+	rec := newJobRecorder(j.traced)
+	hook := []cos.Option{cos.WithObserver(rec.observe)}
 	if j.probeEvery > 0 { // admitted only on traced link and stream jobs
 		hook = append(hook, cos.WithProbe(j.probeEvery))
 	}
 	err := run(ctx, j.spec, j.buf, hook)
-	if tc != nil && err == nil {
+	if j.traced && err == nil {
 		// Finalize before the finish hooks run: persistTerminal writes the
 		// artifact and emitTerminalEvent stamps its digest.
-		j.setTrace(tc.artifact())
+		j.setTrace(rec.artifact())
 	}
 
 	s.inflight.Add(-1)
@@ -878,7 +871,7 @@ func (s *Server) runJob(j *Job) {
 	hooks := func(st State) []func() {
 		return []func(){
 			func() { s.persistTerminal(j, st) },
-			func() { s.emitTerminalEvent(j, agg) },
+			func() { s.emitTerminalEvent(j, rec) },
 			func() { s.retire(j) },
 		}
 	}

@@ -99,6 +99,9 @@ func TestSpecValidation(t *testing.T) {
 			t.Errorf("Validate(%+v) = nil, want error", spec)
 		}
 	}
+	if err := (Spec{Kind: KindLink, Position: "Z"}).Validate(); err == nil || !strings.Contains(err.Error(), "want A, B, C or flat") {
+		t.Errorf("unknown position error = %v, want one listing the valid names", err)
+	}
 	good := []Spec{
 		{Kind: KindLink},
 		{Kind: KindStream, Position: "flat"},

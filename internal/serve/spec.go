@@ -7,9 +7,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 
-	"cos"
+	"cos/internal/channel"
 	"cos/internal/experiments"
 	"cos/internal/scenario"
 )
@@ -123,7 +122,12 @@ func (s Spec) normalized() Spec {
 	if s.Position == "" {
 		s.Position = "B"
 	}
-	s.Position = canonicalPosition(s.Position)
+	if pos, err := channel.ParsePosition(s.Position); err == nil {
+		// Fold the case-insensitive names onto their canonical spellings,
+		// so "b" and "B" — the same geometry — share one digest. Unknown
+		// names pass through for Validate to reject.
+		s.Position = pos.Name()
+	}
 	if s.PayloadBytes == 0 {
 		s.PayloadBytes = 1024
 	}
@@ -158,41 +162,6 @@ func (s Spec) normalized() Spec {
 		s.Scenario = canon
 	}
 	return s
-}
-
-// canonicalPosition folds the case-insensitive position names onto their
-// canonical spellings ("A", "B", "C", "flat"), so "b" and "B" — the same
-// geometry — share one digest. Unknown names pass through unchanged and
-// are rejected by Validate.
-func canonicalPosition(name string) string {
-	switch strings.ToUpper(name) {
-	case "A":
-		return "A"
-	case "B":
-		return "B"
-	case "C":
-		return "C"
-	case "FLAT":
-		return "flat"
-	default:
-		return name
-	}
-}
-
-// parsePosition maps the spec's position name to a channel geometry.
-func parsePosition(name string) (cos.Position, error) {
-	switch strings.ToUpper(name) {
-	case "A":
-		return cos.PositionA, nil
-	case "B":
-		return cos.PositionB, nil
-	case "C":
-		return cos.PositionC, nil
-	case "FLAT":
-		return cos.PositionFlat, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown position %q (want A, B, C or flat)", name)
-	}
 }
 
 // SpecSchemaVersion is the version stamped into every canonical encoding.
@@ -374,7 +343,7 @@ func (s Spec) Validate() error {
 		}
 	}
 	if s.Kind == KindLink || s.Kind == KindStream {
-		if _, err := parsePosition(s.Position); err != nil {
+		if _, err := channel.ParsePosition(s.Position); err != nil {
 			return err
 		}
 	}

@@ -16,12 +16,13 @@
 // instrumented builds still load.
 //
 // Schema v2 is the flight recorder: every event carries the per-stage
-// pipeline latencies of its exchange (stage_ns, from the span layer in
-// internal/obs), and sampled events carry a deep PHY introspection probe
-// (per-subcarrier EVM, symbol-error waterfall, erasure positions,
-// detector energy margins — captured with cos.WithProbe). cos-trace
-// report renders a captured session's probes and spans as a
-// self-contained HTML file.
+// pipeline latencies of its exchange (stage_ns, from the Link's stage
+// clock, cos.Exchange.StageNS), and sampled events carry a deep PHY
+// introspection probe (per-subcarrier EVM, symbol-error waterfall,
+// erasure positions, detector energy margins — captured with
+// cos.WithProbe). The probe record is cos.Probe itself, encoded through
+// its JSON tags. cos-trace report renders a captured session's probes
+// and stage times as a self-contained HTML file.
 package trace
 
 import (
@@ -78,52 +79,14 @@ type Event struct {
 	// traces and for stages that did not run).
 	StageNS map[string]int64 `json:"stage_ns,omitempty"`
 	// Probe is the deep PHY introspection sample for exchanges captured
-	// with cos.WithProbe (schema v2; nil on unsampled events).
-	Probe *ProbeRecord `json:"probe,omitempty"`
-}
-
-// ProbeRecord is the serialized form of cos.Probe: the per-subcarrier
-// state behind the paper's Figs. 5-7. Flattened positions are
-// symbol-major (pos = symbol*48 + subcarrier).
-type ProbeRecord struct {
-	NumSymbols            int       `json:"num_symbols"`
-	EVM                   []float64 `json:"evm,omitempty"`
-	ErrorVectors          []float64 `json:"error_vectors,omitempty"`
-	SubcarrierErrorCounts []int     `json:"subcarrier_error_counts,omitempty"`
-	SubcarrierSymbols     []int     `json:"subcarrier_symbols,omitempty"`
-	SymbolErrorPositions  []int     `json:"symbol_error_positions,omitempty"`
-	ErasurePositions      []int     `json:"erasure_positions,omitempty"`
-	DecoderInputBitErrors int       `json:"decoder_input_bit_errors,omitempty"`
-	DecoderInputBits      int       `json:"decoder_input_bits,omitempty"`
-	DetectorThresholds    []float64 `json:"detector_thresholds,omitempty"`
-	DetectorEnergyRatios  []float64 `json:"detector_energy_ratios,omitempty"`
-	NoiseVar              float64   `json:"noise_var,omitempty"`
-}
-
-// fromProbe flattens a cos.Probe, sharing its slices: the probe belongs
-// to its exchange, which the caller owns.
-func fromProbe(p *cos.Probe) *ProbeRecord {
-	if p == nil {
-		return nil
-	}
-	return &ProbeRecord{
-		NumSymbols:            p.NumSymbols,
-		EVM:                   p.EVM,
-		ErrorVectors:          p.ErrorVectors,
-		SubcarrierErrorCounts: p.SubcarrierErrorCounts,
-		SubcarrierSymbols:     p.SubcarrierSymbols,
-		SymbolErrorPositions:  p.SymbolErrorPositions,
-		ErasurePositions:      p.ErasurePositions,
-		DecoderInputBitErrors: p.DecoderInputBitErrors,
-		DecoderInputBits:      p.DecoderInputBits,
-		DetectorThresholds:    p.DetectorThresholds,
-		DetectorEnergyRatios:  p.DetectorEnergyRatios,
-		NoiseVar:              p.NoiseVar,
-	}
+	// with cos.WithProbe (schema v2; nil on unsampled events). It encodes
+	// through cos.Probe's own JSON tags, which leave out the Seq and
+	// ControlSubcarriers the event already carries.
+	Probe *cos.Probe `json:"probe,omitempty"`
 }
 
 // FromExchange flattens a link exchange into an event; the event shares
-// the exchange's slices.
+// the exchange's slices and its probe.
 func FromExchange(ex *cos.Exchange) Event {
 	var stageNS map[string]int64
 	for i, ns := range ex.StageNS {
@@ -151,7 +114,7 @@ func FromExchange(ex *cos.Exchange) Event {
 		ActualSNRdB:        ex.ActualSNRdB,
 		ControlSubcarriers: ex.ControlSubcarriers,
 		StageNS:            stageNS,
-		Probe:              fromProbe(ex.Probe),
+		Probe:              ex.Probe,
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -110,7 +111,7 @@ func TestV2RoundTripStagesAndProbe(t *testing.T) {
 	ev := Event{
 		Seq: 7, RateMbps: 24, DataOK: true,
 		StageNS: map[string]int64{"tx_encode": 1200, "detect": 340},
-		Probe: &ProbeRecord{
+		Probe: &cos.Probe{
 			NumSymbols:            10,
 			EVM:                   []float64{0.1, 0.5},
 			SubcarrierErrorCounts: []int{0, 3},
@@ -151,6 +152,57 @@ func TestV2RoundTripStagesAndProbe(t *testing.T) {
 		p.DetectorEnergyRatios[0] != 7.5 || p.NoiseVar != 0.004 {
 		t.Errorf("probe contents lost: %+v", p)
 	}
+
+	// A live probe survives FromExchange → Write → ReadVersioned whole,
+	// except for the two fields the event itself carries.
+	link, err := cos.NewLink(cos.WithSNR(14), cos.WithSeed(5), cos.WithProbe(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 256)
+	var ex *cos.Exchange
+	for i := 0; i < 2; i++ {
+		if ex, err = link.Send(data, []byte{1, 0, 1, 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ex.Probe == nil || len(ex.Probe.ErasurePositions) == 0 {
+		t.Fatalf("exchange %d carries no probe with erasures: %+v", ex.Seq, ex.Probe)
+	}
+	b.Reset()
+	w = NewWriter(&b)
+	if err := w.Write(FromExchange(ex)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if events, _, err = ReadVersioned(strings.NewReader(b.String())); err != nil {
+		t.Fatal(err)
+	}
+	got = events[0]
+	if got.Seq != ex.Seq || !reflect.DeepEqual(got.ControlSubcarriers, ex.ControlSubcarriers) {
+		t.Errorf("event seq %d subcarriers %v, want %d %v", got.Seq, got.ControlSubcarriers, ex.Seq, ex.ControlSubcarriers)
+	}
+	if got.Probe.Seq != 0 || got.Probe.ControlSubcarriers != nil {
+		t.Errorf("probe encoded the event's own fields: seq %d subcarriers %v", got.Probe.Seq, got.Probe.ControlSubcarriers)
+	}
+	if want := probeWireForm(*ex.Probe); !reflect.DeepEqual(*got.Probe, want) {
+		t.Errorf("probe round trip:\n got %+v\nwant %+v", *got.Probe, want)
+	}
+}
+
+// probeWireForm is what a probe reads back as from a trace: Seq and
+// ControlSubcarriers cleared, and empty slices nil (omitempty drops them).
+func probeWireForm(p cos.Probe) cos.Probe {
+	p.Seq, p.ControlSubcarriers = 0, nil
+	v := reflect.ValueOf(&p).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice && f.Len() == 0 {
+			f.SetZero()
+		}
+	}
+	return p
 }
 
 func TestReadV1File(t *testing.T) {

@@ -84,7 +84,7 @@ type Exchange struct {
 	Time float64
 	// StageNS is the wall-clock nanoseconds this exchange spent in each
 	// pipeline stage, indexed by Stage (zero for stages that did not run,
-	// e.g. detection on a data-only packet). The same spans feed the
+	// e.g. detection on a data-only packet). The same timers feed the
 	// cos_link_stage_*_seconds histograms.
 	StageNS [StageCount]int64
 	// Probe carries the deep PHY introspection sample for this exchange
@@ -110,13 +110,13 @@ type linkMetrics struct {
 	ratePackets    *obs.CounterFamily
 	probes         *obs.Counter
 
-	// spans times the pipeline stages of every exchange (the flight
-	// recorder): per-stage latency histograms plus the per-exchange
-	// StageNS drain. Links sharing a registry share the histograms but
-	// each link owns its SpanSet, so per-exchange windows never mix. The
-	// three nodes of one link share this SpanSet (see stage.go), so one
-	// Drain covers the whole pipeline.
-	spans *obs.SpanSet
+	// stageHists and stageNS are the stage clock (see stage.go): the
+	// per-stage latency histograms, shared by links on one registry, and
+	// this link's per-exchange totals, drained into Exchange.StageNS. The
+	// three nodes of one link share them, so one drain covers the whole
+	// pipeline.
+	stageHists [StageCount]*obs.Histogram
+	stageNS    [StageCount]int64
 
 	// SendStream counters (see stream.go).
 	streams            *obs.Counter
@@ -154,8 +154,7 @@ func newLinkMetrics(r *obs.Registry) linkMetrics {
 			"Packets sent per 802.11a data rate.", "rate_mbps"),
 		probes: r.Counter("cos_link_probes_total",
 			"Deep PHY introspection probes captured (WithProbe sampling)."),
-		spans: obs.NewSpanSet(r, "cos_link_stage",
-			"Wall-clock latency of one Link.Send pipeline stage", StageNames()),
+		stageHists: newStageHistograms(r),
 		streams: r.Counter("cos_stream_sends_total",
 			"SendStream transfers started."),
 		streamsDelivered: r.Counter("cos_stream_delivered_total",
@@ -313,7 +312,7 @@ func (l *Link) Send(data, control []byte) (*Exchange, error) {
 		ex.Probe = probe
 		l.metrics.probes.Inc()
 	}
-	l.metrics.spans.Drain(ex.StageNS[:])
+	l.metrics.drainStages(&ex.StageNS)
 
 	l.seq++
 	l.observe(ex, start)

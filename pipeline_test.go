@@ -1,6 +1,7 @@
 package cos_test
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -62,6 +63,57 @@ func TestLinkSendSteadyStateAllocs(t *testing.T) {
 	t.Logf("steady-state Link.Send: %.1f allocs/op (budget %d)", avg, allocBudget)
 	if avg > allocBudget {
 		t.Fatalf("steady-state Link.Send allocates %.1f/op, budget is %d", avg, allocBudget)
+	}
+}
+
+// TestStageHistogramsReconcile: the cos_link_stage_*_seconds histograms
+// and Exchange.StageNS come from one clock. Per stage, the histogram holds
+// one observation for each exchange that ran the stage, and its sum is
+// those exchanges' StageNS in seconds. Data-only exchanges skip detection
+// and control decoding, so the stages' counts differ.
+func TestStageHistogramsReconcile(t *testing.T) {
+	reg := cos.NewMetricsRegistry()
+	link, err := cos.NewLink(cos.WithSNR(18), cos.WithSeed(3), cos.WithMetricsRegistry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 256)
+	ctrl := make([]byte, 0, 16)
+	var ran [cos.StageCount]int
+	var ns [cos.StageCount]int64
+	for i := 0; i < 20; i++ {
+		var ex *cos.Exchange
+		if i%3 == 0 {
+			if ex, err = link.Send(data, nil); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			ex, _ = sendWithBudgetedControl(t, link, data, ctrl)
+		}
+		for s, v := range ex.StageNS {
+			if v > 0 {
+				ran[s]++
+				ns[s] += v
+			}
+		}
+	}
+	if ran[cos.StageDetect] == 0 || ran[cos.StageDetect] == ran[cos.StageTxEncode] {
+		t.Fatalf("detection ran on %d of %d exchanges; want a mix of control and data-only", ran[cos.StageDetect], ran[cos.StageTxEncode])
+	}
+	// The histogram sums float64 seconds one observation at a time; 20
+	// adds of values rounded from whole nanoseconds stay within a few
+	// dozen ulps of the exact total, far inside 1e-12 relative.
+	const relTol = 1e-12
+	snap := reg.Snapshot()
+	for s := cos.Stage(0); s < cos.StageCount; s++ {
+		name := "cos_link_stage_" + s.String() + "_seconds"
+		if got := snap[name+"_count"]; got != float64(ran[s]) {
+			t.Errorf("%s_count = %v, want %d exchanges with StageNS > 0", name, got, ran[s])
+		}
+		want := float64(ns[s]) / 1e9
+		if got := snap[name+"_sum"]; math.Abs(got-want) > relTol*want {
+			t.Errorf("%s_sum = %.15g s, want ΣStageNS = %.15g s", name, got, want)
+		}
 	}
 }
 

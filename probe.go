@@ -11,46 +11,50 @@ import (
 // Probes are expensive (they re-demodulate the whole packet against the
 // transmitted grid), so WithProbe samples them every nth exchange rather
 // than on every packet.
+//
+// The JSON tags are the trace schema's probe record (internal/trace): Seq
+// and ControlSubcarriers are left out because the trace event carries
+// both already.
 type Probe struct {
 	// Seq is the exchange's 0-based index on its link.
-	Seq int
+	Seq int `json:"-"`
 	// NumSymbols is the payload OFDM symbol count; flattened positions
 	// below are symbol-major (pos = symbol*48 + subcarrier).
-	NumSymbols int
+	NumSymbols int `json:"num_symbols"`
 	// EVM is the per-data-subcarrier EVM of Eq. (1), a fraction (48 values).
-	EVM []float64
+	EVM []float64 `json:"evm,omitempty"`
 	// ErrorVectors is the mean error-vector magnitude per data subcarrier:
 	// the D(t) entries of Eq. (2).
-	ErrorVectors []float64
+	ErrorVectors []float64 `json:"error_vectors,omitempty"`
 	// SubcarrierErrorCounts counts demodulation symbol errors per data
 	// subcarrier (erased positions excluded) — the Fig. 6(b) histogram.
-	SubcarrierErrorCounts []int
+	SubcarrierErrorCounts []int `json:"subcarrier_error_counts,omitempty"`
 	// SubcarrierSymbols counts compared symbols per data subcarrier.
-	SubcarrierSymbols []int
+	SubcarrierSymbols []int `json:"subcarrier_symbols,omitempty"`
 	// SymbolErrorPositions are the flattened positions of every symbol
 	// error — the x-axis of Fig. 6(a), whose ~48-periodicity exposes the
 	// weak subcarriers.
-	SymbolErrorPositions []int
+	SymbolErrorPositions []int `json:"symbol_error_positions,omitempty"`
 	// ErasurePositions are the flattened positions the energy detector
 	// declared silent (erased before the Viterbi decoder).
-	ErasurePositions []int
+	ErasurePositions []int `json:"erasure_positions,omitempty"`
 	// DecoderInputBitErrors / DecoderInputBits give the hard-decision BER
 	// on the coded bits entering the decoder (Fig. 3).
-	DecoderInputBitErrors int
-	DecoderInputBits      int
+	DecoderInputBitErrors int `json:"decoder_input_bit_errors,omitempty"`
+	DecoderInputBits      int `json:"decoder_input_bits,omitempty"`
 	// ControlSubcarriers is the control set the detector scanned; the two
 	// detector slices below are indexed parallel to it.
-	ControlSubcarriers []int
+	ControlSubcarriers []int `json:"-"`
 	// DetectorThresholds is the adaptive post-FFT energy threshold the
 	// detector used on each control subcarrier.
-	DetectorThresholds []float64
+	DetectorThresholds []float64 `json:"detector_thresholds,omitempty"`
 	// DetectorEnergyRatios is, per control subcarrier, the mean raw bin
 	// energy across payload symbols divided by that subcarrier's threshold:
 	// how much margin the detector had (values near 1 mean the silent/active
 	// populations are hard to separate).
-	DetectorEnergyRatios []float64
+	DetectorEnergyRatios []float64 `json:"detector_energy_ratios,omitempty"`
 	// NoiseVar is the pilot-aided post-FFT noise variance estimate eta.
-	NoiseVar float64
+	NoiseVar float64 `json:"noise_var,omitempty"`
 }
 
 // buildProbe assembles a Probe from one exchange's transmit packet and

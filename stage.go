@@ -1,16 +1,21 @@
 package cos
 
-import "cos/internal/obs"
+import (
+	"fmt"
+	"time"
 
-// This file owns the pipeline's stage vocabulary and its span wiring. The
-// node implementations (transmitter, channelNode, receiver) start every timed
-// section through linkMetrics.span, and stageNames is a compile-time
-// length-checked array, so a stage cannot be added without its name, its
-// latency histogram, and its StageNS slot all appearing here.
+	"cos/internal/obs"
+)
+
+// This file owns the pipeline's stage vocabulary and its clock. The node
+// implementations (transmitter, channelNode, receiver) time every section
+// through linkMetrics.span, and stageNames is a compile-time length-checked
+// array, so a stage cannot be added without its name, its latency
+// histogram, and its StageNS slot all appearing here.
 
 // Stage identifies one timed section of Link.Send's pipeline. Every
 // exchange records the nanoseconds spent in each stage (Exchange.StageNS),
-// and the same spans feed per-stage latency histograms
+// and the same timers feed per-stage latency histograms
 // (cos_link_stage_<name>_seconds) on the metrics registry.
 type Stage int
 
@@ -60,9 +65,42 @@ func StageNames() []string {
 	return append([]string(nil), stageNames[:]...)
 }
 
-// span starts the timed section for one pipeline stage. Every node goes
-// through this helper, so this file holds the complete mapping from Stage
-// to recorded span.
-func (m *linkMetrics) span(s Stage) obs.Span {
-	return m.spans.StartSpan(int(s))
+// newStageHistograms registers the per-stage latency histograms,
+// cos_link_stage_<name>_seconds. Links sharing a registry share them.
+func newStageHistograms(r *obs.Registry) (h [StageCount]*obs.Histogram) {
+	for s, name := range stageNames {
+		h[s] = r.Histogram("cos_link_stage_"+name+"_seconds",
+			fmt.Sprintf("Wall-clock latency of one Link.Send pipeline stage (stage %q).", name), nil)
+	}
+	return h
+}
+
+// stageSpan is one open stage timer; close it with End.
+type stageSpan struct {
+	m     *linkMetrics
+	s     Stage
+	start time.Time
+}
+
+// span starts the timer for one pipeline stage. Every node goes through
+// this helper, so this file holds the complete mapping from Stage to
+// recorded time.
+func (m *linkMetrics) span(s Stage) stageSpan {
+	return stageSpan{m: m, s: s, start: time.Now()}
+}
+
+// End adds the elapsed time to the stage's histogram and to the link's
+// per-exchange slot. A Link runs on one goroutine, so the slot is a plain
+// word; only the shared histogram is atomic.
+func (sp stageSpan) End() {
+	d := time.Since(sp.start)
+	sp.m.stageHists[sp.s].Observe(d.Seconds())
+	sp.m.stageNS[sp.s] += d.Nanoseconds()
+}
+
+// drainStages moves the per-exchange stage totals into dst and zeroes
+// them, starting the next exchange's window.
+func (m *linkMetrics) drainStages(dst *[StageCount]int64) {
+	*dst = m.stageNS
+	m.stageNS = [StageCount]int64{}
 }
