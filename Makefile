@@ -22,17 +22,18 @@ race:
 	$(GO) test -race ./...
 
 # The pre-merge gate. Every short test runs under the race detector, so a
-# new test is raced without a new line here; the tests that skip under
-# -short (goldens, the metrics end-to-end session, cos-serve subprocesses)
-# and cmd/cos-bench, a module of its own that ./... does not enter, get
-# lines of their own.
+# new test is raced without a new line here. The full suite then runs
+# without -race, which covers every test that skips under -short (goldens,
+# the metrics end-to-end session, cos-serve subprocesses) with no list to
+# keep current, and the cos-serve daemon tests run once more under -race.
+# cmd/cos-bench, a module of its own that ./... does not enter, gets lines
+# of its own.
 ci: build vet
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) test -race -short ./...
-	$(GO) test -run 'TestPipelineGolden|TestScenarioLinkGoldens|TestLinkSendSteadyStateAllocs|TestPipelineMetricsEndToEnd' .
-	$(GO) test -run 'TestStreamWLANAndFigureJobs' ./internal/serve/
-	$(GO) test -race -run 'TestSIGTERMDrainsGracefully|TestRestartServesDurableResults' ./cmd/cos-serve/
+	$(GO) test ./...
+	$(GO) test -race ./cmd/cos-serve/
 	$(GO) -C cmd/cos-bench vet ./...
 	$(GO) -C cmd/cos-bench test -short ./...
 

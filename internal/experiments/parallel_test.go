@@ -37,7 +37,7 @@ func TestParallelMatchesSerialFig3(t *testing.T) {
 }
 
 func TestParallelMatchesSerialFig10c(t *testing.T) {
-	assertIdenticalAcrossWorkers(t, "fig10c", RunOptions{Scale: tinyScale})
+	assertIdenticalAcrossWorkers(t, "fig10c", RunOptions{Scale: 0.01})
 }
 
 func TestParallelMatchesSerialFig2(t *testing.T) {

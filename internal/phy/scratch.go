@@ -43,6 +43,9 @@ func BuildPacketInto(s *TxScratch, cfg TxConfig, psdu []byte) (*TxPacket, error)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if len(psdu) > MaxPSDUBytes {
+		return nil, fmt.Errorf("phy: PSDU of %d octets exceeds the 802.11a limit of %d (12-bit LENGTH field)", len(psdu), MaxPSDUBytes)
+	}
 	// Instrumentation stays in this wrapper (register pressure, see
 	// coding.Viterbi.Decode).
 	start := time.Now()

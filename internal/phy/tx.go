@@ -24,6 +24,10 @@ var (
 // first 7 synchronize the descrambler).
 const serviceBits = 16
 
+// MaxPSDUBytes is the largest PSDU 802.11a carries: the SIGNAL field's
+// LENGTH is 12 bits.
+const MaxPSDUBytes = 4095
+
 // DefaultScramblerSeed is the scrambler initial state used when a TxConfig
 // does not specify one.
 const DefaultScramblerSeed = 0x5D

@@ -131,24 +131,12 @@ func handleEvents(s *serve.Server, w http.ResponseWriter, r *http.Request) {
 	replayEnd := j.LastSeq()
 	ctx := r.Context()
 	for {
+		var ev event.Event
+		var ok bool
 		select {
 		case <-ctx.Done():
 			return
-		case ev, ok := <-sub.C():
-			if !ok {
-				return
-			}
-			if n := sub.TakeDropped(); n > 0 {
-				if !write(gapEvent(n)) {
-					return
-				}
-			}
-			if keep(ev) && !write(ev) {
-				return
-			}
-			if !follow && ev.Seq >= replayEnd {
-				return
-			}
+		case ev, ok = <-sub.C():
 		default:
 			if !follow {
 				return // snapshot mode: replay drained
@@ -157,19 +145,22 @@ func handleEvents(s *serve.Server, w http.ResponseWriter, r *http.Request) {
 			select {
 			case <-ctx.Done():
 				return
-			case ev, ok := <-sub.C():
-				if !ok {
-					return
-				}
-				if n := sub.TakeDropped(); n > 0 {
-					if !write(gapEvent(n)) {
-						return
-					}
-				}
-				if keep(ev) && !write(ev) {
-					return
-				}
+			case ev, ok = <-sub.C():
 			}
+		}
+		if !ok {
+			return
+		}
+		// Events the subscription dropped before this one are reported
+		// ahead of it.
+		if n := sub.TakeDropped(); n > 0 && !write(gapEvent(n)) {
+			return
+		}
+		if keep(ev) && !write(ev) {
+			return
+		}
+		if !follow && ev.Seq >= replayEnd {
+			return
 		}
 	}
 }

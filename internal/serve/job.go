@@ -6,6 +6,8 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"cos/internal/serve/store"
 )
 
 // State is a job's lifecycle position. The zero value is invalid; jobs are
@@ -61,11 +63,6 @@ type Job struct {
 	digest string // content address: spec.Digest() of the normalized spec
 	cached bool   // born terminal from a result-cache hit; never ran
 
-	// traced/probeEvery are the submission's trace request (immutable after
-	// admission): traced jobs capture a schema-v2 flight-recorder trace.
-	traced     bool
-	probeEvery int
-
 	buf *buffer
 
 	mu        sync.Mutex
@@ -78,13 +75,12 @@ type Job struct {
 	cancelReq bool               // client asked for cancellation
 	done      chan struct{}      // closed on terminal state
 
-	// traceDigest/traceBody land when a traced job finishes done: the body
-	// is the captured NDJSON trace, the digest its own SHA-256 content
-	// address. traceBody is nil for jobs recovered or cache-hit from the
-	// durable store (the body is read back from disk on demand).
-	traceDigest string
-	traceBody   []byte
-	traceBytes  int
+	// trace is the job's flight-recorder artifact, nil for an untraced
+	// submission. Until a traced run finishes done it holds only the
+	// requested cadence (no Digest); setTrace then swaps in the captured
+	// artifact. A cache hit shares the server's body-less index entry, whose
+	// body the durable store serves on demand.
+	trace *store.TraceArtifact
 }
 
 // closedDone is the Done channel every cache-hit job shares: such a job
@@ -195,10 +191,10 @@ func (j *Job) Status() Status {
 		Cached:      j.cached,
 		SubmittedAt: j.submitted,
 		ResultBytes: j.buf.Len(),
-		Traced:      j.traced,
-		ProbeEvery:  j.probeEvery,
-		TraceDigest: j.traceDigest,
-		TraceBytes:  j.traceBytes,
+	}
+	if tr := j.trace; tr != nil {
+		st.Traced = true
+		st.ProbeEvery, st.TraceDigest, st.TraceBytes = tr.ProbeEvery, tr.Digest, tr.Bytes
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -285,20 +281,18 @@ func (j *Job) requestCancel(notify ...func()) {
 // setTrace records a finished capture's artifact. Called by the shard
 // worker after run() returns, before the finish hooks persist and
 // journal the terminal state.
-func (j *Job) setTrace(digest string, body []byte) {
+func (j *Job) setTrace(a *store.TraceArtifact) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.traceDigest = digest
-	j.traceBody = body
-	j.traceBytes = len(body)
+	j.trace = a
 }
 
-// traceInfo snapshots the trace artifact: its digest and the in-memory
-// body (nil when the body lives only in the durable store).
-func (j *Job) traceInfo() (digest string, body []byte) {
+// traceArtifact snapshots the job's trace artifact (nil when untraced).
+// The artifact itself is never modified in place.
+func (j *Job) traceArtifact() *store.TraceArtifact {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.traceDigest, j.traceBody
+	return j.trace
 }
 
 // cancelRequested reports whether a client cancellation is pending.

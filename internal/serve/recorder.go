@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 
 	"cos"
+	"cos/internal/serve/store"
 	"cos/internal/trace"
 )
 
@@ -82,11 +83,14 @@ func (r *jobRecorder) stageMap() map[string]int64 {
 	return m
 }
 
-// artifact finalizes a traced job's capture: flush, content-address,
-// return. Only called once, after the job's run returns.
-func (r *jobRecorder) artifact() (digest string, body []byte) {
+// artifact finalizes a traced job's capture, taken at the given probe
+// cadence: flush, content-address, return. Only called once, after the
+// job's run returns.
+func (r *jobRecorder) artifact(probeEvery int) *store.TraceArtifact {
 	r.w.Flush()
-	body = r.buf.Bytes()
+	body := r.buf.Bytes()
 	sum := sha256.Sum256(body)
-	return hex.EncodeToString(sum[:]), body
+	return &store.TraceArtifact{
+		Digest: hex.EncodeToString(sum[:]), ProbeEvery: probeEvery, Bytes: len(body), Body: body,
+	}
 }

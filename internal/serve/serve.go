@@ -157,12 +157,12 @@ type Server struct {
 	// turned terminal; once it is full, windowNext indexes the oldest.
 	window     []*Job
 	windowNext int
-	// traces maps a spec digest to its finished trace artifact's metadata
-	// (the trace's own content address + capture cadence). Populated when a
-	// traced job finishes done and from store recovery; consulted so a
-	// cache-hit submission asking for the same cadence can reuse the
-	// persisted trace instead of re-running.
-	traces   map[string]traceMeta
+	// traces maps a spec digest to its finished trace artifact, without
+	// its body (the durable store holds that). Populated when a traced job
+	// finishes done and from store recovery; consulted so a cache-hit
+	// submission asking for the same cadence can reuse the persisted trace
+	// instead of re-running.
+	traces   map[string]*store.TraceArtifact
 	nextID   uint64
 	nextSh   uint64 // round-robin shard cursor
 	draining bool
@@ -198,7 +198,7 @@ func New(cfg Config) *Server {
 		jobs:       map[string]*Job{},
 		byDigest:   map[string]*Job{},
 		byKey:      map[string]*Job{},
-		traces:     map[string]traceMeta{},
+		traces:     map[string]*store.TraceArtifact{},
 		shards:     make([]chan *Job, cfg.Shards),
 
 		queueDepth: cfg.Metrics.Gauge("serve_queue_depth",
@@ -259,14 +259,12 @@ func (s *Server) recover() {
 	}
 	warmed := 0
 	for _, c := range rec.Completed {
-		if c.TraceDigest != "" {
+		if c.Trace != nil {
 			// Replayed trace artifacts become reusable: a cache-hit
 			// submission asking for the same cadence gets the stored trace,
 			// and TraceByDigest serves it without a job.
 			s.mu.Lock()
-			s.traces[c.Digest] = traceMeta{
-				digest: c.TraceDigest, probeEvery: c.ProbeEvery, bytes: c.TraceBytes,
-			}
+			s.traces[c.Digest] = c.Trace
 			s.mu.Unlock()
 		}
 		if s.cfg.Cache == nil {
@@ -329,15 +327,6 @@ type SubmitOptions struct {
 	ProbeEvery int
 }
 
-// traceMeta is the server's record of a finished trace artifact for one
-// spec digest: the trace's own content address, the probe cadence it was
-// captured with, and its body length.
-type traceMeta struct {
-	digest     string
-	probeEvery int
-	bytes      int
-}
-
 // Submit validates spec, admits a job, and returns it. It fails fast with
 // ErrDraining once Drain has begun and ErrOverloaded when the target
 // shard's queue is full. Equivalent to SubmitWith(spec, SubmitOptions{}).
@@ -395,25 +384,16 @@ func (s *Server) SubmitWith(spec Spec, opts SubmitOptions) (*Job, error) {
 	// to a real run (the result bytes are content-addressed, so re-running
 	// cannot change them — the run exists to produce the trace).
 	cacheable := true
-	var tm traceMeta
+	var stored *store.TraceArtifact
 	if opts.Trace {
-		m, ok := s.traces[digest]
-		if ok && m.probeEvery == opts.ProbeEvery && s.cfg.Store != nil {
-			tm = m
-		} else {
-			cacheable = false
-		}
+		stored = s.traces[digest]
+		cacheable = stored != nil && stored.ProbeEvery == opts.ProbeEvery && s.cfg.Store != nil
 	}
 	if body, ok := s.lookupResultLocked(digest); ok && cacheable {
 		s.nextID++
 		job := newCachedJob(s.nextID, norm, digest, body)
 		job.key = opts.IdempotencyKey
-		if opts.Trace {
-			job.traced = true
-			job.probeEvery = opts.ProbeEvery
-			job.traceDigest = tm.digest
-			job.traceBytes = tm.bytes
-		}
+		job.trace = stored
 		s.addLocked(job)
 		s.retireLocked(job)
 		s.mu.Unlock()
@@ -427,17 +407,19 @@ func (s *Server) SubmitWith(spec Spec, opts SubmitOptions) (*Job, error) {
 	}
 	s.nextID++
 	job := &Job{
-		id:         jobID(s.nextID),
-		seq:        s.nextID,
-		key:        opts.IdempotencyKey,
-		spec:       norm,
-		digest:     digest,
-		traced:     opts.Trace,
-		probeEvery: opts.ProbeEvery,
-		buf:        newBuffer(),
-		state:      StateQueued,
-		submitted:  time.Now(),
-		done:       make(chan struct{}),
+		id:        jobID(s.nextID),
+		seq:       s.nextID,
+		key:       opts.IdempotencyKey,
+		spec:      norm,
+		digest:    digest,
+		buf:       newBuffer(),
+		state:     StateQueued,
+		submitted: time.Now(),
+		done:      make(chan struct{}),
+	}
+	if opts.Trace {
+		// Only the request until the run finishes: no digest to show yet.
+		job.trace = &store.TraceArtifact{ProbeEvery: opts.ProbeEvery}
 	}
 	shardIdx := int(s.nextSh % uint64(len(s.shards)))
 	shard := s.shards[shardIdx]
@@ -572,11 +554,15 @@ func (s *Server) persistTerminal(j *Job, st State) {
 		if s.cfg.Cache != nil {
 			s.cfg.Cache.Put(j.digest, body)
 		}
-		var tr *store.TraceArtifact
-		if td, tb := j.traceInfo(); td != "" && tb != nil {
-			tr = &store.TraceArtifact{Digest: td, ProbeEvery: j.probeEvery, Body: tb}
+		// A traced job that ran to done holds its captured artifact, body
+		// included; the index keeps a copy without the body, so it pins no
+		// trace in memory.
+		tr := j.traceArtifact()
+		if tr != nil {
+			meta := *tr
+			meta.Body = nil
 			s.mu.Lock()
-			s.traces[j.digest] = traceMeta{digest: td, probeEvery: j.probeEvery, bytes: len(tb)}
+			s.traces[j.digest] = &meta
 			s.mu.Unlock()
 		}
 		if s.cfg.Store != nil {
@@ -644,24 +630,10 @@ func (s *Server) ResultByDigest(digest string) ([]byte, bool) {
 // done, or its trace body was persisted but is no longer readable.
 // Callers wanting the trace of a still-running job wait on Done() first.
 func (s *Server) JobTrace(j *Job) (body []byte, digest string, err error) {
-	if !j.traced || j.State() != StateDone {
+	if j.State() != StateDone {
 		return nil, "", ErrTraceUnavailable
 	}
-	digest, body = j.traceInfo()
-	if digest == "" {
-		return nil, "", ErrTraceUnavailable
-	}
-	if body != nil {
-		return body, digest, nil
-	}
-	// Cache-hit and recovered jobs carry only the digest; the body lives
-	// in the durable store.
-	if s.cfg.Store != nil {
-		if b, rerr := s.cfg.Store.ReadTrace(digest); rerr == nil {
-			return b, digest, nil
-		}
-	}
-	return nil, "", ErrTraceUnavailable
+	return s.readTrace(j.traceArtifact())
 }
 
 // TraceByDigest returns the finished trace body for a spec digest without
@@ -671,16 +643,29 @@ func (s *Server) JobTrace(j *Job) (body []byte, digest string, err error) {
 func (s *Server) TraceByDigest(specDigest string) (body []byte, digest string, err error) {
 	s.mu.Lock()
 	j := s.byDigest[specDigest]
-	tm, ok := s.traces[specDigest]
+	stored := s.traces[specDigest]
 	s.mu.Unlock()
 	if j != nil {
 		if b, d, jerr := s.JobTrace(j); jerr == nil {
 			return b, d, nil
 		}
 	}
-	if ok && s.cfg.Store != nil {
-		if b, rerr := s.cfg.Store.ReadTrace(tm.digest); rerr == nil {
-			return b, tm.digest, nil
+	return s.readTrace(stored)
+}
+
+// readTrace returns a finished artifact's body: from memory when the job
+// that captured it still holds it, from the durable store otherwise. A nil
+// artifact, or one still waiting for its run, is ErrTraceUnavailable.
+func (s *Server) readTrace(a *store.TraceArtifact) (body []byte, digest string, err error) {
+	if a == nil || a.Digest == "" {
+		return nil, "", ErrTraceUnavailable
+	}
+	if a.Body != nil {
+		return a.Body, a.Digest, nil
+	}
+	if s.cfg.Store != nil {
+		if b, rerr := s.cfg.Store.ReadTrace(a.Digest); rerr == nil {
+			return b, a.Digest, nil
 		}
 	}
 	return nil, "", ErrTraceUnavailable
@@ -851,16 +836,18 @@ func (s *Server) runJob(j *Job) {
 	// link, so the terminal event can report where the job's execution
 	// time went, stage by stage, and traced jobs capture their schema-v2
 	// trace through it.
-	rec := newJobRecorder(j.traced)
+	// The worker is the only writer of j.trace, so it reads it unlocked.
+	traced := j.trace != nil
+	rec := newJobRecorder(traced)
 	hook := []cos.Option{cos.WithObserver(rec.observe)}
-	if j.probeEvery > 0 { // admitted only on traced link and stream jobs
-		hook = append(hook, cos.WithProbe(j.probeEvery))
+	if traced && j.trace.ProbeEvery > 0 { // admitted only on link and stream jobs
+		hook = append(hook, cos.WithProbe(j.trace.ProbeEvery))
 	}
 	err := run(ctx, j.spec, j.buf, hook)
-	if j.traced && err == nil {
+	if traced && err == nil {
 		// Finalize before the finish hooks run: persistTerminal writes the
 		// artifact and emitTerminalEvent stamps its digest.
-		j.setTrace(rec.artifact())
+		j.setTrace(rec.artifact(j.trace.ProbeEvery))
 	}
 
 	s.inflight.Add(-1)

@@ -82,6 +82,7 @@ func TestSpecValidation(t *testing.T) {
 		{Kind: KindLink, Position: "Z"},                    // unknown position
 		{Kind: KindLink, SNRdB: 99},                        // SNR out of range
 		{Kind: KindLink, PayloadBytes: 4},                  // payload too small
+		{Kind: KindLink, PayloadBytes: 4092},               // payload + FCS over the 4095-octet PSDU
 		{Kind: KindLink, Packets: -1},                      // negative packets
 		{Kind: KindStream, StreamBits: -1},                 // negative stream payload
 		{Kind: KindStream, Sends: 1e6},                     // too many sends
@@ -104,6 +105,7 @@ func TestSpecValidation(t *testing.T) {
 	}
 	good := []Spec{
 		{Kind: KindLink},
+		{Kind: KindLink, PayloadBytes: 4091}, // payload + FCS fill the PSDU exactly
 		{Kind: KindStream, Position: "flat"},
 		{Kind: KindWLAN, Stations: 2, Rounds: 5},
 		{Kind: KindFigureTask, Figure: "fig10a", Workers: 1},

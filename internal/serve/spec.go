@@ -8,8 +8,10 @@ import (
 	"errors"
 	"fmt"
 
+	"cos/internal/bits"
 	"cos/internal/channel"
 	"cos/internal/experiments"
+	"cos/internal/phy"
 	"cos/internal/scenario"
 )
 
@@ -64,7 +66,8 @@ type Spec struct {
 	Position string `json:"position,omitempty"`
 	// Mobile enables the walking-speed channel for link/stream jobs.
 	Mobile bool `json:"mobile,omitempty"`
-	// PayloadBytes is the data payload per packet (default 1024).
+	// PayloadBytes is the data payload per packet (default 1024, max
+	// 4091: the payload and its FCS fit one 802.11a PSDU).
 	PayloadBytes int `json:"payload_bytes,omitempty"`
 
 	// Packets is the packet count for link jobs (default 100, max 1e6).
@@ -350,8 +353,9 @@ func (s Spec) Validate() error {
 	if s.SNRdB < -10 || s.SNRdB > 60 {
 		return fmt.Errorf("serve: snr_db %v outside [-10,60]", s.SNRdB)
 	}
-	if s.PayloadBytes < 16 || s.PayloadBytes > 1<<16 {
-		return fmt.Errorf("serve: payload_bytes %d outside [16,65536]", s.PayloadBytes)
+	// The payload and its FCS must fit one 802.11a PSDU.
+	if maxPayload := phy.MaxPSDUBytes - bits.FCSLen; s.PayloadBytes < 16 || s.PayloadBytes > maxPayload {
+		return fmt.Errorf("serve: payload_bytes %d outside [16,%d]", s.PayloadBytes, maxPayload)
 	}
 	switch s.Kind {
 	case KindLink:

@@ -96,15 +96,13 @@ type PendingJob struct {
 type CompletedJob struct {
 	Job    string
 	Digest string
-	// TraceDigest is the content address of the job's flight-recorder trace
-	// body, when one was captured AND its body file is still readable; ""
-	// otherwise (untraced job, hostile digest in the record, or a trace body
-	// deleted out from under the store — all demote to "trace unavailable"
-	// without failing recovery). ProbeEvery echoes the capture cadence.
-	TraceDigest string
-	ProbeEvery  int
-	// TraceBytes is the trace body's size on disk (0 when unavailable).
-	TraceBytes int
+	// Trace is the job's flight-recorder trace artifact, without its body
+	// (ReadTrace returns it), when one was captured AND its body file is
+	// still readable; nil otherwise (untraced job, hostile digest in the
+	// record, or a trace body deleted out from under the store — all
+	// demote to "trace unavailable" without failing recovery). Its Bytes
+	// is the body's size on disk.
+	Trace *TraceArtifact
 }
 
 // Recovery is what replaying the WAL found.
@@ -175,12 +173,11 @@ func (s *Store) replay() error {
 	}
 
 	type digestState struct {
-		state      string // "pending", "done", "failed"
-		job        string
-		spec       json.RawMessage
-		trace      string // trace artifact digest from the "done" record
-		probeEvery int
-		order      int // first-submit position, to keep re-admission in order
+		state string // "pending", "done", "failed"
+		job   string
+		spec  json.RawMessage
+		trace *TraceArtifact // from the "done" record; Bytes is set on assembly
+		order int            // first-submit position, to keep re-admission in order
 	}
 	states := map[string]*digestState{}
 	order := 0
@@ -230,7 +227,7 @@ func (s *Store) replay() error {
 					// Hostile or malformed trace digests never become file
 					// lookups: the job simply replays as untraced.
 					if validDigest(r.Trace) {
-						ds.trace, ds.probeEvery = r.Trace, r.ProbeEvery
+						ds.trace = &TraceArtifact{Digest: r.Trace, ProbeEvery: r.ProbeEvery}
 					}
 				} else {
 					ds.state = "failed"
@@ -274,14 +271,14 @@ func (s *Store) replay() error {
 			// Trust the record only if the body it promises is readable:
 			// result-before-record ordering makes a missing file possible
 			// only through external deletion, which demotes to pending.
-			if _, err := os.Stat(s.resultPath(o.d)); err == nil {
+			if _, err := os.Stat(s.blobPath(resultsDir, o.d)); err == nil {
 				cj := CompletedJob{Job: ds.job, Digest: o.d}
 				// The trace artifact is best-effort: a missing body demotes
 				// the job to "trace unavailable", never to pending.
-				if ds.trace != "" {
-					if fi, err := os.Stat(s.tracePath(ds.trace)); err == nil {
-						cj.TraceDigest, cj.ProbeEvery = ds.trace, ds.probeEvery
-						cj.TraceBytes = int(fi.Size())
+				if ds.trace != nil {
+					if fi, err := os.Stat(s.blobPath(tracesDir, ds.trace.Digest)); err == nil {
+						ds.trace.Bytes = int(fi.Size())
+						cj.Trace = ds.trace
 					}
 				}
 				s.rec.Completed = append(s.rec.Completed, cj)
@@ -330,12 +327,15 @@ func (s *Store) LogSubmit(jobID, digest string, canonicalSpec []byte) error {
 	})
 }
 
-// TraceArtifact is a finished flight-recorder trace to persist alongside
-// a "done" result: the NDJSON body, its own SHA-256 content address, and
-// the probe cadence it was captured with.
+// TraceArtifact is a flight-recorder trace: its own SHA-256 content
+// address, the probe cadence it was captured with, the body's length, and
+// the NDJSON body itself. Digest is empty until the trace is captured, and
+// Body is nil once only the store holds the bytes (ReadTrace returns them
+// by Digest). Holders replace an artifact rather than modify it.
 type TraceArtifact struct {
 	Digest     string
 	ProbeEvery int
+	Bytes      int
 	Body       []byte
 }
 
@@ -371,12 +371,9 @@ func (s *Store) LogResult(jobID, digest, state, errMsg string, body []byte, tr *
 	return s.appendLocked(rec)
 }
 
-func (s *Store) resultPath(digest string) string {
-	return filepath.Join(s.dir, resultsDir, digest)
-}
-
-func (s *Store) tracePath(digest string) string {
-	return filepath.Join(s.dir, tracesDir, digest)
+// blobPath names a content-addressed body file under one subdirectory.
+func (s *Store) blobPath(sub, digest string) string {
+	return filepath.Join(s.dir, sub, digest)
 }
 
 // writeBlobLocked writes a content-addressed body file atomically under
@@ -386,7 +383,7 @@ func (s *Store) writeBlobLocked(sub, digest string, body []byte) error {
 	if !validDigest(digest) {
 		return fmt.Errorf("store: invalid digest %q", digest)
 	}
-	path := filepath.Join(s.dir, sub, digest)
+	path := s.blobPath(sub, digest)
 	if _, err := os.Stat(path); err == nil {
 		return nil
 	}
@@ -418,23 +415,22 @@ func (s *Store) writeBlobLocked(sub, digest string, body []byte) error {
 
 // ReadResult returns the stored NDJSON body for a completed digest.
 func (s *Store) ReadResult(digest string) ([]byte, error) {
-	if !validDigest(digest) {
-		return nil, fmt.Errorf("store: invalid digest %q", digest)
-	}
-	b, err := os.ReadFile(s.resultPath(digest))
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	return b, nil
+	return s.readBlob(resultsDir, digest)
 }
 
 // ReadTrace returns the stored flight-recorder trace body addressed by
 // the trace's own digest.
 func (s *Store) ReadTrace(digest string) ([]byte, error) {
+	return s.readBlob(tracesDir, digest)
+}
+
+// readBlob reads a content-addressed body file, refusing any name that is
+// not a digest.
+func (s *Store) readBlob(sub, digest string) ([]byte, error) {
 	if !validDigest(digest) {
 		return nil, fmt.Errorf("store: invalid digest %q", digest)
 	}
-	b, err := os.ReadFile(s.tracePath(digest))
+	b, err := os.ReadFile(s.blobPath(sub, digest))
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}

@@ -277,7 +277,7 @@ func TestStoreHostileTraceDigestReplaysUntraced(t *testing.T) {
 	if len(rec.Completed) != 1 || rec.Completed[0].Digest != digA {
 		t.Fatalf("Completed = %+v, want the done digest to survive", rec.Completed)
 	}
-	if cj := rec.Completed[0]; cj.TraceDigest != "" || cj.ProbeEvery != 0 || cj.TraceBytes != 0 {
+	if cj := rec.Completed[0]; cj.Trace != nil {
 		t.Fatalf("hostile trace digest leaked into recovery: %+v", cj)
 	}
 	for _, bad := range []string{"", "../evil", "ABCDEF", "a/b", "../../etc/passwd"} {

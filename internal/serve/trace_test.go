@@ -333,7 +333,7 @@ func TestTraceMissingBodyDemotes(t *testing.T) {
 	if len(rec.Completed) != 1 {
 		t.Fatalf("recovery completed = %d, want 1", len(rec.Completed))
 	}
-	if rec.Completed[0].TraceDigest != "" {
+	if rec.Completed[0].Trace != nil {
 		t.Fatal("missing trace body must demote to trace-unavailable, not survive replay")
 	}
 	s2 := newTestServer(t, Config{Shards: 1, Cache: cache.New(0), Store: st2})

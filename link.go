@@ -40,9 +40,10 @@ type Link struct {
 // that mutates it changes what later observers and the caller see.
 type Observer func(*Exchange)
 
-// Exchange reports everything observable about one packet exchange. Send
-// allocates every slice of an Exchange (and its Probe) fresh, so the
-// caller owns it: retaining or mutating it never reaches link state.
+// Exchange reports everything observable about one packet exchange. The
+// link's nodes each write their own fields of it once, allocating every
+// slice (and the Probe) fresh, so the caller owns it: retaining or
+// mutating it never reaches link state.
 type Exchange struct {
 	// Seq is the 0-based index of this exchange on its link.
 	Seq int
@@ -244,24 +245,12 @@ var defaultCtrlSCs = []int{9, 10, 11, 12, 13, 14, 15, 16}
 // send a data-only packet.
 func (l *Link) Send(data, control []byte) (*Exchange, error) {
 	start := time.Now()
+	ex := &Exchange{Seq: l.seq, DataBytes: len(data), Time: l.now}
 
 	// Sender node.
-	f, err := l.tx.Encode(data, control)
+	f, err := l.tx.Encode(data, control, ex)
 	if err != nil {
 		return nil, err
-	}
-	// ControlSubcarriers is copied: the frame's set aliases the
-	// transmitter's selection, or the shared bootstrap set on a fresh link.
-	ex := &Exchange{
-		Seq:                l.seq,
-		DataBytes:          len(data),
-		Mode:               f.Mode,
-		Time:               l.now,
-		ControlSubcarriers: append([]int(nil), f.ControlSubcarriers...),
-	}
-	if len(control) > 0 {
-		ex.ControlSent = append([]byte(nil), control...)
-		ex.SilencesInserted = f.SilencesInserted
 	}
 
 	// Channel node.
@@ -271,46 +260,22 @@ func (l *Link) Send(data, control []byte) (*Exchange, error) {
 	}
 	ex.ActualSNRdB = actualSNR
 
-	// Receiver node.
-	res, err := l.rx.Receive(f, rxSamples, l.now)
+	// Receiver node, with the flight recorder's sampled probe (never when
+	// WithProbe is absent).
+	probe := l.cfg.probeEvery > 0 && ex.Seq%l.cfg.probeEvery == 0
+	fb, fbOK, err := l.rx.Receive(f, rxSamples, l.now, ex, probe)
 	if err != nil {
 		return nil, err
-	}
-	ex.MeasuredSNRdB = res.MeasuredSNRdB
-	if res.ControlDecoded {
-		// Copy out of the receiver's scratch; keep non-nil even when empty
-		// (extraction succeeded, just with no intervals).
-		ex.ControlReceived = append(make([]byte, 0, len(res.ControlReceived)), res.ControlReceived...)
-	}
-	ex.ControlOK = res.ControlOK
-	ex.ControlVerified = res.ControlVerified
-	ex.ControlPayload = res.ControlPayload
-	ex.Detection = res.Detection
-	if res.DataOK {
-		ex.DataOK = true
-		ex.Data = append(make([]byte, 0, len(res.Data)), res.Data...)
 	}
 
 	// Close the loop: deliver the receiver's feedback to the transmitter,
 	// or note the loss (data or feedback-frame) so the sender falls back to
 	// conservative settings (Sec. III-F).
-	if res.FeedbackOK {
-		l.tx.ApplyFeedback(res.Feedback)
+	if fbOK {
+		l.tx.ApplyFeedback(fb)
 	} else {
 		l.tx.NoteLoss()
 		l.metrics.feedbackLosses.Inc()
-	}
-
-	// Flight recorder epilogue, off the per-packet hot path: the sampled
-	// introspection probe (never when WithProbe is absent), then the
-	// per-stage latency drain into the exchange.
-	if l.cfg.probeEvery > 0 && ex.Seq%l.cfg.probeEvery == 0 {
-		probe, err := buildProbe(ex, f.Packet, res.fe, res.mask, res.hard, res.det, f.ControlSubcarriers)
-		if err != nil {
-			return nil, err
-		}
-		ex.Probe = probe
-		l.metrics.probes.Inc()
 	}
 	l.metrics.drainStages(&ex.StageNS)
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -35,6 +36,22 @@ func TestLinkDataOnly(t *testing.T) {
 	}
 	if ex.SilencesInserted != 0 || len(ex.ControlSent) != 0 {
 		t.Error("data-only packet should carry no silences")
+	}
+}
+
+// 802.11a's LENGTH field is 12 bits, so a PSDU (payload plus 4-byte FCS)
+// tops out at 4,095 octets.
+func TestLinkSendPSDULimit(t *testing.T) {
+	link, err := NewLink(WithSNR(20), WithSeed(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := link.Send(make([]byte, 4091), nil); err != nil {
+		t.Fatalf("4,091-byte payload (4,095-octet PSDU): %v", err)
+	}
+	_, err = link.Send(make([]byte, 4092), nil)
+	if err == nil || !strings.Contains(err.Error(), "4095") {
+		t.Fatalf("4,092-byte payload: err = %v, want one naming the 4095-octet limit", err)
 	}
 }
 

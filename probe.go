@@ -58,8 +58,10 @@ type Probe struct {
 }
 
 // buildProbe assembles a Probe from one exchange's transmit packet and
-// front end. erased may be nil (data-only packet); hard may be nil.
-func buildProbe(ex *Exchange, pkt *phy.TxPacket, fe *phy.FrontEnd, erased [][]bool, hard []byte, det icos.Detector, ctrlSCs []int) (*Probe, error) {
+// front end, over the control set the exchange used. erased may be nil
+// (data-only packet); hard may be nil.
+func buildProbe(ex *Exchange, pkt *phy.TxPacket, fe *phy.FrontEnd, erased [][]bool, hard []byte, det icos.Detector) (*Probe, error) {
+	ctrlSCs := ex.ControlSubcarriers
 	d, err := phy.Diagnose(pkt, fe, erased, hard)
 	if err != nil {
 		return nil, err

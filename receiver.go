@@ -10,53 +10,12 @@ import (
 	"cos/internal/scenario"
 )
 
-// rxResult reports the receive-side outcome of one frame. Its slice fields
-// alias the receiver's scratch storage, so a result is valid only until
-// the next Receive on the same receiver; Link copies what it hands to
-// callers.
-type rxResult struct {
-	// MeasuredSNRdB is the receiver NIC's SNR estimate for this frame.
-	MeasuredSNRdB float64
-	// DataOK reports whether the data payload passed its frame check.
-	DataOK bool
-	// Data is the decoded payload (nil when DataOK is false).
-	Data []byte
-	// ControlDecoded reports whether interval extraction produced a control
-	// bit string at all (ControlReceived is meaningful only when true).
-	ControlDecoded bool
-	// ControlReceived is the control bit string the receiver extracted; it
-	// may be longer than the sent bits if trailing noise decoded as extra
-	// intervals.
-	ControlReceived []byte
-	// ControlOK reports whether ControlReceived starts with the sent bits.
-	ControlOK bool
-	// ControlVerified reports whether the receiver validated the control
-	// message through its framing CRC.
-	ControlVerified bool
-	// ControlPayload is the CRC-validated payload when ControlVerified.
-	ControlPayload []byte
-	// Detection is the energy detector's accuracy against ground truth.
-	Detection icos.DetectionStats
-	// Feedback is what the receiver would feed back to the transmitter;
-	// meaningful only when FeedbackOK.
-	Feedback linkFeedback
-	// FeedbackOK reports whether feedback reached the sender: false after
-	// a data loss, and false when an explicit feedback frame was lost.
-	FeedbackOK bool
-
-	// Probe ingredients (package-internal: Link's flight recorder).
-	fe   *phy.FrontEnd
-	hard []byte
-	mask [][]bool
-	det  icos.Detector
-}
-
 // receiver is the receive-side pipeline node: front end, silence
 // detection, control-interval decoding, erasure Viterbi decoding, and the
 // feedback computation of the paper's Fig. 8 closed loop. It owns a
 // reusable scratch arena, so steady-state Receive calls allocate only
-// where the selection algorithm does; results alias that arena and are
-// valid until the next Receive. A receiver is not safe for concurrent use.
+// the Exchange fields they copy out of it and where the selection
+// algorithm does. A receiver is not safe for concurrent use.
 type receiver struct {
 	cfg     config
 	emb     scenario.Embedding
@@ -81,7 +40,6 @@ type receiver struct {
 	sums   [ofdm.NumData]float64
 	counts [ofdm.NumData]int
 	snrs   [ofdm.NumData]float64
-	res    rxResult
 }
 
 func newReceiver(cfg config, ch *channelNode, m *linkMetrics) (*receiver, error) {
@@ -106,79 +64,81 @@ func (r *receiver) LastEVM() []float64 {
 // Receive processes one frame's received samples: front end, silence
 // detection and control decoding (when the frame carried control bits),
 // erasure Viterbi data decoding, and — after a CRC pass — the feedback
-// computation. The result aliases the receiver's scratch and is valid
-// until the next Receive.
-func (r *receiver) Receive(f *txFrame, samples []complex128, now float64) (*rxResult, error) {
-	res := &r.res
-	*res = rxResult{}
-
+// computation. It reads the sender's part of ex (Mode, ControlSent,
+// ControlSubcarriers) and writes every receive-side field as a copy out
+// of its scratch, plus ex.Probe when probe is set. The bool result
+// reports whether the feedback reached the sender: false after a data
+// loss, and false when an explicit feedback frame was lost.
+func (r *receiver) Receive(f *txFrame, samples []complex128, now float64, ex *Exchange, probe bool) (linkFeedback, bool, error) {
 	spFE := r.metrics.span(StageFrontEnd)
 	fe, err := phy.RunFrontEndInto(&r.rx, samples)
 	if err != nil {
-		return nil, err
+		return linkFeedback{}, false, err
 	}
-	res.MeasuredSNRdB, err = fe.MeasuredSNRdB()
+	ex.MeasuredSNRdB, err = fe.MeasuredSNRdB()
 	if err != nil {
-		return nil, err
+		return linkFeedback{}, false, err
 	}
 	spFE.End()
 
-	det := icos.Detector{Scheme: f.Mode.Modulation}
+	det := icos.Detector{Scheme: ex.Mode.Modulation}
 	var detectedMask [][]bool
-	if len(f.ControlBits) > 0 {
+	if len(ex.ControlSent) > 0 {
 		spDet := r.metrics.span(StageDetect)
-		detectedMask, err = r.emb.Mask(fe, det, f.ControlSubcarriers)
+		detectedMask, err = r.emb.Mask(fe, det, ex.ControlSubcarriers)
 		if err != nil {
-			return nil, err
+			return linkFeedback{}, false, err
 		}
 		spDet.End()
 	}
 
 	spEVD := r.metrics.span(StageEVD)
-	dec, err := fe.DecodeInto(&r.rx, phy.DecodeConfig{Mode: f.Mode, PSDULen: f.PSDULen, Erased: detectedMask})
+	dec, err := fe.DecodeInto(&r.rx, phy.DecodeConfig{Mode: ex.Mode, PSDULen: f.PSDULen, Erased: detectedMask})
 	if err != nil {
-		return nil, err
+		return linkFeedback{}, false, err
 	}
 	payload, dataOK := bits.CheckFCS(dec.PSDU)
 	spEVD.End()
 
-	if len(f.ControlBits) > 0 {
+	if len(ex.ControlSent) > 0 {
 		// Control extraction runs after data decoding so embeddings that
 		// ride the data bits (padding) can read the decode result; the
 		// silence path draws no randomness here, so the order is free.
 		spCtrl := r.metrics.span(StageControlDecode)
-		ctrlBits, exErr := r.emb.Extract(dec, detectedMask, f.ControlSubcarriers, icos.DefaultBitsPerInterval)
+		ctrlBits, exErr := r.emb.Extract(dec, detectedMask, ex.ControlSubcarriers, icos.DefaultBitsPerInterval)
 		spCtrl.End()
 		if exErr == nil {
-			res.ControlDecoded = true
-			res.ControlReceived = ctrlBits
+			// Non-nil even when empty: extraction succeeded, just with no
+			// intervals.
+			ex.ControlReceived = append(make([]byte, 0, len(ctrlBits)), ctrlBits...)
 			if r.cfg.controlFraming {
 				if payload, ok := icos.ParseControl(ctrlBits); ok {
-					res.ControlVerified = true
-					res.ControlPayload = payload
-					res.ControlOK = bits.Equal(payload, f.ControlBits)
+					ex.ControlVerified = true
+					ex.ControlPayload = payload
+					ex.ControlOK = bits.Equal(payload, ex.ControlSent)
 				}
 			} else {
-				res.ControlOK = len(ctrlBits) >= len(f.ControlBits) && bits.Equal(ctrlBits[:len(f.ControlBits)], f.ControlBits)
+				ex.ControlOK = len(ctrlBits) >= len(ex.ControlSent) && bits.Equal(ctrlBits[:len(ex.ControlSent)], ex.ControlSent)
 			}
 		}
 		if f.TruthMask != nil || detectedMask != nil {
-			res.Detection, err = icos.CompareMasks(f.TruthMask, detectedMask, f.ControlSubcarriers)
+			ex.Detection, err = icos.CompareMasks(f.TruthMask, detectedMask, ex.ControlSubcarriers)
 			if err != nil {
-				return nil, err
+				return linkFeedback{}, false, err
 			}
 		}
 	}
 
+	var fb linkFeedback
+	fbOK := false
 	if dataOK {
-		res.DataOK = true
-		res.Data = payload
+		ex.DataOK = true
+		ex.Data = append(make([]byte, 0, len(payload)), payload...)
 		spFB := r.metrics.span(StageFeedback)
-		fb, ok, err := r.updateFeedback(f, fe, dec.PSDU, detectedMask, res.MeasuredSNRdB, now)
+		fb, fbOK, err = r.updateFeedback(f, fe, dec.PSDU, detectedMask, ex.MeasuredSNRdB, now)
 		if err != nil {
-			return nil, err
+			return linkFeedback{}, false, err
 		}
-		res.Feedback, res.FeedbackOK = fb, ok
 		spFB.End()
 	} else {
 		// Loss: no feedback reaches the sender; reset the receiver's own
@@ -187,11 +147,16 @@ func (r *receiver) Receive(f *txFrame, samples []complex128, now float64) (*rxRe
 		r.lastSel = nil
 	}
 
-	res.fe = fe
-	res.hard = dec.HardCodedBits
-	res.mask = detectedMask
-	res.det = det
-	return res, nil
+	// The sampled introspection probe, outside every stage span so the
+	// stage clock never counts it.
+	if probe {
+		ex.Probe, err = buildProbe(ex, f.Packet, fe, detectedMask, dec.HardCodedBits, det)
+		if err != nil {
+			return linkFeedback{}, false, err
+		}
+		r.metrics.probes.Inc()
+	}
+	return fb, fbOK, nil
 }
 
 // updateFeedback recomputes the receiver's EVM picture from the decoded
@@ -252,7 +217,7 @@ func (r *receiver) updateFeedback(f *txFrame, fe *phy.FrontEnd, psdu []byte, era
 	}
 	nextMode := phy.SelectMode(measured)
 	if r.cfg.fixedRateMbps != 0 {
-		nextMode = f.Mode
+		nextMode = f.Packet.Config.Mode
 	}
 	noDetectable := false
 	sel, err := icos.SelectDetectable(r.evm[:], r.snrs[:], nextMode.Modulation, minCtrlSCs, maxCtrlSCs, 0)

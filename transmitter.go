@@ -10,14 +10,11 @@ import (
 )
 
 // txFrame is one encoded transmission: the output of transmitter.Encode and
-// the input to channelNode.Transmit / receiver.Receive. Its slice fields alias
-// the transmitter's scratch storage, so a frame is valid only until the
-// next Encode on the same transmitter.
+// the input to channelNode.Transmit / receiver.Receive. It carries only
+// what the receiver needs beyond the Exchange; its slice fields alias the
+// transmitter's scratch storage, so a frame is valid only until the next
+// Encode on the same transmitter.
 type txFrame struct {
-	// Mode is the 802.11a mode the transmitter selected.
-	Mode phy.Mode
-	// DataBytes is the data payload length in bytes.
-	DataBytes int
 	// PSDULen is the PSDU length (data + FCS) in bytes.
 	PSDULen int
 	// Samples are the baseband time-domain samples to push through the
@@ -26,16 +23,9 @@ type txFrame struct {
 	// Packet is the underlying transmit packet (grid already carries the
 	// embedded silences).
 	Packet *phy.TxPacket
-	// ControlSubcarriers is the control subcarrier set used for this frame.
-	ControlSubcarriers []int
-	// ControlBits are the control bits the caller asked to embed (before
-	// framing/padding); empty for a data-only frame.
-	ControlBits []byte
 	// TruthMask is the ground-truth silence mask the transmitter embedded,
 	// or nil for a data-only frame.
 	TruthMask [][]bool
-	// SilencesInserted is the number of silence symbols embedded.
-	SilencesInserted int
 }
 
 // linkFeedback is what the receiver feeds back to the transmitter after a
@@ -187,9 +177,11 @@ func (t *transmitter) ControlSubcarriers() []int {
 // Encode builds one frame: FCS, the 802.11a transmit chain, control-bit
 // embedding as silences, and sample generation. len(control) must be a
 // multiple of the configured bits-per-interval and fit within
-// MaxControlBits; pass nil for a data-only frame. The returned frame
-// aliases the transmitter's scratch and is valid until the next Encode.
-func (t *transmitter) Encode(data, control []byte) (*txFrame, error) {
+// MaxControlBits; pass nil for a data-only frame. Encode records the
+// sender's part of ex — Mode, ControlSubcarriers, ControlSent and
+// SilencesInserted — as fresh copies. The returned frame aliases the
+// transmitter's scratch and is valid until the next Encode.
+func (t *transmitter) Encode(data, control []byte, ex *Exchange) (*txFrame, error) {
 	mode, err := t.Mode()
 	if err != nil {
 		return nil, err
@@ -208,15 +200,12 @@ func (t *transmitter) Encode(data, control []byte) (*txFrame, error) {
 	if len(ctrlSCs) == 0 {
 		ctrlSCs = defaultCtrlSCs
 	}
+	// Copied: ctrlSCs aliases the transmitter's selection, or the shared
+	// bootstrap set on a fresh link.
+	ex.Mode = mode
+	ex.ControlSubcarriers = append([]int(nil), ctrlSCs...)
 	f := &t.frame
-	*f = txFrame{
-		Mode:               mode,
-		DataBytes:          len(data),
-		PSDULen:            len(t.psdu),
-		Packet:             pkt,
-		ControlSubcarriers: ctrlSCs,
-		ControlBits:        control,
-	}
+	*f = txFrame{PSDULen: len(t.psdu), Packet: pkt}
 
 	if len(control) > 0 {
 		maxBits, err := t.MaxControlBits(len(data))
@@ -242,10 +231,11 @@ func (t *transmitter) Encode(data, control []byte) (*txFrame, error) {
 			return nil, fmt.Errorf("cos: %d control bits is not a multiple of k=%d (or use WithControlFraming): %w",
 				len(control), align, ErrControlAlignment)
 		}
-		f.TruthMask, f.SilencesInserted, err = t.emb.Embed(pkt, ctrlSCs, wire, icos.DefaultBitsPerInterval)
+		f.TruthMask, ex.SilencesInserted, err = t.emb.Embed(pkt, ctrlSCs, wire, icos.DefaultBitsPerInterval)
 		if err != nil {
 			return nil, err
 		}
+		ex.ControlSent = append([]byte(nil), control...)
 	}
 
 	t.samples, err = pkt.SamplesInto(t.samples)
