@@ -79,13 +79,6 @@ func main() {
 	// and the run exits mid-sweep instead of finishing the figure.
 	ctx := app.Context()
 
-	// Fail fast on an unknown or malformed scenario instead of deep
-	// inside the first point-task.
-	if _, err := cli.ParseScenario(*scen); err != nil {
-		fmt.Fprintf(os.Stderr, "cos-figures: %v\n", err)
-		os.Exit(2)
-	}
-
 	// In-process by default; with -fleet, the same figures run through the
 	// coordinator and come back byte-identical.
 	runFigure := func(ctx context.Context, id string, opts experiments.RunOptions) (*experiments.Result, error) {

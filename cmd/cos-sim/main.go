@@ -5,12 +5,15 @@
 // Usage:
 //
 //	cos-sim -snr 18 -position B -packets 200 -size 1024 -control 32
-//	cos-sim -snr 12 -mobile -interference
+//	cos-sim -snr 12 -mobile -scenario pulse:40,160,0.004
 //	cos-sim -runs 8 -workers 4 -packets 500
 //	cos-sim -packets 5000 -metrics-addr :8080 -stats 2s
 //	cos-sim -list-scenarios
 //	cos-sim -scenario hybrid-bscpec -snr 12
-//	cos-sim -scenario pulse:40,160,0.004 -packets 200
+//
+// Each run is one link session, the same packet loop a cos-serve link job
+// runs (serve.RunLinkSession), so a run's counts equal the link_summary of
+// the job with the same seed, SNR, position, scenario and sizes.
 //
 // -runs N repeats the session over N independent channel realizations
 // (run r uses channel variant r and a seed derived from -seed) and reports
@@ -21,8 +24,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"runtime"
@@ -32,151 +37,119 @@ import (
 	"cos/internal/cli"
 	"cos/internal/pool"
 	"cos/internal/scenario"
+	"cos/internal/serve"
 	"cos/internal/trace"
 )
 
-// runStats aggregates one session (one link, -packets packets).
-type runStats struct {
-	dataOK, ctrlOK, ctrlSent      int
-	silences, fPos, fNeg, scanned int
-	ctrlBitsDelivered             int
-	measuredSum                   float64
-	elapsed                       float64
-}
-
-func (s *runStats) add(o runStats) {
-	s.dataOK += o.dataOK
-	s.ctrlOK += o.ctrlOK
-	s.ctrlSent += o.ctrlSent
-	s.silences += o.silences
-	s.fPos += o.fPos
-	s.fNeg += o.fNeg
-	s.scanned += o.scanned
-	s.ctrlBitsDelivered += o.ctrlBitsDelivered
-	s.measuredSum += o.measuredSum
-	s.elapsed += o.elapsed
-}
-
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// session is one run's outcome: the link job's closing record plus the
+// detector positions scanned, which the record does not carry.
+type session struct {
+	sum     serve.LinkSummary
+	scanned int
+}
+
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("cos-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		snr      = flag.Float64("snr", 18, "true channel SNR in dB")
-		posName  = flag.String("position", "B", "receiver position: A, B, C or flat")
-		packets  = flag.Int("packets", 100, "packets to send per run")
-		size     = flag.Int("size", 1024, "payload size in bytes")
-		ctrlBits = flag.Int("control", 32, "control bits per packet (0 = data only; capped by budget)")
-		rate     = flag.Int("rate", 0, "fixed data rate in Mb/s (0 = SNR-based adaptation)")
-		mobile   = flag.Bool("mobile", false, "walking-speed mobile channel")
-		intf     = flag.Bool("interference", false, "inject strong pulse interference (shorthand for -scenario pulse:40,160,0.004)")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		runs     = flag.Int("runs", 1, "independent channel realizations to simulate")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for -runs (results identical for any count)")
-		verbose  = flag.Bool("v", false, "print each packet (single run only)")
-		traceOut = flag.String("trace", "", "write a JSON-lines event trace to this file (single run only)")
-		probeN   = flag.Int("probe", 0, "record a PHY introspection probe every N packets into the trace (0 = off; needs -trace)")
+		snr      = fs.Float64("snr", 18, "true channel SNR in dB")
+		posName  = fs.String("position", "B", "receiver position: A, B, C or flat")
+		packets  = fs.Int("packets", 100, "packets to send per run")
+		size     = fs.Int("size", 1024, "payload size in bytes")
+		ctrlBits = fs.Int("control", 32, "control bits per packet (0 = data only; capped by budget)")
+		rate     = fs.Int("rate", 0, "fixed data rate in Mb/s (0 = SNR-based adaptation)")
+		mobile   = fs.Bool("mobile", false, "walking-speed mobile channel")
+		seed     = fs.Int64("seed", 1, "simulation seed")
+		runs     = fs.Int("runs", 1, "independent channel realizations to simulate")
+		workers  = fs.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for -runs (results identical for any count)")
+		verbose  = fs.Bool("v", false, "print each packet (single run only)")
+		traceOut = fs.String("trace", "", "write a JSON-lines event trace to this file (single run only)")
+		probeN   = fs.Int("probe", 0, "record a PHY introspection probe every N packets into the trace (0 = off; needs -trace)")
 	)
-	scenRef, listScen := cli.ScenarioFlags(flag.CommandLine)
-	obsAddr, obsStats := cli.ObsFlags(flag.CommandLine)
-	flag.Parse()
+	scenRef, listScen := cli.ScenarioFlags(fs)
+	obsAddr, obsStats := cli.ObsFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "cos-sim: "+format+"\n", a...)
+		return 2
+	}
 
 	if *listScen {
-		fmt.Print(scenario.FormatList())
-		return
+		fmt.Fprint(stdout, scenario.FormatList())
+		return 0
 	}
-	if *intf {
-		// -interference is shorthand for the Fig. 10(d) pulse scenario.
-		if *scenRef != "" {
-			fmt.Fprintln(os.Stderr, "cos-sim: -interference selects -scenario pulse:40,160,0.004; give one or the other")
-			os.Exit(2)
-		}
-		*scenRef = "pulse:40,160,0.004"
-	}
-	scen, err := cli.ParseScenario(*scenRef)
+	pos, err := channel.ParsePosition(*posName)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cos-sim: %v\n", err)
-		os.Exit(2)
+		return usage("%v", err)
+	}
+	if *runs < 1 {
+		return usage("-runs %d must be at least 1", *runs)
+	}
+	if *runs > 1 && (*traceOut != "" || *verbose) {
+		return usage("-trace and -v need a deterministic packet order; use -runs 1")
+	}
+	if *probeN < 0 {
+		return usage("-probe %d must be non-negative", *probeN)
+	}
+	if *probeN > 0 && *traceOut == "" {
+		return usage("-probe records into the trace; add -trace <file>")
 	}
 
-	app, err := cli.Boot(*obsAddr, *obsStats, os.Stderr)
+	app, err := cli.Boot(*obsAddr, *obsStats, stderr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cos-sim: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "cos-sim: %v\n", err)
+		return 1
 	}
 	defer app.Close()
 
-	pos, err := channel.ParsePosition(*posName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cos-sim: %v\n", err)
-		os.Exit(2)
-	}
-	if *runs < 1 {
-		fmt.Fprintf(os.Stderr, "cos-sim: -runs %d must be at least 1\n", *runs)
-		os.Exit(2)
-	}
-	if *runs > 1 && (*traceOut != "" || *verbose) {
-		fmt.Fprintln(os.Stderr, "cos-sim: -trace and -v need a deterministic packet order; use -runs 1")
-		os.Exit(2)
-	}
-	if *probeN < 0 {
-		fmt.Fprintf(os.Stderr, "cos-sim: -probe %d must be non-negative\n", *probeN)
-		os.Exit(2)
-	}
-	if *probeN > 0 && *traceOut == "" {
-		fmt.Fprintln(os.Stderr, "cos-sim: -probe records into the trace; add -trace <file>")
-		os.Exit(2)
-	}
-
-	ctx := app.Context()
-
-	// Trace capture rides the link's observer hook: one event stream
-	// feeds the trace file, the metrics registry, and the printed stats.
-	// The schema header goes out immediately and closeTrace flushes on
-	// EVERY exit path — os.Exit skips defers, so the interrupt path below
-	// must call it explicitly or a Ctrl-C leaves a truncated trace behind.
+	// Trace capture rides the link's observer hook. The schema header goes
+	// out immediately, and the deferred flush runs on every return, so an
+	// interrupted run still leaves a readable trace behind.
 	var tw *trace.Writer
-	closeTrace := func() {}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cos-sim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cos-sim: %v\n", err)
+			return 1
 		}
 		tw = trace.NewWriter(f)
-		closed := false
-		closeTrace = func() {
-			if closed {
-				return
+		defer func() {
+			if err := errors.Join(tw.Flush(), f.Close()); err != nil {
+				fmt.Fprintf(stderr, "cos-sim: trace: %v\n", err)
+				if code == 0 {
+					code = 1
+				}
 			}
-			closed = true
-			if err := tw.Flush(); err != nil {
-				fmt.Fprintf(os.Stderr, "cos-sim: trace: %v\n", err)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "cos-sim: trace: %v\n", err)
-			}
-		}
-		defer closeTrace()
+		}()
 		if err := tw.WriteHeader(); err != nil {
-			fmt.Fprintf(os.Stderr, "cos-sim: %v\n", err)
-			closeTrace()
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cos-sim: %v\n", err)
+			return 1
 		}
 	}
 
-	// One session per run. Run 0 reproduces the historical single-run
-	// behaviour exactly (same link seed, same payload stream); runs r > 0
-	// use channel variant r and seeds derived as seed^r.
-	session := func(ctx context.Context, run int) (runStats, error) {
-		var st runStats
+	// One session per run. Run 0 uses -seed itself; runs r > 0 use channel
+	// variant r and the seed pool.TaskSeed(seed, r).
+	runSession := func(ctx context.Context, r int) (session, error) {
+		var s session
 		linkSeed := *seed
-		if run > 0 {
-			linkSeed = pool.TaskSeed(*seed, run)
+		if r > 0 {
+			linkSeed = pool.TaskSeed(*seed, r)
 		}
 		opts := []cos.Option{cos.WithPosition(pos), cos.WithSNR(*snr), cos.WithSeed(linkSeed)}
 		if *scenRef != "" {
-			opts = append(opts, cos.WithScenario(scen.Name, scen.Params...))
+			opts = append(opts, cos.WithScenario(*scenRef))
 		}
-		if run > 0 {
-			opts = append(opts, cos.WithChannelVariant(int64(run)))
+		if r > 0 {
+			opts = append(opts, cos.WithChannelVariant(int64(r)))
 		}
 		if *rate != 0 {
 			opts = append(opts, cos.WithFixedRate(*rate))
@@ -184,7 +157,7 @@ func main() {
 		if *mobile {
 			opts = append(opts, cos.WithMobile())
 		}
-		if tw != nil && run == 0 {
+		if tw != nil {
 			opts = append(opts, cos.WithObserver(tw.Observer()))
 			if *probeN > 0 {
 				opts = append(opts, cos.WithProbe(*probeN))
@@ -192,111 +165,89 @@ func main() {
 		}
 		link, err := cos.NewLink(opts...)
 		if err != nil {
-			return st, err
+			return s, err
 		}
-		rng := rand.New(rand.NewSource(linkSeed + 1))
-		data := make([]byte, *size)
-		for i := 0; i < *packets; i++ {
-			if err := ctx.Err(); err != nil {
-				return st, err
-			}
-			rng.Read(data)
-			var ctrl []byte
-			if *ctrlBits > 0 {
-				budget, err := link.MaxControlBits(len(data))
-				if err != nil {
-					return st, err
+		s.sum, err = serve.RunLinkSession(ctx, link, linkSeed, *packets, *size, *ctrlBits,
+			func(ex *cos.Exchange) error {
+				s.scanned += ex.Detection.Silences + ex.Detection.Normals
+				if *verbose {
+					fmt.Fprintf(stdout, "pkt %3d: mode=%v dataOK=%v ctrlOK=%v silences=%d measured=%.1fdB actual=%.1fdB\n",
+						ex.Seq, ex.Mode, ex.DataOK, ex.ControlOK, ex.SilencesInserted, ex.MeasuredSNRdB, ex.ActualSNRdB)
 				}
-				n := *ctrlBits
-				if n > budget {
-					n = budget
-				}
-				n = n / 4 * 4
-				ctrl = make([]byte, n)
-				for j := range ctrl {
-					ctrl[j] = byte(rng.Intn(2))
-				}
-			}
-			ex, err := link.Send(data, ctrl)
-			if err != nil {
-				return st, fmt.Errorf("packet %d: %w", i, err)
-			}
-			if ex.DataOK {
-				st.dataOK++
-			}
-			if len(ex.ControlSent) > 0 {
-				st.ctrlSent++
-				if ex.ControlOK {
-					st.ctrlOK++
-					st.ctrlBitsDelivered += len(ex.ControlSent)
-				}
-			}
-			st.silences += ex.SilencesInserted
-			st.fPos += ex.Detection.FalsePositives
-			st.fNeg += ex.Detection.FalseNegatives
-			st.scanned += ex.Detection.Silences + ex.Detection.Normals
-			st.measuredSum += ex.MeasuredSNRdB
-			if *verbose {
-				fmt.Printf("pkt %3d: mode=%v dataOK=%v ctrlOK=%v silences=%d measured=%.1fdB actual=%.1fdB\n",
-					i, ex.Mode, ex.DataOK, ex.ControlOK, ex.SilencesInserted, ex.MeasuredSNRdB, ex.ActualSNRdB)
-			}
-		}
-		st.elapsed = link.Now()
-		return st, nil
+				return nil
+			})
+		return s, err
 	}
 
-	perRun := make([]runStats, *runs)
-	err = pool.ForEach(ctx, *workers, *runs, *seed, func(run int, _ *rand.Rand) error {
-		st, err := session(ctx, run)
-		if err != nil {
-			return err
-		}
-		perRun[run] = st
-		return nil
+	ctx := app.Context()
+	perRun := make([]session, *runs)
+	err = pool.ForEach(ctx, *workers, *runs, *seed, func(r int, _ *rand.Rand) error {
+		s, err := runSession(ctx, r)
+		perRun[r] = s
+		return err
 	})
 	if err != nil {
-		closeTrace() // os.Exit skips defers; keep the partial trace readable
 		if cli.Interrupted(err) {
-			fmt.Fprintln(os.Stderr, "cos-sim: interrupted")
-			os.Exit(cli.ExitInterrupted)
+			fmt.Fprintln(stderr, "cos-sim: interrupted")
+			return cli.ExitInterrupted
 		}
-		fmt.Fprintf(os.Stderr, "cos-sim: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "cos-sim: %v\n", err)
+		return 1
 	}
-
 	if tw != nil {
 		if err := tw.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "cos-sim: %v\n", err)
-			closeTrace()
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cos-sim: %v\n", err)
+			return 1
 		}
 	}
+	printSummary(stdout, perRun, pos, *snr, *packets, *size, *mobile, *scenRef)
+	return 0
+}
 
-	var total runStats
-	for _, st := range perRun {
-		total.add(st)
+// printSummary prints the header, one line per run when there are several,
+// and the statistics pooled over every run's record.
+func printSummary(w io.Writer, perRun []session, pos channel.Position, snr float64, packets, size int, mobile bool, scen string) {
+	if scen == "" {
+		scen = scenario.DefaultName
 	}
-	totalPkts := *packets * *runs
-	fmt.Printf("position=%v snr=%.1fdB packets=%d size=%dB mobile=%v interference=%v",
-		pos, *snr, *packets, *size, *mobile, *intf)
-	if *runs > 1 {
-		fmt.Printf(" runs=%d", *runs)
+	fmt.Fprintf(w, "position=%v snr=%.1fdB packets=%d size=%dB mobile=%v scenario=%s",
+		pos, snr, packets, size, mobile, scen)
+	if len(perRun) > 1 {
+		fmt.Fprintf(w, " runs=%d", len(perRun))
 	}
-	fmt.Println()
-	if *runs > 1 {
-		for r, st := range perRun {
-			fmt.Printf("run %2d: data PRR %.4f  control %d/%d  silences %d\n",
-				r, float64(st.dataOK)/float64(*packets), st.ctrlOK, st.ctrlSent, st.silences)
+	fmt.Fprintln(w)
+	var (
+		dataOK, ctrlOK, ctrlSent, ctrlBits int
+		silences, fPos, fNeg, scanned      int
+		snrSum, elapsed                    float64
+	)
+	for r, s := range perRun {
+		if len(perRun) > 1 {
+			fmt.Fprintf(w, "run %2d: data PRR %.4f  control %d/%d  silences %d\n",
+				r, float64(s.sum.DataDelivered)/float64(packets), s.sum.CtrlDelivered, s.sum.CtrlSent, s.sum.Silences)
+		}
+		dataOK += s.sum.DataDelivered
+		ctrlOK += s.sum.CtrlDelivered
+		ctrlSent += s.sum.CtrlSent
+		ctrlBits += s.sum.CtrlBitsDelivered
+		silences += s.sum.Silences
+		fPos += s.sum.FalsePositives
+		fNeg += s.sum.FalseNegatives
+		scanned += s.scanned
+		snrSum += s.sum.MeanMeasuredSNRdB
+		elapsed += s.sum.ElapsedSimSeconds
+	}
+	total := packets * len(perRun)
+	fmt.Fprintf(w, "data PRR:              %.4f (%d/%d)\n", float64(dataOK)/float64(total), dataOK, total)
+	if ctrlSent > 0 {
+		fmt.Fprintf(w, "control delivery rate: %.4f (%d/%d)\n", float64(ctrlOK)/float64(ctrlSent), ctrlOK, ctrlSent)
+		fmt.Fprintf(w, "control throughput:    %.0f bit/s of free control messages\n", float64(ctrlBits)/elapsed)
+		fmt.Fprintf(w, "silence symbols:       %d total (%.1f/packet)\n", silences, float64(silences)/float64(ctrlSent))
+		if scanned > 0 {
+			fmt.Fprintf(w, "detector errors:       %d false positives, %d false negatives over %d positions\n", fPos, fNeg, scanned)
 		}
 	}
-	fmt.Printf("data PRR:              %.4f (%d/%d)\n", float64(total.dataOK)/float64(totalPkts), total.dataOK, totalPkts)
-	if total.ctrlSent > 0 {
-		fmt.Printf("control delivery rate: %.4f (%d/%d)\n", float64(total.ctrlOK)/float64(total.ctrlSent), total.ctrlOK, total.ctrlSent)
-		fmt.Printf("control throughput:    %.0f bit/s of free control messages\n", float64(total.ctrlBitsDelivered)/total.elapsed)
-		fmt.Printf("silence symbols:       %d total (%.1f/packet)\n", total.silences, float64(total.silences)/float64(total.ctrlSent))
-		if total.scanned > 0 {
-			fmt.Printf("detector errors:       %d false positives, %d false negatives over %d positions\n", total.fPos, total.fNeg, total.scanned)
-		}
-	}
-	fmt.Printf("mean measured SNR:     %.1f dB\n", total.measuredSum/float64(totalPkts))
+	// Every run sends the same packet count, so the pooled mean is the
+	// mean of the per-run means.
+	fmt.Fprintf(w, "mean measured SNR:     %.1f dB\n", snrSum/float64(len(perRun)))
 }

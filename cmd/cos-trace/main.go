@@ -20,7 +20,6 @@ import (
 	"os"
 	"sort"
 
-	"cos/internal/cli"
 	"cos/internal/trace"
 )
 
@@ -105,18 +104,10 @@ func readTrace(path string, stdin io.Reader, stderr io.Writer) ([]trace.Event, i
 }
 
 func runSummary(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("summary", flag.ContinueOnError)
-	obsAddr, obsStats := cli.ObsFlags(fs)
-	path, ok := parseTraceArg(fs, args, stderr)
+	path, ok := parseTraceArg(flag.NewFlagSet("summary", flag.ContinueOnError), args, stderr)
 	if !ok {
 		return 2
 	}
-	app, err := cli.Boot(*obsAddr, *obsStats, os.Stderr)
-	if err != nil {
-		fmt.Fprintf(stderr, "cos-trace: %v\n", err)
-		return 1
-	}
-	defer app.Close()
 	events, version, code := readTrace(path, stdin, stderr)
 	if code != 0 {
 		return code

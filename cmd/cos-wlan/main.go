@@ -36,32 +36,20 @@ func main() {
 	}
 	defer app.Close()
 
-	run := func(coord wlan.Coordination) *wlan.Report {
-		n, err := wlan.New(wlan.Config{
-			Stations:     *stations,
-			SNRdB:        *snr,
-			PayloadBytes: *payload,
-			Coordination: coord,
-			Seed:         *seed,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cos-wlan: %v\n", err)
-			os.Exit(1)
+	cosRep, expRep, err := wlan.Compare(app.Context(), wlan.Config{
+		Stations:     *stations,
+		SNRdB:        *snr,
+		PayloadBytes: *payload,
+		Seed:         *seed,
+	}, *rounds)
+	if err != nil {
+		if cli.Interrupted(err) {
+			fmt.Fprintln(os.Stderr, "cos-wlan: interrupted")
+			os.Exit(cli.ExitInterrupted)
 		}
-		rep, err := n.RunContext(app.Context(), *rounds)
-		if err != nil {
-			if cli.Interrupted(err) {
-				fmt.Fprintln(os.Stderr, "cos-wlan: interrupted")
-				os.Exit(cli.ExitInterrupted)
-			}
-			fmt.Fprintf(os.Stderr, "cos-wlan: %v\n", err)
-			os.Exit(1)
-		}
-		return rep
+		fmt.Fprintf(os.Stderr, "cos-wlan: %v\n", err)
+		os.Exit(1)
 	}
-
-	cosRep := run(wlan.CoordCoS)
-	expRep := run(wlan.CoordExplicit)
 
 	fmt.Printf("stations=%d rounds=%d snr=%.1fdB payload=%dB\n\n", *stations, *rounds, *snr, *payload)
 	fmt.Printf("%-30s %-14s %-14s\n", "", "CoS grants", "explicit grants")

@@ -23,7 +23,7 @@ func run(withInterference bool) (dataPRR, ctrlRate, fnRate float64) {
 		cos.WithFixedRate(12),
 	}
 	if withInterference {
-		opts = append(opts, cos.WithScenario("pulse", 40, 160, 0.0001))
+		opts = append(opts, cos.WithScenario("pulse:40,160,0.0001"))
 	}
 	link, err := cos.NewLink(opts...)
 	if err != nil {

@@ -1,7 +1,7 @@
-// Package cli collects the boot plumbing every cos binary shares: the
-// SIGINT/SIGTERM cancellation context and the optional obs HTTP listener
-// plus periodic stats line behind the -metrics-addr/-stats flag pair.
-// Centralizing it keeps the five CLIs' signal and observability behaviour
+// Package cli collects the boot plumbing the simulating cos binaries
+// share: the SIGINT/SIGTERM cancellation context and the optional obs HTTP
+// listener plus periodic stats line behind the -metrics-addr/-stats flag
+// pair. Centralizing it keeps their signal and observability behaviour
 // identical instead of drifting copy by copy.
 //
 // Typical use:

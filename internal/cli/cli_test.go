@@ -24,6 +24,28 @@ func TestObsFlagsRegisterThePair(t *testing.T) {
 	}
 }
 
+// TestScenarioFlagResolvesAtParse pins the fail-fast contract: a
+// -scenario value that names no registered preset is a flag error, so
+// cos-sim and cos-figures exit 2 before any simulation runs.
+func TestScenarioFlagResolvesAtParse(t *testing.T) {
+	for _, bad := range []string{"nosuch", "Bad Name", "pulse:x", "default:1"} {
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		ScenarioFlags(fs)
+		if err := fs.Parse([]string{"-scenario", bad}); err == nil {
+			t.Errorf("-scenario %q parsed without error", bad)
+		}
+	}
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	ref, _ := ScenarioFlags(fs)
+	if err := fs.Parse([]string{"-scenario", "pulse:40,160,0.004"}); err != nil {
+		t.Fatal(err)
+	}
+	if *ref != "pulse:40,160,0.004" {
+		t.Fatalf("ref = %q", *ref)
+	}
+}
+
 func TestBootWithoutObsAndIdempotentClose(t *testing.T) {
 	app, err := Boot("", 0, io.Discard)
 	if err != nil {

@@ -4,26 +4,26 @@ import (
 	"flag"
 
 	"cos/internal/scenario"
+	_ "cos/internal/scenario/all" // register the built-in scenario components
 )
 
 // ScenarioFlags registers the scenario flag pair shared by cos-sim and
 // cos-figures — one definition so the two binaries' help text and
-// semantics cannot drift. Call before fs is parsed.
+// semantics cannot drift. Call before fs is parsed. The -scenario value
+// must resolve to a registered preset (scenario.FromRef), so an unknown
+// or malformed ref fails flag parsing — exit 2 under the default error
+// handling — before any work starts; an absent flag leaves ref "".
 func ScenarioFlags(fs *flag.FlagSet) (ref *string, list *bool) {
-	ref = fs.String("scenario", "",
-		"scenario preset reference, name[:p1,p2,...] (see -list-scenarios)")
+	ref = new(string)
+	fs.Func("scenario", "scenario preset reference, name[:p1,p2,...] (see -list-scenarios)",
+		func(s string) error {
+			if _, err := scenario.FromRef(s); err != nil {
+				return err
+			}
+			*ref = s
+			return nil
+		})
 	list = fs.Bool("list-scenarios", false,
 		"list the registered scenario presets and exit")
 	return ref, list
-}
-
-// ParseScenario resolves the -scenario flag value: empty means "no
-// override" and parses to the zero Ref; anything else must name a
-// registered preset. Binaries fail fast on the error (exit 2) instead of
-// discovering a bad reference deep inside the first task.
-func ParseScenario(ref string) (scenario.Ref, error) {
-	if ref == "" {
-		return scenario.Ref{}, nil
-	}
-	return scenario.ParseRef(ref)
 }

@@ -5,7 +5,7 @@
 // drain) as errors.Is-compatible sentinels.
 //
 // The canonical surface is four calls — Submit, Wait, Result, Events —
-// plus Status/Jobs/Cancel/Healthy lookups. Submit takes SubmitOptions
+// plus Status/Jobs/Cancel/Health lookups. Submit takes SubmitOptions
 // (idempotency key, per-call deadline) and reports cache outcomes: a
 // submission served from the server's content-addressed result cache
 // returns a Status with Cached set and the full stream already available.
@@ -15,7 +15,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -344,27 +343,10 @@ func (c *Client) Wait(ctx context.Context, id string) (serve.Status, error) {
 	}
 }
 
-// Healthy reports whether the server is admitting jobs (GET /healthz).
-func (c *Client) Healthy(ctx context.Context) (bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/healthz", nil)
-	if err != nil {
-		return false, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		if errors.Is(err, serve.ErrDraining) {
-			return false, nil
-		}
-		return false, err
-	}
-	resp.Body.Close()
-	return true, nil
-}
-
 // Health fetches the server's admission snapshot (GET /healthz): state,
-// shard count, per-shard queue depths, and jobs in flight. Unlike Healthy
-// it returns the body on 503 too — a draining server answers with
-// state "draining". Servers predating the Health body yield a snapshot
+// shard count, per-shard queue depths, and jobs in flight. It returns
+// the body on 503 too — a draining server answers with state
+// "draining". Servers predating the Health body yield a snapshot
 // with only State filled in, inferred from the status code.
 func (c *Client) Health(ctx context.Context) (serve.Health, error) {
 	var h serve.Health

@@ -76,9 +76,9 @@ func TestSubmitStatusAndResultRoundTrip(t *testing.T) {
 		t.Fatalf("jobs list = %+v", jobs)
 	}
 
-	healthy, err := c.Healthy(ctx)
-	if err != nil || !healthy {
-		t.Fatalf("healthz = %v, %v; want healthy", healthy, err)
+	h, err := c.Health(ctx)
+	if err != nil || h.State != "ok" {
+		t.Fatalf("healthz = %+v, %v; want state ok", h, err)
 	}
 }
 
@@ -161,8 +161,8 @@ func TestDrainingReturns503(t *testing.T) {
 	if !errors.Is(err, serve.ErrDraining) {
 		t.Fatalf("submit on draining server: err = %v, want 503 APIError", err)
 	}
-	if healthy, err := c.Healthy(ctx); err != nil || healthy {
-		t.Fatalf("healthz while draining = %v, %v; want unhealthy", healthy, err)
+	if h, err := c.Health(ctx); err != nil || h.State != "draining" {
+		t.Fatalf("healthz while draining = %+v, %v; want state draining", h, err)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"cos/internal/channel"
 	"cos/internal/experiments"
 	"cos/internal/pool"
-	"cos/internal/scenario"
 	"cos/internal/wlan"
 )
 
@@ -67,11 +66,7 @@ func linkOptions(spec Spec, hook []cos.Option) ([]cos.Option, error) {
 		cos.WithSeed(spec.Seed),
 	}
 	if spec.Scenario != "" {
-		ref, err := scenario.ParseRef(spec.Scenario)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, cos.WithScenario(ref.Name, ref.Params...))
+		opts = append(opts, cos.WithScenario(spec.Scenario))
 	}
 	if spec.Mobile {
 		opts = append(opts, cos.WithMobile())
@@ -91,8 +86,9 @@ type packetRecord struct {
 	MeasuredSNRdB float64 `json:"measured_snr_db"`
 }
 
-// linkSummary closes a link job's stream.
-type linkSummary struct {
+// LinkSummary tallies one link session; it is also the record that closes
+// a link job's stream.
+type LinkSummary struct {
 	Type              string  `json:"type"` // "link_summary"
 	Packets           int     `json:"packets"`
 	DataDelivered     int     `json:"data_delivered"`
@@ -106,34 +102,29 @@ type linkSummary struct {
 	ElapsedSimSeconds float64 `json:"elapsed_sim_seconds"`
 }
 
-func runLink(ctx context.Context, spec Spec, enc *json.Encoder, hook []cos.Option) error {
-	opts, err := linkOptions(spec, hook)
-	if err != nil {
-		return err
-	}
-	link, err := cos.NewLink(opts...)
-	if err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(spec.Seed + 1))
-	data := make([]byte, spec.PayloadBytes)
-	sum := linkSummary{Type: "link_summary", Packets: spec.Packets}
-	for i := 0; i < spec.Packets; i++ {
+// RunLinkSession sends packets exchanges over link and tallies them. Each
+// packet carries payloadBytes random bytes and, when controlBits > 0, that
+// many random control bits, clamped to the packet's budget and rounded
+// down to whole 4-bit intervals. The payload and control bits come from
+// one RNG seeded with seed+1, so a link built with cos.WithSeed(seed)
+// replays the same session. each sees every exchange in order; its error
+// ends the session. ctx is polled once per packet.
+func RunLinkSession(ctx context.Context, link *cos.Link, seed int64, packets, payloadBytes, controlBits int, each func(*cos.Exchange) error) (LinkSummary, error) {
+	rng := rand.New(rand.NewSource(seed + 1))
+	data := make([]byte, payloadBytes)
+	sum := LinkSummary{Type: "link_summary", Packets: packets}
+	for i := 0; i < packets; i++ {
 		if err := ctx.Err(); err != nil {
-			return err
+			return sum, err
 		}
 		rng.Read(data)
 		var ctrl []byte
-		if spec.ControlBits > 0 {
+		if controlBits > 0 {
 			budget, err := link.MaxControlBits(len(data))
 			if err != nil {
-				return err
+				return sum, err
 			}
-			n := spec.ControlBits
-			if n > budget {
-				n = budget
-			}
-			n = n / 4 * 4
+			n := min(controlBits, budget) / 4 * 4
 			ctrl = make([]byte, n)
 			for j := range ctrl {
 				ctrl[j] = byte(rng.Intn(2))
@@ -141,7 +132,7 @@ func runLink(ctx context.Context, spec Spec, enc *json.Encoder, hook []cos.Optio
 		}
 		ex, err := link.Send(data, ctrl)
 		if err != nil {
-			return err
+			return sum, fmt.Errorf("packet %d: %w", i, err)
 		}
 		if ex.DataOK {
 			sum.DataDelivered++
@@ -157,21 +148,40 @@ func runLink(ctx context.Context, spec Spec, enc *json.Encoder, hook []cos.Optio
 		sum.FalsePositives += ex.Detection.FalsePositives
 		sum.FalseNegatives += ex.Detection.FalseNegatives
 		sum.MeanMeasuredSNRdB += ex.MeasuredSNRdB
-		if err := enc.Encode(packetRecord{
-			Type:          "packet",
-			Seq:           ex.Seq,
-			RateMbps:      ex.Mode.RateMbps,
-			DataOK:        ex.DataOK,
-			CtrlBitsSent:  len(ex.ControlSent),
-			CtrlOK:        ex.ControlOK,
-			Silences:      ex.SilencesInserted,
-			MeasuredSNRdB: ex.MeasuredSNRdB,
-		}); err != nil {
-			return err
+		if err := each(ex); err != nil {
+			return sum, err
 		}
 	}
-	sum.MeanMeasuredSNRdB /= float64(spec.Packets)
+	sum.MeanMeasuredSNRdB /= float64(packets)
 	sum.ElapsedSimSeconds = link.Now()
+	return sum, nil
+}
+
+func runLink(ctx context.Context, spec Spec, enc *json.Encoder, hook []cos.Option) error {
+	opts, err := linkOptions(spec, hook)
+	if err != nil {
+		return err
+	}
+	link, err := cos.NewLink(opts...)
+	if err != nil {
+		return err
+	}
+	sum, err := RunLinkSession(ctx, link, spec.Seed, spec.Packets, spec.PayloadBytes, spec.ControlBits,
+		func(ex *cos.Exchange) error {
+			return enc.Encode(packetRecord{
+				Type:          "packet",
+				Seq:           ex.Seq,
+				RateMbps:      ex.Mode.RateMbps,
+				DataOK:        ex.DataOK,
+				CtrlBitsSent:  len(ex.ControlSent),
+				CtrlOK:        ex.ControlOK,
+				Silences:      ex.SilencesInserted,
+				MeasuredSNRdB: ex.MeasuredSNRdB,
+			})
+		})
+	if err != nil {
+		return err
+	}
 	return enc.Encode(sum)
 }
 
@@ -268,20 +278,16 @@ type wlanSummary struct {
 }
 
 func runWLAN(ctx context.Context, spec Spec, enc *json.Encoder, hook []cos.Option) error {
-	runOne := func(coord wlan.Coordination) (*wlan.Report, error) {
-		n, err := wlan.New(wlan.Config{
-			Stations:     spec.Stations,
-			SNRdB:        spec.SNRdB,
-			PayloadBytes: spec.PayloadBytes,
-			Coordination: coord,
-			Seed:         spec.Seed,
-			Scenario:     spec.Scenario,
-			LinkOptions:  hook,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return n.RunContext(ctx, spec.Rounds)
+	cosRep, expRep, err := wlan.Compare(ctx, wlan.Config{
+		Stations:     spec.Stations,
+		SNRdB:        spec.SNRdB,
+		PayloadBytes: spec.PayloadBytes,
+		Seed:         spec.Seed,
+		Scenario:     spec.Scenario,
+		LinkOptions:  hook,
+	}, spec.Rounds)
+	if err != nil {
+		return err
 	}
 	record := func(coord wlan.Coordination, rep *wlan.Report) error {
 		return enc.Encode(wlanRecord{
@@ -298,15 +304,7 @@ func runWLAN(ctx context.Context, spec Spec, enc *json.Encoder, hook []cos.Optio
 			ControlOverhead:   rep.ControlOverhead(),
 		})
 	}
-	cosRep, err := runOne(wlan.CoordCoS)
-	if err != nil {
-		return err
-	}
 	if err := record(wlan.CoordCoS, cosRep); err != nil {
-		return err
-	}
-	expRep, err := runOne(wlan.CoordExplicit)
-	if err != nil {
 		return err
 	}
 	if err := record(wlan.CoordExplicit, expRep); err != nil {

@@ -73,7 +73,9 @@ type Spec struct {
 	// Packets is the packet count for link jobs (default 100, max 1e6).
 	Packets int `json:"packets,omitempty"`
 	// ControlBits requests control bits per packet for link jobs
-	// (default 32; capped by the per-packet budget; 0 = data only).
+	// (default 32; capped by the per-packet budget). 0 is the absent
+	// value and normalizes to 32, so a link job always carries control
+	// bits: a data-only link job cannot be requested.
 	ControlBits int `json:"control_bits,omitempty"`
 
 	// StreamBits is the control payload length per SendStream transfer

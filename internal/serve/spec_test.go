@@ -92,6 +92,18 @@ func TestSpecDigestEquality(t *testing.T) {
 	}
 }
 
+// TestControlBitsZeroNormalizesToDefault pins that control_bits 0 is the
+// absent value: a link job normalizes it to 32 and shares that digest.
+func TestControlBitsZeroNormalizesToDefault(t *testing.T) {
+	zero := Spec{Kind: KindLink, ControlBits: 0}
+	if got := zero.normalized().ControlBits; got != 32 {
+		t.Errorf("normalized ControlBits = %d, want 32", got)
+	}
+	if zero.Digest() != (Spec{Kind: KindLink, ControlBits: 32}).Digest() {
+		t.Error("control_bits 0 and 32 must share a link job's digest")
+	}
+}
+
 // TestDecodeSpecStrict pins the DisallowUnknownFields contract: a
 // misspelled field is an error, never a silent default.
 func TestDecodeSpecStrict(t *testing.T) {

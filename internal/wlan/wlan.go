@@ -17,7 +17,6 @@ import (
 
 	"cos"
 	"cos/internal/obs"
-	"cos/internal/scenario"
 )
 
 // Coordination metrics: grant delivery split by transport and the airtime
@@ -210,11 +209,7 @@ func New(cfg Config) (*Network, error) {
 			opts = append(opts, cos.WithoutCoS())
 		}
 		if cfg.Scenario != "" {
-			ref, err := scenario.ParseRef(cfg.Scenario)
-			if err != nil {
-				return nil, err
-			}
-			opts = append(opts, cos.WithScenario(ref.Name, ref.Params...))
+			opts = append(opts, cos.WithScenario(cfg.Scenario))
 		}
 		link, err := cos.NewLink(append(opts, cfg.LinkOptions...)...)
 		if err != nil {
@@ -385,6 +380,27 @@ func (n *Network) RunContext(ctx context.Context, rounds int) (*Report, error) {
 		current = next
 	}
 	return rep, nil
+}
+
+// Compare runs the paper's comparison on one configuration: a network
+// whose grants ride CoS, then one that sends explicit grant frames, each
+// for rounds rounds from cfg.Seed. cfg.Coordination is ignored.
+func Compare(ctx context.Context, cfg Config, rounds int) (cosRep, explicitRep *Report, err error) {
+	run := func(coord Coordination) (*Report, error) {
+		cfg.Coordination = coord
+		n, err := New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return n.RunContext(ctx, rounds)
+	}
+	if cosRep, err = run(CoordCoS); err != nil {
+		return nil, nil, err
+	}
+	if explicitRep, err = run(CoordExplicit); err != nil {
+		return nil, nil, err
+	}
+	return cosRep, explicitRep, nil
 }
 
 // sendExplicitGrant pushes a 14-byte grant frame through the station's

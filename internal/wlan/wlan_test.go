@@ -90,19 +90,10 @@ func TestRunRejectsBadRounds(t *testing.T) {
 
 func TestCoSCoordinationSavesAirtime(t *testing.T) {
 	const rounds = 40
-	run := func(coord Coordination) *Report {
-		n, err := New(Config{Stations: 3, SNRdB: 19, Coordination: coord, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := n.RunContext(context.Background(), rounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	cosRep, expRep, err := Compare(context.Background(), Config{Stations: 3, SNRdB: 19, Seed: 5}, rounds)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cosRep := run(CoordCoS)
-	expRep := run(CoordExplicit)
 
 	// The explicit design pays airtime for every grant; CoS pays only for
 	// fallbacks and recoveries.

@@ -342,7 +342,7 @@ func TestOptionValidation(t *testing.T) {
 		{WithSNR(99)},
 		{WithFixedRate(33)},
 		{WithSilenceBudget(-1)},
-		{WithScenario("pulse", -1, 10, 0.1)},
+		{WithScenario("pulse:-1,10,0.1")},
 		{WithPacketInterval(0)},
 		{WithPosition(Position(99))},
 	}

@@ -134,18 +134,20 @@ func WithSilenceBudget(n int) Option {
 	}
 }
 
-// WithScenario selects a registered world scenario by name — the channel
-// model, interferer, mobility, and control-bit embedding scheme composed
-// end-to-end ("default", "pulse", "mobile", "hybrid-bscpec",
-// "ofdm-padding", ...; see internal/scenario and `cos-sim
-// -list-scenarios`). Optional params configure the scenario's
-// parameterized component (e.g. WithScenario("pulse", 40, 160, 0.004)
-// sets the interferer's power, burst length, and start probability).
-// Geometry options (WithPosition, WithMobile, WithChannelVariant) still
-// apply; a scenario with Mobility forces the mobile channel.
-func WithScenario(name string, params ...float64) Option {
+// WithScenario selects a registered world scenario by its reference,
+// "name" or "name:p1,p2,..." — the channel model, interferer, mobility,
+// and control-bit embedding scheme composed end-to-end ("default",
+// "pulse", "mobile", "hybrid-bscpec", "ofdm-padding", ...; see
+// internal/scenario and `cos-sim -list-scenarios`). Parameters configure
+// the scenario's parameterized component (e.g.
+// WithScenario("pulse:40,160,0.004") sets the interferer's power, burst
+// length, and start probability). This is the spelling job specs, flags
+// and configs carry. Geometry options (WithPosition, WithMobile,
+// WithChannelVariant) still apply; a scenario with Mobility forces the
+// mobile channel.
+func WithScenario(ref string) Option {
 	return func(c *config) error {
-		sc, err := scenario.Resolve(name, params...)
+		sc, err := scenario.FromRef(ref)
 		if err != nil {
 			return &ConfigError{Option: "WithScenario", Reason: err.Error(), Err: err}
 		}

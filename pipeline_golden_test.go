@@ -126,7 +126,7 @@ func goldenScenarios() map[string]func(t *testing.T, w io.Writer) {
 			driveSends(t, w, link, 40, 16, 4, rand.New(rand.NewSource(104)))
 		},
 		"mobile-interference": func(t *testing.T, w io.Writer) {
-			link, err := cos.NewLink(cos.WithMobile(), cos.WithScenario("pulse", 2.0, 40, 0.1),
+			link, err := cos.NewLink(cos.WithMobile(), cos.WithScenario("pulse:2,40,0.1"),
 				cos.WithSeed(13), cos.WithSNR(25), cos.WithPacketInterval(2e-3))
 			if err != nil {
 				t.Fatal(err)

@@ -51,7 +51,7 @@ func TestScenarioLinkGoldens(t *testing.T) {
 		{
 			name: "hybrid-bscpec-params",
 			want: "3f85eacee4084a1f1cd51d32e3ee6e1ae2d015b84c82c9ffcd5a1f49264308c0",
-			opts: []cos.Option{cos.WithScenario("hybrid-bscpec", 0.3, 0.1, 10), cos.WithSeed(23), cos.WithSNR(20)},
+			opts: []cos.Option{cos.WithScenario("hybrid-bscpec:0.3,0.1,10"), cos.WithSeed(23), cos.WithSNR(20)},
 		},
 		{
 			name: "ofdm-padding",
@@ -89,7 +89,7 @@ func TestScenarioOptionErrors(t *testing.T) {
 	if _, err := cos.NewLink(cos.WithScenario("no-such-world")); err == nil {
 		t.Error("NewLink accepted an unknown scenario")
 	}
-	if _, err := cos.NewLink(cos.WithScenario("default", 1, 2)); err == nil {
+	if _, err := cos.NewLink(cos.WithScenario("default:1,2")); err == nil {
 		t.Error("NewLink accepted parameters for the parameterless default scenario")
 	}
 }

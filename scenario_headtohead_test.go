@@ -36,7 +36,7 @@ func TestScenarioHeadToHead(t *testing.T) {
 		{"hybrid-bscpec", "cos-silence",
 			[]cos.Option{cos.WithScenario("hybrid-bscpec"), cos.WithSeed(41), cos.WithSNR(snr)}},
 		{"hybrid-bscpec:0.3,0.1,25", "cos-silence",
-			[]cos.Option{cos.WithScenario("hybrid-bscpec", 0.3, 0.1, 25), cos.WithSeed(41), cos.WithSNR(snr)}},
+			[]cos.Option{cos.WithScenario("hybrid-bscpec:0.3,0.1,25"), cos.WithSeed(41), cos.WithSNR(snr)}},
 	}
 
 	for _, w := range worlds {
