@@ -268,7 +268,7 @@ func BenchmarkLinkExchange(b *testing.B) { runLinkExchange(b) }
 
 // BenchmarkLinkExchangeInstrumented adds the heaviest observability setup a
 // session can have — an isolated registry plus an attached observer — on
-// top of the always-on pipeline metrics. Comparing against
+// top of the link's own metrics and stage clock. Comparing against
 // BenchmarkLinkExchange bounds the marginal cost of the hook itself.
 // The <2% observer budget is enforced by `make bench-events`, which times
 // the same loop with and without an observer.

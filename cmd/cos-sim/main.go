@@ -33,8 +33,10 @@ import (
 	"runtime"
 
 	"cos"
+	"cos/internal/bits"
 	"cos/internal/channel"
 	"cos/internal/cli"
+	"cos/internal/phy"
 	"cos/internal/pool"
 	"cos/internal/scenario"
 	"cos/internal/serve"
@@ -93,6 +95,15 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	if *runs < 1 {
 		return usage("-runs %d must be at least 1", *runs)
+	}
+	if *packets < 1 {
+		return usage("-packets %d must be at least 1", *packets)
+	}
+	if maxSize := phy.MaxPSDUBytes - bits.FCSLen; *size < 0 || *size > maxSize {
+		return usage("-size %d outside [0, %d] bytes", *size, maxSize)
+	}
+	if *ctrlBits < 0 {
+		return usage("-control %d must be non-negative", *ctrlBits)
 	}
 	if *runs > 1 && (*traceOut != "" || *verbose) {
 		return usage("-trace and -v need a deterministic packet order; use -runs 1")

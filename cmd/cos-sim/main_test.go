@@ -114,6 +114,33 @@ func TestBadScenarioExits2(t *testing.T) {
 	}
 }
 
+// TestBadSizesExit2 checks that packet counts, payload sizes and control
+// sizes no link session can run are usage errors caught before any packet
+// is simulated.
+func TestBadSizesExit2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-packets", "0"},
+		{"-packets", "-3"},
+		{"-packets", "2", "-size", "-1"},
+		{"-packets", "2", "-size", "4092"}, // one byte over 4095 minus the 4-byte FCS
+		{"-packets", "2", "-size", "5000"},
+		{"-packets", "2", "-control", "-1"},
+	} {
+		out, errOut, code := runSim(t, args...)
+		if code != 2 || out != "" || !strings.Contains(errOut, "cos-sim: -") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 2, nothing printed and a usage line", args, code, out, errOut)
+		}
+	}
+	for _, args := range [][]string{
+		{"-packets", "1", "-size", "0"},
+		{"-packets", "1", "-size", "4091"},
+	} {
+		if _, errOut, code := runSim(t, args...); code != 0 {
+			t.Errorf("%v: exit %d: %s", args, code, errOut)
+		}
+	}
+}
+
 // TestTraceFlushedOnReturn checks that run's deferred close leaves a
 // complete trace: the header plus one event per packet, probes included.
 func TestTraceFlushedOnReturn(t *testing.T) {

@@ -55,30 +55,69 @@ func TestLibraryPackagesStayTransportFree(t *testing.T) {
 		}
 	}
 
-	// Transitive closure of the protected set over module-internal edges.
-	closure := map[string]bool{}
-	stack := append([]string(nil), protected...)
-	for len(stack) > 0 {
-		pkg := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if closure[pkg] {
-			continue
-		}
-		closure[pkg] = true
-		for imp := range imports[pkg] {
-			if imp == module || strings.HasPrefix(imp, module+"/") {
-				stack = append(stack, imp)
-			}
-		}
-	}
-
-	for pkg := range closure {
+	for pkg := range closure(imports, module, protected) {
 		for imp := range imports[pkg] {
 			if forbidden(imp) {
 				t.Errorf("%s imports %s: transport packages must stay out of the simulation core (keep HTTP in cmd/, internal/cli, internal/obs/obshttp, internal/serve/http, internal/serve/client)", pkg, imp)
 			}
 		}
 	}
+}
+
+// TestKernelsRecordNoMetrics keeps one metrics path: a cos.Link records
+// every pipeline metric on the registry it was built with, so the PHY,
+// coding, CoS and channel kernels and the scenario components they are
+// composed into never reach for a registry of their own. The rule covers
+// the transitive closure of those packages.
+func TestKernelsRecordNoMetrics(t *testing.T) {
+	const module = "cos"
+	kernels := []string{
+		module + "/internal/phy",
+		module + "/internal/coding",
+		module + "/internal/cos",
+		module + "/internal/channel",
+		module + "/internal/dsp",
+		module + "/internal/modulation",
+		module + "/internal/ofdm",
+		module + "/internal/bits",
+	}
+	imports := moduleImports(t, module)
+	for pkg := range imports {
+		if pkg == module+"/internal/scenario" || strings.HasPrefix(pkg, module+"/internal/scenario/") {
+			kernels = append(kernels, pkg)
+		}
+	}
+	for _, root := range kernels {
+		if _, ok := imports[root]; !ok {
+			t.Fatalf("kernel package %s not found in module (renamed?)", root)
+		}
+	}
+	for pkg := range closure(imports, module, kernels) {
+		if imports[pkg][module+"/internal/obs"] {
+			t.Errorf("%s imports %s/internal/obs: kernels record no metrics; count what they return in cos.Link.observe (link.go)", pkg, module)
+		}
+	}
+}
+
+// closure returns the transitive closure of roots over module-internal
+// import edges.
+func closure(imports map[string]map[string]bool, module string, roots []string) map[string]bool {
+	seen := map[string]bool{}
+	stack := append([]string(nil), roots...)
+	for len(stack) > 0 {
+		pkg := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[pkg] {
+			continue
+		}
+		seen[pkg] = true
+		for imp := range imports[pkg] {
+			if imp == module || strings.HasPrefix(imp, module+"/") {
+				stack = append(stack, imp)
+			}
+		}
+	}
+	return seen
 }
 
 // TestServeClientConsumers pins which packages may depend on the HTTP

@@ -3,23 +3,6 @@ package coding
 import (
 	"fmt"
 	"math"
-	"time"
-
-	"cos/internal/obs"
-)
-
-// Decoder metrics: the EVD erasure load (zero metrics cover both silence
-// erasures and punctured positions) and the end-to-end decode latency,
-// traceback included.
-var (
-	mDecodes = obs.Default().Counter("coding_viterbi_decodes_total",
-		"Viterbi decode calls.")
-	mDecodedBits = obs.Default().Counter("coding_viterbi_bits_total",
-		"Information bits produced by the Viterbi decoder.")
-	mErasedMetrics = obs.Default().Counter("coding_viterbi_erased_metrics_total",
-		"Zero (erased) input metrics seen by the decoder: silence erasures plus punctured positions.")
-	mDecodeSeconds = obs.Default().Histogram("coding_viterbi_decode_seconds",
-		"Viterbi decode latency including traceback.", nil)
 )
 
 // Viterbi decodes the 802.11a rate-1/2 convolutional code from soft bit
@@ -89,43 +72,21 @@ func (v *Viterbi) DecodeInto(s *ViterbiScratch, metrics []float64) ([]byte, erro
 	if len(metrics)%2 != 0 {
 		return nil, fmt.Errorf("coding: metric count %d is odd; rate-1/2 code needs pairs", len(metrics))
 	}
-	steps := len(metrics) / 2
-	if steps == 0 {
+	if len(metrics) == 0 {
 		return nil, nil
 	}
-	// Metrics live in this wrapper, not in decode: values held across the
-	// trellis loop (the timer, the erasure count) cost registers the hot
-	// loop needs, a measured ~5% on a 1 KB decode.
-	start := time.Now()
-	erased := 0
 	// total bounds every path metric, which is a sum of +-m over a prefix
 	// of metrics rounded in the same order. A NaN or infinite metric makes
 	// it non-finite as well, so one test after the loop keeps this loop
 	// and the trellis free of a per-metric branch.
 	total := 0.0
 	for _, m := range metrics {
-		// Branchless count: erasure positions look random to the branch
-		// predictor, and a mispredicting loop over ~16k metrics is
-		// measurable next to the decode itself.
-		inc := 0
-		if m == 0 {
-			inc = 1
-		}
-		erased += inc
 		total += math.Abs(m)
 	}
 	if !(total <= math.MaxFloat64) {
 		return nil, badMetrics(metrics)
 	}
-	out, err := v.decode(s, metrics)
-	if err != nil {
-		return nil, err
-	}
-	mDecodes.Inc()
-	mDecodedBits.Add(uint64(steps))
-	mErasedMetrics.Add(uint64(erased))
-	mDecodeSeconds.ObserveSince(start)
-	return out, nil
+	return v.decode(s, metrics)
 }
 
 // badMetrics names the first non-finite metric, or reports that finite

@@ -6,27 +6,8 @@ import (
 
 	"cos/internal/dsp"
 	"cos/internal/modulation"
-	"cos/internal/obs"
 	"cos/internal/ofdm"
 	"cos/internal/phy"
-)
-
-// Detector metrics. Decision counts come from DetectMaskInto (every scanned
-// position and every silence verdict); accuracy counts come from
-// CompareMasks, which sees the transmitter's ground truth.
-var (
-	mDetectorScans = obs.Default().Counter("cos_detector_scans_total",
-		"Symbol/subcarrier positions scanned by the energy detector.")
-	mDetectorSilences = obs.Default().Counter("cos_detector_silences_detected_total",
-		"Positions the energy detector declared silent.")
-	mDetectorFP = obs.Default().Counter("cos_detector_false_positives_total",
-		"Normal symbols detected as silent (vs. ground truth).")
-	mDetectorFN = obs.Default().Counter("cos_detector_false_negatives_total",
-		"Silence symbols the detector missed (vs. ground truth).")
-	mDetectorTruthSilences = obs.Default().Counter("cos_detector_truth_silences_total",
-		"Ground-truth silence positions compared.")
-	mDetectorTruthNormals = obs.Default().Counter("cos_detector_truth_normals_total",
-		"Ground-truth normal positions compared.")
 )
 
 // minThresholdFactor floors the adaptive threshold at this multiple of the
@@ -173,9 +154,5 @@ func CompareMasks(truth, detected [][]bool, ctrlSCs []int) (DetectionStats, erro
 			}
 		}
 	}
-	mDetectorFP.Add(uint64(stats.FalsePositives))
-	mDetectorFN.Add(uint64(stats.FalseNegatives))
-	mDetectorTruthSilences.Add(uint64(stats.Silences))
-	mDetectorTruthNormals.Add(uint64(stats.Normals))
 	return stats, nil
 }

@@ -3,26 +3,9 @@ package cos
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"sync/atomic"
 
-	"cos/internal/obs"
 	"cos/internal/ofdm"
 	"cos/internal/phy"
-)
-
-// Rate-controller metrics: how often the SNR-indexed lookup runs, how
-// often it moves the link to a different silence budget, and the budget
-// distribution (one counter per budget value).
-var (
-	mRateLookups = obs.Default().Counter("cos_ratectl_lookups_total",
-		"Silence-budget table lookups.")
-	mRateTransitions = obs.Default().Counter("cos_ratectl_transitions_total",
-		"Lookups that selected a different budget than the table's previous answer.")
-	mRateBudget = obs.Default().Gauge("cos_ratectl_budget",
-		"Most recently selected silence budget (symbols per packet).")
-	mRateBudgetDist = obs.Default().CounterFamily("cos_ratectl_budget_selected_total",
-		"Budget-transition targets by budget value.", "budget")
 )
 
 // RateEntry maps a measured-SNR floor to the silence budget sustainable at
@@ -38,12 +21,10 @@ type RateEntry struct {
 
 // RateTable is the lookup table of Sec. III-F: like 802.11 data-rate
 // selection, the sender indexes it with the receiver's reported SNR to pick
-// the control-message rate. Entries are kept sorted by SNR.
+// the control-message rate. Entries are kept sorted by SNR. A table is
+// immutable, so one may be shared.
 type RateTable struct {
 	entries []RateEntry
-	// last is the previous Lookup answer (-1 before the first), used to
-	// count budget transitions without the caller having to diff.
-	last atomic.Int64
 }
 
 // NewRateTable builds a table from entries (any order; sorted internally).
@@ -63,9 +44,7 @@ func NewRateTable(entries []RateEntry) (*RateTable, error) {
 			return nil, fmt.Errorf("cos: duplicate SNR entry %v", e.SNRdB)
 		}
 	}
-	t := &RateTable{entries: sorted}
-	t.last.Store(-1)
-	return t, nil
+	return &RateTable{entries: sorted}, nil
 }
 
 // Lookup returns the silence budget for the given measured SNR: the entry
@@ -79,14 +58,6 @@ func (t *RateTable) Lookup(snrDB float64) int {
 		} else {
 			break
 		}
-	}
-	mRateLookups.Inc()
-	if prev := t.last.Swap(int64(budget)); prev != int64(budget) {
-		if prev >= 0 {
-			mRateTransitions.Inc()
-		}
-		mRateBudget.Set(float64(budget))
-		mRateBudgetDist.With(strconv.Itoa(budget)).Inc()
 	}
 	return budget
 }

@@ -216,7 +216,6 @@ func (d Detector) DetectMaskInto(mask [][]bool, fe *phy.FrontEnd, ctrlSCs []int)
 		ths[i] = th
 	}
 	mask = GrowMask(mask, fe.NumSymbols())
-	silent := 0
 	for s := 0; s < fe.NumSymbols(); s++ {
 		for i, sc := range ctrlSCs {
 			y, err := fe.Bins[s].DataValue(sc)
@@ -225,12 +224,9 @@ func (d Detector) DetectMaskInto(mask [][]bool, fe *phy.FrontEnd, ctrlSCs []int)
 			}
 			if dsp.MagSq(y) < ths[i] {
 				mask[s][sc] = true
-				silent++
 			}
 		}
 	}
-	mDetectorScans.Add(uint64(fe.NumSymbols() * len(ctrlSCs)))
-	mDetectorSilences.Add(uint64(silent))
 	return mask, nil
 }
 

@@ -199,10 +199,7 @@ func ablationPlacementTasks(o RunOptions) TaskSet {
 // weakStrongSubcarriers ranks the data subcarriers by channel gain and
 // returns the eight weakest and the eight strongest, each sorted by index.
 func weakStrongSubcarriers(ch scenario.ChannelModel) ([2][]int, error) {
-	h, err := freqResponse(ch, 0)
-	if err != nil {
-		return [2][]int{}, err
-	}
+	h := ch.FrequencyResponse(0)
 	type sub struct {
 		idx  int
 		gain float64

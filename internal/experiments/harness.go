@@ -33,17 +33,6 @@ func trialChannel(ref string, pos channel.Position, mobile bool, variant int64) 
 	return scenario.Interfered(model, intf), nil
 }
 
-// freqResponse reads a channel model's per-subcarrier response, for the
-// experiments that plot or threshold against |H|. Models without a
-// well-defined response are rejected.
-func freqResponse(model scenario.ChannelModel, t float64) ([ofdm.NumSubcarriers]complex128, error) {
-	fr, ok := model.(scenario.FrequencyResponder)
-	if !ok {
-		return [ofdm.NumSubcarriers]complex128{}, fmt.Errorf("experiments: channel model %T exposes no frequency response", model)
-	}
-	return fr.FrequencyResponse(t), nil
-}
-
 // trialScratch is the experiments' reusable working storage: the PHY
 // transmit/receive scratch arenas, the silence embedding (which owns the
 // interval, layout and mask scratch, as it does in a Link's nodes), and

@@ -1,11 +1,10 @@
-// Package obs is the repository's zero-dependency metrics and
-// instrumentation layer: always-on counters, gauges, and bounded
-// histograms over the hot CoS pipeline, exposed three ways.
+// Package obs is the repository's zero-dependency metrics layer:
+// counters, gauges, and bounded histograms in a Registry, exposed three
+// ways.
 //
-//   - Programmatically: Snapshot() flattens every metric of the default
-//     registry into a map[string]float64, so experiments and tests can
-//     assert on detector error counts, EVD erasure load, or rate-table
-//     transitions after a session.
+//   - Programmatically: Registry.Snapshot flattens every metric into a
+//     map[string]float64, so tests can assert on detector error counts or
+//     rate-table transitions after a session.
 //   - Prometheus text format: Registry.WriteProm, served on /metrics by
 //     the obshttp subpackage.
 //   - expvar-compatible JSON: the default registry is published as the
@@ -20,8 +19,11 @@
 //
 // The package keeps the hot path cheap: counters and gauges are single
 // atomic words, histograms are fixed bucket arrays with atomic adds, and
-// instrumented packages resolve their metric handles once at init (or
-// link construction) rather than per observation. The overhead budget on
+// their owners (cos.Link, the serve daemon, the wlan session) resolve
+// metric handles once (at init or construction) rather than per
+// observation. The PHY, coding and CoS kernels record nothing: a Link
+// counts what they return, on the registry it was built with. The
+// overhead budget on
 // Link.Send is <2%: `make bench-events` times a link with and without an
 // attached observer and fails above 2%; BenchmarkLinkExchangeInstrumented
 // at the repository root measures the same cost by hand.
@@ -33,9 +35,9 @@
 // via `make bench-trace`.
 //
 // Metrics live in a Registry. The process-wide Default() registry is what
-// the pipeline instruments and what obshttp/Snapshot expose; tests that
-// need isolation build their own with NewRegistry and inject it (e.g.
-// cos.WithMetricsRegistry), or call Default().Reset() and read deltas.
+// a link or server built without one reports into and what obshttp
+// exposes; tests that need isolation build their own with NewRegistry
+// and inject it (cos.WithMetricsRegistry, serve.Config.Metrics).
 //
 // The metrics catalogue is documented in the repository README's
 // "Observability" section.

@@ -20,8 +20,6 @@ type metric interface {
 	promWrite(w io.Writer)
 	// snapshot flattens the metric into name->value pairs.
 	snapshot(into map[string]float64)
-	// reset zeroes the metric in place (handles stay valid).
-	reset()
 }
 
 // Registry holds a named set of metrics. The zero value is not usable;
@@ -41,12 +39,9 @@ func NewRegistry() *Registry {
 
 var defaultRegistry = NewRegistry()
 
-// Default returns the process-wide registry that the CoS pipeline
-// instruments and that Serve/Snapshot expose.
+// Default returns the process-wide registry: links and servers built
+// without a registry of their own report into it, and the CLIs expose it.
 func Default() *Registry { return defaultRegistry }
-
-// Snapshot flattens the default registry; see Registry.Snapshot.
-func Snapshot() map[string]float64 { return defaultRegistry.Snapshot() }
 
 // register returns the existing metric under name after a kind check, or
 // installs the one built by mk. Mismatched re-registration panics: two
@@ -122,15 +117,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 	return out
 }
 
-// Reset zeroes every registered metric in place. Handles held by
-// instrumented code remain valid; tests use this to read absolute values
-// from the shared default registry.
-func (r *Registry) Reset() {
-	for _, m := range r.sorted() {
-		m.reset()
-	}
-}
-
 // sorted returns the metrics in registration order.
 func (r *Registry) sorted() []metric {
 	r.mu.Lock()
@@ -187,7 +173,6 @@ func (c *Counter) promWrite(w io.Writer) {
 	fmt.Fprintf(w, "%s %d\n", c.name, c.Value())
 }
 func (c *Counter) snapshot(into map[string]float64) { into[c.name] = float64(c.Value()) }
-func (c *Counter) reset()                           { c.v.Store(0) }
 
 // --- Gauge ---------------------------------------------------------------
 
@@ -222,7 +207,6 @@ func (g *Gauge) promWrite(w io.Writer) {
 	fmt.Fprintf(w, "%s %v\n", g.name, g.Value())
 }
 func (g *Gauge) snapshot(into map[string]float64) { into[g.name] = g.Value() }
-func (g *Gauge) reset()                           { g.bits.Store(0) }
 
 // --- Histogram -----------------------------------------------------------
 
@@ -360,14 +344,6 @@ func (h *Histogram) snapshot(into map[string]float64) {
 	into[h.name+"_p99"] = h.Quantile(0.99)
 }
 
-func (h *Histogram) reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sumBits.Store(0)
-}
-
 // --- CounterFamily -------------------------------------------------------
 
 // CounterFamily is a set of counters sharing a name, distinguished by one
@@ -421,12 +397,5 @@ func (f *CounterFamily) promWrite(w io.Writer) {
 func (f *CounterFamily) snapshot(into map[string]float64) {
 	for _, v := range f.sortedValues() {
 		into[fmt.Sprintf("%s{%s=%q}", f.name, f.label, v)] = float64(f.With(v).Value())
-	}
-}
-func (f *CounterFamily) reset() {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	for _, c := range f.children {
-		c.v.Store(0)
 	}
 }

@@ -2,29 +2,11 @@ package phy
 
 import (
 	"fmt"
-	"time"
 
 	"cos/internal/bits"
 	"cos/internal/coding"
 	"cos/internal/dsp"
-	"cos/internal/obs"
 	"cos/internal/ofdm"
-)
-
-// Receive-chain metrics: stage timings for the two RX stages (front end:
-// FFT, channel and noise estimation; decode: demap through descramble)
-// and the erasure load entering the decoder.
-var (
-	mRxFrontEnds = obs.Default().Counter("phy_rx_frontends_total",
-		"Packets processed by the receiver front end.")
-	mRxFrontEndSeconds = obs.Default().Histogram("phy_rx_frontend_seconds",
-		"RunFrontEnd latency: FFTs, channel estimate, noise estimate.", nil)
-	mRxDecodes = obs.Default().Counter("phy_rx_decodes_total",
-		"Payload decode attempts.")
-	mRxDecodeSeconds = obs.Default().Histogram("phy_rx_decode_seconds",
-		"Decode latency: demap, deinterleave, depuncture, Viterbi, descramble.", nil)
-	mRxErasedPositions = obs.Default().Counter("phy_rx_erased_positions_total",
-		"Symbol/subcarrier positions erased by the silence mask before decoding.")
 )
 
 // FrontEnd is the receiver's pre-decoding state: raw FFT bins of every
@@ -53,34 +35,20 @@ func RunFrontEnd(samples []complex128) (*FrontEnd, error) {
 	return runFrontEnd(&FrontEnd{}, samples)
 }
 
-// runFrontEnd fills fe from samples and records the front-end metrics.
+// runFrontEnd fills fe from samples, reusing the capacity of fe.Bins and
+// fe.PerSymbolNoise. All other fields are overwritten.
 func runFrontEnd(fe *FrontEnd, samples []complex128) (*FrontEnd, error) {
 	if len(samples) < ofdm.PreambleLen+ofdm.SymbolLen {
 		return nil, fmt.Errorf("phy: packet too short: %d samples", len(samples))
 	}
-	// Instrumentation stays in this wrapper: a timer held live across the
-	// estimation loops costs the inner function registers (see
-	// coding.Viterbi.Decode for the measurement).
-	start := time.Now()
-	if err := frontEndInto(fe, samples); err != nil {
-		return nil, err
-	}
-	mRxFrontEnds.Inc()
-	mRxFrontEndSeconds.ObserveSince(start)
-	return fe, nil
-}
-
-// frontEndInto fills fe from samples, reusing the capacity of fe.Bins and
-// fe.PerSymbolNoise. All other fields are overwritten.
-func frontEndInto(fe *FrontEnd, samples []complex128) error {
 	payload := samples[ofdm.PreambleLen:]
 	if len(payload)%ofdm.SymbolLen != 0 {
-		return fmt.Errorf("phy: payload %d samples is not a whole number of OFDM symbols", len(payload))
+		return nil, fmt.Errorf("phy: payload %d samples is not a whole number of OFDM symbols", len(payload))
 	}
 
 	y1, y2, err := ofdm.LongTrainingObservations(samples[:ofdm.PreambleLen])
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fe.ChannelEst = [ofdm.NumSubcarriers]complex128{}
 	var ltfNoise float64
@@ -91,7 +59,7 @@ func frontEndInto(fe *FrontEnd, samples []complex128) error {
 		}
 		bin, err := ofdm.Bin(k)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		l := ofdm.LongTrainingValue(k)
 		fe.ChannelEst[bin] = (y1[bin] + y2[bin]) / (2 * l)
@@ -103,7 +71,7 @@ func frontEndInto(fe *FrontEnd, samples []complex128) error {
 
 	fe.Bins, err = ofdm.DemodulateInto(fe.Bins, payload)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	// Pilot-aided noise estimation (Eqs. (5)-(6)): n_i = y_i - H_hat_i x_i
@@ -122,18 +90,18 @@ func frontEndInto(fe *FrontEnd, samples []complex128) error {
 		for p := 0; p < ofdm.NumPilots; p++ {
 			obs, err := fe.Bins[s].PilotObservation(p)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			binIdx, err := ofdm.Bin(ofdm.PilotIndices[p])
 			if err != nil {
-				return err
+				return nil, err
 			}
 			// Pilot polarity index 0 belongs to the 802.11a SIGNAL symbol,
 			// which this link never transmits (the receiver is handed the
 			// rate and length), so payload symbol s carries index 1+s.
 			want, err := ofdm.PilotValue(p, 1+s)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			n := obs - fe.ChannelEst[binIdx]*want
 			acc += dsp.MagSq(n)
@@ -142,7 +110,7 @@ func frontEndInto(fe *FrontEnd, samples []complex128) error {
 		total += fe.PerSymbolNoise[s]
 	}
 	fe.NoiseVar = total / float64(len(fe.Bins))
-	return nil
+	return fe, nil
 }
 
 // NumSymbols returns the number of payload OFDM symbols.
@@ -322,29 +290,6 @@ func (fe *FrontEnd) DecodeInto(s *RxScratch, cfg DecodeConfig) (*DecodeResult, e
 	if err := cfg.Validate(fe); err != nil {
 		return nil, err
 	}
-	// Instrumentation stays in this wrapper (register pressure, see
-	// coding.Viterbi.Decode); the erasure count comes from the mask, not
-	// the demap loop, for the same reason.
-	start := time.Now()
-	res, err := fe.decode(s, cfg)
-	if err != nil {
-		return nil, err
-	}
-	erased := 0
-	for _, row := range cfg.Erased {
-		for _, e := range row {
-			if e {
-				erased++
-			}
-		}
-	}
-	mRxDecodes.Inc()
-	mRxErasedPositions.Add(uint64(erased))
-	mRxDecodeSeconds.ObserveSince(start)
-	return res, nil
-}
-
-func (fe *FrontEnd) decode(s *RxScratch, cfg DecodeConfig) (*DecodeResult, error) {
 	if s == nil {
 		s = &RxScratch{}
 	}

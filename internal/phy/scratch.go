@@ -2,7 +2,6 @@ package phy
 
 import (
 	"fmt"
-	"time"
 
 	"cos/internal/bits"
 	"cos/internal/coding"
@@ -46,19 +45,6 @@ func BuildPacketInto(s *TxScratch, cfg TxConfig, psdu []byte) (*TxPacket, error)
 	if len(psdu) > MaxPSDUBytes {
 		return nil, fmt.Errorf("phy: PSDU of %d octets exceeds the 802.11a limit of %d (12-bit LENGTH field)", len(psdu), MaxPSDUBytes)
 	}
-	// Instrumentation stays in this wrapper (register pressure, see
-	// coding.Viterbi.Decode).
-	start := time.Now()
-	pkt, err := buildPacketInto(s, cfg, psdu)
-	if err != nil {
-		return nil, err
-	}
-	mTxPackets.Inc()
-	mTxBuildSeconds.ObserveSince(start)
-	return pkt, nil
-}
-
-func buildPacketInto(s *TxScratch, cfg TxConfig, psdu []byte) (*TxPacket, error) {
 	m := cfg.Mode
 
 	// Assemble data bits: SERVICE (16 zeros) + PSDU + 6 tail zeros, padded
@@ -139,7 +125,6 @@ func buildPacketInto(s *TxScratch, cfg TxConfig, psdu []byte) (*TxPacket, error)
 // (reusing its capacity) to preamble + payload length; the cached preamble
 // is copied and the grid is modulated directly into the destination.
 func (p *TxPacket) SamplesInto(dst []complex128) ([]complex128, error) {
-	start := time.Now()
 	n := ofdm.PreambleLen + p.Grid.NumSymbols()*ofdm.SymbolLen
 	if cap(dst) < n {
 		dst = make([]complex128, n)
@@ -149,7 +134,6 @@ func (p *TxPacket) SamplesInto(dst []complex128) ([]complex128, error) {
 	if _, err := p.Grid.ModulateInto(1, dst[ofdm.PreambleLen:]); err != nil {
 		return nil, err
 	}
-	mTxModulateSeconds.ObserveSince(start)
 	return dst, nil
 }
 
@@ -157,7 +141,7 @@ func (p *TxPacket) SamplesInto(dst []complex128) ([]complex128, error) {
 // correctly decoded PSDU. This is how the paper's receiver obtains ideal
 // constellation points for EVM after a CRC pass (Sec. III-D): re-map the
 // decoded bits rather than assume genie knowledge. s is the working
-// storage; the returned grid aliases s. It counts as a packet build.
+// storage; the returned grid aliases s.
 func ReconstructGridInto(s *TxScratch, cfg TxConfig, psdu []byte) (*ofdm.Grid, error) {
 	pkt, err := BuildPacketInto(s, cfg, psdu)
 	if err != nil {

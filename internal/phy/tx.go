@@ -5,19 +5,7 @@ import (
 
 	"cos/internal/coding"
 	"cos/internal/modulation"
-	"cos/internal/obs"
 	"cos/internal/ofdm"
-)
-
-// Transmit-chain metrics: stage timings for the two TX stages (bit
-// processing up to the frequency grid, and OFDM modulation to samples).
-var (
-	mTxPackets = obs.Default().Counter("phy_tx_packets_total",
-		"Packets built by the transmit chain.")
-	mTxBuildSeconds = obs.Default().Histogram("phy_tx_build_seconds",
-		"BuildPacket latency: scramble, encode, puncture, interleave, map.", nil)
-	mTxModulateSeconds = obs.Default().Histogram("phy_tx_modulate_seconds",
-		"Samples() latency: OFDM modulation of the grid plus preamble.", nil)
 )
 
 // serviceBits is the length of the 802.11a SERVICE field (16 zero bits; the

@@ -45,7 +45,7 @@ func (m *Model) Propagate(dst, samples []complex128, now, snrDB float64, rng *ra
 	return dst, actual, nil
 }
 
-// FrequencyResponse implements scenario.FrequencyResponder.
+// FrequencyResponse implements scenario.ChannelModel.
 func (m *Model) FrequencyResponse(now float64) [ofdm.NumSubcarriers]complex128 {
 	return m.tdl.FrequencyResponse(now)
 }

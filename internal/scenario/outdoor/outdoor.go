@@ -108,7 +108,7 @@ func (m *Model) Propagate(dst, samples []complex128, now, snrDB float64, rng *ra
 	return dst, actual, nil
 }
 
-// FrequencyResponse implements scenario.FrequencyResponder: the hybrid
+// FrequencyResponse implements scenario.ChannelModel: the hybrid
 // channel is flat.
 func (m *Model) FrequencyResponse(float64) [ofdm.NumSubcarriers]complex128 {
 	return channel.FrequencyResponseFrom(m.taps)

@@ -128,7 +128,7 @@ func TestZeroProbabilitiesAreAWGNOnly(t *testing.T) {
 	}
 }
 
-// TestFrequencyResponseFlat pins the FrequencyResponder capability: every
+// TestFrequencyResponseFlat pins the hybrid model's response: every
 // occupied bin has unit gain at all times.
 func TestFrequencyResponseFlat(t *testing.T) {
 	m, err := New(nil)

@@ -108,7 +108,7 @@ func (e *Embedding) Embed(pkt *phy.TxPacket, _ []int, wire []byte, _ int) ([][]b
 	}
 
 	// Re-run the coded chain from the mutated scrambled bits and rewrite
-	// the grid in place (mirrors phy.buildPacketInto's post-scramble
+	// the grid in place (mirrors phy.BuildPacketInto's post-scramble
 	// stages), keeping pkt.CodedBits truthful for probe diagnostics.
 	var err error
 	e.coded, err = coding.ConvEncodeInto(e.coded, pkt.ScrambledBits)

@@ -36,14 +36,11 @@ type Geometry struct {
 //
 // snrDB is the target ground-truth SNR; the second result is the realized
 // (channel-sounder) SNR in dB, which equals the target for flat channels.
+//
+// FrequencyResponse is the per-subcarrier response at time now, for the
+// experiments that plot or threshold against |H|.
 type ChannelModel interface {
 	Propagate(dst, samples []complex128, now, snrDB float64, rng *rand.Rand) ([]complex128, float64, error)
-}
-
-// FrequencyResponder is an optional ChannelModel capability: models with a
-// well-defined per-subcarrier response (the indoor TDL, flat channels)
-// expose it for the experiments that plot or threshold against |H|.
-type FrequencyResponder interface {
 	FrequencyResponse(now float64) [ofdm.NumSubcarriers]complex128
 }
 
@@ -187,25 +184,22 @@ func (s Scenario) Params() []float64 {
 
 // Interfered composes a channel model with an interferer applied after
 // propagation (matching the link pipeline's order: the ground-truth SNR is
-// the pre-interference SNR). A FrequencyResponder model keeps exposing its
-// response through the composition. A nil intf returns model unchanged.
+// the pre-interference SNR). The composition keeps the model's frequency
+// response. A nil intf returns model unchanged.
 func Interfered(model ChannelModel, intf Interferer) ChannelModel {
 	if intf == nil {
 		return model
-	}
-	if fr, ok := model.(FrequencyResponder); ok {
-		return &interferedFR{interfered{model, intf}, fr}
 	}
 	return &interfered{model, intf}
 }
 
 type interfered struct {
-	model ChannelModel
-	intf  Interferer
+	ChannelModel
+	intf Interferer
 }
 
 func (c *interfered) Propagate(dst, samples []complex128, now, snrDB float64, rng *rand.Rand) ([]complex128, float64, error) {
-	out, actual, err := c.model.Propagate(dst, samples, now, snrDB, rng)
+	out, actual, err := c.ChannelModel.Propagate(dst, samples, now, snrDB, rng)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -213,15 +207,6 @@ func (c *interfered) Propagate(dst, samples []complex128, now, snrDB float64, rn
 		return nil, 0, err
 	}
 	return out, actual, nil
-}
-
-type interferedFR struct {
-	interfered
-	fr FrequencyResponder
-}
-
-func (c *interferedFR) FrequencyResponse(now float64) [ofdm.NumSubcarriers]complex128 {
-	return c.fr.FrequencyResponse(now)
 }
 
 // routeParams installs user-supplied params on the component ParamsFor

@@ -145,7 +145,7 @@ func TestRefRoundTrip(t *testing.T) {
 
 // TestComposition pins the constructor semantics the pipeline relies on:
 // mobility ORs into the geometry, Interfered(nil) is the identity, and a
-// composed interferer preserves the FrequencyResponder capability.
+// composed interferer reports the inner model's frequency response.
 func TestComposition(t *testing.T) {
 	mobile, err := scenario.Resolve("mobile")
 	if err != nil {
@@ -155,11 +155,7 @@ func TestComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, ok := ch.(scenario.FrequencyResponder)
-	if !ok {
-		t.Fatal("indoor channel lost its FrequencyResponder capability")
-	}
-	if fr.FrequencyResponse(0) == fr.FrequencyResponse(0.050) {
+	if ch.FrequencyResponse(0) == ch.FrequencyResponse(0.050) {
 		t.Error("mobile preset produced a time-invariant channel")
 	}
 
@@ -182,8 +178,10 @@ func TestComposition(t *testing.T) {
 	if composed == ch {
 		t.Fatal("Interfered(model, intf) must wrap the model")
 	}
-	if _, ok := composed.(scenario.FrequencyResponder); !ok {
-		t.Error("composition dropped the FrequencyResponder capability")
+	for _, now := range []float64{0, 0.050} {
+		if composed.FrequencyResponse(now) != ch.FrequencyResponse(now) {
+			t.Errorf("composed FrequencyResponse(%v) differs from the inner model's", now)
+		}
 	}
 	samples := make([]complex128, 512)
 	if _, _, err := composed.Propagate(nil, samples, 0, 18, rand.New(rand.NewSource(1))); err != nil {

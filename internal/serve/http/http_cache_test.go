@@ -7,14 +7,17 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"cos/internal/obs"
 	"cos/internal/serve"
 	"cos/internal/serve/cache"
 	"cos/internal/serve/client"
 	servehttp "cos/internal/serve/http"
+	"cos/internal/serve/store"
 )
 
 // postRaw submits a raw body straight to POST /jobs, bypassing the client,
@@ -212,6 +215,46 @@ func TestSubmitCacheHitOverHTTP(t *testing.T) {
 	digestBody, err := c.ResultBytes(ctx, warmSt.Digest)
 	if err != nil || !bytes.Equal(digestBody, coldBody) {
 		t.Fatalf("result by digest: %d bytes, %v", len(digestBody), err)
+	}
+}
+
+// TestResultByDigestFromStoreAfterRestart: a daemon run with a data
+// directory and no cache still answers GET /jobs/<digest>/result from disk
+// after a restart, which is what the fleet's job_evicted fallback reads.
+func TestResultByDigestFromStoreAfterRestart(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	st1, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1 := serve.New(serve.Config{Shards: 1, Metrics: obs.NewRegistry(), Store: st1})
+	ts1 := httptest.NewServer(servehttp.NewHandler(srv1))
+	c1 := client.New(ts1.URL)
+	st, err := c1.Submit(ctx, serve.Spec{Kind: serve.KindLink, Seed: 6, Packets: 2, PayloadBytes: 64}, client.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.Wait(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	want, err := c1.ResultBytes(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1.Drain(10 * time.Second)
+	ts1.Close()
+	st1.Close()
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st2.Close() })
+	_, c2 := startAPI(t, serve.Config{Shards: 1, Store: st2})
+	got, err := c2.ResultBytes(ctx, st.Digest)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("result by digest after restart: %d bytes, %v; want the original %d", len(got), err, len(want))
 	}
 }
 

@@ -56,7 +56,8 @@ var (
 	// ErrJobEvicted: the ID names a job this server admitted, but the job
 	// has left the retained-job window (HTTP 404, code job_evicted). It
 	// wraps ErrUnknownJob. The job's result, if it finished done, stays
-	// reachable by its spec digest.
+	// reachable by its spec digest only when the server has a Cache or a
+	// Store that still holds it.
 	ErrJobEvicted = fmt.Errorf("%w: evicted from the retained-job window", ErrUnknownJob)
 	// ErrTraceUnavailable: the job has no retrievable flight-recorder trace
 	// — it was submitted untraced, did not finish done, or its persisted
@@ -382,14 +383,20 @@ func (s *Server) SubmitWith(spec Spec, opts SubmitOptions) (*Job, error) {
 	// digest's persisted trace was captured at the same probe cadence and
 	// the durable store can re-serve its body; otherwise it falls through
 	// to a real run (the result bytes are content-addressed, so re-running
-	// cannot change them — the run exists to produce the trace).
-	cacheable := true
+	// cannot change them — the run exists to produce the trace). Without a
+	// cache every submission runs.
+	cacheable := s.cfg.Cache != nil
 	var stored *store.TraceArtifact
 	if opts.Trace {
 		stored = s.traces[digest]
-		cacheable = stored != nil && stored.ProbeEvery == opts.ProbeEvery && s.cfg.Store != nil
+		cacheable = cacheable && stored != nil && stored.ProbeEvery == opts.ProbeEvery && s.cfg.Store != nil
 	}
-	if body, ok := s.lookupResultLocked(digest); ok && cacheable {
+	var body []byte
+	hit := false
+	if cacheable {
+		body, hit = s.lookupResultLocked(digest)
+	}
+	if hit {
 		s.nextID++
 		job := newCachedJob(s.nextID, norm, digest, body)
 		job.key = opts.IdempotencyKey
@@ -508,9 +515,10 @@ func (s *Server) retireLocked(j *Job) {
 
 // lookupResultLocked resolves digest to a finished result body: the cache
 // first, then the durable store (re-warming the cache on a disk hit, so
-// eviction costs one read, not permanence). Callers hold s.mu; the nested
-// cache lock is fine (nothing locks them in the other order) and the rare
-// disk fallback is a single small-file read.
+// eviction costs one read, not permanence). It answers false when no cache
+// is configured; ResultByDigest reads the store itself in that case.
+// Callers hold s.mu; the nested cache lock is fine (nothing locks them in
+// the other order) and the disk fallback runs once per evicted digest.
 func (s *Server) lookupResultLocked(digest string) ([]byte, bool) {
 	if s.cfg.Cache == nil {
 		return nil, false
@@ -617,8 +625,19 @@ func (s *Server) JobByDigest(digest string) (*Job, error) {
 // ResultByDigest returns the finished result body for a spec digest from
 // the cache or the durable store, without admitting a job. The returned
 // slice is read-only. It reports false when the digest has no completed
-// result (never ran, still running, failed, or caching disabled).
+// result (never ran, still running, failed, or neither a cache nor a
+// store is configured).
 func (s *Server) ResultByDigest(digest string) ([]byte, bool) {
+	if s.cfg.Cache == nil {
+		// Every call reads the disk here, so it runs off s.mu: result
+		// files are content-addressed and written by rename, never
+		// changed in place.
+		if s.cfg.Store == nil {
+			return nil, false
+		}
+		body, err := s.cfg.Store.ReadResult(digest)
+		return body, err == nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lookupResultLocked(digest)

@@ -194,6 +194,60 @@ func TestJobAndResultByDigest(t *testing.T) {
 	}
 }
 
+// TestStoreWithoutCacheServesResultByDigest: a server with a durable store
+// and no cache serves a finished result by digest from disk, in the same
+// process and after a restart, while admission still runs every repeat
+// submission and counts no cache traffic.
+func TestStoreWithoutCacheServesResultByDigest(t *testing.T) {
+	dir := t.TempDir()
+	st1, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s1 := New(Config{Shards: 1, Metrics: reg, Store: st1})
+	first, err := s1.Submit(fastLinkSpec(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if waitTerminal(t, first, 30*time.Second).State != "done" {
+		t.Fatalf("first run failed: %q", first.Err())
+	}
+	want := readAll(t, first)
+	if body, ok := s1.ResultByDigest(first.Digest()); !ok || !bytes.Equal(body, want) {
+		t.Fatalf("ResultByDigest = %d bytes, %v; want the stored %d", len(body), ok, len(want))
+	}
+
+	again, err := s1.Submit(fastLinkSpec(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Cached() {
+		t.Fatal("repeat submission served without a cache configured")
+	}
+	if waitTerminal(t, again, 30*time.Second).State != "done" || !bytes.Equal(readAll(t, again), want) {
+		t.Fatalf("repeat run: state %v, different bytes or failure %q", again.State(), again.Err())
+	}
+	snap := reg.Snapshot()
+	if snap["serve_cache_hits_total"] != 0 || snap["serve_cache_misses_total"] != 0 {
+		t.Errorf("cache counters moved without a cache: hits %v misses %v",
+			snap["serve_cache_hits_total"], snap["serve_cache_misses_total"])
+	}
+	s1.Drain(10 * time.Second)
+	st1.Close()
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	s2 := New(Config{Shards: 1, Metrics: obs.NewRegistry(), Store: st2})
+	defer s2.Drain(10 * time.Second)
+	if body, ok := s2.ResultByDigest(first.Digest()); !ok || !bytes.Equal(body, want) {
+		t.Fatalf("restarted ResultByDigest = %d bytes, %v; want the stored %d", len(body), ok, len(want))
+	}
+}
+
 // TestStoreRecoveryAcrossRestart is the durability contract end to end at
 // the core layer: a "crashed" server (drain window 0 cancels its queued
 // work, so no terminal records are written) restarted on the same data

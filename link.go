@@ -111,6 +111,19 @@ type linkMetrics struct {
 	ratePackets    *obs.CounterFamily
 	probes         *obs.Counter
 
+	// Detector accuracy against the transmitter's ground truth, counted
+	// from Exchange.Detection.
+	detFalsePositives *obs.Counter
+	detFalseNegatives *obs.Counter
+	detTruthSilences  *obs.Counter
+	detTruthNormals   *obs.Counter
+
+	// Silence-budget selection, counted by the transmitter when its
+	// adaptive rate-table lookup changes the budget.
+	budgetTransitions *obs.Counter
+	budget            *obs.Gauge
+	budgetSelected    *obs.CounterFamily
+
 	// stageHists and stageNS are the stage clock (see stage.go): the
 	// per-stage latency histograms, shared by links on one registry, and
 	// this link's per-exchange totals, drained into Exchange.StageNS. The
@@ -155,6 +168,20 @@ func newLinkMetrics(r *obs.Registry) linkMetrics {
 			"Packets sent per 802.11a data rate.", "rate_mbps"),
 		probes: r.Counter("cos_link_probes_total",
 			"Deep PHY introspection probes captured (WithProbe sampling)."),
+		detFalsePositives: r.Counter("cos_detector_false_positives_total",
+			"Normal symbols detected as silent (vs. ground truth)."),
+		detFalseNegatives: r.Counter("cos_detector_false_negatives_total",
+			"Silence symbols the detector missed (vs. ground truth)."),
+		detTruthSilences: r.Counter("cos_detector_truth_silences_total",
+			"Ground-truth silence positions compared."),
+		detTruthNormals: r.Counter("cos_detector_truth_normals_total",
+			"Ground-truth normal positions compared."),
+		budgetTransitions: r.Counter("cos_ratectl_transitions_total",
+			"Lookups that selected a different budget than the link's previous lookup."),
+		budget: r.Gauge("cos_ratectl_budget",
+			"Most recently selected silence budget (symbols per packet)."),
+		budgetSelected: r.CounterFamily("cos_ratectl_budget_selected_total",
+			"Budget-transition targets by budget value.", "budget"),
 		stageHists: newStageHistograms(r),
 		streams: r.Counter("cos_stream_sends_total",
 			"SendStream transfers started."),
@@ -306,6 +333,10 @@ func (l *Link) observe(ex *Exchange, start time.Time) {
 		}
 	}
 	m.silences.Add(uint64(ex.SilencesInserted))
+	m.detFalsePositives.Add(uint64(ex.Detection.FalsePositives))
+	m.detFalseNegatives.Add(uint64(ex.Detection.FalseNegatives))
+	m.detTruthSilences.Add(uint64(ex.Detection.Silences))
+	m.detTruthNormals.Add(uint64(ex.Detection.Normals))
 	m.ratePackets.With(strconv.Itoa(ex.Mode.RateMbps)).Inc()
 	m.exchangeTime.ObserveSince(start)
 	for _, o := range l.cfg.observers {

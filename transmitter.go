@@ -2,6 +2,7 @@ package cos
 
 import (
 	"fmt"
+	"strconv"
 
 	"cos/internal/bits"
 	icos "cos/internal/cos"
@@ -54,6 +55,9 @@ type transmitter struct {
 	emb     scenario.Embedding
 	rateTbl *icos.RateTable
 	metrics *linkMetrics
+	// lastBudget is the previous adaptive lookup's answer (-1 before the
+	// first), so budget changes are counted per link.
+	lastBudget int
 
 	// Feedback state (valid after the first ApplyFeedback).
 	haveFeedback bool
@@ -79,7 +83,7 @@ func newTransmitter(cfg config, m *linkMetrics) (*transmitter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &transmitter{cfg: cfg, emb: emb, rateTbl: icos.DefaultRateTable(), metrics: m}, nil
+	return &transmitter{cfg: cfg, emb: emb, rateTbl: icos.DefaultRateTable(), metrics: m, lastBudget: -1}, nil
 }
 
 // Mode returns the data mode the next Encode will use.
@@ -113,7 +117,16 @@ func (t *transmitter) SilenceBudget() int {
 		// conservative choice.
 		snr = clampToBand(snr, t.cfg.fixedRateMbps)
 	}
-	return t.rateTbl.Lookup(snr)
+	budget := t.rateTbl.Lookup(snr)
+	if budget != t.lastBudget {
+		if t.lastBudget >= 0 {
+			t.metrics.budgetTransitions.Inc()
+		}
+		t.lastBudget = budget
+		t.metrics.budget.Set(float64(budget))
+		t.metrics.budgetSelected.With(strconv.Itoa(budget)).Inc()
+	}
+	return budget
 }
 
 // MaxControlBits reports how many control bits the next Encode can embed
