@@ -35,11 +35,12 @@ func fig3BERAt(ctx context.Context, ch scenario.ChannelModel, mode phy.Mode, tar
 		if err != nil {
 			return 0, err
 		}
-		dec, err := pr.fe.Decode(phy.DecodeConfig{Mode: mode, PSDULen: 1024})
+		// The measurement stops at the decoder input: no Viterbi decode.
+		hard, err := pr.fe.DemapInto(&scr.rx, phy.DecodeConfig{Mode: mode, PSDULen: 1024})
 		if err != nil {
 			return 0, err
 		}
-		diag, err := phy.Diagnose(pr.tx, pr.fe, nil, dec.HardCodedBits)
+		diag, err := phy.Diagnose(pr.tx, pr.fe, nil, hard)
 		if err != nil {
 			return 0, err
 		}

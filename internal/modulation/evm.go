@@ -3,51 +3,7 @@ package modulation
 import (
 	"fmt"
 	"math"
-
-	"cos/internal/dsp"
 )
-
-// EVM computes the error vector magnitude of Eq. (1) for one subcarrier:
-//
-//	EVM = sqrt( mean |r_i - s_i|^2 / mean |s_m|^2 )
-//
-// where received/ideal are the per-symbol observations of that subcarrier
-// and the denominator averages over the scheme's constellation points
-// (which is 1 for the normalized 802.11a constellations, but computed
-// explicitly for fidelity to the paper). The result is a fraction; multiply
-// by 100 for the percentages plotted in Figs. 5 and 7.
-func EVM(s Scheme, received, ideal []complex128) (float64, error) {
-	if len(received) != len(ideal) {
-		return 0, fmt.Errorf("modulation: received %d and ideal %d lengths differ", len(received), len(ideal))
-	}
-	if len(received) == 0 {
-		return 0, fmt.Errorf("modulation: EVM of zero symbols")
-	}
-	constPts := s.Constellation()
-	if constPts == nil {
-		return 0, fmt.Errorf("modulation: invalid scheme %d", int(s))
-	}
-	var num float64
-	for i := range received {
-		num += dsp.MagSq(received[i] - ideal[i])
-	}
-	num /= float64(len(received))
-	den := dsp.Power(constPts)
-	return math.Sqrt(num / den), nil
-}
-
-// ErrorVectorMagnitudes returns |r_i - s_i| per symbol; these are the |d_j|
-// entries of the vector D(t) used by Eq. (2).
-func ErrorVectorMagnitudes(received, ideal []complex128) ([]float64, error) {
-	if len(received) != len(ideal) {
-		return nil, fmt.Errorf("modulation: received %d and ideal %d lengths differ", len(received), len(ideal))
-	}
-	out := make([]float64, len(received))
-	for i := range received {
-		out[i] = dsp.Abs(received[i] - ideal[i])
-	}
-	return out, nil
-}
 
 // NablaEVM computes the normalized EVM change of Eq. (2):
 //

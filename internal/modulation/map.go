@@ -61,42 +61,52 @@ func (s Scheme) MapBitsInto(dst []complex128, in []byte) ([]complex128, error) {
 	return dst, nil
 }
 
-// hardAxis returns the axis bits (MSB-first) of the level nearest to x,
+// HardIndex returns the constellation index (the Constellation order: the
+// symbol's bits read MSB-first) of the point nearest to y. Each axis takes
+// the first level of its Gray table with the smallest squared distance, so
+// a tie goes to the level listed earlier and a NaN coordinate decides
+// index 0 on its axis; BPSK decides 1 for real(y) >= 0.
+func (s Scheme) HardIndex(y complex128) (int, error) {
+	m := s.BitsPerSymbol()
+	if m == 0 {
+		return 0, fmt.Errorf("modulation: invalid scheme %d", int(s))
+	}
+	if s == BPSK {
+		if real(y) >= 0 {
+			return 1, nil
+		}
+		return 0, nil
+	}
+	norm := s.Norm()
+	half := m / 2
+	return hardAxisIndex(half, real(y)/norm)<<half | hardAxisIndex(half, imag(y)/norm), nil
+}
+
+// hardAxisIndex returns the table index of the axis level nearest to x,
 // where x is in unnormalized integer units.
-func hardAxis(bitsPerAxis int, x float64) []byte {
-	levels := axisLevels(bitsPerAxis)
+func hardAxisIndex(bitsPerAxis int, x float64) int {
 	bestIdx, bestDist := 0, math.Inf(1)
-	for idx, lv := range levels {
-		d := (x - lv) * (x - lv)
-		if d < bestDist {
+	for idx, lv := range axisLevels(bitsPerAxis) {
+		if d := (x - lv) * (x - lv); d < bestDist {
 			bestDist = d
 			bestIdx = idx
 		}
 	}
-	out := make([]byte, bitsPerAxis)
-	for i := 0; i < bitsPerAxis; i++ {
-		out[i] = byte((bestIdx >> (bitsPerAxis - 1 - i)) & 1)
-	}
-	return out
+	return bestIdx
 }
 
-// HardDemap returns the bits of the constellation point nearest to y.
+// HardDemap returns the bits of the constellation point nearest to y, in
+// transmission order: the bits of HardIndex(y), MSB first.
 func (s Scheme) HardDemap(y complex128) ([]byte, error) {
+	idx, err := s.HardIndex(y)
+	if err != nil {
+		return nil, err
+	}
 	m := s.BitsPerSymbol()
-	if m == 0 {
-		return nil, fmt.Errorf("modulation: invalid scheme %d", int(s))
+	out := make([]byte, m)
+	for i := range out {
+		out[i] = byte((idx >> (m - 1 - i)) & 1)
 	}
-	if s == BPSK {
-		if real(y) >= 0 {
-			return []byte{1}, nil
-		}
-		return []byte{0}, nil
-	}
-	norm := s.Norm()
-	half := m / 2
-	out := make([]byte, 0, m)
-	out = append(out, hardAxis(half, real(y)/norm)...)
-	out = append(out, hardAxis(half, imag(y)/norm)...)
 	return out, nil
 }
 

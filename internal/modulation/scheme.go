@@ -1,8 +1,9 @@
 // Package modulation implements the 802.11a constellation mappings
 // (17.3.5.7): Gray-coded BPSK, QPSK, 16-QAM and 64-QAM with the standard
 // normalization factors, a hard demapper, a soft max-log demapper producing
-// the per-bit metrics of the paper's Eq. (8), and the per-subcarrier EVM
-// metrics of Eqs. (1)-(2).
+// the per-bit metrics of the paper's Eq. (8), and the normalized EVM change
+// of Eq. (2). The per-subcarrier EVM of Eq. (1) is accumulated by
+// phy.Diagnose.
 package modulation
 
 import (

@@ -2,8 +2,9 @@ package phy
 
 import (
 	"fmt"
+	"math"
 
-	"cos/internal/bits"
+	"cos/internal/dsp"
 	"cos/internal/modulation"
 	"cos/internal/ofdm"
 )
@@ -62,27 +63,45 @@ func FlattenMask(mask [][]bool) []int {
 	return out
 }
 
+// constellationPower[s] is the mean power of scheme s's normalized
+// constellation, the denominator of Eq. (1).
+var constellationPower = func() (p [modulation.QAM64 + 1]float64) {
+	for s := modulation.BPSK; s <= modulation.QAM64; s++ {
+		p[s] = dsp.Power(s.Constellation())
+	}
+	return p
+}()
+
 // Diagnose compares a received front end against the transmitted packet.
 // erased marks positions to exclude (silence symbols); it may be nil.
-// hardCoded, if non-nil, is DecodeResult.HardCodedBits and enables the
-// decoder-input BER measurement.
+// hardCoded, if non-nil, is DecodeResult.HardCodedBits (or DemapInto's
+// result) and enables the decoder-input BER measurement. Diagnose
+// allocates nothing but the returned Diagnostics.
 func Diagnose(tx *TxPacket, fe *FrontEnd, erased [][]bool, hardCoded []byte) (*Diagnostics, error) {
-	if tx.NumSymbols() != fe.NumSymbols() {
-		return nil, fmt.Errorf("phy: tx has %d symbols, rx has %d", tx.NumSymbols(), fe.NumSymbols())
+	nSym := fe.NumSymbols()
+	if tx.NumSymbols() != nSym {
+		return nil, fmt.Errorf("phy: tx has %d symbols, rx has %d", tx.NumSymbols(), nSym)
 	}
-	if erased != nil && len(erased) != fe.NumSymbols() {
-		return nil, fmt.Errorf("phy: erasure mask has %d symbols, want %d", len(erased), fe.NumSymbols())
+	if erased != nil && len(erased) != nSym {
+		return nil, fmt.Errorf("phy: erasure mask has %d symbols, want %d", len(erased), nSym)
 	}
 	m := tx.Config.Mode
+	scheme := m.Modulation
+	if !scheme.Valid() {
+		return nil, fmt.Errorf("phy: invalid scheme %v", scheme)
+	}
 	nbpsc := m.NBPSC()
-	d := &Diagnostics{SymbolErrors: make([][]bool, fe.NumSymbols())}
+	d := &Diagnostics{SymbolErrors: make([][]bool, nSym)}
+	flat := make([]bool, nSym*ofdm.NumData)
 
-	type acc struct{ rx, ideal []complex128 }
-	perSC := make([]acc, ofdm.NumData)
-
-	for s := 0; s < fe.NumSymbols(); s++ {
-		d.SymbolErrors[s] = make([]bool, ofdm.NumData)
-		eq, err := fe.Equalized(s)
+	// Per-subcarrier running sums of |r-s|^2 and |r-s|, accumulated in
+	// symbol order so EVM and the mean error vector round exactly as a
+	// sum over the collected observations would.
+	var sqErr, absErr [ofdm.NumData]float64
+	var eqBuf [ofdm.NumData]complex128
+	for s := 0; s < nSym; s++ {
+		d.SymbolErrors[s] = flat[s*ofdm.NumData : (s+1)*ofdm.NumData : (s+1)*ofdm.NumData]
+		eq, err := fe.EqualizedInto(eqBuf[:], s)
 		if err != nil {
 			return nil, err
 		}
@@ -94,27 +113,22 @@ func Diagnose(tx *TxPacket, fe *FrontEnd, erased [][]bool, hardCoded []byte) (*D
 			if erased != nil && erased[s][sc] {
 				continue
 			}
-			rxBits, err := m.Modulation.HardDemap(eq[sc])
-			if err != nil {
-				return nil, err
-			}
-			txBits, err := m.Modulation.HardDemap(txRow[sc])
-			if err != nil {
-				return nil, err
-			}
-			if !bits.Equal(rxBits, txBits) {
+			// HardIndex fails only on an invalid scheme, refused above.
+			rxIdx, _ := scheme.HardIndex(eq[sc])
+			txIdx, _ := scheme.HardIndex(txRow[sc])
+			if rxIdx != txIdx {
 				d.SymbolErrors[s][sc] = true
 				d.SubcarrierErrorCounts[sc]++
 			}
 			d.SymbolsPerSubcarrier[sc]++
-			perSC[sc].rx = append(perSC[sc].rx, eq[sc])
-			perSC[sc].ideal = append(perSC[sc].ideal, txRow[sc])
+			e := eq[sc] - txRow[sc]
+			sqErr[sc] += dsp.MagSq(e)
+			absErr[sc] += dsp.Abs(e)
 
 			if hardCoded != nil {
-				base := s*m.NCBPS() + sc*nbpsc
-				txBase := base // CodedBits are in the same transmission order
+				base := s*m.NCBPS() + sc*nbpsc // CodedBits are in the same transmission order
 				for i := 0; i < nbpsc; i++ {
-					if hardCoded[base+i] != tx.CodedBits[txBase+i] {
+					if hardCoded[base+i] != tx.CodedBits[base+i] {
 						d.DecoderInputBitErrors++
 					}
 					d.DecoderInputBits++
@@ -123,24 +137,12 @@ func Diagnose(tx *TxPacket, fe *FrontEnd, erased [][]bool, hardCoded []byte) (*D
 		}
 	}
 
-	for sc := range perSC {
-		if len(perSC[sc].rx) == 0 {
+	for sc, n := range d.SymbolsPerSubcarrier {
+		if n == 0 {
 			continue
 		}
-		evm, err := modulation.EVM(m.Modulation, perSC[sc].rx, perSC[sc].ideal)
-		if err != nil {
-			return nil, err
-		}
-		d.EVM[sc] = evm
-		mags, err := modulation.ErrorVectorMagnitudes(perSC[sc].rx, perSC[sc].ideal)
-		if err != nil {
-			return nil, err
-		}
-		var sum float64
-		for _, v := range mags {
-			sum += v
-		}
-		d.ErrorVectors[sc] = sum / float64(len(mags))
+		d.EVM[sc] = math.Sqrt(sqErr[sc] / float64(n) / constellationPower[scheme])
+		d.ErrorVectors[sc] = absErr[sc] / float64(n)
 	}
 	return d, nil
 }

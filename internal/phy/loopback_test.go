@@ -348,3 +348,45 @@ func TestScramblerSeedMismatchCorruptsData(t *testing.T) {
 		t.Error("mismatched scrambler seeds should corrupt the payload")
 	}
 }
+
+// TestDemapIntoMatchesDecodeHardBits: DemapInto stops at the decoder input
+// and returns exactly the hard decisions a full decode reports, for every
+// mode, with and without erasures and LLR quantization, on scratches
+// reused across packet sizes.
+func TestDemapIntoMatchesDecodeHardBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	ch, err := channel.PositionC.New(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var demapScr, decScr RxScratch
+	for _, m := range Modes() {
+		for _, psduLen := range []int{700, 90} {
+			erased := randomMask(rng, m.SymbolsForPSDU(psduLen))
+			c := newDiagCase(t, rng, m, ch, 12, psduLen, func(s, d int) bool { return erased[s][d] })
+			for _, mask := range [][][]bool{nil, erased} {
+				for _, llrBits := range []int{0, 5} {
+					cfg := c.cfg
+					cfg.Erased, cfg.LLRBits = mask, llrBits
+					dec, err := c.fe.DecodeInto(&decScr, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					hard, err := c.fe.DemapInto(&demapScr, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(hard, dec.HardCodedBits) {
+						t.Errorf("%v, %d bytes, erased %v, LLR bits %d: DemapInto differs from DecodeInto's hard bits", m, psduLen, mask != nil, llrBits)
+					}
+				}
+			}
+		}
+	}
+	c := newDiagCase(t, rng, Modes()[0], ch, 12, 10, nil)
+	cfg := c.cfg
+	cfg.PSDULen += 500
+	if _, err := c.fe.DemapInto(nil, cfg); err == nil {
+		t.Error("DemapInto with a mismatched PSDU length should error")
+	}
+}

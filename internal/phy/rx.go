@@ -277,7 +277,8 @@ type DecodeResult struct {
 
 // Decode demaps, deinterleaves, depunctures, Viterbi-decodes, and
 // descrambles the payload. Erasures (silence symbols and punctured
-// positions) enter the decoder as zero metrics.
+// positions) enter the decoder as zero metrics. DemapInto stops at the
+// decoder input, for callers that read only DecodeResult.HardCodedBits.
 func (fe *FrontEnd) Decode(cfg DecodeConfig) (*DecodeResult, error) {
 	return fe.DecodeInto(nil, cfg)
 }
@@ -287,6 +288,52 @@ func (fe *FrontEnd) Decode(cfg DecodeConfig) (*DecodeResult, error) {
 // scratch. A nil s decodes into fresh storage, making DecodeInto(nil, cfg)
 // identical to Decode(cfg).
 func (fe *FrontEnd) DecodeInto(s *RxScratch, cfg DecodeConfig) (*DecodeResult, error) {
+	if s == nil {
+		s = &RxScratch{}
+	}
+	hard, err := fe.DemapInto(s, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.full, err = coding.DepunctureMetricsInto(s.full, s.metrics, cfg.Mode.CodeRate)
+	if err != nil {
+		return nil, err
+	}
+	full := s.full
+	if cfg.LLRBits != 0 {
+		full, err = QuantizeMetrics(full, cfg.LLRBits, 0)
+		if err != nil {
+			return nil, err
+		}
+	}
+	dec := coding.Viterbi{Terminated: true}
+	scrambled, err := dec.DecodeInto(&s.vit, full)
+	if err != nil {
+		return nil, err
+	}
+	seed := cfg.ScramblerSeed
+	if seed == 0 {
+		seed = DefaultScramblerSeed
+	}
+	s.descr = bits.NewScrambler(seed).ScrambleInto(s.descr, scrambled)
+	descr := s.descr
+	// The tail bits were zeroed post-scrambling at the transmitter, so
+	// descrambling mangles them; that region carries no data.
+	psduBits := descr[serviceBits : serviceBits+8*cfg.PSDULen]
+	s.psdu, err = bits.ToBytesInto(s.psdu, psduBits)
+	if err != nil {
+		return nil, err
+	}
+	s.res = DecodeResult{PSDU: s.psdu, DataBits: descr, HardCodedBits: hard}
+	return &s.res, nil
+}
+
+// DemapInto runs the decode up to the decoder input: it equalizes, soft
+// demaps and deinterleaves every payload symbol into s's metric buffer and
+// returns the hard sign decisions of the pre-deinterleaver metrics in
+// transmission order (DecodeResult.HardCodedBits, without the Viterbi
+// decode). The returned slice aliases s; a nil s demaps into fresh storage.
+func (fe *FrontEnd) DemapInto(s *RxScratch, cfg DecodeConfig) ([]byte, error) {
 	if err := cfg.Validate(fe); err != nil {
 		return nil, err
 	}
@@ -305,7 +352,8 @@ func (fe *FrontEnd) DecodeInto(s *RxScratch, cfg DecodeConfig) (*DecodeResult, e
 	if cap(s.metrics) < nMetrics {
 		s.metrics = make([]float64, nMetrics)
 	}
-	metrics := s.metrics[:nMetrics]
+	s.metrics = s.metrics[:nMetrics]
+	metrics := s.metrics
 	if cap(s.hard) < nMetrics {
 		s.hard = make([]byte, nMetrics)
 	}
@@ -354,36 +402,5 @@ func (fe *FrontEnd) DecodeInto(s *RxScratch, cfg DecodeConfig) (*DecodeResult, e
 			return nil, err
 		}
 	}
-
-	s.full, err = coding.DepunctureMetricsInto(s.full, metrics, m.CodeRate)
-	if err != nil {
-		return nil, err
-	}
-	full := s.full
-	if cfg.LLRBits != 0 {
-		full, err = QuantizeMetrics(full, cfg.LLRBits, 0)
-		if err != nil {
-			return nil, err
-		}
-	}
-	dec := coding.Viterbi{Terminated: true}
-	scrambled, err := dec.DecodeInto(&s.vit, full)
-	if err != nil {
-		return nil, err
-	}
-	seed := cfg.ScramblerSeed
-	if seed == 0 {
-		seed = DefaultScramblerSeed
-	}
-	s.descr = bits.NewScrambler(seed).ScrambleInto(s.descr, scrambled)
-	descr := s.descr
-	// The tail bits were zeroed post-scrambling at the transmitter, so
-	// descrambling mangles them; that region carries no data.
-	psduBits := descr[serviceBits : serviceBits+8*cfg.PSDULen]
-	s.psdu, err = bits.ToBytesInto(s.psdu, psduBits)
-	if err != nil {
-		return nil, err
-	}
-	s.res = DecodeResult{PSDU: s.psdu, DataBits: descr, HardCodedBits: hard}
-	return &s.res, nil
+	return hard, nil
 }
