@@ -15,9 +15,12 @@ import (
 // until the next call of the same method. A channelNode is not safe for
 // concurrent use.
 type channelNode struct {
-	cfg     config
-	model   scenario.ChannelModel
-	intf    scenario.Interferer
+	cfg config
+	// forward is the scenario's channel model composed with its
+	// interferer; reverse is the bare model, since feedback frames skip the
+	// interferer.
+	forward scenario.ChannelModel
+	reverse scenario.ChannelModel
 	rng     *rand.Rand
 	metrics *linkMetrics
 
@@ -40,8 +43,8 @@ func newChannelNode(cfg config, m *linkMetrics) (*channelNode, error) {
 	}
 	return &channelNode{
 		cfg:     cfg,
-		model:   model,
-		intf:    intf,
+		forward: scenario.Interfered(model, intf),
+		reverse: model,
 		rng:     rand.New(rand.NewSource(cfg.seed)),
 		metrics: m,
 	}, nil
@@ -56,14 +59,9 @@ func (c *channelNode) Transmit(samples []complex128, now float64) ([]complex128,
 	sp := c.metrics.span(StageChannel)
 	var actual float64
 	var err error
-	c.fwd, actual, err = c.model.Propagate(c.fwd, samples, now, c.cfg.snrDB, c.rng)
+	c.fwd, actual, err = c.forward.Propagate(c.fwd, samples, now, c.cfg.snrDB, c.rng)
 	if err != nil {
 		return nil, 0, err
-	}
-	if c.intf != nil {
-		if _, err := c.intf.Apply(c.fwd, c.rng); err != nil {
-			return nil, 0, err
-		}
 	}
 	sp.End()
 	return c.fwd, actual, nil
@@ -75,7 +73,7 @@ func (c *channelNode) Transmit(samples []complex128, now float64) ([]complex128,
 // scratch, valid until the next Reverse.
 func (c *channelNode) Reverse(frame []complex128, now float64) ([]complex128, error) {
 	var err error
-	c.rev, _, err = c.model.Propagate(c.rev, frame, now, c.cfg.snrDB, c.rng)
+	c.rev, _, err = c.reverse.Propagate(c.rev, frame, now, c.cfg.snrDB, c.rng)
 	if err != nil {
 		return nil, err
 	}

@@ -10,8 +10,8 @@ import (
 
 func TestQuantizeMetricsBasics(t *testing.T) {
 	in := []float64{1, -1, 0, 0.5, -3, 100}
-	out, err := QuantizeMetrics(in, 4, 0)
-	if err != nil {
+	out := append([]float64(nil), in...)
+	if _, err := QuantizeMetrics(out, 4, nil); err != nil {
 		t.Fatal(err)
 	}
 	if out[2] != 0 {
@@ -27,15 +27,15 @@ func TestQuantizeMetricsBasics(t *testing.T) {
 	if out[5] <= 0 || out[5] > 10*out[0] {
 		t.Errorf("clipping wrong: %v", out)
 	}
-	if _, err := QuantizeMetrics(in, 1, 0); err == nil {
+	if _, err := QuantizeMetrics(in, 1, nil); err == nil {
 		t.Error("1-bit width should error")
 	}
-	if _, err := QuantizeMetrics(in, 17, 0); err == nil {
+	if _, err := QuantizeMetrics(in, 17, nil); err == nil {
 		t.Error("17-bit width should error")
 	}
 	// All-erased input stays all zero.
-	z, err := QuantizeMetrics(make([]float64, 8), 4, 0)
-	if err != nil {
+	z := make([]float64, 8)
+	if _, err := QuantizeMetrics(z, 4, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range z {
@@ -105,5 +105,32 @@ func TestDecodeRejectsBadLLRWidth(t *testing.T) {
 	}
 	if _, err := fe.Decode(DecodeConfig{Mode: m, PSDULen: 50, LLRBits: 1}); err == nil {
 		t.Error("LLR width 1 should be rejected")
+	}
+}
+
+// TestQuantizedDecodeAllocatesNothing: with LLRBits set, DecodeInto on a
+// warmed scratch quantizes in place and keeps the magnitudes it sorts in
+// the scratch, so a quantized decode allocates no more than a float one.
+func TestQuantizedDecodeAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(314))
+	ch, err := channel.PositionA.New(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := ModeByRate(24)
+	c := newDiagCase(t, rng, m, ch, 15, 1024, nil)
+	cfg := c.cfg
+	cfg.LLRBits = 5
+	var s RxScratch
+	if _, err := c.fe.DecodeInto(&s, cfg); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := c.fe.DecodeInto(&s, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("DecodeInto with LLRBits 5 allocates %v times per packet, want 0", allocs)
 	}
 }

@@ -299,15 +299,14 @@ func (fe *FrontEnd) DecodeInto(s *RxScratch, cfg DecodeConfig) (*DecodeResult, e
 	if err != nil {
 		return nil, err
 	}
-	full := s.full
 	if cfg.LLRBits != 0 {
-		full, err = QuantizeMetrics(full, cfg.LLRBits, 0)
+		s.mags, err = QuantizeMetrics(s.full, cfg.LLRBits, s.mags)
 		if err != nil {
 			return nil, err
 		}
 	}
 	dec := coding.Viterbi{Terminated: true}
-	scrambled, err := dec.DecodeInto(&s.vit, full)
+	scrambled, err := dec.DecodeInto(&s.vit, s.full)
 	if err != nil {
 		return nil, err
 	}

@@ -161,6 +161,7 @@ type RxScratch struct {
 	metrics    []float64
 	symMetrics []float64
 	full       []float64
+	mags       []float64 // QuantizeMetrics working storage
 	hard       []byte
 	vit        coding.ViterbiScratch
 	descr      []byte

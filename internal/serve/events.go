@@ -129,10 +129,9 @@ type RecoveredEvent struct {
 type StoreRecoveredEvent struct {
 	// Records counts well-formed WAL records replayed.
 	Records int `json:"records"`
-	// Completed digests have durable result bodies; CacheWarmed of them
-	// were loaded into the result cache at startup.
-	Completed   int `json:"completed"`
-	CacheWarmed int `json:"cache_warmed"`
+	// Completed digests have durable result bodies; each enters the result
+	// cache on its first lookup.
+	Completed int `json:"completed"`
 	// Requeued submissions were re-admitted; Dropped could not be (corrupt
 	// or foreign-schema specs, or queues full during recovery — the WAL
 	// still holds them for the next restart).

@@ -78,8 +78,8 @@ type Job struct {
 	// trace is the job's flight-recorder artifact, nil for an untraced
 	// submission. Until a traced run finishes done it holds only the
 	// requested cadence (no Digest); setTrace then swaps in the captured
-	// artifact. A cache hit shares the server's body-less index entry, whose
-	// body the durable store serves on demand.
+	// artifact. A cache hit shares the store's body-less index entry, whose
+	// body the store serves on demand.
 	trace *store.TraceArtifact
 }
 

@@ -107,11 +107,12 @@ type Config struct {
 	Cache *cache.Cache
 	// Store is the durable job store. When set, every admission appends a
 	// WAL record, terminal results are persisted (done results with their
-	// NDJSON bodies, failures as settled markers), and New replays the
-	// store's recovery state: completed digests are loaded into the cache
-	// and submissions that never reached a terminal record are re-admitted.
-	// Nil disables persistence. The Server does not close the store; the
-	// owner does, after Drain.
+	// NDJSON bodies, failures as settled markers), and New re-admits the
+	// submissions that never reached a terminal record. The store is the
+	// index of finished digests: a result or trace it has no record for is
+	// never served, and a recorded body enters the cache on its first
+	// lookup. Nil disables persistence. The Server does not close the
+	// store; the owner does, after Drain.
 	Store *store.Store
 }
 
@@ -158,16 +159,10 @@ type Server struct {
 	// turned terminal; once it is full, windowNext indexes the oldest.
 	window     []*Job
 	windowNext int
-	// traces maps a spec digest to its finished trace artifact, without
-	// its body (the durable store holds that). Populated when a traced job
-	// finishes done and from store recovery; consulted so a cache-hit
-	// submission asking for the same cadence can reuse the persisted trace
-	// instead of re-running.
-	traces   map[string]*store.TraceArtifact
-	nextID   uint64
-	nextSh   uint64 // round-robin shard cursor
-	draining bool
-	shards   []chan *Job
+	nextID     uint64
+	nextSh     uint64 // round-robin shard cursor
+	draining   bool
+	shards     []chan *Job
 
 	wg        sync.WaitGroup
 	drainOnce sync.Once
@@ -199,7 +194,6 @@ func New(cfg Config) *Server {
 		jobs:       map[string]*Job{},
 		byDigest:   map[string]*Job{},
 		byKey:      map[string]*Job{},
-		traces:     map[string]*store.TraceArtifact{},
 		shards:     make([]chan *Job, cfg.Shards),
 
 		queueDepth: cfg.Metrics.Gauge("serve_queue_depth",
@@ -245,11 +239,10 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// recover replays the durable store's recovery state: completed result
-// bodies are loaded into the cache (so repeat submissions hit without
-// touching disk), and submissions that never reached a terminal record —
-// a crash, or a drain window that cancelled them — are re-admitted through
-// the normal Submit path and re-run.
+// recover re-admits the submissions the durable store's replay found with
+// no terminal record — a crash, or a drain window that cancelled them —
+// through the normal Submit path. Completed digests need nothing: the
+// store serves them, and each enters the cache on its first lookup.
 func (s *Server) recover() {
 	if s.cfg.Store == nil {
 		return
@@ -257,24 +250,6 @@ func (s *Server) recover() {
 	rec := s.cfg.Store.Recovery()
 	if rec.Records == 0 {
 		return
-	}
-	warmed := 0
-	for _, c := range rec.Completed {
-		if c.Trace != nil {
-			// Replayed trace artifacts become reusable: a cache-hit
-			// submission asking for the same cadence gets the stored trace,
-			// and TraceByDigest serves it without a job.
-			s.mu.Lock()
-			s.traces[c.Digest] = c.Trace
-			s.mu.Unlock()
-		}
-		if s.cfg.Cache == nil {
-			continue // ResultByDigest still serves these straight from disk
-		}
-		if body, err := s.cfg.Store.ReadResult(c.Digest); err == nil {
-			s.cfg.Cache.Put(c.Digest, body)
-			warmed++
-		}
 	}
 	requeued, dropped := 0, 0
 	for _, p := range rec.Pending {
@@ -296,7 +271,6 @@ func (s *Server) recover() {
 	s.emit(EventStoreRecovered, "", StoreRecoveredEvent{
 		Records:        rec.Records,
 		Completed:      len(rec.Completed),
-		CacheWarmed:    warmed,
 		Requeued:       requeued,
 		Dropped:        dropped,
 		Failed:         len(rec.Failed),
@@ -336,10 +310,10 @@ func (s *Server) Submit(spec Spec) (*Job, error) {
 }
 
 // SubmitWith is Submit with options. When a result cache is configured and
-// the spec's digest is cached, the returned job is born terminal
-// (StateDone, Cached() true) with the stored byte stream — no shard work,
-// no queue slot. Admission control still applies: a draining server
-// refuses cache hits too.
+// the spec's digest has a finished result (in the cache or the store), the
+// returned job is born terminal (StateDone, Cached() true) with the stored
+// byte stream — no shard work, no queue slot. Admission control still
+// applies: a draining server refuses cache hits too.
 func (s *Server) SubmitWith(spec Spec, opts SubmitOptions) (*Job, error) {
 	norm := spec.normalized()
 	if err := spec.Validate(); err != nil {
@@ -363,6 +337,22 @@ func (s *Server) SubmitWith(spec Spec, opts SubmitOptions) (*Job, error) {
 		return nil, ErrInvalidTraceOptions
 	}
 
+	// A traced submission can only be served from the cache when the
+	// store's index holds a trace for the digest captured at the same probe
+	// cadence; otherwise it falls through to a real run (the result bytes
+	// are content-addressed, so re-running cannot change them — the run
+	// exists to produce the trace). Without a cache every submission runs.
+	// The digest resolves before s.mu: a store lookup may read the disk.
+	var stored *store.TraceArtifact
+	if opts.Trace && s.cfg.Store != nil {
+		stored = s.cfg.Store.Trace(digest)
+	}
+	var body []byte
+	hit := false
+	if s.cfg.Cache != nil && (!opts.Trace || stored != nil && stored.ProbeEvery == opts.ProbeEvery) {
+		body, hit = s.ResultByDigest(digest)
+	}
+
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -378,23 +368,6 @@ func (s *Server) SubmitWith(spec Spec, opts SubmitOptions) (*Job, error) {
 			s.mu.Unlock()
 			return prior, nil // a retry of an admission that already happened
 		}
-	}
-	// A traced submission can only be served from the cache when the
-	// digest's persisted trace was captured at the same probe cadence and
-	// the durable store can re-serve its body; otherwise it falls through
-	// to a real run (the result bytes are content-addressed, so re-running
-	// cannot change them — the run exists to produce the trace). Without a
-	// cache every submission runs.
-	cacheable := s.cfg.Cache != nil
-	var stored *store.TraceArtifact
-	if opts.Trace {
-		stored = s.traces[digest]
-		cacheable = cacheable && stored != nil && stored.ProbeEvery == opts.ProbeEvery && s.cfg.Store != nil
-	}
-	var body []byte
-	hit := false
-	if cacheable {
-		body, hit = s.lookupResultLocked(digest)
 	}
 	if hit {
 		s.nextID++
@@ -513,28 +486,6 @@ func (s *Server) retireLocked(j *Job) {
 	s.windowNext = (s.windowNext + 1) % retainedJobs
 }
 
-// lookupResultLocked resolves digest to a finished result body: the cache
-// first, then the durable store (re-warming the cache on a disk hit, so
-// eviction costs one read, not permanence). It answers false when no cache
-// is configured; ResultByDigest reads the store itself in that case.
-// Callers hold s.mu; the nested cache lock is fine (nothing locks them in
-// the other order) and the disk fallback runs once per evicted digest.
-func (s *Server) lookupResultLocked(digest string) ([]byte, bool) {
-	if s.cfg.Cache == nil {
-		return nil, false
-	}
-	if body, ok := s.cfg.Cache.Get(digest); ok {
-		return body, true
-	}
-	if s.cfg.Store != nil {
-		if body, err := s.cfg.Store.ReadResult(digest); err == nil {
-			s.cfg.Cache.Put(digest, body)
-			return body, true
-		}
-	}
-	return nil, false
-}
-
 // logSubmit appends the admission WAL record. Called off s.mu: the WAL
 // fsyncs, and replay tolerates the resulting append races (see the store
 // package's digest folding rules).
@@ -550,7 +501,8 @@ func (s *Server) logSubmit(j *Job) {
 }
 
 // persistTerminal makes a terminal state durable and cacheable: done
-// results enter the cache and the store (body first, then the WAL record),
+// results enter the cache and the store (body first, then the WAL record,
+// after which the store's index vouches for the digest and its trace),
 // the cache keeping the job's own closed result bytes, not a copy;
 // failures append a settled marker so restarts do not retry them;
 // cancellations write nothing — absence is what makes them re-run after a
@@ -562,19 +514,8 @@ func (s *Server) persistTerminal(j *Job, st State) {
 		if s.cfg.Cache != nil {
 			s.cfg.Cache.Put(j.digest, body)
 		}
-		// A traced job that ran to done holds its captured artifact, body
-		// included; the index keeps a copy without the body, so it pins no
-		// trace in memory.
-		tr := j.traceArtifact()
-		if tr != nil {
-			meta := *tr
-			meta.Body = nil
-			s.mu.Lock()
-			s.traces[j.digest] = &meta
-			s.mu.Unlock()
-		}
 		if s.cfg.Store != nil {
-			_ = s.cfg.Store.LogResult(j.id, j.digest, "done", "", body, tr)
+			_ = s.cfg.Store.LogResult(j.id, j.digest, "done", "", body, j.traceArtifact())
 		}
 	case StateFailed:
 		if s.cfg.Store != nil {
@@ -622,25 +563,31 @@ func (s *Server) JobByDigest(digest string) (*Job, error) {
 	return j, nil
 }
 
-// ResultByDigest returns the finished result body for a spec digest from
-// the cache or the durable store, without admitting a job. The returned
-// slice is read-only. It reports false when the digest has no completed
-// result (never ran, still running, failed, or neither a cache nor a
-// store is configured).
+// ResultByDigest returns the finished result body for a spec digest
+// without admitting a job: the cache first, then the durable store's
+// index, re-warming the cache on a store hit so an eviction or a restart
+// costs one read. The returned slice is read-only. It reports false when
+// the digest has no completed result (never ran, still running, failed,
+// or neither a cache nor a store is configured). It takes no server lock:
+// result files are content-addressed and written by rename, never changed
+// in place.
 func (s *Server) ResultByDigest(digest string) ([]byte, bool) {
-	if s.cfg.Cache == nil {
-		// Every call reads the disk here, so it runs off s.mu: result
-		// files are content-addressed and written by rename, never
-		// changed in place.
-		if s.cfg.Store == nil {
-			return nil, false
+	if s.cfg.Cache != nil {
+		if body, ok := s.cfg.Cache.Get(digest); ok {
+			return body, true
 		}
-		body, err := s.cfg.Store.ReadResult(digest)
-		return body, err == nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lookupResultLocked(digest)
+	if s.cfg.Store == nil {
+		return nil, false
+	}
+	body, err := s.cfg.Store.ReadResult(digest)
+	if err != nil {
+		return nil, false
+	}
+	if s.cfg.Cache != nil {
+		s.cfg.Cache.Put(digest, body)
+	}
+	return body, true
 }
 
 // JobTrace returns the finished flight-recorder trace body for a job,
@@ -656,20 +603,22 @@ func (s *Server) JobTrace(j *Job) (body []byte, digest string, err error) {
 }
 
 // TraceByDigest returns the finished trace body for a spec digest without
-// resolving a job: the newest job for the digest when it holds the trace
-// in memory, the durable store otherwise. It reports ErrTraceUnavailable
-// when no finished trace exists for the digest.
+// resolving a job: the newest job for the digest when it holds the trace,
+// the trace the durable store's index names otherwise. It reports
+// ErrTraceUnavailable when no finished trace exists for the digest.
 func (s *Server) TraceByDigest(specDigest string) (body []byte, digest string, err error) {
 	s.mu.Lock()
 	j := s.byDigest[specDigest]
-	stored := s.traces[specDigest]
 	s.mu.Unlock()
 	if j != nil {
 		if b, d, jerr := s.JobTrace(j); jerr == nil {
 			return b, d, nil
 		}
 	}
-	return s.readTrace(stored)
+	if s.cfg.Store == nil {
+		return nil, "", ErrTraceUnavailable
+	}
+	return s.readTrace(s.cfg.Store.Trace(specDigest))
 }
 
 // readTrace returns a finished artifact's body: from memory when the job

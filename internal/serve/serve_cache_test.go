@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -283,8 +285,15 @@ func TestStoreRecoveryAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	s2 := New(Config{Shards: 1, Metrics: obs.NewRegistry(), Cache: cache.New(0), Store: st2})
+	c2 := cache.New(0)
+	s2 := New(Config{Shards: 1, Metrics: obs.NewRegistry(), Cache: c2, Store: st2})
 	defer s2.Drain(10 * time.Second)
+	// Nothing is read at boot: the first lookup of a completed digest
+	// reads its body from the store once and warms the cache with it.
+	booted := c2.Stats()
+	if booted.Entries != 0 {
+		t.Fatalf("cache holds %d entries after New; recovery must read no body", booted.Entries)
+	}
 
 	// The completed digest serves byte-identically, without re-running.
 	body, ok := s2.ResultByDigest(done.Digest())
@@ -300,6 +309,9 @@ func TestStoreRecoveryAcrossRestart(t *testing.T) {
 	}
 	if !bytes.Equal(readAll(t, resub), coldBody) {
 		t.Fatal("recovered cache served different bytes")
+	}
+	if cs := c2.Stats(); cs.Misses != booted.Misses+1 || cs.Hits != booted.Hits+1 || cs.Entries != 1 {
+		t.Fatalf("cache stats %+v after boot, %+v after a lookup and a resubmission; want the body read once, then hit", booted, cs)
 	}
 
 	// The interrupted submission was re-admitted under a fresh ID.
@@ -318,7 +330,7 @@ func TestStoreRecoveryAcrossRestart(t *testing.T) {
 		t.Fatalf("store_recovered events = %+v", recovered)
 	}
 	decodeInto(t, recovered[0], &sre)
-	if sre.Completed != 1 || sre.Requeued != 1 || sre.CacheWarmed != 1 {
+	if sre.Completed != 1 || sre.Requeued != 1 {
 		t.Fatalf("store_recovered payload = %+v", sre)
 	}
 	if jr := eventsOfType(evs, EventJobRecovered); len(jr) != 1 || jr[0].Job != requeued.ID() {
@@ -469,5 +481,66 @@ func TestCacheHitSharesCachedBody(t *testing.T) {
 	t.Logf("%d B allocated per cache hit of a %d B body", perHit, len(body))
 	if perHit > uint64(len(body))/4 {
 		t.Errorf("a cache hit allocates %d B, over a quarter of the %d B body it serves", perHit, len(body))
+	}
+}
+
+// TestOrphanResultFileRuns: a body file under results/ with no WAL record
+// is not a finished result. Submitting its spec runs the job, no lookup
+// serves the orphan bytes, and the computed body replaces the orphan on
+// disk, so a restarted server serves what the job computed.
+func TestOrphanResultFileRuns(t *testing.T) {
+	dir := t.TempDir()
+	spec := fastLinkSpec(71)
+	orphan := []byte(`{"type":"orphan"}` + "\n")
+	if err := os.MkdirAll(filepath.Join(dir, "results"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "results", spec.Digest()), orphan, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st1, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := New(Config{Shards: 1, Metrics: obs.NewRegistry(), Cache: cache.New(0), Store: st1})
+
+	// Hold the one shard with a slow job so the spec stays queued while
+	// the lookups run.
+	blocker, err := s1.Submit(slowLinkSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := s1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Cached() {
+		t.Fatal("a result file with no record was served as a cache hit")
+	}
+	if body, ok := s1.ResultByDigest(spec.Digest()); ok {
+		t.Fatalf("ResultByDigest served %q before the job finished", body)
+	}
+	if err := s1.Cancel(blocker.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, j, 30*time.Second); st.State != "done" {
+		t.Fatalf("job state %s (err %q)", st.State, st.Error)
+	}
+	computed := readAll(t, j)
+	if bytes.Equal(computed, orphan) {
+		t.Fatal("the job computed the orphan's bytes")
+	}
+	s1.Drain(5 * time.Second)
+	st1.Close()
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	s2 := New(Config{Shards: 1, Metrics: obs.NewRegistry(), Cache: cache.New(0), Store: st2})
+	defer s2.Drain(0) // the cancelled blocker replays as pending and re-runs
+	if body, ok := s2.ResultByDigest(spec.Digest()); !ok || !bytes.Equal(body, computed) {
+		t.Fatalf("restarted ResultByDigest = %q, %v; want the computed %d bytes", body, ok, len(computed))
 	}
 }

@@ -10,9 +10,12 @@ import (
 
 // FuzzReplay: wal.log is read back from disk on every restart, so replay
 // must hold up against arbitrary bytes. Open never panics, only digests
-// that pass validDigest reach Completed or Pending, and once Open has cut
-// a torn or corrupt tail, reopening the log gives the same Recovery with
-// nothing left to truncate.
+// that pass validDigest reach Completed or Pending, and the index answers
+// only from what it can serve: every digest reported done has a readable
+// body, and every trace artifact it hands out names a valid digest whose
+// body exists. Once Open has cut a torn or corrupt tail, reopening the log
+// gives the same Recovery and the same index answers, with nothing left
+// to truncate.
 func FuzzReplay(f *testing.F) {
 	for _, ops := range []func(s *Store){
 		func(s *Store) { // TestStoreReplayRoundTrip
@@ -81,28 +84,64 @@ func FuzzReplay(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		// index is what one open store answers for the given digests:
+		// whether each is done, and its trace artifact.
+		type answer struct {
+			done  bool
+			trace TraceArtifact
+		}
+		index := func(s *Store, digests []string) map[string]answer {
+			got := map[string]answer{}
+			for _, d := range digests {
+				_, err := s.ReadResult(d)
+				a := answer{done: err == nil}
+				if tr := s.Trace(d); tr != nil {
+					if !a.done {
+						t.Fatalf("trace %+v handed out for %s, which is not done", tr, d)
+					}
+					if !validDigest(tr.Digest) {
+						t.Fatalf("trace digest %q is not lowercase hex", tr.Digest)
+					}
+					if _, err := s.ReadTrace(tr.Digest); err != nil {
+						t.Fatalf("trace %s of %s has no readable body: %v", tr.Digest, d, err)
+					}
+					a.trace = *tr
+				}
+				got[d] = a
+			}
+			return got
+		}
+
 		s, err := Open(dir)
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
 		first := s.Recovery()
-		s.Close()
-		for _, c := range first.Completed {
-			if !validDigest(c.Digest) {
-				t.Fatalf("completed digest %q is not lowercase hex", c.Digest)
+		probe := append([]string{digA, digB, digC}, first.Failed...)
+		for _, d := range first.Completed {
+			if !validDigest(d) {
+				t.Fatalf("completed digest %q is not lowercase hex", d)
 			}
+			if _, err := s.ReadResult(d); err != nil {
+				t.Fatalf("completed digest %s has no readable body: %v", d, err)
+			}
+			probe = append(probe, d)
 		}
 		for _, p := range first.Pending {
 			if !validDigest(p.Digest) {
 				t.Fatalf("pending digest %q is not lowercase hex", p.Digest)
 			}
+			probe = append(probe, p.Digest)
 		}
+		firstIndex := index(s, probe)
+		s.Close()
 
 		s, err = Open(dir)
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
 		second := s.Recovery()
+		secondIndex := index(s, probe)
 		s.Close()
 		if second.TruncatedBytes != 0 {
 			t.Fatalf("reopen truncated %d more bytes", second.TruncatedBytes)
@@ -110,6 +149,9 @@ func FuzzReplay(f *testing.F) {
 		first.TruncatedBytes = 0
 		if !reflect.DeepEqual(first, second) {
 			t.Fatalf("recovery changed across a reopen:\nfirst:  %+v\nsecond: %+v", first, second)
+		}
+		if !reflect.DeepEqual(firstIndex, secondIndex) {
+			t.Fatalf("index changed across a reopen:\nfirst:  %+v\nsecond: %+v", firstIndex, secondIndex)
 		}
 	})
 }

@@ -2,8 +2,8 @@
 // job submissions and completions plus content-addressed result body
 // files, all under one data directory. A daemon restarted on the same
 // directory recovers its world — completed results re-serve byte-identical
-// NDJSON from the cache, and submissions that never reached a terminal
-// record are re-admitted and re-run.
+// NDJSON, and submissions that never reached a terminal record are
+// re-admitted and re-run.
 //
 // Layout:
 //
@@ -12,18 +12,26 @@
 //	<dir>/traces/<digest>      flight-recorder trace bodies, keyed by the
 //	                           trace's own SHA-256 (not the spec digest)
 //
-// Three rules shape the design:
+// Four rules shape the design:
 //
 //   - Result-before-record. A result body file is written and renamed into
 //     place (atomically, via a temp file) before its WAL record is
 //     appended, so a "done" record always points at a readable body.
+//
+//   - Record-before-index. The store is the one index of finished digests,
+//     and ReadResult and Trace answer from it alone. A digest enters it
+//     from replay or once its "done" record is appended. A body file left
+//     by a failed append, or planted by hand, is an orphan: it is not
+//     served, and the next LogResult for its digest replaces it.
 //
 //   - Digest-keyed replay. Recovery folds the WAL per spec digest, not per
 //     job ID: job IDs restart at 1 with each daemon process, but the
 //     digest is stable across restarts, and one re-run satisfies every
 //     pending submission of the same spec. A digest that ever reached
 //     "done" stays done — results are content-addressed, so a later
-//     submission of the same digest cannot change the bytes.
+//     submission of the same digest cannot change the bytes. Its trace
+//     artifact is the one the newest "done" record names, as it is at
+//     run time.
 //
 //   - Tolerant tail. A crash mid-append leaves a truncated last line; Open
 //     replays up to the last complete, well-formed record and truncates
@@ -92,23 +100,10 @@ type PendingJob struct {
 	Spec []byte
 }
 
-// CompletedJob is a digest with a durable "done" result body.
-type CompletedJob struct {
-	Job    string
-	Digest string
-	// Trace is the job's flight-recorder trace artifact, without its body
-	// (ReadTrace returns it), when one was captured AND its body file is
-	// still readable; nil otherwise (untraced job, hostile digest in the
-	// record, or a trace body deleted out from under the store — all
-	// demote to "trace unavailable" without failing recovery). Its Bytes
-	// is the body's size on disk.
-	Trace *TraceArtifact
-}
-
 // Recovery is what replaying the WAL found.
 type Recovery struct {
 	// Completed digests have result bodies readable via ReadResult.
-	Completed []CompletedJob
+	Completed []string
 	// Pending submissions never reached a terminal record (crash, drain
 	// cancellation) and should be re-admitted.
 	Pending []PendingJob
@@ -127,10 +122,19 @@ type Recovery struct {
 type Store struct {
 	dir string
 
-	mu  sync.Mutex
+	mu  sync.Mutex // serializes appends, which hold it across their fsyncs
 	f   *os.File
 	rec Recovery
 	now func() int64 // ms since epoch; replaceable in tests
+
+	// done is the index of finished digests: every spec digest with a
+	// durable "done" record and a readable body, mapped to the trace
+	// artifact (without its body) the newest such record names. The value
+	// is nil for an untraced digest, and for one whose trace body was gone
+	// at replay or whose record named a malformed trace digest. Writers
+	// hold mu and idx; lookups take idx alone, so they never wait on disk.
+	idx  sync.Mutex
+	done map[string]*TraceArtifact
 }
 
 // Open creates dir (and its results/ subdirectory) if needed, replays the
@@ -142,8 +146,9 @@ func Open(dir string) (*Store, error) {
 		}
 	}
 	s := &Store{
-		dir: dir,
-		now: func() int64 { return time.Now().UnixMilli() },
+		dir:  dir,
+		now:  func() int64 { return time.Now().UnixMilli() },
+		done: map[string]*TraceArtifact{},
 	}
 	if err := s.replay(); err != nil {
 		return nil, err
@@ -221,18 +226,17 @@ func (s *Store) replay() error {
 				order++
 				states[r.Digest] = ds
 			}
-			if ds.state != "done" { // done is sticky
-				if r.State == "done" {
-					ds.state = "done"
-					// Hostile or malformed trace digests never become file
-					// lookups: the job simply replays as untraced.
-					if validDigest(r.Trace) {
-						ds.trace = &TraceArtifact{Digest: r.Trace, ProbeEvery: r.ProbeEvery}
-					}
-				} else {
-					ds.state = "failed"
-					ds.job = r.Job // pin the failed job for the resubmit rule
+			switch {
+			case r.State == "done":
+				ds.state = "done"
+				// Hostile or malformed trace digests never become file
+				// lookups: the job simply replays as untraced.
+				if validDigest(r.Trace) {
+					ds.trace = &TraceArtifact{Digest: r.Trace, ProbeEvery: r.ProbeEvery}
 				}
+			case ds.state != "done": // done is sticky
+				ds.state = "failed"
+				ds.job = r.Job // pin the failed job for the resubmit rule
 			}
 		default:
 			// Unknown op from a future writer: skip the record but keep
@@ -272,16 +276,17 @@ func (s *Store) replay() error {
 			// result-before-record ordering makes a missing file possible
 			// only through external deletion, which demotes to pending.
 			if _, err := os.Stat(s.blobPath(resultsDir, o.d)); err == nil {
-				cj := CompletedJob{Job: ds.job, Digest: o.d}
 				// The trace artifact is best-effort: a missing body demotes
 				// the job to "trace unavailable", never to pending.
+				var tr *TraceArtifact
 				if ds.trace != nil {
 					if fi, err := os.Stat(s.blobPath(tracesDir, ds.trace.Digest)); err == nil {
 						ds.trace.Bytes = int(fi.Size())
-						cj.Trace = ds.trace
+						tr = ds.trace
 					}
 				}
-				s.rec.Completed = append(s.rec.Completed, cj)
+				s.done[o.d] = tr
+				s.rec.Completed = append(s.rec.Completed, o.d)
 			} else if len(ds.spec) > 0 {
 				s.rec.Pending = append(s.rec.Pending, PendingJob{Job: ds.job, Digest: o.d, Spec: ds.spec})
 			}
@@ -341,11 +346,14 @@ type TraceArtifact struct {
 
 // LogResult records a terminal state. For state "done", body is first
 // written to the content-addressed result file (atomically, temp +
-// rename) so the WAL record never points at missing bytes; a non-nil
+// rename) so the WAL record never points at missing bytes — unless the
+// index already holds the digest, whose body is then kept; a non-nil
 // trace artifact is written the same way (trace-before-record) and its
-// digest stamped into the record. For "failed", body and trace are
-// ignored and only the settled marker is logged. Cancelled jobs should
-// not be logged at all — absence is what makes them re-run.
+// digest stamped into the record. Once the record is appended the digest
+// joins the index, with the trace artifact if one was given. For
+// "failed", body and trace are ignored and only the settled marker is
+// logged. Cancelled jobs should not be logged at all — absence is what
+// makes them re-run.
 func (s *Store) LogResult(jobID, digest, state, errMsg string, body []byte, tr *TraceArtifact) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -355,20 +363,31 @@ func (s *Store) LogResult(jobID, digest, state, errMsg string, body []byte, tr *
 	rec := record{
 		Op: opResult, Job: jobID, Digest: digest, State: state, Error: errMsg, Bytes: len(body),
 	}
-	if state == "done" {
+	if state != "done" {
+		return s.appendLocked(rec)
+	}
+	prior, indexed := s.done[digest]
+	if !indexed {
 		if err := s.writeBlobLocked(resultsDir, digest, body); err != nil {
 			return err
 		}
-		if tr != nil {
-			if err := s.writeBlobLocked(tracesDir, tr.Digest, tr.Body); err != nil {
-				return err
-			}
-			rec.Trace = tr.Digest
-			rec.TraceBytes = len(tr.Body)
-			rec.ProbeEvery = tr.ProbeEvery
-		}
 	}
-	return s.appendLocked(rec)
+	if tr != nil {
+		if err := s.writeBlobLocked(tracesDir, tr.Digest, tr.Body); err != nil {
+			return err
+		}
+		rec.Trace = tr.Digest
+		rec.TraceBytes = len(tr.Body)
+		rec.ProbeEvery = tr.ProbeEvery
+		prior = &TraceArtifact{Digest: tr.Digest, ProbeEvery: tr.ProbeEvery, Bytes: len(tr.Body)}
+	}
+	if err := s.appendLocked(rec); err != nil {
+		return err
+	}
+	s.idx.Lock()
+	s.done[digest] = prior
+	s.idx.Unlock()
+	return nil
 }
 
 // blobPath names a content-addressed body file under one subdirectory.
@@ -377,16 +396,13 @@ func (s *Store) blobPath(sub, digest string) string {
 }
 
 // writeBlobLocked writes a content-addressed body file atomically under
-// the given subdirectory. Re-writing an existing digest is a no-op: the
-// bytes are content-addressed.
+// the given subdirectory, replacing any file of that name: one no record
+// vouches for may hold anything.
 func (s *Store) writeBlobLocked(sub, digest string, body []byte) error {
 	if !validDigest(digest) {
 		return fmt.Errorf("store: invalid digest %q", digest)
 	}
 	path := s.blobPath(sub, digest)
-	if _, err := os.Stat(path); err == nil {
-		return nil
-	}
 	tmp, err := os.CreateTemp(filepath.Join(s.dir, sub), "tmp-*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -413,9 +429,27 @@ func (s *Store) writeBlobLocked(sub, digest string, body []byte) error {
 	return nil
 }
 
-// ReadResult returns the stored NDJSON body for a completed digest.
+// ReadResult returns the stored NDJSON body for a digest in the index. A
+// digest the index does not hold fails without touching the disk, even
+// when a body file of that name exists.
 func (s *Store) ReadResult(digest string) ([]byte, error) {
+	s.idx.Lock()
+	_, ok := s.done[digest]
+	s.idx.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("store: no result recorded for digest %q", digest)
+	}
 	return s.readBlob(resultsDir, digest)
+}
+
+// Trace returns the trace artifact, without its body (ReadTrace returns
+// that), of a digest in the index: the one its newest "done" record
+// names. It is nil for a digest that is not done, was run untraced, or
+// whose trace body was gone at replay. Holders must not modify it.
+func (s *Store) Trace(digest string) *TraceArtifact {
+	s.idx.Lock()
+	defer s.idx.Unlock()
+	return s.done[digest]
 }
 
 // ReadTrace returns the stored flight-recorder trace body addressed by

@@ -3,9 +3,11 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -57,7 +59,7 @@ func TestStoreReplayRoundTrip(t *testing.T) {
 	if rec.TruncatedBytes != 0 {
 		t.Fatalf("clean WAL reported %d truncated bytes", rec.TruncatedBytes)
 	}
-	if len(rec.Completed) != 1 || rec.Completed[0].Digest != digA {
+	if len(rec.Completed) != 1 || rec.Completed[0] != digA {
 		t.Fatalf("Completed = %+v, want [%s]", rec.Completed, digA)
 	}
 	if len(rec.Pending) != 1 || rec.Pending[0].Digest != digB || rec.Pending[0].Job != "job-000002" {
@@ -96,7 +98,7 @@ func TestStoreReplayDigestFolding(t *testing.T) {
 	s.Close()
 
 	rec := open(t, dir).Recovery()
-	if len(rec.Completed) != 1 || rec.Completed[0].Digest != digA {
+	if len(rec.Completed) != 1 || rec.Completed[0] != digA {
 		t.Fatalf("Completed = %+v", rec.Completed)
 	}
 	if len(rec.Pending) != 2 {
@@ -180,7 +182,7 @@ func TestStoreOutOfOrderResultBeforeSubmit(t *testing.T) {
 	if len(rec.Failed) != 1 || rec.Failed[0] != digA {
 		t.Fatalf("Failed = %+v; out-of-order submit must not reopen its own failure", rec.Failed)
 	}
-	if len(rec.Completed) != 1 || rec.Completed[0].Digest != digB {
+	if len(rec.Completed) != 1 || rec.Completed[0] != digB {
 		t.Fatalf("Completed = %+v", rec.Completed)
 	}
 	if len(rec.Pending) != 0 {
@@ -274,11 +276,11 @@ func TestStoreHostileTraceDigestReplaysUntraced(t *testing.T) {
 
 	re := open(t, dir)
 	rec := re.Recovery()
-	if len(rec.Completed) != 1 || rec.Completed[0].Digest != digA {
+	if len(rec.Completed) != 1 || rec.Completed[0] != digA {
 		t.Fatalf("Completed = %+v, want the done digest to survive", rec.Completed)
 	}
-	if cj := rec.Completed[0]; cj.Trace != nil {
-		t.Fatalf("hostile trace digest leaked into recovery: %+v", cj)
+	if tr := re.Trace(digA); tr != nil {
+		t.Fatalf("hostile trace digest leaked into the index: %+v", tr)
 	}
 	for _, bad := range []string{"", "../evil", "ABCDEF", "a/b", "../../etc/passwd"} {
 		if _, err := re.ReadTrace(bad); err == nil {
@@ -337,4 +339,37 @@ func TestStoreClosedRefusesAppends(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
+}
+
+// TestStoreIndexConcurrentUse: appends and index lookups from several
+// goroutines at once. Every digest a writer has logged done reads back,
+// with its trace, from any goroutine.
+func TestStoreIndexConcurrentUse(t *testing.T) {
+	s := open(t, t.TempDir())
+	const writers, perWriter = 4, 8
+	digest := func(w, i int) string { return fmt.Sprintf("%064x", w*perWriter+i) }
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				d := digest(w, i)
+				tr := &TraceArtifact{Digest: d, ProbeEvery: w, Body: []byte("t\n")}
+				if err := s.LogResult("job-000001", d, "done", "", []byte(d+"\n"), tr); err != nil {
+					t.Error(err)
+					return
+				}
+				for k := 0; k <= i; k++ {
+					if _, err := s.ReadResult(digest(w, k)); err != nil {
+						t.Errorf("ReadResult(%s) after its record: %v", digest(w, k), err)
+					}
+					if s.Trace(digest(w, k)) == nil {
+						t.Errorf("Trace(%s) nil after its record", digest(w, k))
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -333,8 +333,8 @@ func TestTraceMissingBodyDemotes(t *testing.T) {
 	if len(rec.Completed) != 1 {
 		t.Fatalf("recovery completed = %d, want 1", len(rec.Completed))
 	}
-	if rec.Completed[0].Trace != nil {
-		t.Fatal("missing trace body must demote to trace-unavailable, not survive replay")
+	if tr := st2.Trace(j1.Digest()); tr != nil {
+		t.Fatalf("store trace = %+v; a missing trace body must demote to trace-unavailable, not survive replay", tr)
 	}
 	s2 := newTestServer(t, Config{Shards: 1, Cache: cache.New(0), Store: st2})
 	if _, _, err := s2.TraceByDigest(j1.Digest()); !errors.Is(err, ErrTraceUnavailable) {
@@ -416,5 +416,35 @@ func TestTraceOtherKinds(t *testing.T) {
 	}
 	if len(events) != 0 {
 		t.Fatalf("figure trace events = %d, want 0 (no exchange hook)", len(events))
+	}
+}
+
+// TestTraceNotIndexedWithoutRecord: a traced job whose "done" record never
+// reached the store leaves no trace in the index, so a traced resubmission
+// at the same cadence runs again instead of promising a trace body that
+// was never written.
+func TestTraceNotIndexedWithoutRecord(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Shards: 1, Cache: cache.New(0), Store: st})
+	spec := Spec{Kind: KindLink, Seed: 59, Packets: 3, PayloadBytes: 64}
+	st.Close() // every append from here on fails
+
+	first := submitTraced(t, s, spec, 2)
+	if _, _, err := s.JobTrace(first); err != nil {
+		t.Fatalf("first JobTrace: %v", err)
+	}
+	again := submitTraced(t, s, spec, 2)
+	if again.Cached() {
+		t.Fatal("traced resubmission hit the cache although no record vouches for its trace")
+	}
+	body, digest, err := s.JobTrace(again)
+	if err != nil {
+		t.Fatalf("resubmission JobTrace: %v", err)
+	}
+	if sum := sha256.Sum256(body); hex.EncodeToString(sum[:]) != digest {
+		t.Fatal("resubmission trace body does not match its digest")
 	}
 }

@@ -345,23 +345,9 @@ func (n *Network) RunContext(ctx context.Context, rounds int) (*Report, error) {
 				mGrantsLost.With("cos").Inc()
 				granted = false
 			}
-		case n.cfg.Coordination == CoordCoS:
-			// Budget too small this packet: fall back to an explicit frame.
-			rep.ControlAirtime += explicitGrantAirtime
-			mControlAirtime.Add(explicitGrantAirtime)
-			delivered, err := n.sendExplicitGrant(link)
-			if err != nil {
-				return nil, err
-			}
-			granted = delivered
-			if delivered {
-				rep.GrantsDelivered++
-				mGrantsDelivered.With("explicit").Inc()
-			} else {
-				rep.GrantsLost++
-				mGrantsLost.With("explicit").Inc()
-			}
 		default:
+			// Explicit coordination, or CoS with too little budget this
+			// packet: the grant goes out as its own frame.
 			rep.ControlAirtime += explicitGrantAirtime
 			mControlAirtime.Add(explicitGrantAirtime)
 			delivered, err := n.sendExplicitGrant(link)
